@@ -1,7 +1,7 @@
 """Shared JSON-artifact and threshold-gate helpers for the bench scripts.
 
 Every bench entry point (``bench_kernels.py`` and its ``--dispatch`` /
-``--obs-overhead`` / ``--compiled`` / ``--prune-quality`` modes,
+``--obs-overhead`` / ``--compiled`` / ``--shootout`` modes,
 ``bench_serve.py`` and its ``--fleet`` mode) writes its records with
 :func:`write_artifact`, splits the trailing ``{"summary": True}``
 record off with :func:`split_summary`, and funnels its thresholds

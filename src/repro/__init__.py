@@ -8,7 +8,7 @@ Public API layers:
 
 * :mod:`repro.formats` — COO/CRS/ELLPACK/ELLPACK-R substrate formats
 * :mod:`repro.core` — pJDS, JDS, SELL-C-sigma (the contribution)
-* :mod:`repro.kernels` — reference + vectorised spMVM kernels
+* :mod:`repro.kernels` — paper-listing reference + compiled spMVM kernels
 * :mod:`repro.gpu` — mechanistic Fermi-class device model
 * :mod:`repro.perfmodel` — Eqs. (1)-(4) + the Westmere CPU baseline
 * :mod:`repro.matrices` — the (synthetic) paper matrix suite

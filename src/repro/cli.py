@@ -268,8 +268,6 @@ def cmd_engine(args, out) -> int:
             seed=args.seed,
             cache=cache,
             use_cache=not args.no_cache,
-            prune=args.prune,
-            top_k=args.top_k,
         )
     print(
         f"{args.matrix} (1/{args.scale} scale) as {m.name}: "
@@ -279,12 +277,6 @@ def cmd_engine(args, out) -> int:
     print(f"fingerprint : {fingerprint(m)}", file=out)
     print(f"cache       : {'hit' if tr.cache_hit else 'miss'}", file=out)
     print(f"candidates  : {[v.name for v in variants_for(m)]}", file=out)
-    if tr.pruned:
-        print(
-            f"pruned      : timed {len(tr.timings) or len(variants_for(m)) - len(tr.dropped)}"
-            f"/{len(variants_for(m))} (model dropped {list(tr.dropped)})",
-            file=out,
-        )
     if tr.timings:
         best = min(tr.timings.values())
         for name, secs in sorted(tr.timings.items(), key=lambda kv: kv[1]):
@@ -297,12 +289,6 @@ def cmd_engine(args, out) -> int:
     print(f"chosen      : {tr.variant}", file=out)
     if tr.tier:
         print(f"tier        : {','.join(tr.tier)}", file=out)
-    if tr.measured_gbs is not None:
-        print(
-            f"bandwidth   : measured {tr.measured_gbs:.2f} GB/s vs "
-            f"model {tr.predicted_gbs:.2f} GB/s sustainable",
-            file=out,
-        )
     if args.explain:
         _print_explain(m, tr, out)
     return 0
@@ -313,17 +299,12 @@ def _print_explain(m, tr, out) -> None:
     from repro.ops import kernel_tiers
     from repro.perfmodel.predict import explain_rows, predict_spmv
 
-    preds = predict_spmv(m)
-    keep = None
-    if tr.pruned:
-        dropped = set(tr.dropped)
-        keep = [p.name for p in preds if p.name not in dropped]
-    rows = explain_rows(preds, keep=keep, timings=tr.timings or None)
+    rows = explain_rows(predict_spmv(m), timings=tr.timings or None)
     print("", file=out)
     print(f"model explain (tiers: {', '.join(kernel_tiers())})", file=out)
     print(
         f"  {'variant':16s} {'tier':13s} {'B [B/F]':>8s} {'pred us':>9s} "
-        f"{'meas us':>9s} {'meas GB/s':>9s} kept",
+        f"{'meas us':>9s} {'meas GB/s':>9s}",
         file=out,
     )
     for r in rows:
@@ -336,7 +317,7 @@ def _print_explain(m, tr, out) -> None:
         print(
             f"  {r['variant']:16s} {r['tier']:13s} "
             f"{r['balance_bytes_per_flop']:8.2f} {r['predicted_us']:9.1f} "
-            f"{meas} {gbs} {'yes' if r['kept'] else 'dropped'}",
+            f"{meas} {gbs}",
             file=out,
         )
 
@@ -1194,13 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="timing repetitions per candidate")
     pet.add_argument("--no-cache", action="store_true",
                      help="ignore and do not write the tuner cache")
-    pet.add_argument(
-        "--prune", action=argparse.BooleanOptionalAction, default=False,
-        help="Eq.-1 model pruning: time only the --top-k "
-             "fastest-predicted candidates",
-    )
-    pet.add_argument("--top-k", type=int, default=2,
-                     help="candidates kept by --prune (default 2)")
     pet.add_argument(
         "--explain", action="store_true",
         help="print the model's prediction table next to the timings",

@@ -9,8 +9,8 @@ fastest for its structure.
 * :mod:`repro.engine.workspace` — named, reusable scratch buffers so
   steady-state kernel calls perform no allocation.
 * :mod:`repro.ops` — the central kernel registry the engine resolves
-  variants from (2-5 candidate NumPy kernels per format plus the
-  optional compiled scipy delegates, and the batched SpMM kernels).
+  variants from (per format: one NumPy kernel, the optional compiled
+  scipy and cnative kernels, and the batched SpMM kernels).
 * :mod:`repro.engine.tuner` — times candidates on the live matrix and
   caches the decision under a structural fingerprint.
 * :mod:`repro.engine.bound` — :class:`BoundMatrix` + the
@@ -19,9 +19,7 @@ fastest for its structure.
   row-block backend mirroring the distributed vector/task modes.
 
 ``variants_for``/``get_variant``/``spmm_dispatch``/``spmm_permuted``
-are canonical re-exports from :mod:`repro.ops` (the old deep-module
-paths ``repro.engine.variants`` and ``repro.engine.spmm`` still exist
-as warn-once deprecation shims).
+are canonical re-exports from :mod:`repro.ops`.
 """
 
 from repro.engine.bound import BoundMatrix, bind, make_spmv_operator

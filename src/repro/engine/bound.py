@@ -308,8 +308,6 @@ def bind(
     seed: int = 0,
     cache=None,
     use_cache: bool = True,
-    prune: bool = False,
-    top_k: int = 2,
     faults=None,
     label: str | None = None,
 ) -> BoundMatrix:
@@ -318,8 +316,6 @@ def bind(
     ``variant`` forces a specific kernel by name; otherwise the
     autotuner runs (``tune=True``, cached per fingerprint) or the
     format's first-listed variant is taken (``tune=False``).
-    ``prune=True`` lets the Eq.-1 traffic model shrink the roster to
-    the ``top_k`` plausible winners before timing.
     ``faults`` attaches a :class:`~repro.faults.inject.FaultInjector`
     whose engine-layer events fire inside :meth:`BoundMatrix.spmv`.
     ``label`` names the matrix in profiler attribution tables.
@@ -332,7 +328,7 @@ def bind(
         with obs.span("engine.bind", format=matrix.name):
             tr = autotune(
                 matrix, ws, reps=reps, seed=seed, cache=cache,
-                use_cache=use_cache, prune=prune, top_k=top_k,
+                use_cache=use_cache,
             )
         chosen = get_variant(matrix, tr.variant)
     else:

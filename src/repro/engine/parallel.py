@@ -13,8 +13,9 @@ Two execution modes mirror ``distributed/modes.py``:
 * ``"vector"`` — each worker runs one unsplit kernel over its whole
   row block against the full shared ``x``.  Because the per-row
   reduction sees exactly the same element sequence as the serial
-  ``csr_reduceat`` kernel, the result is **bitwise identical** to the
-  serial engine regardless of the number of workers.
+  :meth:`CSRMatrix.spmv <repro.formats.csr.CSRMatrix.spmv>` reduceat
+  sweep, the result is **bitwise identical** to it regardless of the
+  number of workers.
 * ``"task"`` — each worker splits its block into *local* columns
   (inside its own row range) and *nonlocal* columns and runs two
   kernels, adding the partial results.  This models the overlapped
@@ -49,7 +50,7 @@ PARALLEL_MODES = ("vector", "task")
 def _block_spmv(indptr, indices, data, x, y):
     """Row-local reduceat kernel: ``y = A_block @ x`` (stored rows only).
 
-    Identical arithmetic to the serial ``csr_reduceat`` variant: the
+    Identical arithmetic to the serial :meth:`CSRMatrix.spmv`: the
     per-row product sequence and reduction order do not depend on how
     rows are grouped into blocks, which is what makes vector mode
     bitwise reproducible.

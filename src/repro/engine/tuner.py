@@ -1,9 +1,10 @@
 """Per-matrix kernel-variant autotuning (the CMRS lesson).
 
 For each bound matrix the tuner times every candidate kernel variant of
-its format (2-5 NumPy/scipy kernels from the :mod:`repro.ops` registry) on the
-live data and picks the fastest.  Decisions are cached under a *matrix
-fingerprint* — shape, nnz, dtype and a row-length histogram digest — in
+its format (NumPy, scipy and cnative kernels from the :mod:`repro.ops`
+registry) on the live data and picks the fastest.  Decisions are
+cached under a *matrix fingerprint* — shape, nnz, dtype and a
+row-length histogram digest — in
 :class:`repro.matrices.cache.TunerCache`, so binding a structurally
 identical matrix later (another solver run, another process) skips the
 timing phase: the decision is deterministic once cached.
@@ -75,7 +76,7 @@ def fingerprint(matrix: SparseMatrixFormat) -> str:
     # delegates registering on one machine but not another)
     roster = ",".join(v.name for v in variants_for(matrix))
     vdigest = hashlib.sha1(roster.encode()).hexdigest()[:8]
-    # ... and the available kernel-tier set (numba/cnative presence and
+    # ... and the available kernel-tier set (scipy/cnative presence and
     # version): a cache warmed without a compiled backend must not pin
     # a slow NumPy variant after the backend becomes available, and
     # recorded timings from one tier set are not comparable to another's
@@ -98,18 +99,8 @@ class TuneResult:
     #: best wall-clock seconds per call for each candidate
     timings: dict[str, float] = field(default_factory=dict)
     cache_hit: bool = False
-    #: whether model-guided pruning was applied to this run
-    pruned: bool = False
-    #: candidates dropped by the model before timing (predicted order)
-    dropped: tuple[str, ...] = ()
-    #: predicted seconds per candidate (whole roster, pruned or not)
-    predicted: dict[str, float] = field(default_factory=dict)
     #: registry tags of the winning variant (tier provenance)
     tier: tuple[str, ...] = ()
-    #: modelled traffic of the winner over its measured time, in GB/s
-    measured_gbs: float | None = None
-    #: modelled sustainable GB/s of the winner (bandwidth x tier eff.)
-    predicted_gbs: float | None = None
 
     @property
     def best_seconds(self) -> float:
@@ -142,8 +133,6 @@ def autotune(
     seed: int = 0,
     cache=None,
     use_cache: bool = True,
-    prune: bool = False,
-    top_k: int = 2,
 ) -> TuneResult:
     """Pick the fastest kernel variant for ``matrix``.
 
@@ -151,13 +140,6 @@ def autotune(
     immediately (``cache_hit=True``, no timings).  Otherwise each
     candidate runs ``reps`` times on a seeded random RHS and the
     fastest wins; the decision is persisted.
-
-    With ``prune=True`` the Eq.-1 traffic model
-    (:func:`repro.perfmodel.predict.prune_roster`) ranks the roster
-    analytically first and only the ``top_k`` fastest-predicted
-    candidates are timed; the prediction table, the dropped names and
-    the winner's predicted-vs-measured GB/s are recorded alongside the
-    decision.
 
     Determinism: for a given fingerprint the decision is stable once
     recorded — repeated binds resolve from the cache, never re-race.
@@ -185,33 +167,8 @@ def autotune(
                 variant=rec["variant"],
                 timings={k: float(v) for k, v in rec.get("timings", {}).items()},
                 cache_hit=True,
-                pruned=bool(rec.get("pruned", False)),
-                dropped=tuple(rec.get("dropped", ())),
-                predicted={
-                    k: float(v) for k, v in rec.get("predicted", {}).items()
-                },
                 tier=tuple(rec.get("tier", ())),
-                measured_gbs=rec.get("measured_gbs"),
-                predicted_gbs=rec.get("predicted_gbs"),
             )
-
-    candidates = variants_for(matrix)
-    predicted: dict[str, float] = {}
-    dropped: tuple[str, ...] = ()
-    preds_by_name: dict = {}
-    did_prune = False
-    if prune and len(candidates) > 1:
-        from repro.perfmodel.predict import prune_roster
-
-        keep, dropped_names, preds = prune_roster(
-            matrix, top_k=top_k, candidates=candidates
-        )
-        preds_by_name = {p.name: p for p in preds}
-        predicted = {p.name: p.predicted_seconds for p in preds}
-        keep_set = set(keep)
-        candidates = [c for c in candidates if c.name in keep_set]
-        dropped = tuple(dropped_names)
-        did_prune = True
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(matrix.ncols).astype(matrix.dtype)
@@ -219,7 +176,7 @@ def autotune(
 
     timings: dict[str, float] = {}
     with obs.span("engine.tune", format=matrix.name, fingerprint=fp):
-        for v in candidates:
+        for v in variants_for(matrix):
             dt = _time_variant(v, matrix, ws, x, y, reps)
             timings[v.name] = dt
             if obs.enabled():
@@ -229,13 +186,6 @@ def autotune(
                 )
     best = min(timings, key=timings.get)
     tier = tuple(get_variant(matrix, best).tags)
-    measured_gbs = None
-    predicted_gbs = None
-    bp = preds_by_name.get(best)
-    if bp is not None:
-        predicted_gbs = round(bp.effective_gbs, 3)
-        if timings[best] > 0:
-            measured_gbs = round(bp.bytes_per_call / timings[best] / 1e9, 3)
     if use_cache:
         cache.put(
             fp,
@@ -244,11 +194,6 @@ def autotune(
                 "timings": timings,
                 "format": matrix.name,
                 "tier": list(tier),
-                "pruned": did_prune,
-                "dropped": list(dropped),
-                "predicted": predicted,
-                "measured_gbs": measured_gbs,
-                "predicted_gbs": predicted_gbs,
             },
         )
     if obs.enabled():
@@ -256,14 +201,4 @@ def autotune(
             "engine_tuned_variant_seconds", timings[best],
             format=matrix.name, variant=best,
         )
-    return TuneResult(
-        fingerprint=fp,
-        variant=best,
-        timings=timings,
-        pruned=did_prune,
-        dropped=dropped,
-        predicted=predicted,
-        tier=tier,
-        measured_gbs=measured_gbs,
-        predicted_gbs=predicted_gbs,
-    )
+    return TuneResult(fingerprint=fp, variant=best, timings=timings, tier=tier)

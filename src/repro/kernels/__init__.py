@@ -1,4 +1,8 @@
-"""spMVM kernels: loop oracles (paper listings) and vectorised dispatch."""
+"""spMVM reference kernels: literal transcriptions of the paper listings.
+
+The fast kernels live in the central registry (:mod:`repro.ops`) and
+the compiled tier (:mod:`repro.kernels.compiled`).
+"""
 
 from repro.kernels.reference import (
     csr_spmv_reference,
@@ -6,14 +10,10 @@ from repro.kernels.reference import (
     ellpack_spmv_reference,
     pjds_spmv_reference,
 )
-from repro.kernels.vectorized import make_spmv_operator, power_apply, spmv
 
 __all__ = [
     "csr_spmv_reference",
     "ellpack_r_spmv_reference",
     "ellpack_spmv_reference",
     "pjds_spmv_reference",
-    "make_spmv_operator",
-    "power_apply",
-    "spmv",
 ]

@@ -5,40 +5,33 @@ memory-bandwidth limit; every pure-NumPy kernel falls short of that
 because it must materialise the gathered product (``x[col] * val``)
 through main memory at least once.  This module adds *fused*
 single-pass kernels for the CSR, ELLPACK/-R, JDS/pJDS, SELL-C-sigma,
-CMRS and ARG-CSR hot loops (spmv and batched spmm) from two optional
-backends, registered through :func:`repro.ops.registry.register_kernel`
-as ordinary variants — so :class:`~repro.engine.bound.BoundMatrix`,
-every backend (parallel / distributed / serve) and all five solvers
-pick them up with zero call-site changes, and the autotuner simply
-ranks them against the NumPy kernels per matrix:
+CMRS and ARG-CSR hot loops (spmv and batched spmm), registered through
+:func:`repro.ops.registry.register_kernel` as ordinary variants — so
+:class:`~repro.engine.bound.BoundMatrix`, every backend (parallel /
+distributed / serve) and all five solvers pick them up with zero
+call-site changes, and the autotuner simply ranks them against the
+NumPy kernels per matrix.
 
-``cnative``
-    C kernels compiled once per machine with the system C compiler
-    (``cc``/``gcc``/``clang``), cached as a shared library under the
-    repro cache dir and loaded through :mod:`ctypes`.  OpenMP
-    (``-fopenmp``) is used when the compiler supports it; the row /
-    chunk partitioning keeps per-row accumulation order identical to
-    the serial sweep, so results are reproducible at any thread count.
-``numba``
-    ``@njit(parallel=True)`` kernels (guarded import — the module
-    imports cleanly and registers nothing when :mod:`numba` is
-    absent).  First call per (kernel, signature) JIT-compiles; the
-    autotuner's warm-up call absorbs that, so timed reps never include
-    compilation (see docs/performance.md, "JIT warm-up semantics").
+The ``cnative`` backend consists of C kernels compiled once per machine
+with the system C compiler (``cc``/``gcc``/``clang``), cached as a
+shared library under the repro cache dir and loaded through
+:mod:`ctypes`.
+OpenMP (``-fopenmp``) is used when the compiler supports it; the row /
+chunk partitioning keeps per-row accumulation order identical to the
+serial sweep, so results are reproducible at any thread count.
 
-Both backends preserve the NumPy kernels' per-row accumulation order
-(ascending entry order, zero-initialised accumulator), so at float64
-they agree *bitwise* with their order-matched NumPy counterparts
-(``csr_reduceat``, ``ell_sweep``, ``jds_sweep``, ``sell_chunks``,
-``cmrs_bincount``, ``argcsr_sweep``) — ``tests/test_ops.py`` pins
-that.
+Every kernel preserves the per-row accumulation order (ascending entry
+order, zero-initialised accumulator) of one NumPy kernel, so at
+float64 they agree *bitwise* with those references (``csr_bincount``,
+``ell_sweep``, ``jds_sweep``, ``sell_chunks``, ``cmrs_bincount``,
+``argcsr_sweep``) — ``tests/test_ops.py`` pins that.
 
 Environment knobs:
 
 ``REPRO_COMPILED_DISABLE``
-    comma-separated backend names (``numba``, ``cnative``, or ``all``)
-    to suppress; used by the guarded-import tests and as an escape
-    hatch on machines with a broken toolchain.
+    comma-separated backend names (``cnative`` or ``all``) to
+    suppress; used by the guarded-import tests and as an escape hatch
+    on machines with a broken toolchain.
 ``REPRO_CC``
     C compiler to use for the ``cnative`` build (default: first of
     ``cc``/``gcc``/``clang`` on PATH).
@@ -72,7 +65,11 @@ from repro.formats.cmrs import CMRSMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
 from repro.ops.registry import register_kernel
-from repro.ops.spmv_kernels import _HAVE_CSR_MATVEC, stored_csr_triplet
+from repro.ops.spmv_kernels import (
+    _HAVE_CSR_MATVEC,
+    _jds_cols,
+    stored_csr_triplet,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.workspace import Workspace
@@ -82,21 +79,19 @@ __all__ = [
     "backend_status",
     "compiled_variant_names",
     "CNATIVE_TAG",
-    "NUMBA_TAG",
 ]
 
 #: registry tag shared by every kernel of this module
 COMPILED_TAG = "compiled"
-#: backend-specific registry tags
+#: backend-specific registry tag
 CNATIVE_TAG = "cnative"
-NUMBA_TAG = "numba"
 
 
 def _disabled() -> set[str]:
     raw = os.environ.get("REPRO_COMPILED_DISABLE", "")
     names = {t.strip().lower() for t in raw.split(",") if t.strip()}
     if "all" in names:
-        names |= {CNATIVE_TAG, NUMBA_TAG}
+        names.add(CNATIVE_TAG)
     return names
 
 
@@ -401,22 +396,6 @@ _CNATIVE: _CNative | None = (
 
 
 # ---------------------------------------------------------------------------
-# numba backend (guarded import: absence must be completely silent)
-# ---------------------------------------------------------------------------
-
-_NUMBA_VERSION: str | None = None
-if NUMBA_TAG not in _disabled():
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba as _numba
-        from numba import njit as _njit
-        from numba import prange as _prange
-
-        _NUMBA_VERSION = _numba.__version__
-    except Exception:  # noqa: BLE001 - any import failure means "absent"
-        _NUMBA_VERSION = None
-
-
-# ---------------------------------------------------------------------------
 # shared python-side glue
 # ---------------------------------------------------------------------------
 
@@ -443,12 +422,6 @@ _I_SUFFIX = {np.dtype(np.int64): "i64", np.dtype(np.int32): "i32"}
 
 def _ptr(a: np.ndarray):
     return ctypes.c_void_p(a.ctypes.data)
-
-
-def _jds_col_idx(m: JaggedDiagonalsBase, ws: Workspace, permuted: bool):
-    if permuted:
-        return ws.const("jds_colperm", lambda: m._permuted_col_idx())  # noqa: SLF001
-    return ws.const("col_idx", lambda: m.col_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +476,7 @@ if _CNATIVE is not None:
         if m.total_slots == 0:
             y.fill(0.0)
             return
-        col_idx = _jds_col_idx(m, ws, permuted)
+        col_idx = _jds_cols(m, ws, permuted)
         val = ws.const("val", lambda: m.val)
         cs = ws.const("col_start", lambda: m.col_start)
         xb = _contig_vec(ws, "cc_x", x, m.dtype)
@@ -605,7 +578,7 @@ if _CNATIVE is not None:
         if m.total_slots == 0 or not X.flags.c_contiguous:
             return None
         k = X.shape[1]
-        acc = ws.buf("cc_spmm_acc", (m.nrows, k), m.dtype)
+        acc = ws.buf(f"cc_spmm_acc:{k}", (m.nrows, k), m.dtype)
         _cc_spmm_stored(m, X, acc, ws)
         np.take(acc, m.permutation.inverse, axis=0, out=out, mode="clip")
         return out
@@ -614,7 +587,7 @@ if _CNATIVE is not None:
         if m.total_slots == 0 or not X.flags.c_contiguous:
             return None
         k = X.shape[1]
-        acc = ws.buf("cc_spmm_acc", (m.padded_rows, k), m.dtype)
+        acc = ws.buf(f"cc_spmm_acc:{k}", (m.padded_rows, k), m.dtype)
         _cc_spmm_stored(m, X, acc, ws)
         out[m.permutation.perm] = acc[: m.nrows]
         return out
@@ -626,195 +599,6 @@ if _CNATIVE is not None:
         if m.nnz == 0 or not (X.flags.c_contiguous and out.flags.c_contiguous):
             return None
         return _cc_spmm_stored(m, X, out, ws)
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if _NUMBA_VERSION is not None:  # pragma: no cover - needs numba installed
-
-    @_njit(parallel=True, cache=False)
-    def _nb_csr_spmv_impl(nrows, indptr, col, val, x, y):
-        for i in _prange(nrows):
-            t = 0.0
-            for e in range(indptr[i], indptr[i + 1]):
-                t += val[e] * x[col[e]]
-            y[i] = t
-
-    @_njit(parallel=True, cache=False)
-    def _nb_csr_spmm_impl(nrows, indptr, col, val, X, Y):
-        k = X.shape[1]
-        for i in _prange(nrows):
-            for c in range(k):
-                Y[i, c] = 0.0
-            for e in range(indptr[i], indptr[i + 1]):
-                v = val[e]
-                ci = col[e]
-                for c in range(k):
-                    Y[i, c] += v * X[ci, c]
-
-    @_njit(parallel=True, cache=False)
-    def _nb_ell_spmv_impl(nrows, width, col, val, x, y):
-        for i in _prange(nrows):
-            t = 0.0
-            for j in range(width):
-                t += val[j, i] * x[col[j, i]]
-            y[i] = t
-
-    @_njit(parallel=True, cache=False)
-    def _nb_jds_spmv_impl(nrows, width, col_start, col, val, x, y):
-        for r in _prange(nrows):
-            t = 0.0
-            for j in range(width):
-                s = col_start[j]
-                if col_start[j + 1] - s <= r:
-                    break
-                t += val[s + r] * x[col[s + r]]
-            y[r] = t
-
-    @_njit(parallel=True, cache=False)
-    def _nb_sell_spmv_impl(nchunks, C, ptr, widths, col, val, x, y):
-        for c in _prange(nchunks):
-            w = widths[c]
-            base = ptr[c]
-            for r in range(C):
-                t = 0.0
-                for j in range(w):
-                    s = base + j * C + r
-                    t += val[s] * x[col[s]]
-                y[c * C + r] = t
-
-    @_njit(parallel=True, cache=False)
-    def _nb_cmrs_spmv_impl(nrows, nstrips, hs, sptr, ris, col, val, x, y):
-        for i in _prange(nrows):
-            y[i] = 0.0
-        for s in _prange(nstrips):
-            e = sptr[s]
-            hi = sptr[s + 1]
-            while e < hi:
-                rr = ris[e]
-                t = 0.0
-                while e < hi and ris[e] == rr:
-                    t += val[e] * x[col[e]]
-                    e += 1
-                y[s * hs + rr] = t
-
-    @_njit(parallel=True, cache=False)
-    def _nb_argcsr_spmv_impl(
-        nrows, ngroups, gptr, gwidth, rptr, row_ids, col, val, x, y
-    ):
-        for i in _prange(nrows):
-            y[i] = 0.0
-        for g in range(ngroups):
-            L = gwidth[g]
-            r0 = rptr[g]
-            base = gptr[g]
-            for r in _prange(rptr[g + 1] - r0):
-                b = base + r * L
-                t = 0.0
-                for j in range(L):
-                    t += val[b + j] * x[col[b + j]]
-                y[row_ids[r0 + r]] = t
-
-    def _nb_csr_spmv(m: CSRMatrix, ws, x, y, permuted=False):
-        if m.nrows == 0:
-            return
-        xb = _contig_vec(ws, "nb_x", x, m.dtype)
-        yb, fin = _out_vec(ws, "nb_y", y)
-        _nb_csr_spmv_impl(m.nrows, m.indptr, m.indices, m.data, xb, yb)
-        if fin is not None:
-            y[:] = fin
-
-    def _nb_ell_spmv(m: ELLPACKMatrix, ws, x, y, permuted=False):
-        if m.nrows == 0:
-            return
-        if m.width == 0:
-            y.fill(0.0)
-            return
-        val = ws.const("val", lambda: m.val)
-        col = ws.const("col", lambda: m.col)
-        xb = _contig_vec(ws, "nb_x", x, m.dtype)
-        yb, fin = _out_vec(ws, "nb_y", y)
-        _nb_ell_spmv_impl(m.nrows, m.width, col, val, xb, yb)
-        if fin is not None:
-            y[:] = fin
-
-    def _nb_jds_spmv(m: JaggedDiagonalsBase, ws, x, y, permuted=False):
-        if m.nrows == 0:
-            return
-        if m.total_slots == 0:
-            y.fill(0.0)
-            return
-        col_idx = _jds_col_idx(m, ws, permuted)
-        val = ws.const("val", lambda: m.val)
-        cs = ws.const("col_start", lambda: m.col_start)
-        xb = _contig_vec(ws, "nb_x", x, m.dtype)
-        yb, fin = _out_vec(ws, "nb_y", y)
-        _nb_jds_spmv_impl(m.nrows, m.width, cs, col_idx, val, xb, yb)
-        if fin is not None:
-            y[:] = fin
-
-    def _nb_sell_spmv(m: SELLMatrix, ws, x, y, permuted=False):
-        if m.nrows == 0:
-            return
-        if m.total_slots == 0:
-            y.fill(0.0)
-            return
-        ptr = ws.const("chunk_ptr", lambda: m.chunk_ptr)
-        widths = ws.const("chunk_widths", lambda: m.chunk_widths)
-        col = ws.const("col_idx", lambda: m.col_idx)
-        val = ws.const("val", lambda: m.val)
-        xb = _contig_vec(ws, "nb_x", x, m.dtype)
-        acc = ws.buf("nb_sell_acc", m.padded_rows, m.dtype)
-        _nb_sell_spmv_impl(
-            m.nchunks, m.chunk_rows, ptr, widths, col, val, xb, acc
-        )
-        y[:] = acc[: m.nrows]
-
-    def _nb_cmrs_spmv(m: CMRSMatrix, ws, x, y, permuted=False):
-        if m.nrows == 0:
-            return
-        if m.nnz == 0:
-            y.fill(0.0)
-            return
-        sptr = ws.const("strip_ptr", lambda: m.strip_ptr)
-        ris = ws.const("row_in_strip", lambda: m.row_in_strip)
-        col = ws.const("col_idx", lambda: m.col_idx)
-        val = ws.const("val", lambda: m.val)
-        xb = _contig_vec(ws, "nb_x", x, m.dtype)
-        yb, fin = _out_vec(ws, "nb_y", y)
-        _nb_cmrs_spmv_impl(
-            m.nrows, m.nstrips, m.strip_height, sptr, ris, col, val, xb, yb
-        )
-        if fin is not None:
-            y[:] = fin
-
-    def _nb_argcsr_spmv(m: ARGCSRMatrix, ws, x, y, permuted=False):
-        if m.nrows == 0:
-            return
-        if m.total_slots == 0:
-            y.fill(0.0)
-            return
-        gptr = ws.const("group_ptr", lambda: m.group_ptr)
-        gw = ws.const("group_width", lambda: m.group_width)
-        rptr = ws.const("group_rows_ptr", lambda: m.group_rows_ptr)
-        rids = ws.const("argcsr_rows", lambda: m.row_ids)
-        col = ws.const("col_idx", lambda: m.col_idx)
-        val = ws.const("val", lambda: m.val)
-        xb = _contig_vec(ws, "nb_x", x, m.dtype)
-        yb, fin = _out_vec(ws, "nb_y", y)
-        _nb_argcsr_spmv_impl(
-            m.nrows, m.ngroups, gptr, gw, rptr, rids, col, val, xb, yb
-        )
-        if fin is not None:
-            y[:] = fin
-
-    def _nb_csr_spmm(m: CSRMatrix, X, out, ws):
-        if m.nnz == 0 or not (X.flags.c_contiguous and out.flags.c_contiguous):
-            return None
-        _nb_csr_spmm_impl(m.nrows, m.indptr, m.indices, m.data, X, out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -877,30 +661,6 @@ def _register_all() -> None:
         register_kernel(ARGCSRMatrix, "spmm", name="spmm_argcsr_cc", tags=tags)(
             _spmm_with_fallback(_cc_plaincsr_spmm, "spmm_argcsr")
         )
-    if _NUMBA_VERSION is not None:  # pragma: no cover - needs numba
-        tags = (COMPILED_TAG, NUMBA_TAG)
-        register_kernel(CSRMatrix, "spmv", name="csr_numba", tags=tags)(
-            _nb_csr_spmv
-        )
-        register_kernel(ELLPACKMatrix, "spmv", name="ell_numba", tags=tags)(
-            _nb_ell_spmv
-        )
-        register_kernel(
-            JaggedDiagonalsBase, "spmv", name="jds_numba",
-            supports_permuted=True, tags=tags,
-        )(_nb_jds_spmv)
-        register_kernel(SELLMatrix, "spmv", name="sell_numba", tags=tags)(
-            _nb_sell_spmv
-        )
-        register_kernel(CSRMatrix, "spmm", name="spmm_csr_numba", tags=tags)(
-            _spmm_with_fallback(_nb_csr_spmm, "spmm_csr")
-        )
-        register_kernel(CMRSMatrix, "spmv", name="cmrs_numba", tags=tags)(
-            _nb_cmrs_spmv
-        )
-        register_kernel(ARGCSRMatrix, "spmv", name="argcsr_numba", tags=tags)(
-            _nb_argcsr_spmv
-        )
 
 
 _register_all()
@@ -914,9 +674,9 @@ def kernel_tiers() -> tuple[str, ...]:
     """The kernel-tier set available in this process, with versions.
 
     Folded into the autotuner's matrix fingerprint: a decision cached
-    when a tier was absent (say, before Numba was installed) must not
-    survive the tier appearing — the roster it was ranked against is
-    no longer the roster that exists.
+    when a tier was absent (say, before a C compiler was installed)
+    must not survive the tier appearing — the roster it was ranked
+    against is no longer the roster that exists.
     """
     tiers = ["numpy"]
     if _HAVE_CSR_MATVEC:
@@ -928,8 +688,6 @@ def kernel_tiers() -> tuple[str, ...]:
             tiers.append("scipy")
     if _CNATIVE is not None:
         tiers.append(f"cnative-{_CNATIVE.tag}")
-    if _NUMBA_VERSION is not None:  # pragma: no cover - needs numba
-        tiers.append(f"numba-{_NUMBA_VERSION}")
     return tuple(tiers)
 
 
@@ -941,18 +699,12 @@ def backend_status() -> dict[str, dict]:
             "available": _CNATIVE is not None,
             "disabled": CNATIVE_TAG in disabled,
         },
-        NUMBA_TAG: {
-            "available": _NUMBA_VERSION is not None,
-            "disabled": NUMBA_TAG in disabled,
-        },
     }
     if _CNATIVE is not None:
         status[CNATIVE_TAG].update(
             compiler=_CNATIVE.tag, openmp=_CNATIVE.openmp,
             library=str(_CNATIVE.path),
         )
-    if _NUMBA_VERSION is not None:  # pragma: no cover - needs numba
-        status[NUMBA_TAG]["version"] = _NUMBA_VERSION
     return status
 
 

@@ -444,9 +444,8 @@ def solver_operator(
 def apply_repeated(matrix, x: np.ndarray, repetitions: int) -> np.ndarray:
     """Apply the operator ``repetitions`` times with ping-pong buffers.
 
-    The allocation pattern matches the historical
-    ``repro.kernels.vectorized.power_apply``: one result and one
-    scratch buffer regardless of the repetition count.
+    Allocates one result and one scratch buffer regardless of the
+    repetition count.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")

@@ -4,18 +4,16 @@ The paper's core claim (Sect. II) is that spMVM performance is a
 property of the *kernel chosen for a format*, not of the caller.
 Related GPU-format work (Kreutzer et al. 2012; Koza et al., CMRS)
 treats format<->kernel binding as a pluggable registry decision; this
-module is that registry.  Every kernel table that used to be
-hard-coded in ``repro.engine.variants`` (spmv) and
-``repro.engine.spmm`` (batched spmm) now lives here, and every
-consumer — the autotuner roster, :class:`~repro.engine.bound.BoundMatrix`,
+module is that registry.  Every kernel table (spmv and batched spmm)
+lives here, and every consumer — the autotuner roster, :class:`~repro.engine.bound.BoundMatrix`,
 the solvers' operator layer, the parallel/distributed backends, and
 the serving registry — resolves kernels through the same tables, so
 one tuned decision flows everywhere.
 
 Kernels are declared with the :func:`register_kernel` decorator::
 
-    @register_kernel(CSRMatrix, "spmv", name="csr_reduceat", tags=("numpy",))
-    def _csr_reduceat(m, ws, x, y, permuted=False): ...
+    @register_kernel(CSRMatrix, "spmv", name="csr_bincount", tags=("numpy",))
+    def _csr_bincount(m, ws, x, y, permuted=False): ...
 
 Resolution walks the matrix class's MRO, so subclasses (ELLPACK-R,
 ELLR-T, pJDS, ...) inherit their base format's kernels unless they
@@ -71,8 +69,7 @@ class KernelSpec:
     tags: tuple[str, ...] = ()
 
 
-#: historical name (``repro.engine.variants.KernelVariant``); the class
-#: is identical, only the module moved.
+#: the engine layer's name for a spmv kernel spec
 KernelVariant = KernelSpec
 
 _REGISTRY: dict[tuple[type, str], list[KernelSpec]] = {}
@@ -154,8 +151,8 @@ def _ensure_loaded() -> None:
             return
         from repro.ops import spmm_kernels, spmv_kernels  # noqa: F401
 
-        # optional compiled tier (cnative / numba); the module imports
-        # cleanly and registers nothing when no backend is available
+        # optional compiled tier (cnative); the module imports cleanly
+        # and registers nothing when no backend is available
         from repro.kernels import compiled  # noqa: F401
 
         _LOADED = True
@@ -241,7 +238,7 @@ def registry_rows() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# canonical spellings of the historical engine.variants API
+# spmv shorthands
 # ---------------------------------------------------------------------------
 
 def variants_for(matrix) -> list[KernelSpec]:

@@ -150,7 +150,7 @@ def _spmm_coo(m: COOMatrix, X, out, ws):
         out[:] = 0.0
         return out
     k = X.shape[1]
-    prod = _block(ws, "spmm_prod", (m.nnz, k), m.dtype)
+    prod = _block(ws, f"spmm_prod:{k}", (m.nnz, k), m.dtype)
     np.take(X, m.cols, axis=0, out=prod, mode="clip")
     prod *= m.values[:, None]
     starts, urows = m._row_runs()  # noqa: SLF001
@@ -250,7 +250,7 @@ def _spmm_sell(m: SELLMatrix, X, out, ws):
         return out
     k = X.shape[1]
     C = m.chunk_rows
-    acc = _block(ws, "spmm_acc", (m.padded_rows, k), m.dtype)
+    acc = _block(ws, f"spmm_acc:{k}", (m.padded_rows, k), m.dtype)
     if _HAVE_CSR_MATVEC and X.flags.c_contiguous:
         # compiled sweep over the padded-stored-rows CSR view
         indptr, indices, data = stored_csr_triplet(m)
@@ -289,7 +289,7 @@ def _spmm_csrview(m, X, out, ws, *, name: str):
         return out
     indptr, indices, data = stored_csr_triplet(m)
     k = X.shape[1]
-    prod = _block(ws, f"{name}_prod", (data.shape[0], k), m.dtype)
+    prod = _block(ws, f"{name}_prod:{k}", (data.shape[0], k), m.dtype)
     np.take(X, indices, axis=0, out=prod, mode="clip")
     prod *= data[:, None]
     lens = np.diff(indptr)

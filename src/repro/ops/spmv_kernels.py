@@ -2,36 +2,29 @@
 
 The paper's Table I shows the winning format is matrix-dependent; Koza
 et al. (CMRS) show the winning *kernel variant within a format* is
-matrix-dependent too.  This module declares 2-5 interchangeable NumPy
-kernels per storage format, all writing into caller-provided buffers
-through a :class:`~repro.engine.workspace.Workspace` so the steady
-state allocates nothing:
+matrix-dependent too.  This module declares, per storage format, one
+NumPy streaming kernel plus a compiled ``*_scipy`` delegate (COO: two
+NumPy kernels), all writing into caller-provided buffers through a
+:class:`~repro.engine.workspace.Workspace` so the steady state
+allocates nothing.  Each NumPy kernel of a format with a cnative
+kernel (:mod:`repro.kernels.compiled`) accumulates every row in that
+kernel's order, so at float64 it is the kernel's bitwise reference:
 
 ========  =====================================================
 format    variants
 ========  =====================================================
-CRS       ``csr_reduceat`` (row-local segment sums),
-          ``csr_grouped`` (cache-blocked length-grouped einsum),
-          ``csr_cumsum`` (global prefix sums, float64 scratch),
-          ``csr_bincount`` (scatter via bincount),
+CRS       ``csr_bincount`` (scatter via bincount),
           ``csr_scipy`` (compiled csr_matvec delegate)
 COO       ``coo_reduceat`` (row-run segments), ``coo_bincount``
-ELLPACK*  ``ell_sweep`` (per jagged column),
-          ``ell_fused`` (one gather over the padded rectangle),
+ELLPACK*  ``ell_sweep`` (per rectangle column),
           ``ell_scipy`` (unpadded-rows CSR view, compiled sweep)
-JDS/pJDS  ``jds_grouped`` (cache-blocked grouped einsum),
-          ``jds_sweep`` (Listing-2 column sweep),
-          ``jds_fused_runs`` (equal-length column runs fused into
-          rectangles — pJDS's block padding makes runs long),
+JDS/pJDS  ``jds_sweep`` (Listing-2 column sweep),
           ``jds_scipy`` (stored-order CSR view, compiled sweep)
-SELL      ``sell_fused`` (width-grouped chunk rectangles),
-          ``sell_chunks`` (per-chunk loop),
+SELL      ``sell_chunks`` (per-chunk loop),
           ``sell_scipy`` (padded-rows CSR view, compiled sweep)
-CMRS      ``cmrs_reduceat`` (row-run segment sums),
-          ``cmrs_bincount`` (scatter via bincount),
+CMRS      ``cmrs_bincount`` (scatter via bincount),
           ``cmrs_scipy`` (strip stream is row-major CSR, compiled)
-ARG-CSR   ``argcsr_groups`` (cache-blocked per-group einsum),
-          ``argcsr_sweep`` (per-group column sweep incl. padding),
+ARG-CSR   ``argcsr_sweep`` (per-group column sweep incl. padding),
           ``argcsr_scipy`` (unpadded CSR view, compiled sweep)
 ========  =====================================================
 
@@ -83,12 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 __all__ = ["stored_csr_triplet"]
 
 
-#: gathered elements per cache-blocked chunk of the grouped kernels
-#: (~256 KB at float64): the gather rectangle is reduced while still
-#: cache-resident instead of round-tripping through main memory.
-_SPMV_BLOCK = 32768
-
-
 def _take_mul(x, idx, val, gbuf):
     """``gbuf[:] = x[idx] * val`` without temporaries.
 
@@ -104,96 +91,6 @@ def _take_mul(x, idx, val, gbuf):
 # ---------------------------------------------------------------------------
 # CSR
 # ---------------------------------------------------------------------------
-
-@register_kernel(CSRMatrix, "spmv", name="csr_reduceat", tags=("numpy",))
-def _csr_reduceat(m: CSRMatrix, ws: Workspace, x, y, permuted=False):
-    if m.nnz == 0:
-        y.fill(0.0)
-        return
-    data = ws.const("data", lambda: m.data)
-    idx = ws.const("indices", lambda: m.indices)
-    g = _take_mul(x, idx, data, ws.buf("csr_g", m.nnz, m.dtype))
-    ne = ws.const("csr_nonempty", lambda: np.flatnonzero(np.diff(m.indptr) > 0))
-    starts = ws.const(
-        "csr_starts", lambda: np.ascontiguousarray(m.indptr[:-1][ne])
-    )
-    if ne.shape[0] == m.nrows:  # no empty rows: reduce straight into y
-        np.add.reduceat(g, starts, out=y)
-    else:
-        r = ws.buf("csr_r", ne.shape[0], m.dtype)
-        np.add.reduceat(g, starts, out=r)
-        y.fill(0.0)
-        y[ne] = r
-
-
-@register_kernel(CSRMatrix, "spmv", name="csr_grouped", tags=("numpy", "blocked"))
-def _csr_grouped(m: CSRMatrix, ws: Workspace, x, y, permuted=False):
-    """Row-length-grouped fused dot products (quasi-ELLPACK rectangles).
-
-    Replaces one reduceat segment per row with one fused
-    multiply-reduce (``einsum('il,il->i')``) per distinct length —
-    the gathered RHS block never round-trips through memory a second
-    time, and the per-segment dispatch overhead of ``reduceat``
-    disappears.  Wins when rows are short and lengths cluster, which
-    is exactly the structure pJDS exploits.
-    """
-    if m.nnz == 0:
-        y.fill(0.0)
-        return
-    idx_g, data_g, groups = ws.const(
-        "csr_groups", lambda: m._length_groups()  # noqa: SLF001
-    )
-    # longest row bounds a chunk when a single row exceeds the block
-    gmax = groups[-1][0] if groups else 1  # unique() sorts ascending
-    g = ws.buf("csr_gg", min(m.nnz, max(_SPMV_BLOCK, gmax)), m.dtype)
-    y.fill(0.0)
-    r = ws.buf("csr_gr", m.nrows, m.dtype)
-    off = 0
-    for length, rows_l in groups:
-        nl = rows_l.shape[0]
-        step = max(1, _SPMV_BLOCK // length)
-        for c0 in range(0, nl, step):
-            c1 = min(c0 + step, nl)
-            cnt = (c1 - c0) * length
-            sl = slice(off + c0 * length, off + c1 * length)
-            gv = g[:cnt]
-            np.take(x, idx_g[sl], out=gv, mode="clip")
-            np.einsum(
-                "il,il->i",
-                gv.reshape(c1 - c0, length),
-                data_g[sl].reshape(c1 - c0, length),
-                out=r[: c1 - c0],
-            )
-            y[rows_l[c0:c1]] = r[: c1 - c0]
-        off += nl * length
-
-
-@register_kernel(CSRMatrix, "spmv", name="csr_cumsum", tags=("numpy",))
-def _csr_cumsum(m: CSRMatrix, ws: Workspace, x, y, permuted=False):
-    if m.nnz == 0:
-        y.fill(0.0)
-        return
-    data = ws.const("data", lambda: m.data)
-    idx = ws.const("indices", lambda: m.indices)
-    indptr = ws.const("indptr", lambda: m.indptr)
-    # global prefix sums want a wide accumulator: float64 scratch,
-    # allocated once, regardless of the matrix dtype
-    g64 = ws.buf("csr_g64", m.nnz, np.float64)
-    if m.dtype == np.float64:
-        np.take(x, idx, out=g64, mode="clip")
-        np.multiply(g64, data, out=g64)
-    else:
-        g32 = _take_mul(x, idx, data, ws.buf("csr_g", m.nnz, m.dtype))
-        g64[:] = g32
-    cs = ws.buf("csr_cs", m.nnz + 1, np.float64)
-    cs[0] = 0.0
-    np.cumsum(g64, out=cs[1:])
-    e = ws.buf("csr_end", m.nrows, np.float64)
-    s = ws.buf("csr_beg", m.nrows, np.float64)
-    np.take(cs, indptr[1:], out=e, mode="clip")
-    np.take(cs, indptr[:-1], out=s, mode="clip")
-    np.subtract(e, s, out=y, casting="same_kind")
-
 
 @register_kernel(CSRMatrix, "spmv", name="csr_bincount", tags=("numpy",))
 def _csr_bincount(m: CSRMatrix, ws: Workspace, x, y, permuted=False):
@@ -266,21 +163,6 @@ def _ell_sweep(m: ELLPACKMatrix, ws: Workspace, x, y, permuted=False):
     y[:] = acc[: m.nrows]
 
 
-@register_kernel(ELLPACKMatrix, "spmv", name="ell_fused", tags=("numpy", "fused"))
-def _ell_fused(m: ELLPACKMatrix, ws: Workspace, x, y, permuted=False):
-    if m.width == 0:
-        y.fill(0.0)
-        return
-    val = ws.const("val", lambda: m.val)
-    colflat = ws.const("ell_colflat", lambda: np.ascontiguousarray(m.col).ravel())
-    G = ws.buf("ell_G", (m.width, m.padded_rows), m.dtype)
-    np.take(x, colflat, out=G.reshape(-1), mode="clip")
-    np.multiply(G, val, out=G)
-    acc = ws.buf("ell_acc", m.padded_rows, m.dtype)
-    np.add.reduce(G, axis=0, out=acc)
-    y[:] = acc[: m.nrows]
-
-
 # ---------------------------------------------------------------------------
 # JDS / pJDS
 # ---------------------------------------------------------------------------
@@ -289,99 +171,6 @@ def _jds_cols(m: JaggedDiagonalsBase, ws: Workspace, permuted: bool):
     if permuted:
         return ws.const("jds_colperm", lambda: m._permuted_col_idx())  # noqa: SLF001
     return ws.const("col_idx", lambda: m.col_idx)
-
-
-@register_kernel(
-    JaggedDiagonalsBase, "spmv", name="jds_grouped",
-    supports_permuted=True, tags=("numpy", "blocked"),
-)
-def _jds_grouped(m: JaggedDiagonalsBase, ws: Workspace, x, y, permuted=False):
-    """Padded-length-grouped fused dot products on the jagged arrays.
-
-    Stored rows are sorted by padded length, so rows of equal padded
-    length occupy a contiguous stored range; re-permuting the flat
-    column-major slots once (cached) turns each range into a dense
-    row-major rectangle that a single ``einsum('il,il->i')`` reduces
-    straight into the stored-order accumulator — each output row is
-    written exactly once, with no per-column accumulator re-reads.
-    """
-    if m.total_slots == 0:
-        y.fill(0.0)
-        return
-    idx_g, data_g, groups = m._grouped_entries(permuted)  # noqa: SLF001
-    # padded lengths are non-increasing: the first group is the widest
-    gmax = groups[0][0] if groups else 1
-    G = ws.buf(
-        "jds_Gg", min(idx_g.shape[0], max(_SPMV_BLOCK, gmax)), m.dtype
-    )
-    # groups tile the stored rows [0, tail); only zero the empty tail
-    tail = groups[-1][2] if groups else 0
-    if tail < y.shape[0]:
-        y[tail:] = 0.0
-    off = 0
-    for L, r0, r1 in groups:
-        nL = r1 - r0
-        step = max(1, _SPMV_BLOCK // L)
-        for c0 in range(0, nL, step):
-            c1 = min(c0 + step, nL)
-            cnt = (c1 - c0) * L
-            sl = slice(off + c0 * L, off + c1 * L)
-            gv = G[:cnt]
-            np.take(x, idx_g[sl], out=gv, mode="clip")
-            np.einsum(
-                "il,il->i",
-                gv.reshape(c1 - c0, L),
-                data_g[sl].reshape(c1 - c0, L),
-                out=y[r0 + c0 : r0 + c1],
-            )
-        off += nL * L
-
-
-def _jds_runs(m: JaggedDiagonalsBase):
-    """Runs of consecutive jagged columns of equal length.
-
-    Returns a list of ``(flat_start, column_length, n_columns)``.  With
-    pJDS's block-granular padding, long stretches of columns share a
-    length, so the per-call Python loop collapses from ``width`` to a
-    handful of fused rectangles.
-    """
-    col_len = np.diff(m.col_start)
-    runs = []
-    j = 0
-    width = col_len.shape[0]
-    while j < width:
-        L = int(col_len[j])
-        j2 = j
-        while j2 + 1 < width and col_len[j2 + 1] == L:
-            j2 += 1
-        if L > 0:
-            runs.append((int(m.col_start[j]), L, j2 - j + 1))
-        j = j2 + 1
-    return runs
-
-
-@register_kernel(
-    JaggedDiagonalsBase, "spmv", name="jds_fused_runs",
-    supports_permuted=True, tags=("numpy", "fused"),
-)
-def _jds_fused_runs(m: JaggedDiagonalsBase, ws: Workspace, x, y, permuted=False):
-    y.fill(0.0)
-    if m.total_slots == 0:
-        return
-    col_idx = _jds_cols(m, ws, permuted)
-    val = ws.const("val", lambda: m.val)
-    runs = ws.const("jds_runs", lambda: _jds_runs(m))
-    G = ws.buf("jds_G", m.total_slots, m.dtype)
-    np.take(x, col_idx, out=G, mode="clip")
-    np.multiply(G, val, out=G)
-    r = ws.buf("jds_r", m.nrows, m.dtype)
-    for s, L, k in runs:
-        if k == 1:
-            y[:L] += G[s : s + L]
-        else:
-            block = G[s : s + L * k].reshape(k, L)
-            np.add.reduce(block, axis=0, out=r[:L])
-            y[:L] += r[:L]
 
 
 @register_kernel(
@@ -409,58 +198,14 @@ def _jds_sweep(m: JaggedDiagonalsBase, ws: Workspace, x, y, permuted=False):
 # SELL-C-sigma
 # ---------------------------------------------------------------------------
 
-def _sell_gather(m: SELLMatrix, ws: Workspace, x):
-    col_idx = ws.const("col_idx", lambda: m.col_idx)
-    val = ws.const("val", lambda: m.val)
-    G = ws.buf("sell_G", m.total_slots, m.dtype)
-    np.take(x, col_idx, out=G, mode="clip")
-    np.multiply(G, val, out=G)
-    return G
-
-
-def _sell_width_groups(m: SELLMatrix):
-    """Per distinct chunk width: (width, slot positions, target rows)."""
-    widths = np.asarray(m.chunk_widths)
-    C = m.chunk_rows
-    ptr = np.asarray(m.chunk_ptr)
-    groups = []
-    for w in np.unique(widths):
-        w = int(w)
-        if w == 0:
-            continue
-        chunks = np.flatnonzero(widths == w)
-        # all slots of each chunk are contiguous: ptr[c] .. ptr[c] + w*C
-        pos = (ptr[chunks][:, None] + np.arange(w * C)).ravel()
-        rows = (chunks[:, None] * C + np.arange(C)).ravel()
-        groups.append((w, chunks.shape[0], pos, rows))
-    return groups
-
-
-@register_kernel(SELLMatrix, "spmv", name="sell_fused", tags=("numpy", "fused"))
-def _sell_fused(m: SELLMatrix, ws: Workspace, x, y, permuted=False):
-    if m.total_slots == 0:
-        y.fill(0.0)
-        return
-    G = _sell_gather(m, ws, x)
-    groups = ws.const("sell_groups", lambda: _sell_width_groups(m))
-    acc = ws.buf("sell_acc", m.padded_rows, m.dtype)
-    acc.fill(0.0)
-    C = m.chunk_rows
-    for i, (w, nc, pos, rows) in enumerate(groups):
-        B = ws.buf(f"sell_B{i}", nc * w * C, m.dtype)
-        np.take(G, pos, out=B, mode="clip")
-        R = ws.buf(f"sell_R{i}", (nc, C), m.dtype)
-        np.add.reduce(B.reshape(nc, w, C), axis=1, out=R)
-        acc[rows] = R.reshape(-1)
-    y[:] = acc[: m.nrows]
-
-
 @register_kernel(SELLMatrix, "spmv", name="sell_chunks", tags=("numpy",))
 def _sell_chunks(m: SELLMatrix, ws: Workspace, x, y, permuted=False):
     if m.total_slots == 0:
         y.fill(0.0)
         return
-    G = _sell_gather(m, ws, x)
+    col_idx = ws.const("col_idx", lambda: m.col_idx)
+    val = ws.const("val", lambda: m.val)
+    G = _take_mul(x, col_idx, val, ws.buf("sell_G", m.total_slots, m.dtype))
     ptr = ws.const("chunk_ptr", lambda: m.chunk_ptr)
     widths = ws.const("chunk_widths", lambda: m.chunk_widths)
     C = m.chunk_rows
@@ -478,27 +223,6 @@ def _sell_chunks(m: SELLMatrix, ws: Workspace, x, y, permuted=False):
 # ---------------------------------------------------------------------------
 # CMRS (strip-based compressed multi-row storage)
 # ---------------------------------------------------------------------------
-
-@register_kernel(CMRSMatrix, "spmv", name="cmrs_reduceat", tags=("numpy",))
-def _cmrs_reduceat(m: CMRSMatrix, ws: Workspace, x, y, permuted=False):
-    """Row-run segment sums over the flat strip stream.
-
-    CMRS keeps the entries in CRS order, so the per-row reduction is
-    the same ``reduceat`` over row runs COO uses — the strip structure
-    only changes how the row index is *stored*, not where entries live.
-    """
-    if m.nnz == 0:
-        y.fill(0.0)
-        return
-    val = ws.const("val", lambda: m.val)
-    col = ws.const("col_idx", lambda: m.col_idx)
-    starts, urows = ws.const("cmrs_runs", lambda: m._row_runs())  # noqa: SLF001
-    g = _take_mul(x, col, val, ws.buf("cmrs_g", m.nnz, m.dtype))
-    r = ws.buf("cmrs_r", starts.shape[0], m.dtype)
-    np.add.reduceat(g, starts, out=r)
-    y.fill(0.0)
-    y[urows] = r
-
 
 @register_kernel(CMRSMatrix, "spmv", name="cmrs_bincount", tags=("numpy",))
 def _cmrs_bincount(m: CMRSMatrix, ws: Workspace, x, y, permuted=False):
@@ -522,50 +246,6 @@ def _cmrs_bincount(m: CMRSMatrix, ws: Workspace, x, y, permuted=False):
 # ---------------------------------------------------------------------------
 # ARG-CSR (adaptive row-grouped CSR)
 # ---------------------------------------------------------------------------
-
-@register_kernel(
-    ARGCSRMatrix, "spmv", name="argcsr_groups", tags=("numpy", "blocked")
-)
-def _argcsr_groups(m: ARGCSRMatrix, ws: Workspace, x, y, permuted=False):
-    """Cache-blocked fused dot products, one einsum per group rectangle.
-
-    The format has already done the length grouping CSR's grouped
-    kernel computes on the fly: each group is a dense row-major
-    ``(n_g, width)`` rectangle (padding multiplies ``x[0]`` by 0), so
-    the kernel is a straight blocked gather + ``einsum('il,il->i')``
-    scattered to the group's original rows.
-    """
-    y.fill(0.0)
-    if m.total_slots == 0:
-        return
-    val = ws.const("val", lambda: m.val)
-    col = ws.const("col_idx", lambda: m.col_idx)
-    rids = ws.const("argcsr_rows", lambda: m.row_ids)
-    gptr, widths, rptr = m.group_ptr, m.group_width, m.group_rows_ptr
-    wmax = int(widths.max())
-    G = ws.buf(
-        "argcsr_G", min(m.total_slots, max(_SPMV_BLOCK, wmax)), m.dtype
-    )
-    r = ws.buf("argcsr_r", rids.shape[0], m.dtype)
-    for g in range(m.ngroups):
-        lo, L = int(gptr[g]), int(widths[g])
-        r0, r1 = int(rptr[g]), int(rptr[g + 1])
-        nL = r1 - r0
-        step = max(1, _SPMV_BLOCK // L)
-        for c0 in range(0, nL, step):
-            c1 = min(c0 + step, nL)
-            cnt = (c1 - c0) * L
-            sl = slice(lo + c0 * L, lo + c1 * L)
-            gv = G[:cnt]
-            np.take(x, col[sl], out=gv, mode="clip")
-            np.einsum(
-                "il,il->i",
-                gv.reshape(c1 - c0, L),
-                val[sl].reshape(c1 - c0, L),
-                out=r[: c1 - c0],
-            )
-            y[rids[r0 + c0 : r0 + c1]] = r[: c1 - c0]
-
 
 @register_kernel(ARGCSRMatrix, "spmv", name="argcsr_sweep", tags=("numpy",))
 def _argcsr_sweep(m: ARGCSRMatrix, ws: Workspace, x, y, permuted=False):
@@ -661,7 +341,7 @@ def _sell_stored_csr(m: SELLMatrix):
     chunk at build time converts them to row-major runs.  Row ``i`` of
     the triplet is padded stored row ``i`` (chunk ``i // C``), so the
     matvec result needs the same ``acc[:nrows]`` trim + scatter as the
-    NumPy SELL kernels.  Padding slots are 0.0-valued with in-bounds
+    NumPy SELL kernel.  Padding slots are 0.0-valued with in-bounds
     column indices.
     """
     C = m.chunk_rows

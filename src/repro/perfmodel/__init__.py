@@ -36,7 +36,6 @@ from repro.perfmodel.predict import (
     VariantPrediction,
     explain_rows,
     predict_spmv,
-    prune_roster,
     variant_tier,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "VariantPrediction",
     "explain_rows",
     "predict_spmv",
-    "prune_roster",
     "variant_tier",
 ]

@@ -5,10 +5,9 @@ The paper's argument (Sect. II-B) is that spMVM performance is
 moved over attainable bandwidth, and the byte count follows from the
 format's storage layout (Eq. 1).  Schubert/Hager/Fehske
 (arXiv:0910.4836) apply the same discipline to multicore hosts.  This
-module turns that into a tuning strategy: instead of timing every
-candidate in the roster, score each one analytically and let the
-autotuner measure only the plausible winners (``top_k`` pruning) —
-O(1) measurements instead of an exhaustive sweep.
+module scores each roster candidate analytically, so ``repro engine
+tune --explain`` can print the model's prediction beside each measured
+time.
 
 Per-variant traffic model (double precision, per spmv call)::
 
@@ -35,21 +34,17 @@ cache-friendly ``1/Nnzr`` lower bound, appropriate for a host whose
 LLC holds the RHS).
 
 ``extra`` is what separates the tiers.  A fused compiled kernel
-(scipy / cnative / numba) touches each stored entry exactly once:
+(scipy / cnative) touches each stored entry exactly once:
 ``extra = 0``.  Every pure-NumPy kernel must materialise the gathered
 product ``x[col] * val`` — one write plus one read per slot
-(``extra = 2v``) — unless it is cache-blocked (``blocked`` tag), in
-which case the gather rectangle is reduced while cache-resident and
-only a fraction spills (``extra = v/2``).
+(``extra = 2v``).
 
 Predicted time divides bytes by *effective* bandwidth: the measured
 host copy bandwidth (:func:`repro.obs.profile.measure_host_bandwidth`,
 the same reference the attribution profiler uses) times a per-tier
 efficiency factor that accounts for non-traffic overheads (NumPy
 per-call dispatch, per-column Python loops).  The factors are
-calibration constants, not measurements — they only need to *order*
-the tiers correctly for pruning to keep the true winner in the top-k;
-``bench_kernels.py --prune-quality`` measures how often it does.
+calibration constants, not measurements.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ __all__ = [
     "TIER_EFFICIENCY",
     "variant_tier",
     "predict_spmv",
-    "prune_roster",
     "explain_rows",
 ]
 
@@ -71,14 +65,12 @@ __all__ = [
 #: sustains on the spmv sweep (calibration constants; see module doc)
 TIER_EFFICIENCY = {
     "cnative": 0.90,
-    "numba": 0.85,
     "scipy": 0.85,
-    "numpy-blocked": 0.60,
     "numpy": 0.45,
 }
 
 #: tags (in priority order) that decide a variant's tier
-_TIER_TAGS = ("cnative", "numba", "scipy")
+_TIER_TAGS = ("cnative", "scipy")
 
 
 def variant_tier(tags: tuple[str, ...]) -> str:
@@ -86,8 +78,6 @@ def variant_tier(tags: tuple[str, ...]) -> str:
     for t in _TIER_TAGS:
         if t in tags:
             return t
-    if "blocked" in tags:
-        return "numpy-blocked"
     return "numpy"
 
 
@@ -139,11 +129,7 @@ def _swept_slots(matrix, tags: tuple[str, ...]) -> int:
 
 
 def _extra_bytes_per_slot(tier: str, value_bytes: int) -> float:
-    if tier in ("cnative", "numba", "scipy"):
-        return 0.0
-    if tier == "numpy-blocked":
-        return value_bytes / 2.0
-    return 2.0 * value_bytes
+    return 2.0 * value_bytes if tier == "numpy" else 0.0
 
 
 def _reference_bandwidth() -> float:
@@ -157,20 +143,15 @@ def predict_spmv(
     *,
     bandwidth_gbs: float | None = None,
     alpha: float | None = None,
-    candidates=None,
 ) -> list[VariantPrediction]:
     """Score every spmv roster candidate; fastest-predicted first.
 
     ``bandwidth_gbs`` defaults to the measured host copy bandwidth
     (cached process-wide by :mod:`repro.obs.profile`); ``alpha``
-    defaults to Eq. 1's ``1/Nnzr`` lower bound.  ``candidates``
-    (sequence of :class:`~repro.ops.registry.KernelSpec`) defaults to
-    the live registry roster for the matrix.
+    defaults to Eq. 1's ``1/Nnzr`` lower bound.
     """
     from repro.ops.registry import variants_for
 
-    if candidates is None:
-        candidates = variants_for(matrix)
     bw = bandwidth_gbs if bandwidth_gbs is not None else _reference_bandwidth()
     if bw <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bw}")
@@ -182,7 +163,7 @@ def predict_spmv(
     flops = 2.0 * max(matrix.nnz, 1)
 
     preds = []
-    for spec in candidates:
+    for spec in variants_for(matrix):
         tier = variant_tier(spec.tags)
         slots = max(_swept_slots(matrix, spec.tags), 1)
         # index itemsize: the registry formats store int64 indices; the
@@ -216,33 +197,9 @@ def predict_spmv(
     return preds
 
 
-def prune_roster(
-    matrix,
-    top_k: int = 3,
-    *,
-    bandwidth_gbs: float | None = None,
-    candidates=None,
-) -> tuple[list[str], list[str], list[VariantPrediction]]:
-    """``(keep, dropped, predictions)`` for model-guided tuning.
-
-    ``keep`` holds the ``top_k`` fastest-predicted candidate names (in
-    predicted order); the autotuner times only those.  Guarantees at
-    least one candidate survives whatever ``top_k`` says.
-    """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    preds = predict_spmv(
-        matrix, bandwidth_gbs=bandwidth_gbs, candidates=candidates
-    )
-    keep = [p.name for p in preds[:top_k]]
-    dropped = [p.name for p in preds[top_k:]]
-    return keep, dropped, preds
-
-
 def explain_rows(
     preds: list[VariantPrediction],
     *,
-    keep: list[str] | None = None,
     timings: dict[str, float] | None = None,
 ) -> list[dict]:
     """JSON/CLI-friendly rows merging predictions with measurements."""
@@ -256,7 +213,6 @@ def explain_rows(
             "balance_bytes_per_flop": round(p.balance, 3),
             "predicted_us": round(p.predicted_seconds * 1e6, 2),
             "predicted_gbs": round(p.effective_gbs, 2),
-            "kept": keep is None or p.name in keep,
         }
         if timings is not None and p.name in timings:
             t = timings[p.name]

@@ -33,10 +33,6 @@ __all__ = [
 
 EXECUTORS = {}
 
-#: registry tags -> kernel-tier family (checked in precedence order)
-_COMPILED_TAGS = frozenset({"cnative", "numba"})
-
-
 def register_executor(name: str):
     """Class decorator-free registration: ``@register_executor("x")``."""
 
@@ -102,8 +98,7 @@ def run_cell(cell, *, scale: int = 64, seed: int = 0) -> dict:
 
 def tier_of(tags) -> str:
     """Map a kernel variant's registry tags to its tier family."""
-    tags = set(tags)
-    if tags & _COMPILED_TAGS:
+    if "cnative" in tags:
         return "compiled"
     if "scipy" in tags:
         return "scipy"

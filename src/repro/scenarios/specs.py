@@ -163,7 +163,7 @@ def axis_values(name: str) -> tuple:
 #: env a cell carries so reproducing it out of process pins the tier set
 _TIER_ENV = {
     "numpy": {"REPRO_COMPILED_DISABLE": "all"},
-    "scipy": {"REPRO_COMPILED_DISABLE": "numba,cnative"},
+    "scipy": {"REPRO_COMPILED_DISABLE": "cnative"},
     "compiled": {},
 }
 

@@ -298,7 +298,7 @@ class TestOpsList:
     def test_full_registry_listing(self):
         text = run_cli("ops", "list")
         assert "kernels registered" in text
-        for expected in ("csr_reduceat", "spmm_csr", "jds_scipy", "sell_fused"):
+        for expected in ("csr_bincount", "spmm_csr", "jds_scipy", "sell_chunks"):
             assert expected in text, expected
         # header + the generic-fallback note
         assert "variant" in text and "generic" in text

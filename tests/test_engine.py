@@ -163,18 +163,18 @@ class TestTuner:
 
 # ---------------------------------------------------------------------------
 class TestModelGuidedTuning:
-    """Eq.-1 pruning + the kernel-tier component of the fingerprint."""
+    """The Eq.-1 predictor + the kernel-tier component of the fingerprint."""
 
     def test_fingerprint_includes_kernel_tier_set(self, coo, monkeypatch):
         """A cache warmed under one tier set must not replay under
-        another (e.g. numba installed after the cache was written)."""
+        another (e.g. a C compiler installed after the cache was written)."""
         from repro.kernels import compiled
 
         m = convert(coo, "CRS")
         fp_before = fingerprint(m)
         monkeypatch.setattr(
             compiled, "kernel_tiers",
-            lambda: ("numpy", "scipy-x", "numba-0.60.0"),
+            lambda: ("numpy", "scipy-x", "cnative-cc-0000ffff"),
         )
         fp_after = fingerprint(m)
         assert fp_before != fp_after
@@ -189,58 +189,11 @@ class TestModelGuidedTuning:
         r1 = autotune(m, reps=1, cache=cache)
         assert autotune(m, reps=1, cache=cache).cache_hit
         monkeypatch.setattr(
-            compiled, "kernel_tiers", lambda: ("numpy", "numba-0.60.0")
+            compiled, "kernel_tiers", lambda: ("numpy", "cnative-cc-0000ffff")
         )
         r2 = autotune(m, reps=1, cache=cache)
         assert not r2.cache_hit  # new tier set -> retune, not replay
         assert r2.fingerprint != r1.fingerprint
-
-    def test_prune_times_at_most_top_k(self, coo):
-        m = convert(coo, "pJDS")
-        roster = {v.name for v in variants_for(m)}
-        assert len(roster) > 3  # the prune must actually drop something
-        r = autotune(m, reps=1, cache=TunerCache(persist=False),
-                     prune=True, top_k=3)
-        assert r.pruned
-        assert len(r.timings) <= 3
-        assert set(r.timings) | set(r.dropped) == roster
-        # predictions cover the whole roster, not just the survivors
-        assert set(r.predicted) == roster
-        assert r.variant in r.timings
-
-    def test_prune_provenance_survives_cache_replay(self, coo, tmp_path):
-        m = convert(coo, "pJDS")
-        path = tmp_path / "tuner.json"
-        r1 = autotune(m, reps=1, cache=TunerCache(path), prune=True, top_k=2)
-        r2 = autotune(m, reps=1, cache=TunerCache(path), prune=True, top_k=2)
-        assert r2.cache_hit
-        assert r2.pruned
-        assert r2.dropped == r1.dropped
-        assert r2.tier == r1.tier
-        assert r2.measured_gbs == r1.measured_gbs
-        assert r2.predicted_gbs == r1.predicted_gbs
-
-    def test_prune_keeps_winner_reasonable(self, coo):
-        """The pruned pick must be a real roster member and, on this
-        matrix, within 5% of the exhaustive winner's best time."""
-        m = convert(coo, "pJDS")
-        exhaustive = autotune(m, reps=3, cache=TunerCache(persist=False))
-        pruned = autotune(m, reps=3, cache=TunerCache(persist=False),
-                          prune=True, top_k=3)
-        best = exhaustive.timings[exhaustive.variant]
-        picked = exhaustive.timings.get(pruned.variant)
-        assert picked is not None, "pruned pick missing from roster"
-        assert picked <= best * 1.05
-
-    def test_prune_top_k_one_and_bad_k(self, coo):
-        from repro.perfmodel.predict import prune_roster
-
-        m = convert(coo, "CRS")
-        r = autotune(m, reps=1, cache=TunerCache(persist=False),
-                     prune=True, top_k=1)
-        assert len(r.timings) == 1 and r.variant in r.timings
-        with pytest.raises(ValueError, match="top_k"):
-            prune_roster(m, top_k=0)
 
     def test_predictions_are_positive_and_ordered(self, coo):
         from repro.perfmodel.predict import predict_spmv

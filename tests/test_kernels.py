@@ -1,18 +1,18 @@
-"""Tests for the reference (paper listing) and vectorised kernels."""
+"""Tests for the reference (paper listing) kernels and the dispatch
+entry points (:mod:`repro.engine` operators, :mod:`repro.ops`)."""
 
 import numpy as np
 import pytest
 
+from repro.engine import make_spmv_operator
 from repro.formats import convert
 from repro.kernels import (
     csr_spmv_reference,
     ellpack_r_spmv_reference,
     ellpack_spmv_reference,
-    make_spmv_operator,
     pjds_spmv_reference,
-    power_apply,
-    spmv,
 )
+from repro.ops import apply_repeated, as_linear_operator
 
 from _test_common import random_coo
 
@@ -79,34 +79,35 @@ class TestListingTranscriptions:
 class TestDispatch:
     def test_spmv_helper(self, coo, x):
         m = convert(coo, "CRS")
-        assert np.allclose(spmv(m, x), m.spmv(x))
+        assert np.allclose(as_linear_operator(m).apply(x), m.spmv(x))
 
     def test_operator_plain(self, coo, x):
         p = convert(coo, "pJDS", block_rows=8)
-        op = make_spmv_operator(p)
+        op = make_spmv_operator(p, tune=False)
         assert np.allclose(op(x), coo.spmv(x))
 
     def test_operator_permuted(self, coo, x):
         p = convert(coo, "pJDS", block_rows=8)
-        op = make_spmv_operator(p, permuted=True)
+        op = make_spmv_operator(p, permuted=True, tune=False)
         xp = p.permutation.to_permuted(x)
         assert np.allclose(p.permutation.to_original(op(xp)), coo.spmv(x))
 
-    def test_operator_permuted_unsupported(self, coo):
+    def test_operator_permuted_unsupported(self, coo, x):
         m = convert(coo, "CRS")
+        op = make_spmv_operator(m, permuted=True, tune=False)
         with pytest.raises(TypeError, match="permuted"):
-            make_spmv_operator(m, permuted=True)
+            op(x)
 
     def test_power_apply(self, coo, x):
         m = convert(coo, "CRS")
-        y = power_apply(m, x, 3)
+        y = apply_repeated(m, x, 3)
         assert np.allclose(y, m.spmv(m.spmv(m.spmv(x))))
 
     def test_power_apply_one(self, coo, x):
         m = convert(coo, "CRS")
-        assert np.allclose(power_apply(m, x, 1), m.spmv(x))
+        assert np.allclose(apply_repeated(m, x, 1), m.spmv(x))
 
     def test_power_apply_bad_reps(self, coo, x):
         m = convert(coo, "CRS")
         with pytest.raises(ValueError):
-            power_apply(m, x, 0)
+            apply_repeated(m, x, 0)

@@ -1,6 +1,5 @@
 """Tests for :mod:`repro.ops` — the central kernel registry, the
-LinearOperator protocol, the cross-backend adapters and the
-deprecation shims (the ISSUE-4 refactor).
+LinearOperator protocol and the cross-backend adapters.
 
 The parity matrix sweeps every registered format x kernel variant x
 operation {spmv, spmm, permuted} against a dense reference, on random
@@ -9,8 +8,6 @@ inputs *and* the pathological shapes (empty rows, a single dense row,
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +44,7 @@ from repro.ops import (
     variant_names_for,
     variants_for,
 )
-from repro.utils.deprecation import reset_warned
+from repro.ops.spmv_kernels import _HAVE_CSR_MATVEC
 
 
 # ---------------------------------------------------------------------------
@@ -103,29 +100,51 @@ class TestFormatRegistry:
 # tentpole: kernel registry behaviour
 # ---------------------------------------------------------------------------
 
+#: the full spmv roster per format, in rank order: the scipy delegate,
+#: the NumPy kernel (the cnative kernel's bitwise reference), the
+#: cnative kernel
+_SPMV_ROSTERS = {
+    "COO": ["coo_reduceat", "coo_bincount"],
+    "CRS": ["csr_scipy", "csr_bincount", "csr_cc"],
+    "ELLPACK": ["ell_scipy", "ell_sweep", "ell_cc"],
+    "ELLPACK-R": ["ell_scipy", "ell_sweep", "ell_cc"],
+    "ELLR-T": ["ell_scipy", "ell_sweep", "ell_cc"],
+    "JDS": ["jds_scipy", "jds_sweep", "jds_cc"],
+    "pJDS": ["jds_scipy", "jds_sweep", "jds_cc"],
+    "SELL-C-sigma": ["sell_scipy", "sell_chunks", "sell_cc"],
+    "CMRS": ["cmrs_scipy", "cmrs_bincount", "cmrs_cc"],
+    "ARG-CSR": ["argcsr_scipy", "argcsr_sweep", "argcsr_cc"],
+    "BELLPACK": ["generic"],
+}
+
+
 class TestKernelRegistry:
     def test_every_format_has_spmv_candidates(self):
-        for name in ALL_FORMATS + ["BELLPACK", "ELLR-T"]:
+        assert set(ALL_FORMATS) <= set(_SPMV_ROSTERS)
+        for name, full in _SPMV_ROSTERS.items():
             m = convert(random_coo(20, seed=1), name)
-            roster = variant_names_for(m)
-            assert roster, f"{name} has no spmv candidates"
-            assert len(roster) == len(set(roster))
+            expected = [
+                v for v in full
+                if (_CNATIVE_OK or not v.endswith("_cc"))
+                and (_HAVE_CSR_MATVEC or not v.endswith("_scipy"))
+            ]
+            assert variant_names_for(m) == expected, name
 
     def test_duplicate_kernel_name_raises(self):
         def clash(m, ws, x, y, permuted=False):  # pragma: no cover
             raise AssertionError("never called")
 
         with pytest.raises(ValueError, match="already registered"):
-            register_kernel(CSRMatrix, "spmv", name="csr_reduceat")(clash)
+            register_kernel(CSRMatrix, "spmv", name="csr_bincount")(clash)
         # registry unchanged by the failed attempt
         roster = variant_names_for(CSRMatrix)
-        assert roster.count("csr_reduceat") == 1
+        assert roster.count("csr_bincount") == 1
 
     def test_reregistering_same_function_is_idempotent(self):
-        spec = get_variant(CSRMatrix, "csr_reduceat")
-        out = register_kernel(CSRMatrix, "spmv", name="csr_reduceat")(spec.run)
+        spec = get_variant(CSRMatrix, "csr_bincount")
+        out = register_kernel(CSRMatrix, "spmv", name="csr_bincount")(spec.run)
         assert out is spec.run
-        assert variant_names_for(CSRMatrix).count("csr_reduceat") == 1
+        assert variant_names_for(CSRMatrix).count("csr_bincount") == 1
 
     def test_subclass_inherits_and_can_override(self):
         class _Base:
@@ -264,6 +283,20 @@ class TestParityMatrix:
         out = np.zeros((m.nrows, X.shape[1]), dtype=m.dtype)
         got2 = spmm_dispatch(m, np.asarray(X, dtype=m.dtype), out, Workspace())
         np.testing.assert_allclose(got2, ref, rtol=1e-12, atol=1e-12)
+        # every registered variant on one workspace while the batch
+        # width changes: scratch buffers must not be pinned to one k
+        ws = Workspace()
+        for spec in kernels_for(m, "spmm"):
+            for k in (2, 3, 2):
+                Xk = X[:, :k]
+                if order != "sliced":
+                    Xk = np.asarray(Xk, order=order)
+                out = np.zeros((m.nrows, k), dtype=m.dtype)
+                got = spec.run(m, Xk, out, ws)
+                np.testing.assert_allclose(
+                    got, ref[:, :k], rtol=1e-12, atol=1e-12,
+                    err_msg=f"{fmt}/{spec.name}/k={k}",
+                )
 
     @pytest.mark.parametrize("fmt", ["JDS", "pJDS"])
     def test_permuted_basis_every_variant(self, fmt):
@@ -308,7 +341,7 @@ class TestParityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# satellite: the optional compiled kernel tier (cnative / numba)
+# satellite: the optional compiled kernel tier (cnative)
 # ---------------------------------------------------------------------------
 
 import pathlib  # noqa: E402
@@ -317,18 +350,17 @@ from repro.kernels import compiled as compiled_mod  # noqa: E402
 
 _REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
 _CNATIVE_OK = compiled_mod.backend_status()["cnative"]["available"]
-_NUMBA_OK = compiled_mod.backend_status()["numba"]["available"]
 
 #: compiled variant -> the NumPy variant whose accumulation order it
 #: reproduces exactly (sequential ascending per-row sums from zero), so
 #: float64 agreement is *bitwise*, not just allclose
 _BITWISE_PAIRS = {
-    "CRS": ("csr_cc", "csr_numba", "csr_bincount"),
-    "ELLPACK-R": ("ell_cc", "ell_numba", "ell_sweep"),
-    "pJDS": ("jds_cc", "jds_numba", "jds_sweep"),
-    "SELL-C-sigma": ("sell_cc", "sell_numba", "sell_chunks"),
-    "CMRS": ("cmrs_cc", "cmrs_numba", "cmrs_bincount"),
-    "ARG-CSR": ("argcsr_cc", "argcsr_numba", "argcsr_sweep"),
+    "CRS": ("csr_cc", "csr_bincount"),
+    "ELLPACK-R": ("ell_cc", "ell_sweep"),
+    "pJDS": ("jds_cc", "jds_sweep"),
+    "SELL-C-sigma": ("sell_cc", "sell_chunks"),
+    "CMRS": ("cmrs_cc", "cmrs_bincount"),
+    "ARG-CSR": ("argcsr_cc", "argcsr_sweep"),
 }
 
 _SPMM_PAIRS = {
@@ -353,7 +385,7 @@ def _compiled_case_matrices():
 class TestCompiledTier:
     def test_module_imports_and_reports_status(self):
         status = compiled_mod.backend_status()
-        assert set(status) == {"cnative", "numba"}
+        assert set(status) == {"cnative"}
         for rec in status.values():
             assert "available" in rec
         tiers = compiled_mod.kernel_tiers()
@@ -376,7 +408,7 @@ class TestCompiledTier:
             " 'tiers': list(kernel_tiers()),"
             " 'status': compiled.backend_status()}))\n"
         )
-        env = dict(os.environ, REPRO_COMPILED_DISABLE="numba,cnative")
+        env = dict(os.environ, REPRO_COMPILED_DISABLE="cnative")
         env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, cwd=_REPO_ROOT,
@@ -387,7 +419,7 @@ class TestCompiledTier:
         # carry the "compiled" tag but are not guarded by the env knob)
         compiled_names = {
             r["variant"] for r in registry_rows()
-            if {"cnative", "numba"} & set(r["tags"])
+            if "cnative" in r["tags"]
         }
         assert compiled_names or not _CNATIVE_OK
         assert not (set(got["roster"]) & compiled_names)
@@ -403,15 +435,13 @@ class TestCompiledTier:
         for name in compiled_names:
             assert name not in cli.stdout
 
-    @pytest.mark.parametrize("backend", ["cnative", "numba"])
-    @pytest.mark.parametrize("fmt", sorted(_BITWISE_PAIRS))
-    def test_spmv_bitwise_vs_numpy(self, fmt, backend):
-        if backend == "cnative" and not _CNATIVE_OK:
-            pytest.skip("no C compiler / cnative backend")
-        if backend == "numba" and not _NUMBA_OK:
-            pytest.skip("numba not installed")
-        cc_name, nb_name, ref_name = _BITWISE_PAIRS[fmt]
-        name = cc_name if backend == "cnative" else nb_name
+    @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
+    @pytest.mark.parametrize(
+        "fmt", sorted(_BITWISE_PAIRS),
+        ids=[f"{f}-cnative" for f in sorted(_BITWISE_PAIRS)],
+    )
+    def test_spmv_bitwise_vs_numpy(self, fmt):
+        name, ref_name = _BITWISE_PAIRS[fmt]
         for case, coo in _compiled_case_matrices().items():
             m = convert(coo, fmt)
             assert name in variant_names_for(m), f"{name} not in roster"
@@ -532,9 +562,7 @@ class TestCompiledTier:
         for fmt in ("CMRS", "ARG-CSR"):
             roster = got[fmt]["roster"]
             assert roster, fmt
-            assert not any(
-                n.endswith("_cc") or n.endswith("_numba") for n in roster
-            ), roster
+            assert not any(n.endswith("_cc") for n in roster), roster
             assert got[fmt]["ok"], fmt
 
     def test_compiled_variants_carry_tier_tags(self):
@@ -542,8 +570,6 @@ class TestCompiledTier:
         for r in rows:
             if r["variant"].endswith("_cc") or "_cc" in r["variant"]:
                 assert "compiled" in r["tags"] and "cnative" in r["tags"], r
-            if r["variant"].endswith("_numba"):
-                assert "compiled" in r["tags"] and "numba" in r["tags"], r
 
 
 # ---------------------------------------------------------------------------
@@ -743,67 +769,3 @@ def solver_operator_from_backend(m, A, x):
         op = solver_operator(pop)
         assert op.permutation.is_identity
         return op.leave(op.apply(op.enter(x)))
-
-
-# ---------------------------------------------------------------------------
-# satellite: deprecation shims warn once and stay correct
-# ---------------------------------------------------------------------------
-
-class TestDeprecationShims:
-    def setup_method(self):
-        reset_warned()
-
-    def teardown_method(self):
-        reset_warned()
-
-    def _one_warning(self, fn, *args, **kwargs):
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            out = fn(*args, **kwargs)
-            dep = [x for x in w if issubclass(x.category, DeprecationWarning)]
-            assert len(dep) == 1, f"expected 1 DeprecationWarning, got {len(dep)}"
-        # second call: silent
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            fn(*args, **kwargs)
-            dep = [x for x in w if issubclass(x.category, DeprecationWarning)]
-            assert not dep, "warn-once shim warned twice"
-        return out
-
-    def test_engine_variants_shim(self):
-        from repro.engine import variants as shim
-
-        m = convert(random_coo(12, seed=41), "CRS")
-        names = self._one_warning(shim.variant_names_for, m)
-        assert names == variant_names_for(m)
-        assert shim.KernelVariant is KernelSpec
-
-    def test_engine_spmm_shim(self):
-        from repro.engine import spmm as shim
-
-        coo = random_coo(14, seed=42)
-        m = convert(coo, "CRS")
-        X = np.random.default_rng(5).standard_normal((14, 3))
-        out = np.zeros((14, 3))
-        got = self._one_warning(shim.spmm_dispatch, m, X, out, Workspace())
-        np.testing.assert_allclose(got, dense_of(coo) @ X)
-
-    def test_kernels_vectorized_shim(self):
-        from repro.kernels.vectorized import spmv as old_spmv
-
-        coo = random_coo(16, seed=43)
-        m = convert(coo, "CRS")
-        x = np.ones(16)
-        got = self._one_warning(old_spmv, m, x)
-        np.testing.assert_allclose(got, dense_of(coo) @ x)
-
-    def test_warn_once_keys_are_independent(self):
-        from repro.utils.deprecation import warn_once
-
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            warn_once("msg a", key="test.key.a")
-            warn_once("msg b", key="test.key.b")
-            warn_once("msg a", key="test.key.a")
-            dep = [x for x in w if issubclass(x.category, DeprecationWarning)]
-        assert len(dep) == 2
