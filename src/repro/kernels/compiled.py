@@ -26,6 +26,11 @@ float64 they agree *bitwise* with those references (``csr_bincount``,
 ``ell_sweep``, ``jds_sweep``, ``sell_chunks``, ``cmrs_bincount``,
 ``argcsr_sweep``) — ``tests/test_ops.py`` pins that.
 
+The same library carries three float64 Krylov vector kernels
+(``vec_dot_f64``, ``cg_update_f64``, ``vec_xpby_f64``), bound by
+:mod:`repro.solvers.vector` rather than registered: they keep a solver
+iteration's BLAS-1 work in the spmv kernels' OpenMP pool.
+
 Environment knobs:
 
 ``REPRO_COMPILED_DISABLE``
@@ -297,6 +302,117 @@ void sell_spmv_{F}(i64 nchunks, i64 C, const i64 *ptr, const i64 *widths,
 """
 
 
+# Krylov vector kernels (float64 only; bound by repro.solvers.vector).
+# They run in the same OpenMP pool as the spmv kernels, so a CG
+# iteration never wakes a second (BLAS) thread pool.  Each thread owns
+# the contiguous block [n*tid/nt, n*(tid+1)/nt) and sums it with four
+# interleaved accumulators; the per-thread partials are combined in
+# thread-index order (not reduction(+:), whose order is unspecified),
+# so a reduction is reproducible for a given thread count.  The
+# element-wise updates round exactly like their NumPy references:
+# -std=c99 contracts no multiply-add into an FMA.
+_C_VEC = r"""
+#define VEC_MAX_THREADS 256
+#define VEC_PAD 8 /* one 64-byte line per partial: no false sharing */
+
+static int vec_threads(void) {
+#ifdef _OPENMP
+    const int nt = omp_get_max_threads();
+    return nt < VEC_MAX_THREADS ? nt : VEC_MAX_THREADS;
+#else
+    return 1;
+#endif
+}
+
+static double vec_combine(const double *part, int nt) {
+    double s = 0;
+    int t;
+    for (t = 0; t < nt; t++)
+        s += part[t * VEC_PAD];
+    return s;
+}
+
+double vec_dot_f64(i64 n, const double *a, const double *b) {
+    double part[VEC_MAX_THREADS * VEC_PAD];
+    const int nt = vec_threads();
+    int t;
+    for (t = 0; t < nt; t++)
+        part[t * VEC_PAD] = 0;
+#ifdef _OPENMP
+#pragma omp parallel num_threads(nt)
+#endif
+    {
+        const i64 tn = omp_get_num_threads();
+        const i64 tid = omp_get_thread_num();
+        const i64 lo = n * tid / tn;
+        const i64 hi = n * (tid + 1) / tn;
+        double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+        i64 i;
+        for (i = lo; i + 4 <= hi; i += 4) {
+            s0 += a[i] * b[i];
+            s1 += a[i + 1] * b[i + 1];
+            s2 += a[i + 2] * b[i + 2];
+            s3 += a[i + 3] * b[i + 3];
+        }
+        for (; i < hi; i++)
+            s0 += a[i] * b[i];
+        part[tid * VEC_PAD] = (s0 + s1) + (s2 + s3);
+    }
+    return vec_combine(part, nt);
+}
+
+/* x += alpha * p;  r -= alpha * ap;  returns r . r.  p may alias r
+   (each element of p is read before the same element of r is
+   written). */
+double cg_update_f64(i64 n, double alpha, const double *p, const double *ap,
+                     double *x, double *r) {
+    double part[VEC_MAX_THREADS * VEC_PAD];
+    const int nt = vec_threads();
+    int t;
+    for (t = 0; t < nt; t++)
+        part[t * VEC_PAD] = 0;
+#ifdef _OPENMP
+#pragma omp parallel num_threads(nt)
+#endif
+    {
+        const i64 tn = omp_get_num_threads();
+        const i64 tid = omp_get_thread_num();
+        const i64 lo = n * tid / tn;
+        const i64 hi = n * (tid + 1) / tn;
+        double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+        i64 i, k;
+        for (i = lo; i + 4 <= hi; i += 4) {
+            for (k = i; k < i + 4; k++) {
+                x[k] += alpha * p[k];
+                r[k] -= alpha * ap[k];
+            }
+            s0 += r[i] * r[i];
+            s1 += r[i + 1] * r[i + 1];
+            s2 += r[i + 2] * r[i + 2];
+            s3 += r[i + 3] * r[i + 3];
+        }
+        for (; i < hi; i++) {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+            s0 += r[i] * r[i];
+        }
+        part[tid * VEC_PAD] = (s0 + s1) + (s2 + s3);
+    }
+    return vec_combine(part, nt);
+}
+
+/* p = z + beta * p */
+void vec_xpby_f64(i64 n, const double *z, double beta, double *p) {
+    i64 i;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (i = 0; i < n; i++)
+        p[i] = z[i] + beta * p[i];
+}
+"""
+
+
 def _c_source() -> str:
     parts = [_C_PRELUDE]
     for fsuf, ftype in (("f64", "double"), ("f32", "float")):
@@ -305,6 +421,7 @@ def _c_source() -> str:
                 _C_CSR_TEMPLATE.format(I=isuf, IT=itype, F=fsuf, FT=ftype)
             )
         parts.append(_C_FMT_TEMPLATE.format(F=fsuf, FT=ftype))
+    parts.append(_C_VEC)
     return "".join(parts)
 
 

@@ -9,6 +9,7 @@ in the permuted basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from repro import obs
 from repro.formats.base import SparseMatrixFormat
 from repro.ops.protocol import CountingOperator, solver_operator
+from repro.solvers.vector import cg_update, dot, float64_apply, xpby
 from repro.utils.validation import check_dense_vector
 
 __all__ = ["BiCGSTABResult", "bicgstab"]
@@ -70,65 +72,69 @@ def bicgstab(
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
-    b_norm = float(np.linalg.norm(b))
+    r = op.enter(b).astype(np.float64)
+    b_norm = math.sqrt(dot(r, r))
     if b_norm == 0.0:
         return BiCGSTABResult(np.zeros(n, dtype=op.dtype), 0, 0.0, True, 0)
     threshold = tol * b_norm
 
-    bp = op.enter(b).astype(np.float64)
+    apply = float64_apply(op)
     if x0 is None:
         x = np.zeros(n, dtype=np.float64)
-        r = bp.copy()
     else:
         x = op.enter(check_dense_vector(x0, n, dtype=op.dtype, name="x0")).astype(
             np.float64
         )
-        r = bp - op.apply(x.astype(op.dtype)).astype(np.float64)
+        r -= apply(x)
     r_hat = r.copy()
     rho = alpha = omega = 1.0
+    # v must survive the second apply of the iteration (which may reuse
+    # the operator's output buffer), so it gets a buffer of its own;
+    # r also holds the half-step residual s
     v = np.zeros(n)
     p = np.zeros(n)
 
     iterations = 0
-    res_norm = float(np.linalg.norm(r))
+    res_norm = math.sqrt(dot(r, r))
     converged = res_norm <= threshold
     while not converged and iterations < max_iter:
-        rho_new = float(r_hat @ r)
+        rho_new = dot(r_hat, r)
         if abs(rho_new) < _BREAKDOWN_EPS:
             raise np.linalg.LinAlgError("BiCGSTAB breakdown: rho ~ 0")
-        beta = (rho_new / rho) * (alpha / omega) if iterations else 1.0
         if iterations:
-            p = r + beta * (p - omega * v)
+            beta = (rho_new / rho) * (alpha / omega)
+            v *= omega
+            p -= v
+            xpby(r, beta, p)  # p = r + beta * (p - omega * v)
         else:
-            p = r.copy()
+            p[:] = r
         rho = rho_new
 
-        v = op.apply(p.astype(op.dtype)).astype(np.float64)
-        denom = float(r_hat @ v)
+        v[:] = apply(p)
+        denom = dot(r_hat, v)
         if abs(denom) < _BREAKDOWN_EPS:
             raise np.linalg.LinAlgError("BiCGSTAB breakdown: r_hat . v ~ 0")
         alpha = rho / denom
-        s = r - alpha * v
+        ss = cg_update(alpha, p, v, x, r)  # x += alpha p; s = r - alpha v
+        s = r
 
-        if np.linalg.norm(s) <= threshold:  # early half-step convergence
-            x = x + alpha * p
-            res_norm = float(np.linalg.norm(s))
+        if math.sqrt(ss) <= threshold:  # early half-step convergence
+            res_norm = math.sqrt(ss)
             iterations += 1
             _publish_iteration(res_norm, b_norm)
             converged = True
             break
 
-        t = op.apply(s.astype(op.dtype)).astype(np.float64)
-        tt = float(t @ t)
+        t = apply(s)
+        tt = dot(t, t)
         if tt < _BREAKDOWN_EPS:
             raise np.linalg.LinAlgError("BiCGSTAB breakdown: ||t|| ~ 0")
-        omega = float(t @ s) / tt
+        omega = dot(t, s) / tt
         if abs(omega) < _BREAKDOWN_EPS:
             raise np.linalg.LinAlgError("BiCGSTAB breakdown: omega ~ 0")
 
-        x = x + alpha * p + omega * s
-        r = s - omega * t
-        res_norm = float(np.linalg.norm(r))
+        rr = cg_update(omega, s, t, x, r)  # x += omega s; r = s - omega t
+        res_norm = math.sqrt(rr)
         iterations += 1
         _publish_iteration(res_norm, b_norm)
         converged = res_norm <= threshold
@@ -137,7 +143,7 @@ def bicgstab(
         obs.set_gauge("solver_converged", float(converged), solver="bicgstab")
     op.publish("bicgstab")
     return BiCGSTABResult(
-        x=op.leave(x.astype(op.dtype)),
+        x=op.leave(x.astype(op.dtype, copy=False)),
         iterations=iterations,
         residual_norm=res_norm,
         converged=bool(converged),

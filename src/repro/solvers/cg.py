@@ -4,10 +4,13 @@ spMVM "is often the dominating component in such solvers" (Sect. I) —
 CG is the canonical example: one spMVM plus a handful of BLAS-1
 operations per iteration.  The implementation follows the classic
 Hestenes-Stiefel recurrence; all iterations run in the stored basis.
+The BLAS-1 steps run in place through :mod:`repro.solvers.vector`, in
+the spmv kernels' own OpenMP pool when the compiled tier is loaded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +18,7 @@ import numpy as np
 from repro import obs
 from repro.formats.base import SparseMatrixFormat
 from repro.ops.protocol import CountingOperator, solver_operator
+from repro.solvers.vector import cg_update, dot, float64_apply, xpby
 from repro.utils.validation import check_dense_vector
 
 __all__ = ["CGResult", "conjugate_gradient"]
@@ -85,39 +89,43 @@ def conjugate_gradient(
         arr = check_dense_vector(preconditioner, n, name="preconditioner")
         minv = op.enter(arr.astype(op.dtype)).astype(np.float64)
 
-    b_norm = float(np.linalg.norm(b))
+    r = op.enter(b).astype(np.float64)
+    b_norm = math.sqrt(dot(r, r))
     if b_norm == 0.0:
         return CGResult(np.zeros(n, dtype=op.dtype), 0, 0.0, True, 0)
     threshold = tol * b_norm
 
-    bp = op.enter(b).astype(np.float64)
+    apply = float64_apply(op)
     if x0 is None:
         x = np.zeros(n, dtype=np.float64)
-        r = bp.copy()
     else:
         x = op.enter(check_dense_vector(x0, n, dtype=op.dtype, name="x0")).astype(
             np.float64
         )
-        r = bp - op.apply(x.astype(op.dtype)).astype(np.float64)
+        r -= apply(x)
 
-    z = r * minv if minv is not None else r
+    rr = dot(r, r)
+    if minv is None:
+        z = r
+        rz = rr
+    else:
+        z = np.multiply(minv, r)
+        rz = dot(r, z)
     p = z.copy()
-    rz = float(r @ z)
-    res_norm = float(np.linalg.norm(r))
+    res_norm = math.sqrt(rr)
 
     iterations = 0
     converged = res_norm <= threshold
     while not converged and iterations < max_iter:
-        ap = op.apply(p.astype(op.dtype)).astype(np.float64)
-        pap = float(p @ ap)
+        ap = apply(p)
+        pap = dot(p, ap)
         if pap <= 0.0:
             raise np.linalg.LinAlgError(
                 "matrix is not positive definite (p^T A p <= 0 in CG)"
             )
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        res_norm = float(np.linalg.norm(r))
+        rr = cg_update(alpha, p, ap, x, r)
+        res_norm = math.sqrt(rr)
         iterations += 1
         if obs.enabled():
             obs.set_gauge("solver_residual", res_norm, solver="cg")
@@ -128,16 +136,19 @@ def conjugate_gradient(
         if res_norm <= threshold:
             converged = True
             break
-        z = r * minv if minv is not None else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        if minv is None:
+            rz_new = rr
+        else:
+            np.multiply(minv, r, out=z)
+            rz_new = dot(r, z)
+        xpby(z, rz_new / rz, p)
         rz = rz_new
 
     if obs.enabled():
         obs.set_gauge("solver_converged", float(converged), solver="cg")
     op.publish("cg")
     return CGResult(
-        x=op.leave(x.astype(op.dtype)),
+        x=op.leave(x.astype(op.dtype, copy=False)),
         iterations=iterations,
         residual_norm=res_norm,
         converged=bool(converged),

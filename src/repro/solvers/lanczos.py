@@ -52,7 +52,10 @@ def lanczos(
 
     Full reorthogonalisation keeps the basis numerically orthogonal;
     convergence is declared when every requested Ritz pair's residual
-    ``|beta * s_last|`` falls below ``tol * |theta|``.
+    ``|beta * s_last|`` falls below ``tol * |theta|``.  The
+    reorthogonalisation ``V.T @ (V @ w)`` is a pair of gemvs, not
+    BLAS-1 work, so unlike the CG/BiCGSTAB/power vector steps it stays
+    on NumPy's BLAS rather than :mod:`repro.solvers.vector`.
     ``engine=True`` runs the iteration through the autotuned
     :mod:`repro.engine` kernels.
     """

@@ -6,6 +6,7 @@ thousands of back-to-back spMVMs through the permuted-basis operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from repro import obs
 from repro.formats.base import SparseMatrixFormat
 from repro.ops.protocol import CountingOperator, solver_operator
+from repro.solvers.vector import dot
 from repro.utils.validation import check_positive_int
 
 __all__ = ["PowerResult", "power_iteration"]
@@ -56,24 +58,24 @@ def power_iteration(
         if v0 is not None
         else rng.standard_normal(n).astype(op.dtype)
     )
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(dot(v, v))
     if norm == 0.0:
         raise ValueError("start vector must be non-zero")
-    v = v / norm
+    v = v / norm  # a copy: the loop then rescales it in place
 
     lam = 0.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         w = op.apply(v)
-        lam_new = float(v @ w)
-        norm = float(np.linalg.norm(w))
+        lam_new = dot(v, w)
+        norm = math.sqrt(dot(w, w))
         if norm == 0.0:
             lam = 0.0
             converged = True
             v = w
             break
-        v = w / norm
+        np.divide(w, norm, out=v)
         if obs.enabled():
             # convergence gauge: relative Rayleigh-quotient change
             obs.set_gauge(

@@ -1,15 +1,22 @@
 """Tests for the permuted-basis solver layer (CG, Lanczos, power)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.sorting import Permutation
 from repro.formats import COOMatrix, convert
+from repro.kernels import compiled
 from repro.matrices import poisson2d
 from repro.solvers import (
+    PermutedOperator,
     as_operator,
+    bicgstab,
     conjugate_gradient,
     lanczos,
     power_iteration,
+    vector,
 )
 
 from _test_common import random_coo
@@ -99,6 +106,14 @@ class TestCG:
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             conjugate_gradient(coo, np.ones(2))
 
+    def test_float32_operator(self, spd):
+        c = COOMatrix(spd.rows, spd.cols, spd.values.astype(np.float32), spd.shape)
+        b = np.random.default_rng(4).normal(size=spd.nrows)
+        res = conjugate_gradient(convert(c, "pJDS"), b, tol=1e-5)
+        assert res.converged
+        assert res.x.dtype == np.float32
+        assert np.linalg.norm(spd.spmv(res.x) - b) <= 1e-4 * np.linalg.norm(b)
+
     def test_validation(self, spd):
         m = convert(spd, "pJDS")
         with pytest.raises(ValueError):
@@ -185,3 +200,165 @@ class TestPower:
             power_iteration(convert(spd, "pJDS"), tol=0.0)
         with pytest.raises(ValueError):
             power_iteration(convert(spd, "pJDS"), max_iter=0)
+
+
+needs_cnative = pytest.mark.skipif(
+    compiled._CNATIVE is None, reason="cnative tier not loaded"
+)
+
+VECTOR_LENGTHS = (0, 1, 7, 4097, 262_147)
+
+
+@needs_cnative
+class TestVectorKernels:
+    """The C vector kernels against their NumPy reference bodies."""
+
+    @pytest.mark.parametrize("n", VECTOR_LENGTHS)
+    def test_cg_update_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        p, ap, x, r = (rng.standard_normal(n) for _ in range(4))
+        x_ref, r_ref = x.copy(), r.copy()
+        vector._cg_update_np(0.37, p, ap, x_ref, r_ref)
+        rr = vector.cg_update(0.37, p, ap, x, r)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(r, r_ref)
+        np.testing.assert_allclose(rr, np.dot(r, r), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", VECTOR_LENGTHS)
+    def test_cg_update_aliased_bitwise(self, n):
+        # BiCGSTAB's second half-step passes the same array as p and r
+        rng = np.random.default_rng(n + 1)
+        s, t, x = (rng.standard_normal(n) for _ in range(3))
+        x_ref, s_ref = x.copy(), s.copy()
+        vector._cg_update_np(-1.3, s_ref, t, x_ref, s_ref)
+        vector.cg_update(-1.3, s, t, x, s)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(s, s_ref)
+
+    @pytest.mark.parametrize("n", VECTOR_LENGTHS)
+    def test_xpby_bitwise(self, n):
+        rng = np.random.default_rng(n + 2)
+        z, p = rng.standard_normal(n), rng.standard_normal(n)
+        p_ref = p.copy()
+        vector._xpby_np(z, 0.61, p_ref)
+        vector.xpby(z, 0.61, p)
+        assert np.array_equal(p, p_ref)
+
+    @pytest.mark.parametrize("n", VECTOR_LENGTHS)
+    def test_dot_matches_numpy(self, n):
+        rng = np.random.default_rng(n + 3)
+        # positive terms: the sum is perfectly conditioned, so any two
+        # summation orders agree to a few ulps of the value itself
+        a, b = rng.random(n) + 0.5, rng.random(n) + 0.5
+        np.testing.assert_allclose(vector.dot(a, b), np.dot(a, b), rtol=1e-13)
+        # signed terms cancel, so the summation error scales with
+        # sum(|a*b|), not with the (much smaller) result
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        scale = np.dot(np.abs(a), np.abs(b))
+        assert abs(vector.dot(a, b) - np.dot(a, b)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", VECTOR_LENGTHS)
+    def test_reductions_reproducible(self, n):
+        rng = np.random.default_rng(n + 4)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert vector.dot(a, b) == vector.dot(a, b)
+        runs = []
+        for _ in range(2):
+            x, r = a.copy(), b.copy()
+            runs.append(vector.cg_update(0.5, a, b, x, r))
+        assert runs[0] == runs[1]
+
+    def test_fallback_on_other_layouts(self):
+        a = np.arange(5, dtype=np.float32)
+        assert not vector._native(a, a)
+        assert vector.dot(a, a) == pytest.approx(30.0)
+        strided = np.arange(10.0)[::2]
+        assert not vector._native(strided, np.ones(5))
+        assert vector.dot(strided, np.ones(5)) == 20.0
+        p, x, r = np.ones(5), np.zeros(10)[::2], np.ones(5)
+        assert vector.cg_update(2.0, p, p, x, r) == 5.0
+        assert np.array_equal(x, np.full(5, 2.0))
+
+
+@needs_cnative
+class TestVectorTiers:
+    """Solves with the C vector kernels match the NumPy fallback."""
+
+    @staticmethod
+    def _both(monkeypatch, solve):
+        native = solve()
+        monkeypatch.setattr(vector, "_LIB", None)
+        return native, solve()
+
+    @pytest.mark.parametrize("case", ["plain", "jacobi", "x0"])
+    def test_cg(self, spd, monkeypatch, case):
+        m = convert(spd, "pJDS")
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=spd.nrows)
+        kw = {
+            "plain": {},
+            "jacobi": {"preconditioner": "jacobi"},
+            "x0": {"x0": rng.normal(size=spd.nrows)},
+        }[case]
+        native, fallback = self._both(
+            monkeypatch, lambda: conjugate_gradient(m, b, tol=1e-10, **kw)
+        )
+        assert native.converged and fallback.converged
+        assert native.iterations == fallback.iterations
+        assert np.allclose(native.x, fallback.x, rtol=1e-10)
+
+    @pytest.mark.parametrize("case", ["plain", "x0"])
+    def test_bicgstab(self, spd, monkeypatch, case):
+        m = convert(spd, "pJDS")
+        rng = np.random.default_rng(6)
+        b = rng.normal(size=spd.nrows)
+        kw = {"x0": rng.normal(size=spd.nrows)} if case == "x0" else {}
+        native, fallback = self._both(
+            monkeypatch, lambda: bicgstab(m, b, tol=1e-10, **kw)
+        )
+        assert native.converged and fallback.converged
+        assert native.iterations == fallback.iterations
+        assert np.allclose(native.x, fallback.x, rtol=1e-10)
+
+
+class TestSteadyStateAllocation:
+    """A CG iteration allocates no n-vector once the loop is running.
+
+    The operator is allocation-free (it writes one persistent buffer)
+    and samples tracemalloc at every apply, so each interval between
+    two applies is exactly one CG iteration of the solver's own work.
+    """
+
+    @pytest.mark.parametrize("preconditioner", [None, "jacobi"])
+    def test_cg_iterations_allocate_no_vector(self, preconditioner):
+        n = 20_000
+        d = np.linspace(2.5, 1e3, n)
+        y = np.empty(n)
+        samples = []  # (live bytes, peak since the previous apply)
+
+        def apply_(x):
+            samples.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            # SPD tridiagonal, in place
+            np.multiply(d, x, out=y)
+            y[1:] -= x[:-1]
+            y[:-1] -= x[1:]
+            return y
+
+        op = PermutedOperator(
+            apply_, Permutation.identity(n), np.float64, diagonal=lambda: d
+        )
+        b = np.random.default_rng(7).normal(size=n)
+        tracemalloc.start()
+        try:
+            res = conjugate_gradient(
+                op, b, tol=1e-30, max_iter=50, preconditioner=preconditioner
+            )
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 50
+        growth = [
+            peak - live for (live, _), (_, peak) in zip(samples, samples[1:])
+        ]
+        assert len(growth) == 49
+        assert max(growth) < 8 * n
