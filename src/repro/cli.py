@@ -10,7 +10,7 @@ Examples
     python -m repro fig5 --matrix UHBR    # strong-scaling series
     python -m repro timeline --nodes 8    # Fig. 4 ASCII timeline
     python -m repro spmv matrix.mtx --format pJDS
-    python -m repro spmv matrix.mtx --parallel 4   # shared-memory backend
+    python -m repro spmv matrix.mtx --parallel 4   # 4 rank processes
     python -m repro engine tune sAMG --format pjds # autotuner decision
     python -m repro obs --format pjds --out trace.json \
         --metrics-out metrics.prom        # instrumented run + artifacts
@@ -223,11 +223,17 @@ def cmd_spmv(args, out) -> int:
     print(f"{m.name}: {m.nbytes} bytes device storage", file=out)
     x = np.random.default_rng(args.seed).normal(size=coo.ncols).astype(m.dtype)
     if args.parallel:
-        from repro.engine import parallel_spmv
+        from repro.distributed import build_plan, distributed_spmv, partition_rows
+        from repro.formats import CSRMatrix
 
-        y = parallel_spmv(m, x, nworkers=args.parallel, mode=args.parallel_mode)
+        csr = CSRMatrix.from_coo(coo)
+        nworkers = min(args.parallel, csr.nrows)
+        part = partition_rows(csr.nrows, nworkers, row_weights=csr.row_lengths())
+        y = distributed_spmv(
+            build_plan(csr, part), x, backend="processes", mode=args.parallel_mode
+        )
         print(
-            f"parallel backend: {args.parallel} row-block workers "
+            f"parallel backend: {nworkers} row-block workers "
             f"({args.parallel_mode} mode)",
             file=out,
         )
@@ -1152,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument(
         "--parallel", type=int, default=0, metavar="N",
-        help="run through the shared-memory backend with N row-block workers",
+        help="run through the rank pool with N row-block worker processes",
     )
     ps.add_argument(
         "--parallel-mode", choices=("vector", "task"), default="vector",

@@ -17,7 +17,7 @@ from repro.distributed.runtime import (
     RUNTIME_MODES,
     DistributedTimeout,
     HaloExchangeTimeout,
-    RankResult,
+    RankPool,
     distributed_spmv,
     rank_spmv,
 )
@@ -57,7 +57,7 @@ __all__ = [
     "DistributedTimeout",
     "HaloExchangeTimeout",
     "RUNTIME_MODES",
-    "RankResult",
+    "RankPool",
     "distributed_spmv",
     "rank_spmv",
     "ScalingPoint",

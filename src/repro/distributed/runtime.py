@@ -1,47 +1,66 @@
-"""Functional execution of the distributed spMVM with real threads.
+"""Functional execution of the distributed spMVM: one persistent rank pool.
 
 This is the *correctness* half of the distributed layer: every rank is
-a Python thread with an inbox queue; halo data really moves between
-threads as buffers, following the same :class:`~repro.distributed.plan.CommPlan`
-the timing simulator consumes.  A bug in the plan (wrong gather list,
-wrong halo layout) breaks these results, not just a performance plot.
+a worker (a thread, or an OS process) with an inbox queue; halo data
+really moves between workers as buffers, following the same
+:class:`~repro.distributed.plan.CommPlan` the timing simulator
+consumes.  A bug in the plan (wrong gather list, wrong halo layout)
+breaks these results, not just a performance plot.
+
+:class:`RankPool` starts one worker per rank and keeps it across
+calls.  ``x`` and ``y`` live in buffers every worker sees (plain arrays
+for threads, :mod:`multiprocessing.shared_memory` for processes); a
+round is one "go" message per rank, an exchange, and one report per
+rank.  The two backends differ only in how a worker starts and which
+queue class carries the messages.
 
 The exchange mirrors the mpi4py buffer idiom: senders gather owned
 elements into contiguous buffers (the "local gather" of Fig. 4) and
-post them tagged with their rank; receivers assemble their halo buffer
-in plan order.  Two execution modes mirror Sect. III-A *schedules*
-(the arithmetic — local product, then nonlocal add — is identical, so
-both are bitwise-equal):
+post them tagged with their rank and the round; receivers drop stale
+rounds and assemble their halo in plan order.  The two execution modes
+of Sect. III-A:
 
-* ``mode="vector"`` — wait for the complete halo, then compute
-  (bulk-synchronous, the default);
-* ``mode="task"`` — compute the local part while halo messages are in
-  flight, add the nonlocal part after ``waitall`` (the overlap split).
+* ``mode="vector"`` — wait for the complete halo, then run one
+  *unsplit* kernel over the row block against
+  ``x_rank = [halo below | x_local | halo above]``.  The halo is sorted
+  by global column, so every row reduces the same element sequence as
+  the serial :meth:`CSRMatrix.spmv <repro.formats.csr.CSRMatrix.spmv>`:
+  the result is **bitwise equal to serial** for any rank count.
+* ``mode="task"`` — run the local kernel while halo messages are in
+  flight and add the nonlocal kernel after ``waitall`` (the overlap
+  split).  The within-row summation order changes, so task mode
+  matches serial to rounding; it is bitwise equal across backends.
 
 **Resilience** (see ``docs/resilience.md``): ``faults=`` threads a
 :class:`~repro.faults.FaultInjector` through the workers — the driver
 pulls one round of plain-data *directives* per rank (crash, message
-drop/delay, kernel exception, slow worker), so thread and process
-backends inject identically.  A halo wait that expires raises
-:class:`HaloExchangeTimeout` naming the exact missing edges (rank,
-neighbors, direction) instead of the whole step.  ``retry=`` enables
-recovery: failed ranks are re-executed from their immutable row-block
-inputs (``x`` is never mutated, and the halo equals ``x[halo_cols]``
-bitwise), so recovered runs match fault-free runs bit for bit.
+drop/delay, kernel exception, slow worker) and ships them with the
+round's "go" message, so both backends inject identically.  A halo
+wait that expires raises :class:`HaloExchangeTimeout` naming the exact
+missing edges (rank, neighbors, direction) instead of the whole step.
+``retry=`` enables recovery: failed ranks are re-executed in the
+driver from their immutable row-block inputs with the mode's own
+kernel, so recovered runs match fault-free runs bit for bit.  A failed
+round restarts the pool's workers before the next round.
 
 When :mod:`repro.obs` is enabled, every rank emits a span chain
 (``rank.gather`` → ``rank.send`` → ``rank.waitall`` → ``rank.spmv``)
-parented under a single ``distributed_spmv`` root span, plus
-``halo_bytes_sent{rank=...}`` counters; recoveries add ``rank.recover``
-spans and ``faults_retries_total`` / ``faults_recovered_total``.
+parented under a ``distributed_spmv`` root span per round, plus
+``halo_bytes_sent{rank=...}`` counters; process workers ship their
+finished spans home with every report.  Recoveries add
+``rank.recover`` spans and ``faults_retries_total`` /
+``faults_recovered_total``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
-from dataclasses import dataclass
+import warnings
+from multiprocessing import shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,11 +68,12 @@ from repro import obs
 from repro.distributed.plan import CommPlan, RankPlan
 from repro.faults.inject import FaultError, InjectedFault
 from repro.faults.retry import RetryExhausted
-from repro.utils.validation import check_dense_vector
+from repro.formats.csr import CSRMatrix
+from repro.utils.workers import mp_context
 
 __all__ = [
     "distributed_spmv",
-    "RankResult",
+    "RankPool",
     "rank_spmv",
     "DistributedTimeout",
     "HaloExchangeTimeout",
@@ -64,6 +84,8 @@ _DEFAULT_TIMEOUT_S = 60.0
 
 RUNTIME_MODES = ("vector", "task")
 
+_BACKENDS = ("threads", "processes")
+
 
 class DistributedTimeout(RuntimeError):
     """A rank (or several) did not finish within the timeout.
@@ -71,8 +93,7 @@ class DistributedTimeout(RuntimeError):
     Carries structured fields for programmatic handling: ``stuck_ranks``
     (which ranks were still running), ``timeout`` (the configured bound)
     and ``where`` (the phase that timed out — ``"waitall (...)"`` from a
-    rank still expecting halo messages, ``"join"`` from the driver, or
-    ``"result gather"`` from the multiprocessing backend).
+    rank still expecting halo messages, or ``"join"`` from the driver).
     """
 
     def __init__(self, stuck_ranks: list[int], timeout: float, where: str):
@@ -91,8 +112,8 @@ class HaloExchangeTimeout(DistributedTimeout):
     Instead of indicting the whole step, this narrows the failure to
     (``rank``, ``neighbors``, ``direction``): rank ``rank`` was still
     ``direction``-ing halo traffic for the listed neighbor ranks when
-    its wait expired.  Picklable, so the multiprocessing backend can
-    ship it from a child rank to the driver intact.
+    its wait expired.  Picklable, so a process worker can ship it to
+    the driver intact.
     """
 
     def __init__(self, rank: int, neighbors: list[int], timeout: float,
@@ -111,37 +132,97 @@ class HaloExchangeTimeout(DistributedTimeout):
         return (type(self), (self.rank, self.neighbors, self.timeout, self.direction))
 
 
-@dataclass
-class RankResult:
-    """Outcome of one rank's share of the multiplication."""
-
-    rank: int
-    y_local: np.ndarray
-    sent_messages: int
-    received_messages: int
-
-
 def rank_spmv(
     plan: RankPlan,
     x_local: np.ndarray,
     halo: np.ndarray,
 ) -> np.ndarray:
-    """Compute one rank's result rows from local + halo data."""
+    """One rank's result rows by the split kernel: local, then nonlocal."""
     if plan.local_matrix is None or plan.nonlocal_matrix is None:
         raise ValueError(
             "plan was built with with_matrices=False; rebuild with matrices"
         )
     y = plan.local_matrix.spmv(x_local)
     if plan.nnz_nonlocal:
-        y = y + plan.nonlocal_matrix.spmv(
-            check_dense_vector(
-                halo,
-                plan.nonlocal_matrix.ncols,
-                dtype=plan.nonlocal_matrix.dtype,
-                name="halo",
-            )
-        )
+        y += plan.nonlocal_matrix.spmv(halo)
     return y
+
+
+class _Rank:
+    """One rank's immutable share: its plan plus the unsplit block.
+
+    The vector-mode block is the rank's row block with columns remapped
+    into the compact space ``x_rank = [halo below lo | x_local | halo
+    above hi]``.  ``xcols`` holds the global column of every ``x_rank``
+    slot (ascending), and ``slots`` the ``x_rank`` slice each source
+    rank's halo message fills — sources own contiguous column ranges,
+    so each message lands in one contiguous slice.
+    """
+
+    def __init__(self, plan: RankPlan):
+        if plan.local_matrix is None or plan.nonlocal_matrix is None:
+            raise ValueError(
+                "plan was built with with_matrices=False; rebuild with matrices"
+            )
+        self.plan = plan
+        lo, hi = plan.row_range
+        n = hi - lo
+        halo_cols = plan.halo_cols
+        below = int(np.searchsorted(halo_cols, lo))
+        self.below = below
+        self.xcols = np.concatenate(
+            (halo_cols[:below], np.arange(lo, hi), halo_cols[below:])
+        )
+        self.slots = {}
+        start = 0
+        for src in sorted(plan.recv_cols):
+            k = len(plan.recv_cols[src])
+            pos = start if start < below else start + n
+            self.slots[src] = slice(pos, pos + k)
+            start += k
+
+        loc, nl = plan.local_matrix, plan.nonlocal_matrix
+        rows = np.repeat(np.arange(n), np.diff(loc.indptr))
+        nl_rows = np.repeat(np.arange(n), np.diff(nl.indptr))
+        nl_cols = np.where(nl.indices < below, nl.indices, nl.indices + n)
+        rows = np.concatenate((rows, nl_rows))
+        cols = np.concatenate((loc.indices + below, nl_cols))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self.block = CSRMatrix(
+            indptr,
+            cols[order],
+            np.concatenate((loc.data, nl.data))[order],
+            (n, self.xcols.shape[0]),
+        )
+
+    def finish(self, mode, x_local, segments, y_local) -> None:
+        """Complete ``y_local`` once every halo segment has arrived.
+
+        Task mode already holds the local product in ``y_local``.
+        """
+        if mode == "vector":
+            xr = np.empty(self.block.ncols, dtype=self.block.dtype)
+            xr[self.below:self.below + x_local.shape[0]] = x_local
+            for src, buf in segments.items():
+                xr[self.slots[src]] = buf
+            self.block.spmv(xr, out=y_local)
+        elif self.plan.nnz_nonlocal:
+            halo = np.concatenate([segments[s] for s in sorted(segments)])
+            y_local += self.plan.nonlocal_matrix.spmv(halo)
+
+    def recompute(self, mode, x) -> np.ndarray:
+        """The rank's rows from the global ``x``, as its worker would.
+
+        ``x`` is never mutated, and in a fault-free run the halo equals
+        ``x[halo_cols]`` bitwise, so the result is bitwise identical to
+        what the worker would have produced.
+        """
+        if mode == "vector":
+            return self.block.spmv(x[self.xcols])
+        lo, hi = self.plan.row_range
+        return rank_spmv(self.plan, x[lo:hi], x[self.plan.halo_cols])
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +261,10 @@ def _directive_kernel(directives, rank: int, site: str) -> None:
             raise InjectedFault("kernel_exception", site, {"rank": rank})
 
 
-def _directive_slow(directives, rank: int | None = None, site: str = "rank.start") -> None:
+def _directive_slow(directives, rank: int, site: str) -> None:
     for d in directives:
         if d["kind"] == "slow_worker" and d.get("delay_s"):
-            if rank is not None:
-                _note_fault("slow_worker", rank, site, delay_s=d["delay_s"])
+            _note_fault("slow_worker", rank, site, delay_s=d["delay_s"])
             time.sleep(d["delay_s"])
 
 
@@ -200,31 +280,16 @@ def _message_faults(directives) -> tuple[set, dict]:
 
 
 # ---------------------------------------------------------------------------
-# rank bodies (threads backend)
+# the worker: one loop for both backends
 # ---------------------------------------------------------------------------
 
-def _rank_worker(
-    plan: RankPlan,
-    x_local: np.ndarray,
-    inbox: "queue.Queue[tuple[int, np.ndarray]]",
-    outboxes: dict[int, "queue.Queue[tuple[int, np.ndarray]]"],
-    results: list,
-    errors: list,
-    timeout: float,
-    mode: str,
-    directives: list,
-    ctx: "obs.SpanContext | None" = None,
-) -> None:
-    try:
-        with obs.attach_context(ctx or obs.SpanContext(None)):
-            _rank_body(plan, x_local, inbox, outboxes, results, timeout, mode, directives)
-    except Exception as exc:
-        errors.append((plan.rank, exc))
-
-
-def _rank_body(plan, x_local, inbox, outboxes, results, timeout, mode, directives) -> None:
+def _rank_round(rank: _Rank, mode, x, y, inboxes, rnd, directives, timeout) -> None:
+    """One rank's share of round ``rnd``: exchange, then compute."""
+    plan = rank.plan
     r = plan.rank
-    directives = directives or ()
+    lo, hi = plan.row_range
+    x_local = x[lo:hi]
+    y_local = y[lo:hi]
     _directive_crash(directives, r, "rank.start")
     _directive_slow(directives, r, "rank.start")
     drops, delays = _message_faults(directives)
@@ -232,10 +297,8 @@ def _rank_body(plan, x_local, inbox, outboxes, results, timeout, mode, directive
     # local gather + sends (Isend analogue: queues never block)
     with obs.span("rank.gather", rank=r):
         buffers = {
-            dst: x_local[local_idx].copy()
-            for dst, local_idx in plan.send_cols.items()
+            dst: x_local[local_idx] for dst, local_idx in plan.send_cols.items()
         }
-    sent = 0
     with obs.span("rank.send", rank=r):
         for dst, buf in buffers.items():
             if dst in drops or None in drops:
@@ -245,27 +308,27 @@ def _rank_body(plan, x_local, inbox, outboxes, results, timeout, mode, directive
             delay = delays.get(dst, delays.get(None, 0.0))
             if delay:
                 time.sleep(delay)
-            outboxes[dst].put((r, buf))
-            sent += 1
+            inboxes[dst].put((rnd, r, buf))
             obs.inc("halo_bytes_sent", buf.nbytes, rank=str(r), dst=str(dst))
             obs.inc("halo_messages_sent", 1, rank=str(r))
 
     # task mode: overlap the local kernel with the in-flight halo
-    y_partial = None
-    if mode == "task" and plan.local_matrix is not None:
+    if mode == "task":
         with obs.span("rank.local_spmv", rank=r):
-            y_partial = plan.local_matrix.spmv(x_local)
+            plan.local_matrix.spmv(x_local, out=y_local)
 
-    # receive until the halo buffer is complete (Irecv + Waitall)
+    # receive until the halo is complete (Irecv + Waitall)
     pending = set(plan.recv_cols)
     segments: dict[int, np.ndarray] = {}
     with obs.span("rank.waitall", rank=r):
         while pending:
             try:
-                src, buf = inbox.get(timeout=timeout)
+                tag, src, buf = inboxes[r].get(timeout=timeout)
             except queue.Empty:
                 obs.inc("distributed_timeouts_total", 1, rank=str(r))
                 raise HaloExchangeTimeout(r, sorted(pending), timeout) from None
+            if tag != rnd:
+                continue  # left over from an abandoned round
             if src not in pending:
                 raise RuntimeError(f"rank {r}: unexpected message from {src}")
             if buf.shape[0] != plan.recv_cols[src].shape[0]:
@@ -276,78 +339,100 @@ def _rank_body(plan, x_local, inbox, outboxes, results, timeout, mode, directive
             segments[src] = buf
             pending.discard(src)
 
-    # assemble the halo in plan order (ascending source rank)
-    if segments:
-        halo = np.concatenate([segments[s] for s in sorted(segments)])
-    else:
-        width = plan.nonlocal_matrix.ncols if plan.nonlocal_matrix else 1
-        halo = np.zeros(width, dtype=x_local.dtype)
     _directive_kernel(directives, r, "rank.spmv")
     with obs.span("rank.spmv", rank=r):
-        if mode == "task" and y_partial is not None:
-            y = y_partial
-            if plan.nnz_nonlocal:
-                y = y + plan.nonlocal_matrix.spmv(
-                    check_dense_vector(
-                        halo,
-                        plan.nonlocal_matrix.ncols,
-                        dtype=plan.nonlocal_matrix.dtype,
-                        name="halo",
+        rank.finish(mode, x_local, segments, y_local)
+
+
+def _open_vectors(vectors, dtype):
+    """Worker side: ``(x, y, shms)`` from the pool's vector handles.
+
+    Threads get the arrays themselves; processes get ``(segment name,
+    length)`` pairs and attach to the shared-memory segments.
+    """
+    if isinstance(vectors[0], np.ndarray):
+        return vectors[0], vectors[1], ()
+    shms = [shared_memory.SharedMemory(name=name) for name, _ in vectors]
+    x, y = (
+        np.ndarray(n, dtype=dtype, buffer=s.buf)
+        for s, (_, n) in zip(shms, vectors)
+    )
+    return x, y, shms
+
+
+def _worker_loop(
+    rank: _Rank, mode, vectors, ctrl, inboxes, done, timeout, in_child,
+) -> None:
+    """Serve rounds until the ``None`` stop message.
+
+    Each "go" message is ``(round, directives, span context, traced)``;
+    each report is ``(round, rank, error, spans)``.  A process worker
+    starts with a clean tracer (fork copies the driver's spans), follows
+    the driver's tracing switch per round and ships its finished spans
+    home with every report; the driver adopts them, remapping span ids
+    while keeping the cross-process parent link to its own root span.
+    """
+    x, y, shms = _open_vectors(vectors, rank.block.dtype)
+    tracer = obs.get_tracer()
+    if in_child:
+        tracer.isolate_forked()
+    try:
+        while (msg := ctrl.get()) is not None:
+            rnd, directives, ctx, traced = msg
+            if in_child:
+                (obs.enable if traced else obs.disable)()
+            err = None
+            try:
+                with obs.attach_context(ctx):
+                    _rank_round(
+                        rank, mode, x, y, inboxes, rnd, directives, timeout
                     )
-                )
-        else:
-            y = rank_spmv(plan, x_local, halo)
-    results[r] = RankResult(r, y, sent, len(segments))
+            except (InjectedFault, HaloExchangeTimeout) as exc:
+                err = exc  # typed + picklable: the driver raises or retries
+            except Exception as exc:
+                err = f"{type(exc).__name__}: {exc}"
+            spans = ()
+            if in_child and traced:
+                spans = tracer.finished()
+                tracer.reset()
+            done.put((rnd, rank.plan.rank, err, spans))
+    finally:
+        del x, y  # views into the segments must go before they close
+        for shm in shms:
+            shm.close()
 
 
 # ---------------------------------------------------------------------------
 # recovery: re-execute failed ranks from immutable inputs
 # ---------------------------------------------------------------------------
 
-def _recompute_rank(plan: RankPlan, x: np.ndarray, faults) -> np.ndarray:
-    """Serially re-execute one rank from its immutable inputs.
+def _recompute_rank(rank: _Rank, mode, x: np.ndarray, faults) -> np.ndarray:
+    """Serially re-execute one rank in the driver.
 
-    ``x`` was never mutated, and in a fault-free run the halo buffer is
-    exactly ``x[plan.halo_cols]`` (the per-source sorted column lists
-    concatenate to the globally sorted ``halo_cols``), so the recomputed
-    result is bitwise identical to what the rank would have produced.
     Remaining scheduled faults for this rank still fire (rank crash /
     kernel exception / slow worker; message faults are no-ops since no
     exchange happens here).
     """
-    r = plan.rank
+    r = rank.plan.rank
     directives = faults.rank_directives(r, site="rank.recover") if faults else ()
     _directive_crash(directives, r, "rank.recover")
     _directive_slow(directives, r, "rank.recover")
-    lo, hi = plan.row_range
-    if plan.halo_cols is not None and plan.halo_cols.size:
-        halo = np.ascontiguousarray(x[plan.halo_cols])
-    else:
-        width = plan.nonlocal_matrix.ncols if plan.nonlocal_matrix else 1
-        halo = np.zeros(width, dtype=x.dtype)
     _directive_kernel(directives, r, "rank.recover")
-    return rank_spmv(plan, x[lo:hi], halo)
+    return rank.recompute(mode, x)
 
 
-def _recover_failed_ranks(
-    comm_plan: CommPlan,
-    x: np.ndarray,
-    failures: dict,
-    faults,
-    retry,
-) -> dict:
+def _recover_failed_ranks(ranks, mode, x, failures: dict, faults, retry) -> dict:
     """Retry every failed rank under ``retry``; returns {rank: y}.
 
     Raises :class:`~repro.faults.RetryExhausted` (carrying the full
     fault history) once a rank's attempts or the policy's shared retry
     budget run out.
     """
-    plans = {p.rank: p for p in comm_plan.ranks}
     recovered: dict[int, np.ndarray] = {}
     spent = 0
-    for rank in sorted(failures):
-        history: list[Exception] = [failures[rank]]
-        site = f"distributed.rank[{rank}]"
+    for r in sorted(failures):
+        history: list[Exception] = [failures[r]]
+        site = f"distributed.rank[{r}]"
         for attempt in range(1, retry.max_attempts):
             if retry.budget is not None and spent >= retry.budget:
                 raise RetryExhausted(
@@ -363,8 +448,8 @@ def _recover_failed_ranks(
             elif obs.enabled():
                 obs.inc("faults_retries_total", 1, layer="distributed")
             try:
-                with obs.span("rank.recover", rank=rank, attempt=attempt):
-                    recovered[rank] = _recompute_rank(plans[rank], x, faults)
+                with obs.span("rank.recover", rank=r, attempt=attempt):
+                    recovered[r] = _recompute_rank(ranks[r], mode, x, faults)
             except FaultError as exc:
                 history.append(exc)
                 continue
@@ -403,8 +488,239 @@ def _first_failure(failures: dict) -> Exception:
 
 
 # ---------------------------------------------------------------------------
-# driver (threads backend)
+# the pool (driver side)
 # ---------------------------------------------------------------------------
+
+class RankPool:
+    """One persistent worker per rank of ``comm_plan``.
+
+    Workers start on the first :meth:`run` and serve every later call;
+    a failed round stops them, and the next round starts fresh ones.
+    ``backend="threads"`` keeps everything in-process;
+    ``backend="processes"`` runs one OS process per rank, so every halo
+    byte really crosses an address-space boundary — the closest a
+    single host gets to the paper's distributed-memory setting.
+    ``timeout`` bounds both the per-rank halo wait and the driver's
+    wait for the round's reports.  Always :meth:`close` the pool (or
+    use it as a context manager).
+    """
+
+    def __init__(
+        self,
+        comm_plan: CommPlan,
+        *,
+        backend: str = "threads",
+        mode: str = "vector",
+        timeout: float = _DEFAULT_TIMEOUT_S,
+    ):
+        if backend not in _BACKENDS:
+            raise ValueError(
+                f"backend must be 'threads' or 'processes', got {backend!r}"
+            )
+        if timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
+        if mode not in RUNTIME_MODES:
+            raise ValueError(f"mode must be one of {RUNTIME_MODES}, got {mode!r}")
+        # build_plan enforces square matrices: the RHS length (ncols)
+        # equals the row-partitioned output length (nrows)
+        assert comm_plan.partition.nrows == comm_plan.ncols
+        self.backend = backend
+        self.mode = mode
+        self.timeout = timeout
+        self.ranks = [_Rank(p) for p in comm_plan.ranks]
+        self.dtype = self.ranks[0].block.dtype
+        self.n = comm_plan.ncols
+        self._workers = None
+        self._round = 0
+        self._closed = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def _start(self) -> None:
+        processes = self.backend == "processes"
+        ctx = mp_context() if processes else None
+        make_queue = ctx.Queue if processes else queue.Queue
+        w = SimpleNamespace(shms=[])
+        if processes:
+            nbytes = max(1, self.n * self.dtype.itemsize)
+            w.shms = [
+                shared_memory.SharedMemory(create=True, size=nbytes)
+                for _ in range(2)
+            ]
+            w.x, w.y = (
+                np.ndarray(self.n, dtype=self.dtype, buffer=s.buf) for s in w.shms
+            )
+            vectors = tuple((s.name, self.n) for s in w.shms)
+        else:
+            w.x = np.empty(self.n, dtype=self.dtype)
+            w.y = np.empty(self.n, dtype=self.dtype)
+            vectors = (w.x, w.y)
+        w.ctrl = [make_queue() for _ in self.ranks]
+        w.inboxes = [make_queue() for _ in self.ranks]
+        w.done = make_queue()
+        start = ctx.Process if processes else threading.Thread
+        w.workers = [
+            start(
+                target=_worker_loop,
+                args=(
+                    rank, self.mode, vectors, w.ctrl[i], w.inboxes, w.done,
+                    self.timeout, processes,
+                ),
+                name=f"rank-{i}",
+                daemon=True,
+            )
+            for i, rank in enumerate(self.ranks)
+        ]
+        for wk in w.workers:
+            wk.start()
+        self._workers = w
+
+    def _stop(self, grace: float) -> None:
+        """Stop the workers and release their queues and buffers.
+
+        Idle workers exit on the stop message within ``grace`` seconds;
+        process workers still alive after it are terminated.  A thread
+        stuck in its halo wait cannot be killed: it is a daemon holding
+        only the stopped generation's queues and arrays, and exits once
+        its wait expires.
+        """
+        w, self._workers = self._workers, None
+        if w is None:
+            return
+        processes = self.backend == "processes"
+        if grace or not processes:
+            # (a process worker is terminated instead: a stop message
+            # still in the queue's feeder would hit a closed pipe)
+            for q in w.ctrl:
+                q.put(None)
+        deadline = time.monotonic() + grace
+        for wk in w.workers:
+            wk.join(timeout=max(0.0, deadline - time.monotonic()))
+        if not processes:
+            return
+        for p in w.workers:
+            if p.is_alive():
+                p.terminate()
+            p.join()
+            p.close()
+        for q in (*w.ctrl, *w.inboxes, w.done):
+            q.close()
+            q.join_thread()
+        del w.x, w.y  # views into the segments must go before they close
+        for shm in w.shms:
+            shm.close()
+            shm.unlink()
+
+    def _collect(self, rnd: int) -> dict:
+        """Wait for every rank's report of round ``rnd``; {rank: error}.
+
+        Workers time out their own halo wait after ``timeout``; the
+        driver waits against one deadline with a small grace, so a rank
+        that timed itself out is reported through its own (more precise)
+        :class:`HaloExchangeTimeout` rather than as stuck.
+        """
+        deadline = time.monotonic() + self.timeout + max(0.2, 0.25 * self.timeout)
+        pending = set(range(len(self.ranks)))
+        failures: dict[int, Exception] = {}
+        while pending:
+            try:
+                tag, r, err, spans = self._workers.done.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
+            except queue.Empty:
+                obs.inc("distributed_timeouts_total", 1, rank="driver")
+                for r in sorted(pending):
+                    failures[r] = DistributedTimeout([r], self.timeout, "join")
+                break
+            if tag != rnd:
+                continue
+            if spans:
+                obs.adopt_spans(spans)
+            pending.discard(r)
+            if isinstance(err, Exception):
+                failures[r] = err
+            elif err is not None:
+                failures[r] = RuntimeError(err)
+        return failures
+
+    def run(
+        self,
+        x: np.ndarray,
+        *,
+        faults=None,
+        retry=None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One round: ``y = A @ x`` across the pool's ranks.
+
+        ``faults`` injects a seeded :class:`~repro.faults.FaultPlan`;
+        ``retry`` (a :class:`~repro.faults.RetryPolicy`) recovers failed
+        ranks by re-executing them from their immutable inputs.  Without
+        ``retry``, failures raise typed errors naming the faulting rank
+        or edge.
+        """
+        if self._closed:
+            raise RuntimeError("rank pool is closed")
+        x = np.asarray(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
+        with obs.span(
+            "distributed_spmv",
+            nparts=len(self.ranks), backend=self.backend, mode=self.mode,
+        ) as root:
+            if self._workers is None:
+                self._start()
+            w = self._workers
+            self._round += 1
+            w.x[:] = x
+            ctx = obs.capture_context()
+            traced = obs.enabled()
+            # directives are plain data resolved in the driver: workers
+            # obey them without sharing injector state
+            for r in range(len(self.ranks)):
+                directives = faults.rank_directives(r) if faults is not None else ()
+                w.ctrl[r].put((self._round, directives, ctx, traced))
+            failures = self._collect(self._round)
+            y = np.empty_like(w.y) if out is None else out
+            y[:] = w.y
+            if failures:
+                self._stop(grace=0.0)
+                if retry is None:
+                    raise _first_failure(failures)
+                recovered = _recover_failed_ranks(
+                    self.ranks, self.mode, x, failures, faults, retry
+                )
+                for r, yr in recovered.items():
+                    lo, hi = self.ranks[r].plan.row_range
+                    y[lo:hi] = yr
+            root.set_attr("nrows", self.n)
+        return y
+
+    def close(self) -> None:
+        """Stop the workers and release the shared buffers (idempotent)."""
+        self._closed = True
+        self._stop(grace=5.0)
+
+    def __enter__(self) -> "RankPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self):
+        if getattr(self, "_workers", None) is not None:
+            warnings.warn(f"unclosed {self!r}", ResourceWarning, source=self)
+            with contextlib.suppress(Exception):  # e.g. at interpreter exit
+                self.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"<RankPool {self.n}x{self.n} ranks={len(self.ranks)} "
+            f"backend={self.backend} mode={self.mode} rounds={self._round}>"
+        )
+
 
 def distributed_spmv(
     comm_plan: CommPlan,
@@ -416,304 +732,11 @@ def distributed_spmv(
     faults=None,
     retry=None,
 ) -> np.ndarray:
-    """Execute ``y = A @ x`` across one worker per rank.
+    """Execute ``y = A @ x`` across one worker per rank: one pool round.
 
-    ``x`` is the global RHS; the function scatters it according to the
-    partition, runs the full exchange + compute on the workers and
-    gathers the global result.
-
-    ``backend="threads"`` (default) keeps everything in-process;
-    ``backend="processes"`` forks one OS process per rank, so every
-    halo byte really crosses an address-space boundary — the closest
-    a single host gets to the paper's distributed-memory setting.
-
-    ``mode`` selects the per-rank schedule: ``"vector"`` computes after
-    the halo is complete, ``"task"`` overlaps the local kernel with the
-    exchange.  Both run identical arithmetic, so results are bitwise
-    equal across modes and backends.
-
-    ``timeout`` bounds both the per-rank halo wait and the final join;
-    a per-rank expiry raises :class:`HaloExchangeTimeout` naming the
-    missing edges.  ``faults`` injects a seeded
-    :class:`~repro.faults.FaultPlan`; ``retry`` (a
-    :class:`~repro.faults.RetryPolicy`) recovers failed ranks by
-    re-executing them from their immutable inputs — recovered results
-    are bitwise identical to fault-free runs.  Without ``retry``,
-    failures raise typed errors naming the faulting rank or edge.
+    ``x`` is the global RHS; the result is the global LHS.  See
+    :class:`RankPool` for ``backend``/``mode``/``timeout`` and
+    :meth:`RankPool.run` for ``faults``/``retry``.
     """
-    if backend == "processes":
-        return _distributed_spmv_processes(
-            comm_plan, x, timeout=timeout, mode=mode, faults=faults, retry=retry
-        )
-    if backend != "threads":
-        raise ValueError(
-            f"backend must be 'threads' or 'processes', got {backend!r}"
-        )
-    if timeout <= 0:
-        raise ValueError(f"timeout must be > 0, got {timeout}")
-    if mode not in RUNTIME_MODES:
-        raise ValueError(f"mode must be one of {RUNTIME_MODES}, got {mode!r}")
-    part = comm_plan.partition
-    # build_plan enforces square matrices, so the global RHS length
-    # (ncols) and the row-partitioned output length (nrows) coincide;
-    # keep the dimensions distinct anyway so the code documents which
-    # is which.
-    nrows = part.nrows
-    assert nrows == comm_plan.ncols, "distributed plans require square matrices"
-    x = np.ascontiguousarray(x)
-    if x.shape != (comm_plan.ncols,):
-        raise ValueError(f"x must have shape ({comm_plan.ncols},), got {x.shape}")
-
-    with obs.span(
-        "distributed_spmv", nparts=part.nparts, backend="threads", mode=mode
-    ) as root:
-        ctx = obs.capture_context()
-        directives = {
-            p.rank: (faults.rank_directives(p.rank) if faults is not None else ())
-            for p in comm_plan.ranks
-        }
-        inboxes = {r.rank: queue.Queue() for r in comm_plan.ranks}
-        results: list = [None] * part.nparts
-        errors: list = []
-        threads = []
-        for plan in comm_plan.ranks:
-            lo, hi = plan.row_range
-            t = threading.Thread(
-                target=_rank_worker,
-                args=(
-                    plan,
-                    x[lo:hi].copy(),
-                    inboxes[plan.rank],
-                    inboxes,
-                    results,
-                    errors,
-                    timeout,
-                    mode,
-                    directives[plan.rank],
-                    ctx,
-                ),
-                name=f"rank-{plan.rank}",
-                daemon=True,
-            )
-            threads.append(t)
-            t.start()
-        # workers self-timeout their waitall after ``timeout``; the
-        # driver joins against a single global deadline with a small
-        # grace so a rank that times itself out is reported through its
-        # own (more precise) HaloExchangeTimeout rather than being
-        # misclassified as stuck by a join/waitall photo finish.
-        deadline = time.monotonic() + timeout + max(0.2, 0.25 * timeout)
-        for t in threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-        stuck = [
-            plan.rank
-            for plan, t in zip(comm_plan.ranks, threads)
-            if t.is_alive()
-        ]
-
-        failures: dict[int, Exception] = {}
-        for rank, exc in errors:
-            failures.setdefault(rank, exc)
-        for rank in stuck:
-            obs.inc("distributed_timeouts_total", 1, rank="driver")
-            failures.setdefault(rank, DistributedTimeout([rank], timeout, "join"))
-
-        if failures:
-            if retry is None:
-                exc = _first_failure(failures)
-                raise exc
-            for rank, y in _recover_failed_ranks(
-                comm_plan, x, failures, faults, retry
-            ).items():
-                results[rank] = RankResult(rank, y, 0, 0)
-        if any(r is None for r in results):
-            raise RuntimeError(
-                "distributed spMVM deadlocked (missing rank results)"
-            )
-
-        # row-partitioned output: nrows entries, one block per rank
-        y = np.empty(nrows, dtype=results[0].y_local.dtype)
-        for res, plan in zip(results, comm_plan.ranks):
-            lo, hi = plan.row_range
-            y[lo:hi] = res.y_local
-        root.set_attr("nrows", nrows)
-    return y
-
-
-# ---------------------------------------------------------------------------
-# processes backend
-# ---------------------------------------------------------------------------
-
-def _process_worker(
-    plan, x_local, inbox, outboxes, result_queue, timeout, mode, directives,
-    ctx=None,
-) -> None:
-    """Per-rank body for the multiprocessing backend.
-
-    Runs the *same* instrumented ``_rank_body`` as the threads backend,
-    so rank span chains exist in the child too.  Fork copies the
-    driver's span state, so the worker first resets its tracer, then
-    attaches the pickled driver :class:`~repro.obs.spans.SpanContext`
-    (``ctx``) — the trace id and parent span id survive the address
-    space boundary — and finally ships every span it finished home as
-    the 4th element of the result tuple.  The driver adopts them,
-    remapping worker-local span ids while keeping the cross-process
-    parent link to its own root span intact.
-    """
-    spans: list = []
-    try:
-        if obs.enabled():
-            obs.get_tracer().isolate_forked()
-        results: dict = {}
-        with obs.attach_context(ctx or obs.SpanContext(None)):
-            _rank_body(
-                plan, x_local, inbox, outboxes, results, timeout, mode, directives
-            )
-        if obs.enabled():
-            spans = obs.get_tracer().finished()
-        result_queue.put((plan.rank, results[plan.rank].y_local, None, spans))
-    except (InjectedFault, HaloExchangeTimeout) as exc:
-        # typed + picklable: the driver re-raises or retries these;
-        # spans finished before the fault still travel home
-        if obs.enabled():
-            spans = obs.get_tracer().finished()
-        result_queue.put((plan.rank, None, exc, spans))
-    except Exception as exc:  # pragma: no cover - surfaced by the driver
-        result_queue.put((plan.rank, None, repr(exc), spans))
-
-
-def _distributed_spmv_processes(
-    comm_plan: CommPlan,
-    x: np.ndarray,
-    *,
-    timeout: float = _DEFAULT_TIMEOUT_S,
-    mode: str = "vector",
-    faults=None,
-    retry=None,
-) -> np.ndarray:
-    """Fork one OS process per rank; halos travel through real pipes.
-
-    Worker lifecycle is fully owned here: whatever happens — crashed
-    ranks, halo timeouts, injected faults — every child is terminated
-    and joined and every queue closed before this function returns, so
-    a failing run never leaks live children or feeder threads
-    (``multiprocessing.active_children()`` is empty afterwards).
-    """
-    import multiprocessing as mp
-
-    if timeout <= 0:
-        raise ValueError(f"timeout must be > 0, got {timeout}")
-    if mode not in RUNTIME_MODES:
-        raise ValueError(f"mode must be one of {RUNTIME_MODES}, got {mode!r}")
-    x = np.ascontiguousarray(x)
-    if x.shape != (comm_plan.ncols,):
-        raise ValueError(f"x must have shape ({comm_plan.ncols},), got {x.shape}")
-    nrows = comm_plan.partition.nrows
-    assert nrows == comm_plan.ncols, "distributed plans require square matrices"
-    # directives are plain data resolved in the driver's address space:
-    # forked children obey them without sharing injector state
-    directives = {
-        p.rank: (faults.rank_directives(p.rank) if faults is not None else ())
-        for p in comm_plan.ranks
-    }
-    ctx = mp.get_context("fork")
-    inboxes = {r.rank: ctx.Queue() for r in comm_plan.ranks}
-    result_queue = ctx.Queue()
-    procs = []
-    results: dict[int, np.ndarray] = {}
-    failures: dict[int, Exception] = {}
-    with obs.span(
-        "distributed_spmv",
-        nparts=comm_plan.partition.nparts,
-        backend="processes",
-        mode=mode,
-    ):
-        # pickled through the fork: the children parent their rank
-        # spans under this driver span, in the driver's trace
-        span_ctx = obs.capture_context()
-        try:
-            for plan in comm_plan.ranks:
-                lo, hi = plan.row_range
-                p = ctx.Process(
-                    target=_process_worker,
-                    args=(
-                        plan,
-                        x[lo:hi].copy(),
-                        inboxes[plan.rank],
-                        inboxes,
-                        result_queue,
-                        timeout,
-                        mode,
-                        directives[plan.rank],
-                        span_ctx,
-                    ),
-                    name=f"rank-{plan.rank}",
-                    daemon=True,
-                )
-                procs.append(p)
-                p.start()
-            # children self-timeout their waitall after ``timeout``; gather
-            # against a global deadline with grace so a child that timed
-            # itself out ships its own HaloExchangeTimeout instead of being
-            # lumped into a driver-side "result gather" timeout.
-            deadline = time.monotonic() + timeout + max(0.2, 0.25 * timeout)
-            for _ in comm_plan.ranks:
-                try:
-                    rank, y, err, spans = result_queue.get(
-                        timeout=max(0.05, deadline - time.monotonic())
-                    )
-                except queue.Empty:
-                    stuck = sorted(
-                        set(r.rank for r in comm_plan.ranks)
-                        - set(results)
-                        - set(failures)
-                    )
-                    obs.inc("distributed_timeouts_total", 1, rank="driver")
-                    if retry is None:
-                        raise DistributedTimeout(
-                            stuck, timeout, "result gather"
-                        ) from None
-                    for r in stuck:
-                        failures.setdefault(
-                            r, DistributedTimeout([r], timeout, "result gather")
-                        )
-                    break
-                if spans and obs.enabled():
-                    obs.adopt_spans(spans)
-                if err is None:
-                    results[rank] = y
-                elif isinstance(err, Exception):
-                    failures[rank] = err
-                else:
-                    failures[rank] = RuntimeError(f"rank {rank} failed: {err}")
-            for p in procs:
-                p.join(timeout=max(0.05, deadline - time.monotonic()))
-        finally:
-            # leak guard: no failure path may strand live children or
-            # unjoined queue feeder threads
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                p.join(timeout=5.0)
-            for q in (*inboxes.values(), result_queue):
-                q.close()
-                q.cancel_join_thread()
-
-        if failures:
-            if retry is None:
-                raise _first_failure(failures)
-            results.update(
-                _recover_failed_ranks(comm_plan, x, failures, faults, retry)
-            )
-        missing = [r.rank for r in comm_plan.ranks if r.rank not in results]
-        if missing:
-            raise RuntimeError(
-                f"distributed spMVM deadlocked (missing rank results: {missing})"
-            )
-
-        # row-partitioned output: nrows entries, one block per rank
-        out = np.empty(nrows, dtype=next(iter(results.values())).dtype)
-        for plan in comm_plan.ranks:
-            lo, hi = plan.row_range
-            out[lo:hi] = np.asarray(results[plan.rank])
-    return out
+    with RankPool(comm_plan, backend=backend, mode=mode, timeout=timeout) as pool:
+        return pool.run(x, faults=faults, retry=retry)

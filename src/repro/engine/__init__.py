@@ -15,15 +15,12 @@ fastest for its structure.
   caches the decision under a structural fingerprint.
 * :mod:`repro.engine.bound` — :class:`BoundMatrix` + the
   :func:`make_spmv_operator` closure solvers consume.
-* :mod:`repro.engine.parallel` — shared-memory multiprocessing
-  row-block backend mirroring the distributed vector/task modes.
 
 ``variants_for``/``get_variant``/``spmm_dispatch``/``spmm_permuted``
 are canonical re-exports from :mod:`repro.ops`.
 """
 
 from repro.engine.bound import BoundMatrix, bind, make_spmv_operator
-from repro.engine.parallel import PARALLEL_MODES, ParallelSpMV, parallel_spmv
 from repro.engine.tuner import (
     TuneResult,
     autotune,
@@ -37,9 +34,6 @@ from repro.ops.spmm_kernels import spmm_dispatch, spmm_permuted
 __all__ = [
     "BoundMatrix",
     "KernelVariant",
-    "PARALLEL_MODES",
-    "ParallelSpMV",
-    "parallel_spmv",
     "TuneResult",
     "Workspace",
     "autotune",

@@ -7,8 +7,8 @@ through main memory at least once.  This module adds *fused*
 single-pass kernels for the CSR, ELLPACK/-R, JDS/pJDS, SELL-C-sigma,
 CMRS and ARG-CSR hot loops (spmv and batched spmm), registered through
 :func:`repro.ops.registry.register_kernel` as ordinary variants — so
-:class:`~repro.engine.bound.BoundMatrix`, every backend (parallel /
-distributed / serve) and all five solvers pick them up with zero
+:class:`~repro.engine.bound.BoundMatrix`, every backend (distributed
+/ serve) and all five solvers pick them up with zero
 call-site changes, and the autotuner simply ranks them against the
 NumPy kernels per matrix.
 

@@ -6,18 +6,17 @@ package (the ISSUE-4 refactor):
 * the **kernel registry** — every (format, op) kernel table lives in
   :mod:`repro.ops.registry`; formats register implementations with
   :func:`register_kernel` and every consumer (autotuner, engine,
-  solvers, parallel/distributed backends, serving) resolves through
+  solvers, distributed runtime, serving) resolves through
   :func:`kernels_for` / :func:`get_kernel`;
 * the **LinearOperator protocol** — :mod:`repro.ops.protocol` defines
   the minimal ``apply``/``apply_block``/``shape``/``dtype`` surface
   the solvers code against, with adapters for raw formats, the tuned
-  engine, and (in :mod:`repro.ops.adapters`) the parallel, distributed
-  and serving backends.
+  engine, and (in :mod:`repro.ops.adapters`) the distributed runtime
+  and the serving backend.
 """
 
 from repro.ops.adapters import (
     DistributedOperator,
-    ParallelOperator,
     ServeOperator,
 )
 from repro.ops.protocol import (
@@ -74,7 +73,6 @@ __all__ = [
     "solver_operator",
     "apply_repeated",
     # backend adapters
-    "ParallelOperator",
     "DistributedOperator",
     "ServeOperator",
 ]

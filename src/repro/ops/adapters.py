@@ -1,23 +1,21 @@
 """Cross-backend :class:`~repro.ops.protocol.LinearOperator` adapters.
 
 The protocol module covers the single-process format/engine paths;
-this module adapts the three "big iron" execution backends so the
+this module adapts the two "big iron" execution backends so the
 solvers (and anything else coded against the protocol) can run
 unchanged on top of them:
 
-:class:`ParallelOperator`
-    Shared-memory multiprocessing row-block pool
-    (:class:`repro.engine.parallel.ParallelSpMV`).
 :class:`DistributedOperator`
-    The per-rank halo-exchange runtime
-    (:func:`repro.distributed.runtime.distributed_spmv`).
+    A persistent pool of the per-rank halo-exchange runtime
+    (:class:`repro.distributed.runtime.RankPool`), on threads or on
+    processes.
 :class:`ServeOperator`
     A registered matrix behind a serving
     :class:`~repro.serve.client.Client` — every ``apply`` goes through
     the micro-batching scheduler, so concurrent solver instances
     coalesce like HTTP traffic.
 
-All three present the identity permutation to the solver layer: the
+Both present the identity permutation to the solver layer: the
 backends consume and produce original-order vectors, any storage
 permutation is an implementation detail behind the wire.
 """
@@ -29,40 +27,35 @@ import numpy as np
 from repro.ops.protocol import LinearOperator
 
 __all__ = [
-    "ParallelOperator",
     "DistributedOperator",
     "ServeOperator",
 ]
 
 
-class ParallelOperator(LinearOperator):
-    """Operator over a persistent shared-memory SpMV worker pool.
+class DistributedOperator(LinearOperator):
+    """Operator over a persistent pool of the halo-exchange runtime.
 
-    Owns-or-borrows: pass an existing
-    :class:`~repro.engine.parallel.ParallelSpMV` to borrow it, or a
-    format instance plus ``nworkers`` to own a freshly spawned pool
-    (closed by :meth:`close` / the context manager).
+    Each ``apply`` is one round of the plan's rank pool
+    (:class:`repro.distributed.runtime.RankPool`): scatter the global
+    RHS, exchange halos, compute, gather — one full distributed spMVM
+    per solver iteration, exactly the execution the paper's
+    strong-scaling experiments time.  The workers start on the first
+    ``apply`` and persist until :meth:`close` (or the end of a ``with``
+    block).  ``mode="vector"`` is bitwise equal to the serial
+    ``CSRMatrix.spmv``; ``mode="task"`` runs the overlap split.
     """
 
     def __init__(
         self,
-        pool_or_matrix,
-        nworkers: int | None = None,
+        comm_plan,
         *,
+        backend: str = "threads",
         mode: str = "vector",
+        timeout: float = 60.0,
     ):
-        from repro.engine.parallel import ParallelSpMV
+        from repro.distributed.runtime import RankPool
 
-        if isinstance(pool_or_matrix, ParallelSpMV):
-            self.pool = pool_or_matrix
-            self._owned = False
-        else:
-            if nworkers is None:
-                raise ValueError(
-                    "nworkers is required when constructing from a matrix"
-                )
-            self.pool = ParallelSpMV(pool_or_matrix, nworkers, mode=mode)
-            self._owned = True
+        self.pool = RankPool(comm_plan, backend=backend, mode=mode, timeout=timeout)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,14 +66,13 @@ class ParallelOperator(LinearOperator):
         return self.pool.dtype
 
     def apply(self, x, out=None):
-        return self.pool.spmv(x, out=out)
+        return self.pool.run(x, out=out)
 
     def close(self) -> None:
-        """Release the pool (only when this adapter created it)."""
-        if self._owned:
-            self.pool.close()
+        """Stop the pool's workers (idempotent)."""
+        self.pool.close()
 
-    def __enter__(self) -> "ParallelOperator":
+    def __enter__(self) -> "DistributedOperator":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -89,53 +81,8 @@ class ParallelOperator(LinearOperator):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p = self.pool
         return (
-            f"<ParallelOperator {p.nrows}x{p.ncols} workers={p.nworkers} "
-            f"mode={p.mode}>"
-        )
-
-
-class DistributedOperator(LinearOperator):
-    """Operator over the halo-exchange distributed runtime.
-
-    Each ``apply`` scatters the global RHS across the plan's ranks,
-    runs the exchange + compute round, and gathers the global result —
-    i.e. one full distributed spMVM per solver iteration, exactly the
-    execution the paper's strong-scaling experiments time.
-    """
-
-    def __init__(self, comm_plan, *, backend: str = "threads", timeout: float = 60.0):
-        self.comm_plan = comm_plan
-        self.backend = backend
-        self.timeout = timeout
-        local = comm_plan.ranks[0].local_matrix if comm_plan.ranks else None
-        self._dtype = np.dtype(local.dtype) if local is not None else np.dtype(
-            np.float64
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        # build_plan enforces square matrices (nrows == ncols)
-        return (self.comm_plan.partition.nrows, self.comm_plan.ncols)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
-    def apply(self, x, out=None):
-        from repro.distributed.runtime import distributed_spmv
-
-        y = distributed_spmv(
-            self.comm_plan, x, backend=self.backend, timeout=self.timeout
-        )
-        if out is not None:
-            out[:] = y
-            return out
-        return y
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<DistributedOperator {self.shape[0]}x{self.shape[1]} "
-            f"ranks={self.comm_plan.nparts} backend={self.backend}>"
+            f"<DistributedOperator {p.n}x{p.n} ranks={len(p.ranks)} "
+            f"backend={p.backend} mode={p.mode}>"
         )
 
 

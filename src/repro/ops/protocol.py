@@ -373,7 +373,7 @@ def solver_operator(
 
     This is the one entry point all five solvers use: raw formats,
     engine-bound matrices, and arbitrary :class:`LinearOperator`
-    instances (parallel pool, distributed runtime, serving client) all
+    instances (distributed rank pool, serving client) all
     come out as a :class:`PermutedOperator` — jagged formats iterate in
     their stored basis, everything else behind an identity permutation.
     """
@@ -424,7 +424,7 @@ def solver_operator(
             diagonal=m.diagonal,
             base=base,
         )
-    # generic operator (parallel / distributed / serve adapters):
+    # generic operator (distributed / serve adapters):
     # identity basis, diagonal only if the adapter overrides it
     diag = (
         base.diagonal

@@ -6,7 +6,7 @@ Related GPU-format work (Kreutzer et al. 2012; Koza et al., CMRS)
 treats format<->kernel binding as a pluggable registry decision; this
 module is that registry.  Every kernel table (spmv and batched spmm)
 lives here, and every consumer — the autotuner roster, :class:`~repro.engine.bound.BoundMatrix`,
-the solvers' operator layer, the parallel/distributed backends, and
+the solvers' operator layer, the distributed runtime, and
 the serving registry — resolves kernels through the same tables, so
 one tuned decision flows everywhere.
 

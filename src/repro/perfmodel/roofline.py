@@ -10,10 +10,12 @@ CPU node of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gpu.device import DeviceSpec, Precision
+if TYPE_CHECKING:  # annotations only: the perfmodel does not load the GPU model
+    from repro.gpu.device import DeviceSpec, Precision
 
 __all__ = ["RooflinePoint", "attainable_gflops", "ridge_intensity", "roofline_series", "spmv_intensity"]
 

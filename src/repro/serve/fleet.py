@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import multiprocessing as mp
 import signal
 import threading
 import time
@@ -52,6 +51,7 @@ from repro.formats.csr import CSRMatrix
 from repro.serve.errors import ServeError, ShardDown
 from repro.serve.registry import MatrixRegistry
 from repro.serve.scheduler import SpMVServer
+from repro.utils.workers import mp_context
 
 __all__ = [
     "ShardConfig",
@@ -467,16 +467,11 @@ class ProcessShard:
         self,
         config: ShardConfig,
         *,
-        start_method: str | None = None,
         boot_timeout_s: float = 30.0,
     ):
         self.shard_id = config.shard_id
         self.config = config
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        ctx = mp.get_context(start_method)
+        ctx = mp_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
         self._proc = ctx.Process(
@@ -626,7 +621,6 @@ class Fleet:
         tune: bool = False,
         pace: dict | None = None,
         faults=None,
-        start_method: str | None = None,
     ):
         if nshards < 1:
             raise ValueError(f"nshards must be >= 1, got {nshards}")
@@ -649,9 +643,7 @@ class Fleet:
             if mode == "inproc":
                 self.shards.append(InprocShard(config))
             else:
-                self.shards.append(
-                    ProcessShard(config, start_method=start_method)
-                )
+                self.shards.append(ProcessShard(config))
         self._by_id = {s.shard_id: s for s in self.shards}
 
     @property

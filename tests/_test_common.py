@@ -9,6 +9,12 @@ fixture wrappers.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +33,7 @@ __all__ = [
     "GPU_FORMATS",
     "PERMUTING_FORMATS",
     "empty_coo",
+    "no_leaks",
     "random_coo",
     "single_dense_row_coo",
 ]
@@ -68,3 +75,55 @@ def any_format(request, small_coo):
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def _live_resources() -> dict:
+    """What a rank pool may leave behind, as comparable snapshots."""
+    with open("/proc/self/maps") as maps:
+        shm = {
+            tok for ln in maps for tok in ln.split() if tok.startswith("/dev/shm/")
+        }
+    return {
+        "rank threads": {
+            t.ident for t in threading.enumerate() if t.name.startswith("rank-")
+        },
+        "child processes": {p.pid for p in mp.active_children()},
+        "open fds": len(os.listdir("/proc/self/fd")),
+        "shm segments": shm,
+    }
+
+
+def _grown(before: dict, after: dict) -> dict:
+    grown = {}
+    for key, now in after.items():
+        was = before[key]
+        extra = now - was if isinstance(now, set) else max(0, now - was)
+        if extra:
+            grown[key] = extra
+    return grown
+
+
+@pytest.fixture
+def no_leaks():
+    """Fail a test that leaves rank threads, children, fds or shm behind.
+
+    Resources get up to 3 s to settle (daemon rank threads drain their
+    halo wait, children are reaped) before an increase counts.
+    """
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc")
+    # the shared-memory resource tracker starts with the first segment
+    # and lives as long as the interpreter: start it before the snapshot
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    before = _live_resources()
+    yield
+    deadline = time.monotonic() + 3.0
+    while True:
+        gc.collect()
+        grown = _grown(before, _live_resources())
+        if not grown or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not grown, f"leaked: {grown}"

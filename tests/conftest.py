@@ -5,6 +5,7 @@ from _test_common import (  # noqa: F401 - re-exported fixtures
     GPU_FORMATS,
     PERMUTING_FORMATS,
     any_format,
+    no_leaks,
     random_coo,
     rect_coo,
     rng,

@@ -18,6 +18,8 @@ from repro.matrices import banded_sparse, generate
 
 from _test_common import random_coo
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 
 class TestProcessBackend:
     @pytest.mark.parametrize("nparts", [1, 3, 4])

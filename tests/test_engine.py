@@ -5,21 +5,18 @@ import pytest
 
 from repro.engine import (
     BoundMatrix,
-    ParallelSpMV,
     Workspace,
     autotune,
     bind,
     fingerprint,
     get_variant,
     make_spmv_operator,
-    parallel_spmv,
     spmm_permuted,
     variants_for,
 )
 from repro.ops.spmv_kernels import _HAVE_CSR_MATVEC
 from repro.ops import stored_csr_triplet
 from repro.formats import convert
-from repro.formats.csr import CSRMatrix
 from repro.matrices.cache import TunerCache
 
 from _test_common import ALL_FORMATS, PERMUTING_FORMATS, random_coo
@@ -338,41 +335,21 @@ class TestAliasing:
 
 
 # ---------------------------------------------------------------------------
-class TestParallel:
-    @pytest.mark.parametrize("nworkers", [1, 3])
-    def test_vector_mode_bitwise_matches_serial(self, coo, x, nworkers):
-        csr = CSRMatrix.from_coo(coo)
-        y_serial = csr.spmv(x)
-        with ParallelSpMV(csr, nworkers, mode="vector") as pool:
-            y1 = pool.spmv(x)
-            y2 = pool.spmv(x)
-        assert np.array_equal(y1, y_serial)  # bitwise, any worker count
-        assert np.array_equal(y2, y_serial)
+def test_import_stays_in_engine():
+    """``import repro.engine`` loads neither the distributed layer nor
+    the GPU model."""
+    import subprocess
+    import sys
 
-    def test_task_mode_matches_to_rounding(self, coo, x):
-        csr = CSRMatrix.from_coo(coo)
-        y_serial = csr.spmv(x)
-        with ParallelSpMV(csr, 3, mode="task") as pool:
-            y = pool.spmv(x)
-        assert np.allclose(y, y_serial, atol=1e-12)
-
-    def test_accepts_any_format(self, coo, x):
-        y = parallel_spmv(convert(coo, "pJDS"), x, nworkers=2)
-        assert np.array_equal(y, CSRMatrix.from_coo(coo).spmv(x))
-
-    def test_out_parameter_and_validation(self, coo, x):
-        with ParallelSpMV(CSRMatrix.from_coo(coo), 2) as pool:
-            out = np.empty(coo.nrows)
-            y = pool.spmv(x, out=out)
-            assert y is out
-            with pytest.raises(ValueError, match="shape"):
-                pool.spmv(x[:-1])
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.spmv(x)
-
-    def test_invalid_mode(self, coo):
-        with pytest.raises(ValueError, match="mode"):
-            ParallelSpMV(CSRMatrix.from_coo(coo), 2, mode="warp")
+    code = (
+        "import sys, repro.engine; "
+        "print(sorted(k for k in sys.modules "
+        "if k.startswith(('repro.distributed', 'repro.gpu'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

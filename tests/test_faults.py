@@ -32,6 +32,8 @@ from repro.formats import CSRMatrix
 
 from _test_common import random_coo
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 BACKENDS = ("threads", "processes")
 MODES = ("vector", "task")
 RETRY = RetryPolicy(max_attempts=3)
@@ -224,11 +226,20 @@ class TestChaosMatrix:
         row = run_cell(cell)
         assert row["status"] == "ok", row.get("error")
 
-    def test_modes_bitwise_equal(self):
-        _, plan = _setup(nparts=4)
+    def test_mode_contracts(self):
+        """Vector mode (the unsplit kernel) is bitwise serial on both
+        backends; task mode (the split) is bitwise equal across
+        backends and matches vector mode to rounding."""
+        csr, plan = _setup(nparts=4)
         x = np.random.default_rng(6).normal(size=plan.ncols)
-        ys = [distributed_spmv(plan, x, mode=m) for m in MODES]
-        assert np.array_equal(ys[0], ys[1])
+        y = {
+            (b, m): distributed_spmv(plan, x, backend=b, mode=m)
+            for b in BACKENDS for m in MODES
+        }
+        for b in BACKENDS:
+            assert np.array_equal(y[b, "vector"], csr.spmv(x))
+        assert np.array_equal(y["threads", "task"], y["processes", "task"])
+        assert np.allclose(y["threads", "task"], y["threads", "vector"], atol=1e-12)
 
     def test_same_seed_same_injections(self):
         _, plan = _setup()

@@ -702,18 +702,19 @@ class TestLinearOperatorProtocol:
 
 
 # ---------------------------------------------------------------------------
-# cross-backend adapters (parallel / distributed / serve)
+# cross-backend adapters (distributed / serve)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("no_leaks")
 class TestBackendAdapters:
-    def test_parallel_operator(self):
-        from repro.ops import ParallelOperator
+    def test_distributed_operator_processes(self):
+        from repro.ops import DistributedOperator
 
         coo = random_coo(64, seed=31)
         m = convert(coo, "CRS")
         A = dense_of(coo)
         x = np.random.default_rng(2).standard_normal(64)
-        with ParallelOperator(m, nworkers=2) as op:
+        with DistributedOperator(_balanced_plan(m, 2), backend="processes") as op:
             # vector mode is bitwise-identical to the serial kernel
             np.testing.assert_array_equal(op.apply(x), m.spmv(x))
             np.testing.assert_allclose(op.apply(x), A @ x)
@@ -733,12 +734,12 @@ class TestBackendAdapters:
         A = dense_of(coo)
         x = np.random.default_rng(3).standard_normal(60)
         plan = build_plan(m, partition_rows(60, 3))
-        op = DistributedOperator(plan)
-        assert op.shape == (60, 60)
-        y1 = op.apply(x)
-        np.testing.assert_allclose(y1, A @ x)
-        # deterministic: repeated applies are bitwise-identical
-        np.testing.assert_array_equal(y1, op.apply(x))
+        with DistributedOperator(plan) as op:
+            assert op.shape == (60, 60)
+            y1 = op.apply(x)
+            np.testing.assert_allclose(y1, A @ x)
+            # deterministic: repeated applies are bitwise-identical
+            np.testing.assert_array_equal(y1, op.apply(x))
 
     def test_serve_operator(self):
         from repro.serve import Client, MatrixRegistry, SpMVServer
@@ -761,11 +762,18 @@ class TestBackendAdapters:
             np.testing.assert_allclose(sop.apply(x), A @ x)
 
 
+def _balanced_plan(m, nparts):
+    from repro.distributed import build_plan, partition_rows
+
+    part = partition_rows(m.nrows, nparts, row_weights=m.row_lengths())
+    return build_plan(m, part)
+
+
 def solver_operator_from_backend(m, A, x):
     """solver_operator over a generic backend adapter (identity basis)."""
-    from repro.ops import ParallelOperator
+    from repro.ops import DistributedOperator
 
-    with ParallelOperator(m, nworkers=2) as pop:
-        op = solver_operator(pop)
+    with DistributedOperator(_balanced_plan(m, 2), backend="processes") as dop:
+        op = solver_operator(dop)
         assert op.permutation.is_identity
         return op.leave(op.apply(op.enter(x)))

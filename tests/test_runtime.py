@@ -1,26 +1,41 @@
-"""Tests for the threaded distributed spMVM runtime."""
+"""Tests for the distributed spMVM runtime and its persistent rank pool."""
+
+import multiprocessing as mp
 
 import numpy as np
 import pytest
 
 from repro.distributed import build_plan, distributed_spmv, partition_rows, rank_spmv
-from repro.formats import CSRMatrix
+from repro.faults import FaultEvent, FaultPlan, InjectedFault
+from repro.formats import CSRMatrix, convert
+from repro.ops import DistributedOperator
 
 from _test_common import random_coo
+
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
+BACKENDS = ("threads", "processes")
 
 
 def _setup(n=80, nparts=4, seed=161, max_row=9):
     csr = CSRMatrix.from_coo(random_coo(n, seed=seed, max_row=max_row))
+    return csr, _balanced_plan(csr, nparts)
+
+
+def _balanced_plan(csr, nparts):
     part = partition_rows(csr.nrows, nparts, row_weights=csr.row_lengths())
-    return csr, build_plan(csr, part)
+    return build_plan(csr, part)
 
 
 class TestDistributedSpmv:
     @pytest.mark.parametrize("nparts", [1, 2, 3, 5, 8])
     def test_matches_serial(self, nparts):
+        """Vector mode runs the unsplit kernel: bitwise serial."""
         csr, plan = _setup(nparts=nparts)
         x = np.random.default_rng(nparts).normal(size=csr.nrows)
-        assert np.allclose(distributed_spmv(plan, x), csr.spmv(x), atol=1e-10)
+        for backend in BACKENDS:
+            y = distributed_spmv(plan, x, backend=backend)
+            assert np.array_equal(y, csr.spmv(x)), backend
 
     def test_repeated_calls_stable(self):
         csr, plan = _setup(nparts=4)
@@ -33,7 +48,9 @@ class TestDistributedSpmv:
         csr = CSRMatrix.from_coo(random_coo(40, seed=162, dtype=np.float32))
         plan = build_plan(csr, partition_rows(40, 3))
         x = np.random.default_rng(1).normal(size=40).astype(np.float32)
-        assert np.allclose(distributed_spmv(plan, x), csr.spmv(x), atol=1e-4)
+        y = distributed_spmv(plan, x)
+        assert y.dtype == np.float32
+        assert np.array_equal(y, csr.spmv(x))
 
     def test_suite_matrix(self):
         from repro.matrices import generate
@@ -42,7 +59,7 @@ class TestDistributedSpmv:
         csr = CSRMatrix.from_coo(coo)
         plan = build_plan(csr, partition_rows(csr.nrows, 6, row_weights=csr.row_lengths()))
         x = np.random.default_rng(2).normal(size=csr.nrows)
-        assert np.allclose(distributed_spmv(plan, x), csr.spmv(x), atol=1e-9)
+        assert np.array_equal(distributed_spmv(plan, x), csr.spmv(x))
 
     def test_wrong_x_shape(self):
         _, plan = _setup()
@@ -65,7 +82,83 @@ class TestDistributedSpmv:
         csr = CSRMatrix.from_coo(coo)
         plan = build_plan(csr, partition_rows(n, 4))
         x = np.random.default_rng(3).normal(size=n)
-        assert np.allclose(distributed_spmv(plan, x), csr.spmv(x))
+        assert np.array_equal(distributed_spmv(plan, x), csr.spmv(x))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestPersistentPool:
+    """One rank pool serves many applies (the former ParallelSpMV contract)."""
+
+    @pytest.fixture(scope="class")
+    def csr(self):
+        return CSRMatrix.from_coo(random_coo(90, seed=11, max_row=16))
+
+    @pytest.fixture(scope="class")
+    def x(self, csr):
+        return np.random.default_rng(7).standard_normal(csr.ncols)
+
+    @pytest.mark.parametrize("nworkers", [1, 3])
+    def test_vector_mode_bitwise_matches_serial(self, backend, csr, x, nworkers):
+        y_serial = csr.spmv(x)
+        plan = _balanced_plan(csr, nworkers)
+        with DistributedOperator(plan, backend=backend, mode="vector") as op:
+            y1 = op.apply(x)
+            y2 = op.apply(x)
+        assert np.array_equal(y1, y_serial)  # bitwise, any rank count
+        assert np.array_equal(y2, y_serial)
+
+    def test_task_mode_matches_to_rounding(self, backend, csr, x):
+        plan = _balanced_plan(csr, 3)
+        with DistributedOperator(plan, backend=backend, mode="task") as op:
+            y = op.apply(x)
+        assert np.allclose(y, csr.spmv(x), atol=1e-12)
+
+    def test_accepts_any_format(self, backend, csr, x):
+        m = convert(csr.to_coo(), "pJDS")
+        plan = _balanced_plan(CSRMatrix.from_coo(m.to_coo()), 2)
+        with DistributedOperator(plan, backend=backend) as op:
+            assert np.array_equal(op.apply(x), csr.spmv(x))
+
+    def test_out_parameter_and_validation(self, backend, csr, x):
+        with DistributedOperator(_balanced_plan(csr, 2), backend=backend) as op:
+            out = np.empty(csr.nrows)
+            y = op.apply(x, out=out)
+            assert y is out
+            with pytest.raises(ValueError, match="shape"):
+                op.apply(x[:-1])
+        with pytest.raises(RuntimeError, match="closed"):
+            op.apply(x)
+
+    def test_invalid_mode(self, backend, csr):
+        with pytest.raises(ValueError, match="mode"):
+            DistributedOperator(_balanced_plan(csr, 2), backend=backend, mode="warp")
+
+    def test_recovers_after_failed_round(self, backend, csr, x):
+        """A crashed round (no retry) restarts the workers; the next
+        apply on the same operator is bitwise correct."""
+        crash = FaultPlan((FaultEvent("rank_crash", 0.1, target={"rank": 1}),))
+        with DistributedOperator(
+            _balanced_plan(csr, 3), backend=backend, timeout=2.0
+        ) as op:
+            with pytest.raises(InjectedFault, match="rank_crash"):
+                op.pool.run(x, faults=crash.injector())
+            assert np.array_equal(op.apply(x), csr.spmv(x))
+            # the crashed round's children are gone, the new ones serve
+            assert len(mp.active_children()) == (3 if backend == "processes" else 0)
+
+
+def test_process_pool_forks_once():
+    """20 applies on one process-backed operator: same children, same bits."""
+    csr, plan = _setup(nparts=3)
+    x = np.random.default_rng(8).normal(size=csr.nrows)
+    with DistributedOperator(plan, backend="processes") as op:
+        y0 = op.apply(x)
+        pids = {p.pid for p in mp.active_children()}
+        assert len(pids) == 3
+        for _ in range(19):
+            assert np.array_equal(op.apply(x), y0)
+            assert {p.pid for p in mp.active_children()} == pids
+    assert np.array_equal(y0, csr.spmv(x))
 
 
 class TestRankSpmv:

@@ -25,6 +25,8 @@ from repro.obs.spans import Span
 
 from _test_common import random_coo
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 
 @pytest.fixture(autouse=True)
 def clean_obs():
