@@ -1,26 +1,21 @@
 """Shared JSON-artifact and threshold-gate helpers for the bench scripts.
 
 Every bench entry point (``bench_kernels.py`` and its ``--dispatch`` /
-``--obs-overhead`` / ``--compiled`` / ``--shootout`` modes,
-``bench_serve.py`` and its ``--fleet`` mode) writes its records with
-:func:`write_artifact`, splits the trailing ``{"summary": True}``
-record off with :func:`split_summary`, and funnels its thresholds
-through one :class:`GateSet`, so CI reads one exit-code convention:
+``--obs-overhead`` / ``--shootout`` modes, ``bench_serve.py`` and its
+``--fleet`` mode) writes its records with :func:`write_artifact`,
+splits the trailing ``{"summary": True}`` record off with
+:func:`split_summary`, and funnels its thresholds through one
+:class:`GateSet`, so CI reads one exit-code convention:
 
 * ``EXIT_OK`` (0)          — every gate held (or nothing was gated);
 * ``EXIT_GATE_FAILED`` (1) — at least one threshold was violated
-  (each prints a ``FAIL: ...`` line as it trips);
-* ``EXIT_NO_DATA`` (3)     — the probe produced nothing to gate
-  (e.g. no compiled backend on this host).  Previously this was
-  ``1`` or ``0`` depending on the flag values, so a missing backend
-  was indistinguishable from a real regression.
+  (each prints a ``FAIL: ...`` line as it trips).
 """
 
 import json
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
-EXIT_NO_DATA = 3
 
 
 def write_artifact(path, records):
@@ -35,12 +30,6 @@ def split_summary(records):
     rows = [r for r in records if not r.get("summary")]
     tails = [r for r in records if r.get("summary")]
     return rows, (tails[-1] if tails else None)
-
-
-def no_data(reason):
-    """Report an ungateable run; return the dedicated exit code."""
-    print(f"{reason}; nothing to gate")
-    return EXIT_NO_DATA
 
 
 def _show(value):

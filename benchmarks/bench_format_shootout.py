@@ -3,64 +3,40 @@
 Sect. II-A positions pJDS against BELLPACK and ELLR-T — formats that
 exploit a-priori structure or carry tuning parameters — claiming pJDS
 suits "general unstructured matrices" with "no matrix-dependent tuning
-parameters".  This bench puts every implemented format on the same
-device model across the full suite.
+parameters".  This bench reads every registered format's device-model
+columns off the one shootout grid (``repro.perfmodel.shootout``)
+across the full suite.
 """
 
 import pytest
 
-from repro.gpu import C2070, simulate_spmv
+from repro.formats import available_formats
+from repro.perfmodel.shootout import FORMAT_KWARGS
+from repro.perfmodel.shootout import shootout as shootout_grid
 
 from _bench_common import SCALE, TABLE1_KEYS, emit_table
 
-FORMATS = {
-    "CRS": {},  # scalar-CSR GPU kernel: the Bell & Garland baseline
-    "ELLPACK": {},
-    "ELLPACK-R": {},
-    "ELLR-T": {"threads_per_row": 4},
-    "BELLPACK": {"block_rows": 5},
-    "JDS": {},
-    "pJDS": {"block_rows": 32},
-    "SELL-C-sigma": {"chunk_rows": 32, "sigma": 256},
-    "CMRS": {"strip_height": 4},
-    "ARG-CSR": {},
-}
-
-#: the formats the paper itself compares (Sect. II-A); the generality
-#: claim below is *their* claim, so newcomers (CMRS, ARG-CSR — both
-#: published after the paper) are reported in the table but excluded
-#: from the pJDS-near-the-top assertion: them beating pJDS is a
-#: finding, not a regression
-PAPER_FORMATS = tuple(f for f in FORMATS if f not in ("CMRS", "ARG-CSR"))
+#: the formats published after the paper (CMRS, ARG-CSR): the
+#: generality claim below is the paper's claim about the formats *it*
+#: compares, so these are reported in the table but excluded from the
+#: pJDS-near-the-top assertion — them beating pJDS is a finding, not a
+#: regression
+NEW_FORMATS = ("CMRS", "ARG-CSR")
 
 
 @pytest.fixture(scope="module")
-def shootout(suite_formats):
-    import numpy as np
-
-    from repro.formats import convert
-
-    dev = C2070(ecc=True).scaled(SCALE)
-    grid = {}
-    for key in TABLE1_KEYS:
-        coo = suite_formats(key, "COO", np.float64)
-        for fmt, kwargs in FORMATS.items():
-            m = convert(coo, fmt, **kwargs)
-            try:
-                rep = simulate_spmv(m, dev, "DP")
-                grid[(key, fmt)] = (m, rep)
-            except (TypeError, MemoryError):
-                grid[(key, fmt)] = (m, None)
+def shootout():
+    rows = shootout_grid(TABLE1_KEYS, SCALE, reps=3)
+    grid = {(r["matrix"], r["format"]): r for r in rows}
     lines = [f"{'format':13s} " + " ".join(f"{k:>14s}" for k in TABLE1_KEYS)]
-    for fmt in FORMATS:
+    for fmt in dict.fromkeys(r["format"] for r in rows):
         cells = []
         for key in TABLE1_KEYS:
-            m, rep = grid[(key, fmt)]
-            mb = m.nbytes / 2**20
-            if rep is None:
-                cells.append(f"{'n/a':>6s} {mb:6.1f}M")
+            r = grid[(key, fmt)]
+            if r["device_gflops"] is None:
+                cells.append(f"{'n/a':>14s}")
             else:
-                cells.append(f"{rep.gflops:6.1f} {mb:6.1f}M")
+                cells.append(f"{r['device_gflops']:6.1f} {r['device_mib']:6.1f}M")
         lines.append(f"{fmt:13s} " + " ".join(cells))
     lines.append("(GF/s on the scaled C2070, DP ECC on; storage in MiB)")
     emit_table("format_shootout", lines)
@@ -73,25 +49,23 @@ class TestShootout:
         the generality claim."""
         for key in TABLE1_KEYS:
             best = max(
-                rep.gflops
-                for (k, f), (m, rep) in shootout.items()
-                if k == key and f in PAPER_FORMATS and rep is not None
+                r["device_gflops"]
+                for (k, f), r in shootout.items()
+                if k == key and f not in NEW_FORMATS and r["device_gflops"] is not None
             )
-            pj = shootout[(key, "pJDS")][1].gflops
+            pj = shootout[(key, "pJDS")]["device_gflops"]
             assert pj >= 0.88 * best, key
 
     def test_bellpack_wins_only_on_block_matrices(self, shootout):
         """BELLPACK needs DLR2's dense 5x5 tiling; on sAMG its fill
         explodes the footprint."""
-        bell_dlr2 = shootout[("DLR2", "BELLPACK")][0]
-        bell_samg = shootout[("sAMG", "BELLPACK")][0]
-        assert bell_dlr2.fill_ratio < 3.0
-        assert bell_samg.fill_ratio > 3.0
+        assert shootout[("DLR2", "BELLPACK")]["stored_over_nnz"] < 3.0
+        assert shootout[("sAMG", "BELLPACK")]["stored_over_nnz"] > 3.0
 
     def test_pjds_smallest_footprint_on_irregular(self, shootout):
         """On sAMG the jagged formats store least; the padded
         rectangle formats store the most."""
-        sizes = {f: shootout[("sAMG", f)][0].nbytes for f in FORMATS}
+        sizes = {f: r["device_mib"] for (k, f), r in shootout.items() if k == "sAMG"}
         assert sizes["pJDS"] <= sizes["ELLPACK-R"]
         assert sizes["pJDS"] <= sizes["BELLPACK"]
         assert sizes["JDS"] <= sizes["pJDS"]
@@ -99,8 +73,8 @@ class TestShootout:
     def test_ellr_t_helps_skewed_not_uniform(self, shootout):
         """ELLR-T targets warp imbalance; on the near-uniform DLR1 it
         should sit close to ELLPACK-R."""
-        t = shootout[("DLR1", "ELLR-T")][1].gflops
-        er = shootout[("DLR1", "ELLPACK-R")][1].gflops
+        t = shootout[("DLR1", "ELLR-T")]["device_gflops"]
+        er = shootout[("DLR1", "ELLPACK-R")]["device_gflops"]
         assert t == pytest.approx(er, rel=0.25)
 
     def test_scalar_csr_fabric_bound(self, shootout):
@@ -108,9 +82,9 @@ class TestShootout:
         transaction-throughput limit binds — why ELLPACK won on GPUs."""
         slow = 0
         for key in TABLE1_KEYS:
-            rep = shootout[(key, "CRS")][1]
-            er = shootout[(key, "ELLPACK-R")][1]
-            if rep.fabric_bound and rep.gflops < er.gflops:
+            crs = shootout[(key, "CRS")]
+            er = shootout[(key, "ELLPACK-R")]
+            if crs["device_fabric_bound"] and crs["device_gflops"] < er["device_gflops"]:
                 slow += 1
         assert slow >= 3
 
@@ -118,15 +92,18 @@ class TestShootout:
         """The whole grid multiplies correctly (one matrix spot-check)."""
         import numpy as np
 
+        from repro.formats import convert
+
         coo = suite_formats("sAMG", "COO", np.float64)
         x = np.random.default_rng(0).normal(size=coo.ncols)
         ref = coo.spmv(x)
-        for fmt in FORMATS:
-            m = shootout[("sAMG", fmt)][0]
-            assert np.allclose(m.spmv(x), ref, atol=1e-9), fmt
+        for k, fmt in shootout:
+            if k == "sAMG":
+                m = convert(coo, fmt, **FORMAT_KWARGS.get(fmt, {}))
+                assert np.allclose(m.spmv(x), ref, atol=1e-9), fmt
 
 
-@pytest.mark.parametrize("fmt", list(FORMATS))
+@pytest.mark.parametrize("fmt", list(available_formats()))
 def test_bench_conversion(benchmark, suite_formats, fmt):
     import numpy as np
 
@@ -134,6 +111,7 @@ def test_bench_conversion(benchmark, suite_formats, fmt):
 
     coo = suite_formats("sAMG", "COO", np.float64)
     m = benchmark.pedantic(
-        convert, args=(coo, fmt), kwargs=FORMATS[fmt], rounds=2, iterations=1
+        convert, args=(coo, fmt), kwargs=FORMAT_KWARGS.get(fmt, {}),
+        rounds=2, iterations=1,
     )
     assert m.nnz == coo.nnz

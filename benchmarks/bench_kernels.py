@@ -12,15 +12,15 @@ numbers the CI bench-smoke step uploads.  See
 ``docs/performance.md`` for how to read the fields.
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.utils import gflops
+from repro.formats import available_formats
+from repro.perfmodel.shootout import shootout, table
+from repro.utils import Stopwatch, gflops
 
-from _bench_common import TABLE1_KEYS, emit_table
-from _gates import EXIT_OK, GateSet, no_data, split_summary, write_artifact
+from _bench_common import SCALE, TABLE1_KEYS, emit_table
+from _gates import EXIT_OK, GateSet, split_summary, write_artifact
 
 FORMATS = ("CRS", "ELLPACK", "ELLPACK-R", "JDS", "pJDS", "SELL-C-sigma")
 
@@ -43,32 +43,20 @@ def test_bench_spmv(benchmark, suite_formats, vectors, key, fmt):
 
 
 @pytest.fixture(scope="module")
-def relative_table(suite_formats, vectors):
-    """One-shot relative timing table (independent of pytest-benchmark)."""
-    import time
-
+def relative_table():
+    """Native-kernel GF/s per (matrix, format), read off the shootout grid."""
+    rows = shootout(TABLE1_KEYS, SCALE, reps=3, formats=FORMATS)
+    table = {key: {} for key in TABLE1_KEYS}
+    for r in rows:
+        table[r["matrix"]][r["format"]] = r["useful_gflops"]
     lines = [f"{'matrix':6s} " + " ".join(f"{f:>13s}" for f in FORMATS)]
-    rows = {}
     for key in TABLE1_KEYS:
-        x = vectors[key]
-        cells = []
-        rows[key] = {}
-        for fmt in FORMATS:
-            m = suite_formats(key, fmt)
-            out = np.zeros(m.nrows)
-            m.spmv(x, out=out)  # warm up
-            reps = 3
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                m.spmv(x, out=out)
-            dt = (time.perf_counter() - t0) / reps
-            rate = gflops(m.nnz, dt)
-            rows[key][fmt] = rate
-            cells.append(f"{rate:13.3f}")
-        lines.append(f"{key:6s} " + " ".join(cells))
-    lines.append("(host NumPy GF/s; device numbers come from the GPU model)")
+        lines.append(
+            f"{key:6s} " + " ".join(f"{table[key][f]:13.3f}" for f in FORMATS)
+        )
+    lines.append("(host native-kernel GF/s; device numbers come from the GPU model)")
     emit_table("kernels_wallclock", lines)
-    return rows
+    return table
 
 
 def test_pjds_not_slower_than_plain_ellpack(relative_table):
@@ -166,16 +154,6 @@ def _seed_kernel_for(m):
     return lambda mm, x, out: mm.spmv(x)  # allocates the result per call
 
 
-def _best_seconds(fn, reps):
-    fn()  # warmup
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def run_engine_bench(scale=64, *, keys=TABLE1_KEYS, reps=5, spmm_rhs=8):
     """Measure engine vs seed kernels; return one record per (matrix, fmt).
 
@@ -203,12 +181,12 @@ def run_engine_bench(scale=64, *, keys=TABLE1_KEYS, reps=5, spmm_rhs=8):
         m = convert(coo, fmt)
         out = np.zeros(m.nrows)
         seed_kernel = _seed_kernel_for(m)
-        t_seed = _best_seconds(lambda: seed_kernel(m, x, out), reps)
+        t_seed = Stopwatch.measure(lambda: seed_kernel(m, x, out), reps).best
         b = bind(m, reps=max(1, reps // 2), cache=cache)
-        t_engine = _best_seconds(lambda: b.spmv(x, out=out), reps)
+        t_engine = Stopwatch.measure(lambda: b.spmv(x, out=out), reps).best
         Yout = np.zeros((m.nrows, spmm_rhs))
-        t_col = _best_seconds(lambda: m.spmm_percolumn(X, out=Yout), reps)
-        t_blk = _best_seconds(lambda: b.spmm(X, out=Yout), reps)
+        t_col = Stopwatch.measure(lambda: m.spmm_percolumn(X, out=Yout), reps).best
+        t_blk = Stopwatch.measure(lambda: b.spmm(X, out=Yout), reps).best
         records.append(
             {
                 "matrix": key,
@@ -288,9 +266,9 @@ def run_dispatch_bench(scale=48, *, keys=TABLE1_KEYS, reps=7, inner=20):
             for _ in range(inner):
                 b.spmv(x, out=out)
 
-        t_direct = _best_seconds(direct, reps) / inner
-        t_registry = _best_seconds(registry, reps) / inner
-        t_engine = _best_seconds(engine, reps) / inner
+        t_direct = Stopwatch.measure(direct, reps).best / inner
+        t_registry = Stopwatch.measure(registry, reps).best / inner
+        t_engine = Stopwatch.measure(engine, reps).best / inner
         records.append(
             {
                 "matrix": key,
@@ -372,11 +350,11 @@ def run_obs_overhead_bench(scale=48, *, keys=TABLE1_KEYS, reps=7, inner=20):
                     for _ in range(inner):
                         b.spmv(x, out=out)
 
-            t_off = _best_seconds(loop, reps) / inner
+            t_off = Stopwatch.measure(loop, reps).best / inner
             obs.enable()
             obs.reset_all()
-            t_on = _best_seconds(loop, reps) / inner
-            t_traced = _best_seconds(traced_loop, reps) / inner
+            t_on = Stopwatch.measure(loop, reps).best / inner
+            t_traced = Stopwatch.measure(traced_loop, reps).best / inner
             records.append(
                 {
                     "matrix": key,
@@ -414,198 +392,46 @@ def run_obs_overhead_bench(scale=48, *, keys=TABLE1_KEYS, reps=7, inner=20):
 
 
 # ---------------------------------------------------------------------------
-# Compiled tier vs vectorised NumPy (the CI compiled-smoke JSON artifact)
+# Format shootout and compiled-tier aggregate (the CI BENCH_shootout.json)
 # ---------------------------------------------------------------------------
 
-def run_compiled_bench(scale=64, *, keys=TABLE1_KEYS, reps=5):
-    """cnative spmv kernel vs its bitwise NumPy reference, per format.
+#: the related-work formats published after the paper, gated against
+#: the csr_scipy library baseline
+NEW_FORMATS = ("CMRS", "ARG-CSR")
 
-    The scipy delegates are excluded from *both* groups — they are a
-    third-party compiled baseline, and the gate compares this repo's
-    compiled tier against this repo's NumPy kernels.  Each format's
-    roster holds one NumPy kernel, the cnative kernel's bitwise
-    reference, so that is the NumPy baseline; it is slower than the
-    best of the larger NumPy roster timed before, so the speedup reads
-    higher than in earlier artifacts.  Per (matrix, format) record:
-    variant and best-of-``reps`` seconds for each group, effective GB/s
-    against the Eq.-1 traffic model of the winning variant, speedup,
-    and roofline efficiency vs the measured host copy bandwidth.  A final summary record carries the
-    ``aggregate_speedup`` (total NumPy time over total compiled time)
-    that CI gates on.
+
+def shootout_summary(rows):
+    """The gated aggregates of one shootout grid.
+
+    * ``aggregate_speedup`` — total NumPy-kernel time over total cnative
+      time, over the cells that have both;
+    * ``worst_newfmt_vs_csr_scipy`` — the slowest CMRS/ARG-CSR cell's
+      fastest roster time (native or row-order) over ``csr_scipy``;
+    * ``roofline_over_bound`` — cells whose ``roofline_efficiency``
+      exceeds ``1 + IQR/median`` of their native laps (must be empty).
     """
-    from repro.engine import Workspace
-    from repro.formats import convert
-    from repro.matrices import generate
-    from repro.obs.profile import measure_host_bandwidth
-    from repro.ops import variants_for
-    from repro.perfmodel.predict import predict_spmv
-    from repro.scenarios.executors import tier_of
-
-    host_gbs = measure_host_bandwidth()
-    records = []
-    total_numpy = total_compiled = 0.0
-    coos = {}
-    for key, fmt in scenario_pairs(keys):
-        if key not in coos:
-            coos[key] = generate(key, scale=scale)
-        coo = coos[key]
-        x = np.random.default_rng(0).standard_normal(coo.ncols)
-        m = convert(coo, fmt)
-        preds = {p.name: p for p in predict_spmv(m, bandwidth_gbs=host_gbs)}
-        groups = {"numpy": {}, "compiled": {}}
-        y = np.zeros(m.nrows, dtype=m.dtype)
-        xd = x.astype(m.dtype)
-        for spec in variants_for(m):
-            tier = tier_of(spec.tags)
-            if tier == "scipy":
-                continue
-            ws = Workspace()
-            t = _best_seconds(lambda: spec.run(m, ws, xd, y), reps)
-            groups[tier][spec.name] = t
-        if not groups["compiled"]:
-            continue  # no compiled backend on this host
-        np_name = min(groups["numpy"], key=groups["numpy"].get)
-        cc_name = min(groups["compiled"], key=groups["compiled"].get)
-        t_np = groups["numpy"][np_name]
-        t_cc = groups["compiled"][cc_name]
-        total_numpy += t_np
-        total_compiled += t_cc
-        cc_gbs = preds[cc_name].bytes_per_call / t_cc / 1e9
-        records.append(
-            {
-                "matrix": key,
-                "format": fmt,
-                "scale": scale,
-                "nnz": m.nnz,
-                "numpy_variant": np_name,
-                "numpy_us": round(1e6 * t_np, 2),
-                "numpy_gbs": round(
-                    preds[np_name].bytes_per_call / t_np / 1e9, 3
-                ),
-                "compiled_variant": cc_name,
-                "compiled_us": round(1e6 * t_cc, 2),
-                "compiled_gbs": round(cc_gbs, 3),
-                "speedup": round(t_np / t_cc, 3),
-                "roofline_efficiency": round(cc_gbs / host_gbs, 3),
-            }
-        )
-    summary = {
-        "summary": True,
-        "host_bandwidth_gbs": round(host_gbs, 3),
-        "total_numpy_us": round(1e6 * total_numpy, 2),
-        "total_compiled_us": round(1e6 * total_compiled, 2),
-        "aggregate_speedup": round(total_numpy / total_compiled, 3)
-        if total_compiled
-        else None,
-    }
-    records.append(summary)
-    return records
-
-
-def run_shootout(scale=64, *, keys=TABLE1_KEYS, reps=5):
-    """Table-I-style shootout across *every* registered format.
-
-    Unlike :func:`run_engine_bench` (which probes the curated
-    ``BENCH_FORMATS`` subset), this sweeps the full live roster from
-    ``available_formats()`` — so a newly registered format lands in the
-    ranking with zero bench edits.  Per (matrix, format) cell every
-    spmv roster variant is timed and the best one reported with its
-    effective GB/s against the Eq.-1 traffic model, the roofline
-    efficiency vs the measured host copy bandwidth, and the wall-clock
-    ratio vs the ``csr_scipy`` reference on the same matrix (the
-    library-CSR baseline the CI gate compares newcomers against).  The
-    summary record carries the GB/s ranking averaged across the suite
-    and the worst newcomer-vs-baseline ratio.
-    """
-    from repro.engine import Workspace
-    from repro.formats import available_formats, convert
-    from repro.matrices import generate
-    from repro.obs.profile import measure_host_bandwidth
-    from repro.ops import get_variant, variants_for
-    from repro.perfmodel.predict import predict_spmv
-    from repro.scenarios.executors import tier_of
-
-    host_gbs = measure_host_bandwidth()
-    roster = tuple(available_formats())
-    records = []
-    gbs_by_fmt: dict = {fmt: [] for fmt in roster}
-    for key in keys:
-        coo = generate(key, scale=scale)
-        x = np.random.default_rng(0).standard_normal(coo.ncols)
-        # the library-CSR reference every cell is measured against
-        crs = convert(coo, "CRS")
-        ref_spec = next(
-            (s for s in variants_for(crs) if s.name == "csr_scipy"), None
-        )
-        t_ref = None
-        if ref_spec is not None:
-            ws = Workspace()
-            y = np.zeros(crs.nrows, dtype=crs.dtype)
-            xd = x.astype(crs.dtype)
-            t_ref = _best_seconds(lambda: ref_spec.run(crs, ws, xd, y), reps)
-        for fmt in roster:
-            m = convert(coo, fmt)
-            preds = {
-                p.name: p for p in predict_spmv(m, bandwidth_gbs=host_gbs)
-            }
-            y = np.zeros(m.nrows, dtype=m.dtype)
-            xd = x.astype(m.dtype)
-            timings = {}
-            for spec in variants_for(m):
-                ws = Workspace()
-                timings[spec.name] = _best_seconds(
-                    lambda: spec.run(m, ws, xd, y), reps
-                )
-            best = min(timings, key=timings.get)
-            t = timings[best]
-            gbs = preds[best].bytes_per_call / t / 1e9
-            gbs_by_fmt[fmt].append(gbs)
-            records.append(
-                {
-                    "matrix": key,
-                    "format": fmt,
-                    "scale": scale,
-                    "nnz": m.nnz,
-                    "bytes_per_row": round(m.nbytes / max(m.nrows, 1), 2),
-                    "variant": best,
-                    "tier": tier_of(get_variant(m, best).tags),
-                    "variants_timed": len(timings),
-                    "best_us": round(1e6 * t, 2),
-                    "gflops": round(gflops(m.nnz, t), 4),
-                    "gbs": round(gbs, 3),
-                    "roofline_efficiency": round(gbs / host_gbs, 3),
-                    "vs_csr_scipy": round(t / t_ref, 3) if t_ref else None,
-                }
-            )
-    ranking = sorted(
-        (
-            (fmt, sum(v) / len(v))
-            for fmt, v in gbs_by_fmt.items()
-            if v
-        ),
-        key=lambda kv: -kv[1],
-    )
-    newcomer_rows = [
-        r
-        for r in records
-        if r["format"] in ("CMRS", "ARG-CSR") and r["vs_csr_scipy"]
+    both = [r for r in rows if r["numpy_s"] and r["cnative_s"]]
+    t_np = sum(r["numpy_s"] for r in both)
+    t_cc = sum(r["cnative_s"] for r in both)
+    ratios = [
+        min(r["native_s"], r["row_order_s"] or r["native_s"]) / r["csr_scipy_s"]
+        for r in rows
+        if r["format"] in NEW_FORMATS and r["csr_scipy_s"]
     ]
-    records.append(
-        {
-            "summary": True,
-            "host_bandwidth_gbs": round(host_gbs, 3),
-            "formats_measured": sorted(gbs_by_fmt),
-            "ranking": [
-                {"format": fmt, "mean_gbs": round(g, 3)} for fmt, g in ranking
-            ],
-            "worst_newfmt_vs_csr_scipy": round(
-                max(r["vs_csr_scipy"] for r in newcomer_rows), 3
-            )
-            if newcomer_rows
-            else None,
-        }
-    )
-    return records
+    return {
+        "summary": True,
+        "formats_measured": sorted({r["format"] for r in rows}),
+        "compiled_cells": len(both),
+        "total_numpy_s": t_np,
+        "total_cnative_s": t_cc,
+        "aggregate_speedup": t_np / t_cc if t_cc else None,
+        "worst_newfmt_vs_csr_scipy": max(ratios) if ratios else None,
+        "roofline_over_bound": [
+            f"{r['matrix']}/{r['format']}"
+            for r in rows
+            if r["roofline_efficiency"] > 1 + r["native_iqr_s"] / r["native_s"]
+        ],
+    }
 
 
 def main(argv=None):
@@ -632,19 +458,15 @@ def main(argv=None):
         "fraction in --dispatch / --obs-overhead mode",
     )
     ap.add_argument(
-        "--compiled", action="store_true",
-        help="run the compiled-vs-vectorized comparison instead "
-        "(writes BENCH_compiled.json unless --out is given)",
-    )
-    ap.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="fail (exit 1) when the --compiled aggregate speedup is "
-        "below this (CI gate: 1.0; the repo target is 1.5)",
+        "--min-speedup", type=float, default=None,
+        help="fail (exit 1) when the --shootout aggregate compiled "
+        "speedup is below this (CI gate: 1.0; the repo target is 1.5)",
     )
     ap.add_argument(
         "--shootout", action="store_true",
-        help="run the full-roster format shootout instead "
-        "(writes BENCH_shootout.json unless --out is given)",
+        help="run the (matrix, format) shootout grid instead: every "
+        "registered format, its compiled-tier aggregate and the roofline "
+        "check (writes BENCH_shootout.json unless --out is given)",
     )
     ap.add_argument(
         "--max-newfmt-ratio", type=float, default=1.5,
@@ -652,74 +474,36 @@ def main(argv=None):
         "factor slower than csr_scipy in --shootout mode",
     )
     args = ap.parse_args(argv)
-    if args.compiled:
-        out = "BENCH_compiled.json" if args.out == "BENCH_kernels.json" else args.out
-        records = run_compiled_bench(args.scale, reps=args.reps)
-        write_artifact(out, records)
-        rows, summary = split_summary(records)
-        if not rows:
-            return no_data("no compiled backend available on this host")
-        print(
-            f"{'matrix':6s} {'format':12s} {'numpy':16s} {'compiled':14s} "
-            f"{'np GB/s':>8s} {'cc GB/s':>8s} {'x':>6s} {'roof%':>6s}"
-        )
-        for r in rows:
-            print(
-                f"{r['matrix']:6s} {r['format']:12s} {r['numpy_variant']:16s} "
-                f"{r['compiled_variant']:14s} {r['numpy_gbs']:8.2f} "
-                f"{r['compiled_gbs']:8.2f} {r['speedup']:6.2f} "
-                f"{100 * r['roofline_efficiency']:6.1f}"
-            )
+    if args.shootout:
+        out = "BENCH_shootout.json" if args.out == "BENCH_kernels.json" else args.out
+        rows = shootout(TABLE1_KEYS, args.scale, args.reps)
+        summary = shootout_summary(rows)
+        write_artifact(out, rows + [summary])
+        print("\n".join(table(rows)))
         print(
             f"wrote {out} ({len(rows)} records); aggregate compiled speedup "
-            f"{summary['aggregate_speedup']:.2f}x at host bandwidth "
-            f"{summary['host_bandwidth_gbs']:.1f} GB/s"
+            f"{summary['aggregate_speedup']} over {summary['compiled_cells']} "
+            f"cells; worst CMRS/ARG-CSR ratio vs csr_scipy "
+            f"{summary['worst_newfmt_vs_csr_scipy']}"
         )
         gates = GateSet()
-        gates.at_least(
-            summary["aggregate_speedup"], args.min_speedup,
-            "aggregate speedup",
-        )
-        return gates.exit_code()
-    if args.shootout:
-        from repro.formats import available_formats
-
-        out = "BENCH_shootout.json" if args.out == "BENCH_kernels.json" else args.out
-        records = run_shootout(args.scale, reps=args.reps)
-        write_artifact(out, records)
-        rows, summary = split_summary(records)
-        print(
-            f"{'matrix':6s} {'format':14s} {'variant':16s} {'tier':9s} "
-            f"{'us':>9s} {'GB/s':>7s} {'roof%':>6s} {'vs csr':>7s}"
-        )
-        for r in rows:
-            ratio = f"{r['vs_csr_scipy']:7.2f}" if r["vs_csr_scipy"] else "      -"
-            print(
-                f"{r['matrix']:6s} {r['format']:14s} {r['variant']:16s} "
-                f"{r['tier']:9s} {r['best_us']:9.2f} {r['gbs']:7.2f} "
-                f"{100 * r['roofline_efficiency']:6.1f} {ratio}"
-            )
-        print("ranking (mean GB/s across the suite):")
-        for i, e in enumerate(summary["ranking"], 1):
-            print(f"  {i:2d}. {e['format']:14s} {e['mean_gbs']:7.2f}")
-        print(
-            f"wrote {out} ({len(rows)} records); worst CMRS/ARG-CSR ratio "
-            f"vs csr_scipy {summary['worst_newfmt_vs_csr_scipy']} at host "
-            f"bandwidth {summary['host_bandwidth_gbs']:.1f} GB/s"
-        )
-        gates = GateSet()
-        measured = set(summary["formats_measured"])
+        missing = sorted(set(available_formats()) - set(summary["formats_measured"]))
         gates.require(
-            measured == set(available_formats()),
-            f"every registered format measured (missing: "
-            f"{sorted(set(available_formats()) - measured)})",
+            not missing, f"every registered format measured (missing: {missing})"
         )
         if summary["worst_newfmt_vs_csr_scipy"] is not None:
             gates.at_most(
-                summary["worst_newfmt_vs_csr_scipy"],
-                args.max_newfmt_ratio,
+                summary["worst_newfmt_vs_csr_scipy"], args.max_newfmt_ratio,
                 "worst new-format ratio vs csr_scipy",
             )
+        gates.at_least(
+            summary["aggregate_speedup"], args.min_speedup,
+            "aggregate compiled speedup",
+        )
+        over = summary["roofline_over_bound"]
+        gates.require(
+            not over, f"roofline_efficiency <= 1 + IQR/median (over: {over})"
+        )
         return gates.exit_code()
     if args.obs_overhead:
         out = "BENCH_obs.json" if args.out == "BENCH_kernels.json" else args.out

@@ -179,31 +179,16 @@ def cmd_timeline(args, out) -> int:
 
 
 def cmd_shootout(args, out) -> int:
-    from repro.formats import convert
-    from repro.gpu import C2070, simulate_spmv
-    from repro.matrices import generate
+    from repro.perfmodel.shootout import shootout, table
 
-    formats = {
-        "CRS": {},
-        "ELLPACK": {},
-        "ELLPACK-R": {},
-        "ELLR-T": {"threads_per_row": 4},
-        "JDS": {},
-        "pJDS": {"block_rows": 32},
-        "SELL-C-sigma": {"chunk_rows": 32, "sigma": 256},
-    }
-    coo = generate(args.matrix, scale=args.scale, seed=args.seed)
-    dev = C2070(ecc=True).scaled(args.scale)
-    print(f"{args.matrix} (1/{args.scale} scale), DP, ECC on:", file=out)
-    print(f"{'format':13s} {'GF/s':>7s} {'MiB':>8s} {'alpha':>6s}", file=out)
-    for fmt, kwargs in formats.items():
-        m = convert(coo, fmt, **kwargs)
-        rep = simulate_spmv(m, dev, "DP")
-        print(
-            f"{fmt:13s} {rep.gflops:7.2f} {m.nbytes / 2**20:8.1f} "
-            f"{rep.effective_alpha:6.2f}",
-            file=out,
-        )
+    rows = shootout((args.matrix,), args.scale, reps=5, seed=args.seed)
+    print(
+        f"{args.matrix} (1/{args.scale} scale), DP: host median of 5 laps; "
+        "device model: C2070, ECC on",
+        file=out,
+    )
+    for line in table(rows):
+        print(line, file=out)
     return 0
 
 

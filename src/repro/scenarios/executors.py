@@ -96,24 +96,17 @@ def run_cell(cell, *, scale: int = 64, seed: int = 0) -> dict:
 # tier helpers
 # ---------------------------------------------------------------------------
 
-def tier_of(tags) -> str:
-    """Map a kernel variant's registry tags to its tier family."""
-    if "cnative" in tags:
-        return "compiled"
-    if "scipy" in tags:
-        return "scipy"
-    return "numpy"
+#: the scenario axis spells the cnative tier family "compiled"
+_AXIS_TIER = {"compiled": "cnative"}
 
 
 def variants_in_tier(matrix, tier: str) -> list:
-    """Roster variant names of ``matrix`` whose tags map to ``tier``."""
+    """Roster variant names of ``matrix`` in the ``kernel-tier`` axis value."""
     from repro import ops
+    from repro.perfmodel.predict import variant_tier
 
-    out = []
-    for name in ops.variant_names_for(matrix):
-        if tier_of(ops.get_variant(matrix, name).tags) == tier:
-            out.append(name)
-    return out
+    want = _AXIS_TIER.get(tier, tier)
+    return [s.name for s in ops.variants_for(matrix) if variant_tier(s.tags) == want]
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +299,11 @@ def fleet_drill(axes, *, config, scale, seed):
 
 @register_executor("bench-probe")
 def bench_probe(axes, *, config, scale, seed):
-    from repro.engine import bind
     from repro.formats import convert
+    from repro.ops import get_variant
+    from repro.perfmodel.shootout import time_cell
     from repro.scenarios.fixtures import materialize
+    from repro.utils import gflops
 
     reps = int(config.get("reps", 3))
     coo = materialize(axes["suite-matrix"], scale=scale, seed=seed)
@@ -320,15 +315,13 @@ def bench_probe(axes, *, config, scale, seed):
             "reason": f"no {axes['kernel-tier']} variants for {axes['format']}",
         }
     x = np.random.default_rng(seed).standard_normal(coo.shape[1])
-    best = None
-    for name in variants:
-        bound = bind(m, tune=False, variant=name)
-        bound.spmv(x)  # warm
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            bound.spmv(x)
-        dt = (time.perf_counter() - t0) / reps
-        gflops = 2.0 * coo.nnz / dt / 1e9 if dt > 0 else 0.0
-        if best is None or gflops > best["gflops"]:
-            best = {"variant": name, "gflops": round(gflops, 4)}
-    return {"status": "ok", "nnz": int(coo.nnz), **best}
+    t, name = min(
+        (time_cell(m, get_variant(m, name), x, reps).median, name)
+        for name in variants
+    )
+    return {
+        "status": "ok",
+        "nnz": int(coo.nnz),
+        "variant": name,
+        "gflops": round(gflops(coo.nnz, t), 4),
+    }

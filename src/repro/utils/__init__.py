@@ -1,6 +1,6 @@
 """Shared utilities: validation and timing helpers."""
 
-from repro.utils.timing import Stopwatch, Timer, flops_per_spmv, gflops
+from repro.utils.timing import Stopwatch, flops_per_spmv, gflops
 from repro.utils.validation import (
     as_1d_array,
     check_dense_vector,
@@ -13,7 +13,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "Stopwatch",
-    "Timer",
     "flops_per_spmv",
     "gflops",
     "as_1d_array",

@@ -13,7 +13,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["flops_per_spmv", "gflops", "Timer", "Stopwatch"]
+import numpy as np
+
+__all__ = ["flops_per_spmv", "gflops", "Stopwatch"]
 
 
 def flops_per_spmv(nnz: int) -> int:
@@ -30,57 +32,30 @@ def gflops(nnz: int, seconds: float) -> float:
     return flops_per_spmv(nnz) / seconds * 1e-9
 
 
-class Timer:
-    """Context-manager wall-clock timer.
-
-    Examples
-    --------
-    >>> with Timer() as t:
-    ...     _ = sum(range(10))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start
-        self._start = None
-
-
 @dataclass
 class Stopwatch:
-    """Accumulating stopwatch for repeated measurement sections.
+    """Accumulating lap timer for repeated measurement sections.
 
-    Besides explicit ``start()``/``stop()``, laps can be taken with the
-    :meth:`lap` context manager or by timing a callable via
-    :meth:`record` — so benchmarks stop hand-rolling timing loops::
+    Laps are taken with ``start()``/``stop()``, the :meth:`lap` context
+    manager, or by timing a callable via :meth:`record`;
+    :meth:`measure` runs the usual warm-up-then-laps loop::
 
-        sw = Stopwatch(histogram="spmv_seconds")
-        for _ in range(reps):
-            y = sw.record(matrix.spmv, x)
-        print(sw.best, sw.mean)
-
-    When ``histogram`` is set and :mod:`repro.obs` instrumentation is
-    enabled, every lap is additionally published into that obs
-    histogram (with the optional ``labels``); while obs is disabled
-    this costs one flag check per lap.
+        sw = Stopwatch.measure(lambda: matrix.spmv(x), reps=7)
+        print(sw.median, sw.iqr, sw.best)
     """
 
     total: float = 0.0
     laps: list[float] = field(default_factory=list)
     _start: float | None = None
-    #: optional obs histogram name laps are published to
-    histogram: str | None = None
-    #: labels attached to published laps
-    labels: dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def measure(cls, fn: Callable[[], Any], reps: int) -> "Stopwatch":
+        """Call ``fn`` once untimed (warm-up), then time ``reps`` laps."""
+        fn()
+        sw = cls()
+        for _ in range(reps):
+            sw.record(fn)
+        return sw
 
     def start(self) -> None:
         if self._start is not None:
@@ -94,11 +69,6 @@ class Stopwatch:
         self._start = None
         self.laps.append(lap)
         self.total += lap
-        if self.histogram is not None:
-            from repro import obs
-
-            if obs.enabled():
-                obs.observe(self.histogram, lap, **self.labels)
         return lap
 
     @contextmanager
@@ -115,14 +85,25 @@ class Stopwatch:
         with self.lap():
             return fn(*args, **kwargs)
 
-    @property
-    def mean(self) -> float:
+    def _laps(self) -> list[float]:
         if not self.laps:
             raise RuntimeError("no laps recorded")
-        return self.total / len(self.laps)
+        return self.laps
+
+    @property
+    def mean(self) -> float:
+        return self.total / len(self._laps())
 
     @property
     def best(self) -> float:
-        if not self.laps:
-            raise RuntimeError("no laps recorded")
-        return min(self.laps)
+        return min(self._laps())
+
+    @property
+    def median(self) -> float:
+        return float(np.median(self._laps()))
+
+    @property
+    def iqr(self) -> float:
+        """Interquartile range of the laps (0 for a single lap)."""
+        q1, q3 = np.percentile(self._laps(), (25, 75))
+        return float(q3 - q1)

@@ -79,10 +79,14 @@ class TestCommands:
             assert "GF/s" in text
 
     def test_shootout(self):
+        from repro.formats import available_formats
+
         text = run_cli("shootout", "--scale", "512", "--matrix", "sAMG")
         assert "pJDS" in text
         assert "SELL-C-sigma" in text
         assert "GF/s" in text
+        listed = {line.split()[1] for line in text.splitlines()[2:]}
+        assert listed == set(available_formats())
 
     def test_fig5_renders_chart(self):
         text = run_cli("fig5", "--scale", "256", "--matrix", "DLR1")

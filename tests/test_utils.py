@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils import (
     Stopwatch,
-    Timer,
     as_1d_array,
     check_dense_vector,
     check_dtype,
@@ -87,11 +86,6 @@ class TestTiming:
         with pytest.raises(ValueError):
             gflops(10, 0.0)
 
-    def test_timer(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
     def test_stopwatch(self):
         sw = Stopwatch()
         sw.start()
@@ -148,21 +142,15 @@ class TestTiming:
         assert len(sw.laps) == 1  # the failed lap is still timed
         assert sw._start is None  # and the watch is reusable
 
-    def test_stopwatch_publishes_to_obs_histogram(self):
-        from repro import obs
-
-        obs.disable()
-        obs.reset_all()
-        sw = Stopwatch(histogram="bench_seconds", labels={"bench": "t"})
-        sw.record(sum, range(4))  # disabled: nothing recorded
-        assert obs.get_registry().get("bench_seconds") is None
-        obs.enable()
-        try:
-            sw.record(sum, range(4))
-            fam = obs.get_registry().get("bench_seconds")
-            child = fam.labels(bench="t")
-            assert child.count == 1
-            assert child.sum == pytest.approx(sw.laps[-1])
-        finally:
-            obs.disable()
-            obs.reset_all()
+    def test_stopwatch_measure_median_and_iqr(self):
+        calls = []
+        sw = Stopwatch.measure(lambda: calls.append(1), reps=5)
+        assert len(calls) == 6  # one untimed warm-up, then five laps
+        assert len(sw.laps) == 5
+        sw.laps[:] = [4.0, 1.0, 3.0, 2.0, 5.0]
+        assert sw.median == 3.0
+        assert sw.iqr == pytest.approx(2.0)  # inclusive quartiles 2 and 4
+        sw.laps[:] = [7.0]
+        assert sw.median == 7.0 and sw.iqr == 0.0
+        with pytest.raises(RuntimeError):
+            _ = Stopwatch().median
