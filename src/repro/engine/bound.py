@@ -25,10 +25,36 @@ from repro.core.jds import JaggedDiagonalsBase
 from repro.engine.tuner import TuneResult, autotune
 from repro.engine.workspace import Workspace
 from repro.obs import profile as _profile
-from repro.ops.registry import KernelVariant, get_variant, variants_for
+from repro.ops.registry import (
+    KernelSpec,
+    KernelVariant,
+    get_variant,
+    kernels_for,
+    variants_for,
+)
+from repro.ops.spmm_kernels import spmm_dispatch
 from repro.formats.base import SparseMatrixFormat
+from repro.perfmodel.predict import variant_tier
 
-__all__ = ["BoundMatrix", "bind", "make_spmv_operator"]
+__all__ = ["BoundMatrix", "bind", "batch_kernel", "make_spmv_operator"]
+
+
+def batch_kernel(matrix, variant: KernelVariant) -> KernelSpec | None:
+    """The spmm kernel that batches run on a matrix bound to ``variant``.
+
+    The batch kernel follows the spmv variant's tier: a ``cnative``
+    variant takes the ``cnative`` spmm candidate, and every other
+    variant takes the first non-``cnative`` one.  So a process pinned
+    to a single-threaded kernel never starts an OpenMP team for a
+    batch.  Rank 0 when no candidate matches; ``None`` when the format
+    has no batched kernel (spmm then loops over columns).
+    """
+    candidates = kernels_for(matrix, "spmm")
+    native = variant_tier(variant.tags) == "cnative"
+    for spec in candidates:
+        if (variant_tier(spec.tags) == "cnative") == native:
+            return spec
+    return candidates[0] if candidates else None
 
 
 class BoundMatrix:
@@ -45,6 +71,8 @@ class BoundMatrix:
     ):
         self.matrix = matrix
         self.variant = variant
+        #: the batched kernel :meth:`spmm` runs (see :func:`batch_kernel`)
+        self.spmm_kernel = batch_kernel(matrix, variant)
         self.workspace = workspace
         self.tune_result = tune_result
         #: optional :class:`~repro.faults.inject.FaultInjector`; its
@@ -95,6 +123,12 @@ class BoundMatrix:
     def variant_name(self) -> str:
         return self.variant.name
 
+    @property
+    def spmm_variant_name(self) -> str:
+        """Name of the batch kernel (``spmm_percolumn`` when none)."""
+        k = self.spmm_kernel
+        return k.name if k is not None else "spmm_percolumn"
+
     # ------------------------------------------------------------------
     def _obs_state(self) -> tuple:
         """Cached instrumentation handles (valid for one obs generation)."""
@@ -116,7 +150,7 @@ class BoundMatrix:
                 format=m.name, variant=self.variant.name
             ),
             prof.slot(self.matrix_label, m.name, self.variant.name, "spmv"),
-            prof.slot(self.matrix_label, m.name, "spmm_dispatch", "spmm"),
+            prof.slot(self.matrix_label, m.name, self.spmm_variant_name, "spmm"),
             _profile.model_bytes_per_flop(max(nnzr, 1e-9)),
         )
         self._obs_cache = cache
@@ -219,20 +253,19 @@ class BoundMatrix:
         return y
 
     def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Batched multi-vector product through the engine SpMM kernels.
+        """Batched multi-vector product through :attr:`spmm_kernel`.
 
         Instrumented like :meth:`spmv`: profiler sample per call (the
         batch path is cold enough that thinning isn't needed) and an
         ``engine.spmm`` kernel span when a trace is active — this is
         the span a served batch's trace tree bottoms out in.
         """
-        from repro.ops.spmm_kernels import spmm_dispatch
-
         X, out = self.matrix.check_rhs_block(X, out)
         self.calls += 1
         m = self.matrix
+        kernel = self.spmm_kernel
         if not obs.enabled():
-            return spmm_dispatch(m, X, out, ws=self.workspace)
+            return spmm_dispatch(m, X, out, self.workspace, kernel)
         _, _, _, _, slot, balance = self._obs_state()
         block = int(X.shape[1])
         tracer = obs.get_tracer()
@@ -242,10 +275,11 @@ class BoundMatrix:
                 "engine.spmm",
                 matrix=self.matrix_label,
                 format=m.name,
+                variant=self.spmm_variant_name,
                 block=block,
             ) as sp:
                 t0 = time.perf_counter()
-                y = spmm_dispatch(m, X, out, ws=self.workspace)
+                y = spmm_dispatch(m, X, out, self.workspace, kernel)
                 dt = time.perf_counter() - t0
                 gflops = 2.0 * m.nnz * block / dt / 1e9 if dt > 0 else 0.0
                 sp.set_attr("gflops", gflops)
@@ -253,13 +287,13 @@ class BoundMatrix:
                 sp.set_attr("model_balance", balance)
         else:
             t0 = time.perf_counter()
-            y = spmm_dispatch(m, X, out, ws=self.workspace)
+            y = spmm_dispatch(m, X, out, self.workspace, kernel)
             dt = time.perf_counter() - t0
         slot.add(
             _profile.KernelSample(
                 matrix=self.matrix_label,
                 fmt=m.name,
-                variant="spmm_dispatch",
+                variant=self.spmm_variant_name,
                 op="spmm",
                 seconds=dt,
                 nnz=m.nnz,

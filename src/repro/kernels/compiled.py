@@ -69,7 +69,7 @@ from repro.formats.argcsr import ARGCSRMatrix
 from repro.formats.cmrs import CMRSMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
-from repro.ops.registry import register_kernel
+from repro.ops.registry import CNATIVE_TAG, register_kernel
 from repro.ops.spmv_kernels import (
     _HAVE_CSR_MATVEC,
     _jds_cols,
@@ -86,10 +86,9 @@ __all__ = [
     "CNATIVE_TAG",
 ]
 
-#: registry tag shared by every kernel of this module
+#: registry tag shared by every kernel of this module (the backend
+#: tag, :data:`~repro.ops.registry.CNATIVE_TAG`, ranks them last)
 COMPILED_TAG = "compiled"
-#: backend-specific registry tag
-CNATIVE_TAG = "cnative"
 
 
 def _disabled() -> set[str]:
@@ -138,9 +137,16 @@ void csr_spmv_{I}_{F}(i64 nrows, const {IT} *indptr, const {IT} *col,
     }}
 }}
 
-void csr_spmm_{I}_{F}(i64 nrows, i64 k, const {IT} *indptr, const {IT} *col,
-                      const {FT} *val, const {FT} *X, {FT} *Y) {{
+/* k == 1 is the spmv row loop: the accumulator stays in a register
+   instead of a load/store through Y per entry. */
+void csr_spmm_{I}_{F}(i64 nrows, i64 k, const {IT} *restrict indptr,
+                      const {IT} *restrict col, const {FT} *restrict val,
+                      const {FT} *restrict X, {FT} *restrict Y) {{
     i64 i;
+    if (k == 1) {{
+        csr_spmv_{I}_{F}(nrows, indptr, col, val, X, Y);
+        return;
+    }}
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif

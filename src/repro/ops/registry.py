@@ -41,6 +41,7 @@ __all__ = [
     "KernelSpec",
     "KernelVariant",
     "OPS",
+    "CNATIVE_TAG",
     "register_kernel",
     "kernels_for",
     "kernel_names_for",
@@ -53,6 +54,11 @@ __all__ = [
 
 #: operations the registry understands
 OPS = ("spmv", "spmm")
+
+#: tag of the compiled C tier (:mod:`repro.kernels.compiled`); its
+#: kernels always rank after the NumPy/scipy kernels of the same
+#: (format, op), so the untuned default never depends on import order
+CNATIVE_TAG = "cnative"
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,9 @@ def register_kernel(
 
     ``first=True`` prepends the kernel to the candidate list — it
     becomes the best-guess default taken when tuning is off (the
-    compiled scipy delegates use this).  Registering the same name
+    compiled scipy delegates use this).  Kernels tagged
+    :data:`CNATIVE_TAG` are kept behind every other kernel of the
+    list, whichever module registers first.  Registering the same name
     twice for one (format, op) pair raises unless it is the identical
     function (idempotent re-registration, e.g. module reloads).
     """
@@ -122,6 +130,8 @@ def register_kernel(
                 lst.insert(0, spec)
             else:
                 lst.append(spec)
+            # stable: each tier keeps its registration order
+            lst.sort(key=lambda s: CNATIVE_TAG in s.tags)
         return fn
 
     return decorate

@@ -36,7 +36,7 @@ from repro.formats.cmrs import CMRSMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
-from repro.ops.registry import kernels_for, register_kernel
+from repro.ops.registry import KernelSpec, kernels_for, register_kernel
 from repro.ops.spmv_kernels import (
     _HAVE_CSR_MATVEC,
     _scipy_sparsetools,
@@ -319,26 +319,30 @@ def spmm_dispatch(
     X: np.ndarray,
     out: np.ndarray,
     ws: Workspace | None = None,
+    kernel: KernelSpec | None = None,
 ) -> np.ndarray:
     """Route a validated (X, out) pair to the fused kernel of ``m``.
 
     ``X`` must already have the matrix dtype and ``out`` the right
     shape (callers go through ``check_rhs_block``).  Fortran-ordered
     ``X`` takes the zero-copy per-column path; everything else is made
-    C-contiguous once and processed by the batched kernel resolved
-    from the central registry (rank-0 candidate for the format).
+    C-contiguous once and processed by ``kernel`` — a bound matrix
+    passes the one matched to its spmv variant — or else by the
+    format's rank-0 batched kernel from the central registry.
     """
     if X.ndim != 2:  # defensive: dispatch is also called directly
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    candidates = kernels_for(m, "spmm")
-    if not candidates:
-        return m.spmm_percolumn(X, out)
+    if kernel is None:
+        candidates = kernels_for(m, "spmm")
+        if not candidates:
+            return m.spmm_percolumn(X, out)
+        kernel = candidates[0]
     if not X.flags.c_contiguous:
         if X.flags.f_contiguous:
             # Fortran fast path: column views are contiguous, no copies
             return m.spmm_percolumn(X, out)
         X = np.ascontiguousarray(X)
-    return candidates[0].run(m, X, out, ws)
+    return kernel.run(m, X, out, ws)
 
 
 def spmm_permuted(

@@ -313,6 +313,7 @@ class MatrixRegistry:
                         "nnz": e.bound.nnz,
                         "nbytes": e.nbytes,
                         "variant": e.bound.variant_name,
+                        "spmm_variant": e.bound.spmm_variant_name,
                         "refcount": e.refcount,
                         "clones": len(e.clones),
                     }

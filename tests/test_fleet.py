@@ -19,6 +19,7 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.formats import convert
 from repro.matrices import generate, poisson2d
 from repro.obs.slo import SLOMonitor, default_fleet_slos
+from repro.ops import variant_names_for
 from repro.serve import (
     AutoscalePolicy,
     Autoscaler,
@@ -219,6 +220,7 @@ class TestShardedParity:
 # ---------------------------------------------------------------------------
 # process transport
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("no_leaks")
 class TestProcessShards:
     def test_spmv_parity_across_processes(self):
         csr = small_csr()
@@ -244,6 +246,36 @@ class TestProcessShards:
             fleet.kill(1)
             assert np.array_equal(router.spmv("A", x, timeout=60), y_ref)
             assert router.health()["status"] == "degraded"
+
+    @pytest.mark.parametrize(
+        "variant, spmm_variant",
+        [("csr_scipy", "spmm_csr"), ("csr_cc", "spmm_csr_cc")],
+    )
+    def test_shard_batches_run_the_pinned_variants_kernel(
+        self, variant, spmm_variant
+    ):
+        csr = small_csr()
+        if variant not in variant_names_for(csr):
+            pytest.skip(f"{variant} is not registered here")
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((csr.ncols, 4))
+        with reference_client(csr) as ref:
+            y_ref = ref.spmv("ref", X[:, 0])
+        reg = MatrixRegistry(tune=False)
+        reg.register("ref", matrix=csr, variant=VARIANT)
+        with reg.acquire("ref") as lease:
+            Y_ref = lease.clone_for("t").spmm(X)
+        with Fleet(2, mode="process", workers=1) as fleet:
+            router = FleetRouter(fleet, default_variant=variant)
+            router.register("A", csr)
+            assert np.array_equal(router.spmv("A", X[:, 0], timeout=60), y_ref)
+            assert np.array_equal(router.spmm("A", X), Y_ref)
+            shards = router.stats()["shards"]
+        rows = [r for s in shards for r in s["registry"]["resident"]]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["variant"] == variant
+            assert row["spmm_variant"] == spmm_variant
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.ops import (
     PermutedOperator,
     apply_repeated,
     as_linear_operator,
+    get_kernel,
     get_variant,
     kernels_for,
     register_kernel,
@@ -363,11 +364,14 @@ _BITWISE_PAIRS = {
     "ARG-CSR": ("argcsr_cc", "argcsr_sweep"),
 }
 
+#: compiled spmm kernel -> the NumPy spmm kernel of the same format;
+#: both sweep the stored-CSR view in entry order (the NumPy one through
+#: scipy's ``csr_matvecs``), so float64 agreement is bitwise
 _SPMM_PAIRS = {
-    "CRS": ("spmm_csr_cc", "spmm_csr_scipy"),
-    "ELLPACK-R": ("spmm_ell_cc", None),
-    "pJDS": ("spmm_jds_cc", None),
-    "SELL-C-sigma": ("spmm_sell_cc", None),
+    "CRS": ("spmm_csr_cc", "spmm_csr"),
+    "ELLPACK-R": ("spmm_ell_cc", "spmm_ell"),
+    "pJDS": ("spmm_jds_cc", "spmm_jds"),
+    "SELL-C-sigma": ("spmm_sell_cc", "spmm_sell"),
     "CMRS": ("spmm_cmrs_cc", "spmm_cmrs"),
     "ARG-CSR": ("spmm_argcsr_cc", "spmm_argcsr"),
 }
@@ -486,27 +490,81 @@ class TestCompiledTier:
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
+    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("order", ["C", "F", "sliced"])
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
     def test_spmm_compiled_parity(self, fmt, order):
-        name = _SPMM_PAIRS[fmt][0]
+        name, ref_name = _SPMM_PAIRS[fmt]
         coo = random_coo(35, seed=13)
         m = convert(coo, fmt)
         A = dense_of(coo)
         rng = np.random.default_rng(14)
-        if order == "sliced":
-            X = rng.standard_normal((m.ncols, 8))[:, ::2]
-        else:
-            X = np.asarray(rng.standard_normal((m.ncols, 4)), order=order)
-        spec = next(
-            k for k in kernels_for(m, "spmm") if k.name == name
+        # k == 1 takes the C kernel's scalar row loop
+        for k in (1, 2, 4, 16):
+            if order == "sliced":
+                X = rng.standard_normal((m.ncols, 2 * k))[:, ::2]
+            else:
+                X = np.asarray(rng.standard_normal((m.ncols, k)), order=order)
+            Xc = np.ascontiguousarray(X, dtype=m.dtype)
+            outs = {}
+            for kname in (name, ref_name):
+                out = np.zeros((m.nrows, k), dtype=m.dtype)
+                outs[kname] = get_kernel(m, kname, "spmm").run(
+                    m, Xc, out, Workspace()
+                )
+            msg = f"{fmt}/{name}/{order}/k={k}"
+            np.testing.assert_array_equal(outs[name], outs[ref_name], err_msg=msg)
+            np.testing.assert_allclose(
+                outs[name], A @ X, rtol=1e-12, atol=1e-12, err_msg=msg
+            )
+
+    @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
+    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
+    @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
+    def test_bound_spmm_follows_variant_tier(self, fmt):
+        """A bound matrix batches through the spmm kernel of its spmv
+        variant's tier, and both tiers' batches agree bitwise."""
+        cc_name, np_name = _SPMM_PAIRS[fmt]
+        m = convert(random_coo(40, seed=17), fmt)
+        X = np.random.default_rng(18).standard_normal((m.ncols, 3))
+        outs = {}
+        for variant in variant_names_for(m):
+            bound = bind(m, tune=False, variant=variant)
+            native = "cnative" in bound.variant.tags
+            want = cc_name if native else np_name
+            assert bound.spmm_variant_name == want, variant
+            outs[variant] = bound.spmm(X)
+        ref = outs[_BITWISE_PAIRS[fmt][1]]
+        for variant, got in outs.items():
+            np.testing.assert_array_equal(got, ref, err_msg=f"{fmt}/{variant}")
+
+    def test_registry_order_is_import_order_free(self):
+        """Loading the compiled tier before the NumPy spmm kernels must
+        not change any candidate list: ``registry_rows()`` equals the
+        plain ``import repro`` snapshot."""
+        import os
+        import subprocess
+        import sys
+
+        rows = (
+            "from repro.ops.registry import registry_rows\n"
+            "print(json.dumps(registry_rows()))\n"
         )
-        Xc = np.ascontiguousarray(X, dtype=m.dtype)
-        out = np.zeros((m.nrows, Xc.shape[1]), dtype=m.dtype)
-        got = spec.run(m, Xc, out, Workspace())
-        np.testing.assert_allclose(
-            got, A @ X, rtol=1e-12, atol=1e-12, err_msg=f"{fmt}/{name}/{order}"
+        firsts = (
+            "import repro\n",
+            "from repro.ops import kernel_tiers\nkernel_tiers()\n",
         )
+        env = dict(os.environ, PYTHONPATH=os.path.join(_REPO_ROOT, "src"))
+        snaps = [
+            subprocess.run(
+                [sys.executable, "-c", "import json\n" + first + rows],
+                env=env, cwd=_REPO_ROOT, capture_output=True, text=True,
+                check=True,
+            ).stdout
+            for first in firsts
+        ]
+        assert snaps[0] == snaps[1]
+        assert '"spmm_csr"' in snaps[0]
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
     def test_spmm_noncontiguous_falls_back(self):
