@@ -23,9 +23,9 @@ long-lived process that can take heavy concurrent traffic:
   scatter/gather spmv with replica failover and hedging, and an
   SLO-burn-driven :class:`Autoscaler` resizing shard worker pools
   (``repro serve --fleet N``).
-* :mod:`repro.serve.http` — stdlib JSON endpoint (``repro serve
-  --port N``): ``/v1/spmv``, ``/v1/solve``, ``/healthz``, ``/statz``,
-  ``/fleetz``.
+* :mod:`repro.serve.http` — JSON endpoint (``repro serve --port N``,
+  vectors through ``orjson``): ``/v1/spmv``, ``/v1/solve``,
+  ``/healthz``, ``/statz``, ``/fleetz``.
 * :mod:`repro.serve.errors` — the error taxonomy
   (:class:`ServerOverloaded`, :class:`DeadlineExceeded`,
   :class:`ShardDown`, ...), each mapped to one HTTP status.

@@ -1,10 +1,28 @@
-"""Stdlib JSON-over-HTTP front-end for the serving subsystem.
+"""JSON-over-HTTP front-end for the serving subsystem.
 
-A deliberately dependency-free shim over :class:`~repro.serve.client.Client`
-built on ``http.server.ThreadingHTTPServer`` — one OS thread per
-connection, which is exactly what the micro-batcher wants: concurrent
-handler threads all block in ``server.spmv(...)`` and their vectors
-coalesce into shared ``spmm`` batches.
+A thin shim over :class:`~repro.serve.client.Client` built on
+``http.server.ThreadingHTTPServer`` — one OS thread per connection,
+which is exactly what the micro-batcher wants: concurrent handler
+threads all block in ``server.spmv(...)`` and their vectors coalesce
+into shared ``spmm`` batches.
+
+The vectors are the bulk of every ``/v1`` body, and coding them with
+the stdlib ``json`` module costs several kernel calls (the HTTP analogue
+of the paper's PCIe term, Eq. 2), under the GIL the handler threads
+share with the scheduler workers.  So requests are parsed, and vectors
+written, with ``orjson``.  The wire contract (``docs/serving.md``):
+
+* a reply envelope has ``json.dumps``'s layout (key order, ``", "`` and
+  ``": "`` separators), so an untraced ``/v1/spmv`` reply ends in
+  ``"seconds": <float>}``;
+* every ndarray is cast to contiguous float64 and written as a compact
+  array, which parses (with any JSON parser) to exactly its doubles — a
+  float32 result as its float64 values;
+* an array with a NaN/inf entry is written by ``json.dumps``, with its
+  ``NaN``/``Infinity`` tokens (orjson would write ``null``);
+* a body orjson rejects is re-parsed with ``json.loads``, so the stdlib's
+  extensions (``NaN`` tokens, numbers that overflow a double) are
+  accepted, and a malformed body gets a 400.
 
 Endpoints
 ---------
@@ -39,7 +57,9 @@ Tracing: with instrumentation enabled, each ``POST`` opens a trace
 root (honouring a caller-supplied ``X-Trace-Id`` header, minting a
 fresh id otherwise); the id is echoed in the ``X-Trace-Id`` response
 header and a ``trace_id`` payload field — success *and* error — so a
-caller can always ask ``repro obs trace <id>`` what happened.
+caller can always ask ``repro obs trace <id>`` what happened.  The root
+span also carries the codec's own time as ``decode_s``/``encode_s``
+attributes, observed into ``serve_http_stage_seconds{stage}`` too.
 """
 
 from __future__ import annotations
@@ -50,6 +70,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
 import numpy as np
+import orjson
 
 from repro import obs
 from repro.serve.client import Client
@@ -58,6 +79,38 @@ from repro.serve.errors import ServeError
 __all__ = ["make_http_server", "run_http_server"]
 
 _MAX_BODY = 64 * 2**20  # 64 MiB: a ~4M-row float64 vector
+
+
+def _dumps_value(value) -> bytes:
+    if isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value, dtype=np.float64)
+        if np.isfinite(arr).all():
+            return orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+        value = arr.tolist()  # keep the NaN/Infinity tokens orjson nulls
+    return json.dumps(value).encode()
+
+
+def _dumps(payload: dict) -> bytes:
+    """``json.dumps(payload)``'s layout, with ndarray values by orjson."""
+    return b"{" + b", ".join(
+        json.dumps(key).encode() + b": " + _dumps_value(value)
+        for key, value in payload.items()
+    ) + b"}"
+
+
+def _record_stage(stage: str, t0: float) -> None:
+    """Record a codec stage that started at ``t0`` (obs is on)."""
+    seconds = time.perf_counter() - t0
+    obs.observe_summary("serve_http_stage_seconds", seconds, stage=stage)
+    obs.annotate_current(**{f"{stage}_s": seconds})  # the open http.* root
+
+
+def _loads(raw: bytes):
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        # NaN/Infinity tokens and out-of-range numbers parse in stdlib only
+        return json.loads(raw)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -82,9 +135,13 @@ class _Handler(BaseHTTPRequestHandler):
             obs.inc("serve_http_log_lines_total", 1)
 
     def _send_json(self, status: int, payload: dict) -> None:
+        # a trace id means obs is on and this is a /v1 request
+        t0 = time.perf_counter() if self._trace_id else None
         if self._trace_id and "trace_id" not in payload:
             payload = {**payload, "trace_id": self._trace_id}
-        body = json.dumps(payload).encode()
+        body = _dumps(payload)
+        if t0 is not None:
+            _record_stage("encode", t0)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -106,13 +163,18 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("request body required")
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
-        blob = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        t0 = time.perf_counter() if self._trace_id else None
+        blob = _loads(raw)
+        if t0 is not None:
+            _record_stage("decode", t0)
         if not isinstance(blob, dict):
             raise ValueError("request body must be a JSON object")
         return blob
 
     # -- routes ------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._trace_id = None  # not the one of this connection's last POST
         path = urlparse(self.path)
         if path.path == "/healthz":
             health = self.client.health()
@@ -192,7 +254,7 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             {
                 "matrix": name,
-                "y": y.tolist(),
+                "y": y,
                 "n": int(y.shape[0]),
                 "seconds": round(time.perf_counter() - t0, 6),
             },
@@ -209,7 +271,6 @@ class _Handler(BaseHTTPRequestHandler):
                 tol=float(req.get("tol", 1e-8)),
                 max_iter=req.get("max_iter"),
             )
-            res["x"] = np.asarray(res["x"]).tolist()
         elif method == "lanczos":
             res = self.client.eigsh(
                 name,
@@ -217,8 +278,6 @@ class _Handler(BaseHTTPRequestHandler):
                 tol=float(req.get("tol", 1e-8)),
                 max_iter=int(req.get("max_iter", 200)),
             )
-            res["eigenvalues"] = np.asarray(res["eigenvalues"]).tolist()
-            res["residual_norms"] = np.asarray(res["residual_norms"]).tolist()
         else:
             raise ValueError(f"unknown method {method!r}; use 'cg' or 'lanczos'")
         res["matrix"] = name
@@ -269,6 +328,7 @@ def run_http_server(
         pass
     finally:
         httpd.shutdown()
+        httpd.server_close()
         if slo is not None:
             slo.stop()
         client.close()

@@ -17,6 +17,7 @@ integration (span parenting + serving metrics).
 
 import json
 import math
+import re
 import threading
 import time
 import urllib.error
@@ -57,6 +58,11 @@ def clean_obs():
 
 def make_csr(n=60, seed=3, max_row=7):
     return CSRMatrix.from_coo(random_coo(n, seed=seed, max_row=max_row))
+
+
+def make_csr32(n=60, seed=3, max_row=7):
+    coo = random_coo(n, seed=seed, max_row=max_row).astype(np.float32)
+    return CSRMatrix.from_coo(coo)
 
 
 def make_registry(names=("A",), n=60, seed=3, **kw):
@@ -596,20 +602,28 @@ class TestClient:
 # ---------------------------------------------------------------------------
 # HTTP front-end
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("no_leaks")
 class TestHTTP:
     @pytest.fixture()
-    def endpoint(self):
+    def served(self):
         reg = MatrixRegistry(tune=False)
         reg.register("A", matrix=make_csr(), variant=VARIANT)
+        reg.register("A32", matrix=make_csr32(), variant=VARIANT)
         reg.register("poisson", matrix=convert(poisson2d(6), "CRS"))
         server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
-        httpd = make_http_server(Client(server), port=0)
+        client = Client(server)
+        httpd = make_http_server(client, port=0)
         t = threading.Thread(target=httpd.serve_forever, daemon=True)
         t.start()
-        base = f"http://127.0.0.1:{httpd.server_address[1]}"
-        yield base
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", client
         httpd.shutdown()
+        httpd.server_close()
+        t.join(timeout=10)
         server.close()
+
+    @pytest.fixture()
+    def endpoint(self, served):
+        return served[0]
 
     @staticmethod
     def _post(base, path, payload):
@@ -622,9 +636,23 @@ class TestHTTP:
             return resp.status, json.loads(resp.read())
 
     @staticmethod
+    def _post_raw(base, path, data: bytes):
+        req = urllib.request.Request(
+            base + path, data=data, headers={"Content-Type": "application/json"}
+        )
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return resp.status, resp.read()
+
+    @staticmethod
     def _get(base, path):
         with urllib.request.urlopen(base + path, timeout=30) as resp:
             return resp.status, resp.read()
+
+    @staticmethod
+    def _assert_bitwise(got, want):
+        got = np.asarray(got, dtype=np.float64)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_spmv_roundtrip(self, endpoint):
         csr = make_csr()
@@ -645,6 +673,7 @@ class TestHTTP:
     def test_bad_request_is_400(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as exc:
             self._post(endpoint, "/v1/spmv", {"matrix": "A"})  # no x
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_solve_cg(self, endpoint):
@@ -696,7 +725,96 @@ class TestHTTP:
     def test_unknown_endpoint_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as exc:
             self._get(endpoint, "/v2/nothing")
+        exc.value.close()
         assert exc.value.code == 404
+
+    # -- wire contract: replies parse (stdlib json) to today's doubles ----
+    def test_spmv_reply_is_bitwise_through_stdlib_json(self, endpoint):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([[-0.0, 5e-324, 1e16, 1e-7], rng.standard_normal(56)])
+        status, body = self._post(endpoint, "/v1/spmv", {"matrix": "A", "x": x.tolist()})
+        assert status == 200
+        want = bind(make_csr(), tune=False, variant=VARIANT).spmv(x)
+        self._assert_bitwise(body["y"], want)
+
+    def test_float32_matrix_replies_float64_of_its_result(self, endpoint):
+        # float32 shortest digits would parse to other doubles than the
+        # float64 values the reply has always carried
+        x = np.random.default_rng(8).standard_normal(60)
+        status, body = self._post(endpoint, "/v1/spmv", {"matrix": "A32", "x": x.tolist()})
+        assert status == 200
+        y32 = bind(make_csr32(), tune=False, variant=VARIANT).spmv(x)
+        assert y32.dtype == np.float32
+        self._assert_bitwise(body["y"], y32.astype(np.float64))
+
+    def test_nan_in_x_is_accepted_and_echoed_as_nan_tokens(self, endpoint):
+        x = np.ones(60)
+        x[make_csr().to_coo().cols[0]] = np.nan
+        raw = json.dumps({"matrix": "A", "x": x.tolist()}).encode()
+        assert b"NaN" in raw  # the stdlib token, which strict JSON parsers reject
+        status, reply = self._post_raw(endpoint, "/v1/spmv", raw)
+        assert status == 200
+        assert b"NaN" in reply and b"null" not in reply
+        y = np.asarray(json.loads(reply)["y"])
+        assert np.isnan(y).any()
+        np.testing.assert_array_equal(
+            y, bind(make_csr(), tune=False, variant=VARIANT).spmv(x)
+        )
+
+    def test_malformed_body_is_400(self, endpoint):
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            self._post_raw(endpoint, "/v1/spmv", b'{"matrix": "A", "x": [1.0,')
+        assert exc.value.code == 400
+        assert "error" in json.loads(exc.value.read())
+
+    def test_untraced_reply_layout(self, endpoint):
+        # perfbench's serve-http workload (split_seconds) strips the
+        # trailing '"seconds": <float>}' by byte search before it
+        # verifies a reply: that layout is part of the wire contract
+        x = np.arange(60, dtype=np.float64)
+        status, raw = self._post_raw(
+            endpoint, "/v1/spmv", json.dumps({"matrix": "A", "x": x.tolist()}).encode()
+        )
+        assert status == 200
+        assert raw.startswith(b'{"matrix": "A", "y": [')
+        assert re.search(rb', "n": 60, "seconds": [0-9.e+-]+\}$', raw)
+        i = raw.rfind(b'"seconds": ')
+        assert float(raw[i + 11:].rstrip(b"} \n")) == json.loads(raw)["seconds"]
+        assert b"trace_id" not in raw
+
+    def test_solve_replies_are_bitwise_against_the_client(self, served):
+        base, client = served
+        b = np.random.default_rng(9).standard_normal(36)
+        status, body = self._post(
+            base, "/v1/solve", {"matrix": "poisson", "b": b.tolist(), "tol": 1e-10}
+        )
+        assert status == 200
+        self._assert_bitwise(body["x"], client.solve("poisson", b, tol=1e-10)["x"])
+        status, body = self._post(
+            base,
+            "/v1/solve",
+            {"matrix": "poisson", "method": "lanczos", "num_eigenvalues": 2},
+        )
+        assert status == 200
+        want = client.eigsh("poisson", num_eigenvalues=2)
+        self._assert_bitwise(body["eigenvalues"], np.asarray(want["eigenvalues"]))
+        self._assert_bitwise(body["residual_norms"], np.asarray(want["residual_norms"]))
+
+    def test_encoder_keeps_stdlib_values(self):
+        from repro.serve.http import _dumps
+
+        v = np.array([-0.0, 5e-324, 1e16, 1e-7, 1e308, -2.5, 1 / 3])
+        f32 = (np.arange(1, 8, dtype=np.float32) / 3)[::-1]  # strided float32
+        payload = {"a": v, "b": f32, "c": np.array([np.inf, -np.inf, np.nan]), "k": 1}
+        got = json.loads(_dumps(payload))
+        want = json.loads(
+            json.dumps({k: u.tolist() if k in "abc" else u for k, u in payload.items()})
+        )
+        assert list(got) == list(want)
+        for key in "abc":
+            self._assert_bitwise(got[key], np.asarray(want[key], dtype=np.float64))
+        assert got["k"] == 1
+        assert _dumps({"s": "x", "n": None}) == json.dumps({"s": "x", "n": None}).encode()
 
 
 # ---------------------------------------------------------------------------

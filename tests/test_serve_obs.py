@@ -20,9 +20,11 @@ import pytest
 from repro import obs
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultEvent
-from repro.formats import CSRMatrix
+from repro.formats import CSRMatrix, convert
+from repro.matrices import poisson2d
 from repro.obs.slo import SLOMonitor, default_serve_slos
 from repro.serve import Client, MatrixRegistry, SpMVServer, make_http_server
+from repro.serve import http as serve_http
 
 from _test_common import random_coo
 
@@ -57,12 +59,29 @@ def _get_json(base, path):
         return resp.status, json.loads(resp.read())
 
 
+def _front_end_roots(trace_id, timeout=5.0):
+    """``build_trace(trace_id)`` once the handler's root span has ended.
+
+    The handler writes its reply inside the ``http.*`` root span, so a
+    caller can hold the reply a moment before that span is finished.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        roots = obs.build_trace(trace_id)
+        if any(r.span.name.startswith("http.") for r in roots):
+            return roots
+        if time.monotonic() > deadline:
+            return roots
+        time.sleep(0.005)
+
+
 @pytest.fixture()
 def traced_endpoint():
     """HTTP endpoint with obs enabled and an (unticked) SLO monitor."""
     obs.enable()
     reg = MatrixRegistry(tune=False)
     reg.register("A", matrix=make_csr(), variant=VARIANT)
+    reg.register("poisson", matrix=convert(poisson2d(6), "CRS"))
     server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
     mon = SLOMonitor(default_serve_slos())
     httpd = make_http_server(Client(server), port=0, slo=mon)
@@ -71,6 +90,8 @@ def traced_endpoint():
     base = f"http://127.0.0.1:{httpd.server_address[1]}"
     yield base
     httpd.shutdown()
+    httpd.server_close()
+    t.join(timeout=10)
     server.close()
 
 
@@ -86,9 +107,12 @@ def bare_endpoint():
     base = f"http://127.0.0.1:{httpd.server_address[1]}"
     yield base
     httpd.shutdown()
+    httpd.server_close()
+    t.join(timeout=10)
     server.close()
 
 
+@pytest.mark.usefixtures("no_leaks")
 class TestHTTPTracing:
     def test_response_carries_trace_id(self, traced_endpoint):
         status, headers, body = _post(
@@ -109,6 +133,7 @@ class TestHTTPTracing:
         )
         assert body["trace_id"] == given
         assert headers["X-Trace-Id"] == given
+        _front_end_roots(given)
         names = {
             s.name for s in obs.get_tracer().finished()
             if s.trace_id == given
@@ -129,7 +154,7 @@ class TestHTTPTracing:
             traced_endpoint, "/v1/spmv", {"matrix": "A", "x": [1.0] * 60}
         )
         tid = body["trace_id"]
-        roots = obs.build_trace(tid)
+        roots = _front_end_roots(tid)
         assert len(roots) == 1 and roots[0].span.name == "http.spmv"
         text = obs.render_trace(tid)
         # request parents under the front-end; the executing batch span
@@ -137,7 +162,33 @@ class TestHTTPTracing:
         assert "serve.request" in text
         assert "serve.batch" in text and "~" in text
 
+    def test_codec_stages_are_recorded(self, traced_endpoint):
+        for path, payload, root_name in (
+            ("/v1/spmv", {"matrix": "A", "x": [1.0] * 60}, "http.spmv"),
+            ("/v1/solve", {"matrix": "poisson", "b": [1.0] * 36}, "http.solve"),
+        ):
+            _, _, body = _post(traced_endpoint, path, payload)
+            (root,) = _front_end_roots(body["trace_id"])
+            assert root.span.name == root_name
+            assert 0 < root.span.attrs["decode_s"] < root.span.duration
+            assert 0 < root.span.attrs["encode_s"] < root.span.duration
+        stages = obs.get_registry().get("serve_http_stage_seconds")
+        assert stages.labels(stage="decode").count == 2
+        assert stages.labels(stage="encode").count == 2
+        text = obs.prometheus_text()
+        assert 'serve_http_stage_seconds_count{stage="encode"} 2' in text
 
+    def test_no_stage_timing_when_obs_is_off(self, bare_endpoint, monkeypatch):
+        calls = []
+        monkeypatch.setattr(serve_http, "_record_stage", lambda *a: calls.append(a))
+        status, _, body = _post(
+            bare_endpoint, "/v1/spmv", {"matrix": "A", "x": [1.0] * 60}
+        )
+        assert status == 200 and "trace_id" not in body
+        assert calls == []
+
+
+@pytest.mark.usefixtures("no_leaks")
 class TestSLOEndpoint:
     def test_sloz_reports_monitor_state(self, traced_endpoint):
         status, body = _get_json(traced_endpoint, "/sloz")
