@@ -45,9 +45,9 @@ def batch_kernel(matrix, variant: KernelVariant) -> KernelSpec | None:
     The batch kernel follows the spmv variant's tier: a ``cnative``
     variant takes the ``cnative`` spmm candidate, and every other
     variant takes the first non-``cnative`` one.  So a process pinned
-    to a single-threaded kernel never starts an OpenMP team for a
-    batch.  Rank 0 when no candidate matches; ``None`` when the format
-    has no batched kernel (spmm then loops over columns).
+    to a single-threaded kernel never wakes the compiled tier's thread
+    pool for a batch.  Rank 0 when no candidate matches; ``None`` when
+    the format has no batched kernel (spmm then loops over columns).
     """
     candidates = kernels_for(matrix, "spmm")
     native = variant_tier(variant.tags) == "cnative"

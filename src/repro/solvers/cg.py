@@ -5,7 +5,7 @@ CG is the canonical example: one spMVM plus a handful of BLAS-1
 operations per iteration.  The implementation follows the classic
 Hestenes-Stiefel recurrence; all iterations run in the stored basis.
 The BLAS-1 steps run in place through :mod:`repro.solvers.vector`, in
-the spmv kernels' own OpenMP pool when the compiled tier is loaded.
+the spmv kernels' own thread pool when the compiled tier is loaded.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@
 Besides its spMVM, a CG iteration does a handful of BLAS-1 steps: two
 dot products, two axpys and one ``p = z + beta * p``.  Done through
 NumPy they allocate a temporary per step and wake OpenBLAS's thread
-pool, which then fights the OpenMP pool of the compiled spmv kernels
-for the same cores.  When the ``cnative`` tier is loaded these helpers
-run as C loops in that same OpenMP pool (see
+pool, whose idle spin then steals a core from the compiled spmv
+kernels.  When the ``cnative`` tier is loaded these helpers run as C
+loops in the spmv kernels' own thread pool (see
 :mod:`repro.kernels.compiled`), in place and without temporaries.
 
 The NumPy bodies below are both the reference and the fallback (taken
 for non-float64 or non-contiguous operands, and when the tier is off
-via ``REPRO_COMPILED_DISABLE``).  The element-wise updates of the two
-paths agree bitwise; the reductions differ only in summation order.
+via ``REPRO_COMPILED_DISABLE``).  The two paths agree bitwise: a
+reduction sums each 4096-element block in 256 interleaved
+accumulators, adds those pairwise by halving and then adds the block
+sums in block order, whatever the thread count; the NumPy bodies
+follow the same order without calling BLAS.
 """
 
 from __future__ import annotations
@@ -25,16 +28,72 @@ from repro.ops.registry import _ensure_loaded
 
 __all__ = ["dot", "cg_update", "xpby", "float64_apply"]
 
-#: block length of the NumPy fallback's scaled temporaries (64 KiB)
+#: elements per reduction block; each block is summed in
+#: ``_VEC_LANES`` interleaved accumulators (lane ``l`` adds elements
+#: ``l, l + 256, ...`` in turn), which are then added pairwise by
+#: halving, and the block sums are added in block order
+_VEC_BLOCK = 4096
+_VEC_LANES = 256
+#: elements per step of the NumPy fallback (64 KiB temporaries, less
+#: than a solver vector), a multiple of ``_VEC_BLOCK``
 _BLOCK = 8192
 
 
+def _block_lanes(prod: np.ndarray) -> np.ndarray:
+    """The ``(blocks, _VEC_LANES)`` accumulators of ``prod``'s blocks.
+
+    ``np.add.reduce`` over the rows of a ``(blocks, 16, 256)`` view
+    adds each lane's elements in order (the loop runs along the
+    lanes, so NumPy's pairwise summation never applies); the short
+    last block's partial row goes to its first lanes.
+    """
+    m = prod.shape[0]
+    full = m - m % _VEC_BLOCK
+    lanes = np.add.reduce(
+        prod[:full].reshape(-1, _VEC_BLOCK // _VEC_LANES, _VEC_LANES),
+        axis=1, initial=0,
+    )
+    if full == m:
+        return lanes
+    tail = prod[full:]
+    rows = tail.shape[0] - tail.shape[0] % _VEC_LANES
+    last = np.add.reduce(tail[:rows].reshape(-1, _VEC_LANES), axis=0, initial=0)
+    last[: tail.shape[0] - rows] += tail[rows:]
+    return np.concatenate([lanes, last[None]])
+
+
+def _sum_in_order(lanes: list[np.ndarray]) -> float:
+    if not lanes:
+        return 0.0
+    acc = np.concatenate(lanes)
+    w = _VEC_LANES
+    while w > 1:
+        w //= 2
+        acc = acc[:, :w] + acc[:, w:2 * w]
+    # cumsum adds strictly left to right (np.sum would pair up terms);
+    # the leading zero is the C kernels' initial sum
+    return float(np.cumsum(np.concatenate([np.zeros(1, acc.dtype), acc[:, 0]]))[-1])
+
+
+def _dot_np(a, b) -> float:
+    n = a.shape[0]
+    tmp = np.empty(min(n, _BLOCK), np.result_type(a, b))
+    lanes = []
+    for s in range(0, n, _BLOCK):
+        t = tmp[: min(n - s, _BLOCK)]
+        np.multiply(a[s:s + _BLOCK], b[s:s + _BLOCK], out=t)
+        lanes.append(_block_lanes(t))
+    return _sum_in_order(lanes)
+
+
 def _cg_update_np(alpha, p, ap, x, r) -> float:
+    lanes = []
     for s in range(0, x.shape[0], _BLOCK):
         e = s + _BLOCK
         x[s:e] += alpha * p[s:e]
         r[s:e] -= alpha * ap[s:e]
-    return float(np.dot(r, r))
+        lanes.append(_block_lanes(r[s:e] * r[s:e]))
+    return _sum_in_order(lanes)
 
 
 def _xpby_np(z, beta, p) -> None:
@@ -79,7 +138,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b``."""
     if _native(a, b):
         return _LIB.vec_dot_f64(a.shape[0], a.ctypes.data, b.ctypes.data)
-    return float(np.dot(a, b))
+    return _dot_np(a, b)
 
 
 def cg_update(

@@ -377,12 +377,31 @@ _SPMM_PAIRS = {
 }
 
 
+def _multi_chunk_coo():
+    return random_coo(12_000, seed=41, max_row=24, empty_row_fraction=0.2)
+
+
+def _long_row_coo(row=7):
+    """50 x 40,000 with one full row: longer than a compiled entry
+    chunk, so chunk boundaries fall inside the row."""
+    n = 40_000
+    rng = np.random.default_rng(42)
+    rows = np.concatenate([np.full(n, row), rng.integers(0, 50, 2_000)])
+    cols = np.concatenate([np.arange(n), rng.integers(0, n, 2_000)])
+    return COOMatrix(rows, cols, rng.standard_normal(rows.size), (50, n))
+
+
 def _compiled_case_matrices():
     return {
         "random-square": random_coo(60, seed=3),
         # empty rows stress the row-pointer walk / zero-length jagged tail
         "empty-rows": random_coo(50, seed=31, empty_row_fraction=0.4),
         "single-dense-row": single_dense_row_coo(),
+        # more rows than a row block, more entries than an entry chunk
+        "multi-chunk": _multi_chunk_coo(),
+        "long-row": _long_row_coo(),
+        # ... inside CMRS's last strip, which 50 rows leave partial
+        "long-row-last-strip": _long_row_coo(row=48),
     }
 
 
@@ -451,11 +470,14 @@ class TestCompiledTier:
             assert name in variant_names_for(m), f"{name} not in roster"
             rng = np.random.default_rng(7)
             x = rng.standard_normal(m.ncols)
-            got = bind(m, tune=False, variant=name).spmv(x)
+            # y is a prefix of a larger buffer: nothing past it is written
+            buf = np.full(m.nrows + 8, 7.0)
+            got = bind(m, tune=False, variant=name).spmv(x, out=buf[: m.nrows])
             ref = bind(m, tune=False, variant=ref_name).spmv(x)
             np.testing.assert_array_equal(
                 got, ref, err_msg=f"{fmt}/{name}/{case} not bitwise"
             )
+            assert np.all(buf[m.nrows:] == 7.0), f"{fmt}/{name}/{case} wrote past y"
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
     @pytest.mark.parametrize("fmt", sorted(_BITWISE_PAIRS))
@@ -499,8 +521,8 @@ class TestCompiledTier:
         m = convert(coo, fmt)
         A = dense_of(coo)
         rng = np.random.default_rng(14)
-        # k == 1 takes the C kernel's scalar row loop
-        for k in (1, 2, 4, 16):
+        # k == 1 takes the C kernel's scalar row loop; k == 0 is a no-op
+        for k in (0, 1, 2, 4, 16):
             if order == "sliced":
                 X = rng.standard_normal((m.ncols, 2 * k))[:, ::2]
             else:
@@ -525,18 +547,21 @@ class TestCompiledTier:
         """A bound matrix batches through the spmm kernel of its spmv
         variant's tier, and both tiers' batches agree bitwise."""
         cc_name, np_name = _SPMM_PAIRS[fmt]
-        m = convert(random_coo(40, seed=17), fmt)
-        X = np.random.default_rng(18).standard_normal((m.ncols, 3))
-        outs = {}
-        for variant in variant_names_for(m):
-            bound = bind(m, tune=False, variant=variant)
-            native = "cnative" in bound.variant.tags
-            want = cc_name if native else np_name
-            assert bound.spmm_variant_name == want, variant
-            outs[variant] = bound.spmm(X)
-        ref = outs[_BITWISE_PAIRS[fmt][1]]
-        for variant, got in outs.items():
-            np.testing.assert_array_equal(got, ref, err_msg=f"{fmt}/{variant}")
+        for coo in (random_coo(40, seed=17), _multi_chunk_coo()):
+            m = convert(coo, fmt)
+            X = np.random.default_rng(18).standard_normal((m.ncols, 3))
+            outs = {}
+            for variant in variant_names_for(m):
+                bound = bind(m, tune=False, variant=variant)
+                native = "cnative" in bound.variant.tags
+                want = cc_name if native else np_name
+                assert bound.spmm_variant_name == want, variant
+                outs[variant] = bound.spmm(X)
+            ref = outs[_BITWISE_PAIRS[fmt][1]]
+            for variant, got in outs.items():
+                np.testing.assert_array_equal(
+                    got, ref, err_msg=f"{fmt}/{variant}/n={m.nrows}"
+                )
 
     def test_registry_order_is_import_order_free(self):
         """Loading the compiled tier before the NumPy spmm kernels must
@@ -628,6 +653,120 @@ class TestCompiledTier:
         for r in rows:
             if r["variant"].endswith("_cc") or "_cc" in r["variant"]:
                 assert "compiled" in r["tags"] and "cnative" in r["tags"], r
+
+
+# ---------------------------------------------------------------------------
+# the compiled tier's thread pool: concurrent callers, fork
+# ---------------------------------------------------------------------------
+
+needs_cnative = pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
+
+
+def _pool_poisson(nx: int):
+    """5-point Poisson on an ``nx`` x ``nx`` grid as CRS and pJDS."""
+    from repro.matrices.generators import poisson2d
+
+    coo = poisson2d(nx)
+    return convert(coo, "CRS"), convert(coo, "pJDS")
+
+
+def _fork_child(conn, jds, x, a):
+    from repro.solvers import vector
+
+    try:
+        y = bind(jds, tune=False, variant="jds_cc").spmv(x)
+        conn.send((vector.dot(a, a), y))
+    finally:
+        conn.close()
+
+
+@needs_cnative
+class TestComputePool:
+    """The compiled tier's thread pool under concurrency and fork."""
+
+    def test_concurrent_callers_bitwise(self):
+        """Four Python threads call kernels at once (ctypes drops the
+        GIL): a caller that finds the pool busy runs inline, and no
+        chunk of one caller's job runs against another's buffers."""
+        import sys
+        import threading
+
+        from repro.solvers import vector
+
+        csr, jds = _pool_poisson(128)
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal(jds.ncols)
+        X = rng.standard_normal((csr.ncols, 8))
+        n = 1 << 16
+        p, ap, x0, r0 = (rng.standard_normal(n) for _ in range(4))
+
+        def run_once(jb, ws):
+            xs, rs = x0.copy(), r0.copy()
+            rr = vector.cg_update(0.37, p, ap, xs, rs)
+            out = np.zeros((csr.nrows, 8))
+            get_kernel(csr, "spmm_csr_cc", "spmm").run(csr, X, out, ws)
+            return jb.spmv(x).copy(), out, xs, rs, rr
+
+        ref = run_once(bind(jds, tune=False, variant="jds_cc"), Workspace())
+        start = threading.Barrier(4)
+        bad: list[str] = []
+
+        def caller(tid):
+            jb = bind(jds, tune=False, variant="jds_cc")
+            ws = Workspace()
+            start.wait(timeout=30)
+            for i in range(50):
+                got = run_once(jb, ws)
+                names = ("spmv", "spmm", "x", "r", "rr")
+                for what, g, want in zip(names, got, ref):
+                    if not np.array_equal(g, want):
+                        bad.append(f"thread {tid} call {i}: {what}")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(t,)) for t in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad, bad[:5]
+
+    def test_kernels_run_in_a_forked_child(self):
+        """The pool restarts in a forked child (an OpenMP team does not
+        survive fork: the child's first parallel call hung)."""
+        from repro.solvers import vector
+        from repro.utils.workers import mp_context
+
+        _, jds = _pool_poisson(128)
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal(jds.ncols)
+        a = rng.standard_normal(1 << 20)
+        y = bind(jds, tune=False, variant="jds_cc").spmv(x)
+        want = (vector.dot(a, a), y)
+        ctx = mp_context()
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_fork_child, args=(send, jds, x, a))
+        proc.start()
+        send.close()
+        try:
+            got = recv.recv() if recv.poll(60) else None
+            proc.join(timeout=60)
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            recv.close()
+        assert proc.exitcode == 0
+        proc.close()
+        assert got is not None
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------

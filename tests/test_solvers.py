@@ -268,6 +268,17 @@ class TestVectorKernels:
             runs.append(vector.cg_update(0.5, a, b, x, r))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("n", VECTOR_LENGTHS + (4095, 4096, 8193))
+    def test_reductions_bitwise_across_tiers(self, n):
+        """The C reductions and the NumPy fallback sum in one order."""
+        rng = np.random.default_rng(n + 5)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert vector.dot(a, b) == vector._dot_np(a, b)
+        p, ap = rng.standard_normal(n), rng.standard_normal(n)
+        x_ref, r_ref = a.copy(), b.copy()
+        rr_ref = vector._cg_update_np(0.37, p, ap, x_ref, r_ref)
+        assert vector.cg_update(0.37, p, ap, a, b) == rr_ref
+
     def test_fallback_on_other_layouts(self):
         a = np.arange(5, dtype=np.float32)
         assert not vector._native(a, a)
