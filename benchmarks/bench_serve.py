@@ -92,7 +92,6 @@ def run_serve_bench(
     clients=8,
     requests_per_client=50,
     batch_sizes=(1, 16),
-    max_delay_ms=2.0,
     workers=2,
     seed=0,
 ):
@@ -114,8 +113,6 @@ def run_serve_bench(
         server = SpMVServer(
             registry,
             max_batch=max_batch,
-            # batch-1 has nothing to wait for: dispatch immediately
-            max_delay_ms=0.0 if max_batch == 1 else max_delay_ms,
             max_queue=max(256, clients * 4),
             workers=workers,
         )
@@ -142,7 +139,6 @@ def run_serve_bench(
                 "nrows": mat.nrows,
                 "nnz": mat.nnz,
                 "max_batch": max_batch,
-                "max_delay_ms": 0.0 if max_batch == 1 else max_delay_ms,
                 "clients": clients,
                 "workers": workers,
                 "requests": total,
@@ -180,7 +176,6 @@ def run_fleet_bench(
     replicas=1,
     workers=1,
     max_batch=16,
-    max_delay_ms=2.0,
     seed=0,
 ):
     """Closed-loop load through the fleet router at each shard count.
@@ -222,7 +217,6 @@ def run_fleet_bench(
             mode=mode,
             workers=workers,
             max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
             max_queue=max(256, clients * 4),
             pace={"bandwidth_bytes": bandwidth, "per_request": True},
         )
@@ -342,7 +336,6 @@ def _main_fleet(args):
         mode=args.fleet_transport,
         replicas=args.replicas,
         workers=args.workers,
-        max_delay_ms=args.max_delay_ms,
     )
     write_artifact(args.out, records)
     print(
@@ -393,7 +386,6 @@ def main(argv=None):
                     help="requests per client")
     ap.add_argument("--batches", type=int, nargs="+", default=[1, 4, 16],
                     help="max_batch values to sweep (include 1 as baseline)")
-    ap.add_argument("--max-delay-ms", type=float, default=2.0)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--out", default=None,
                     help="artifact path (default BENCH_serve.json, or "
@@ -436,7 +428,6 @@ def main(argv=None):
         clients=args.clients,
         requests_per_client=args.requests,
         batch_sizes=tuple(args.batches),
-        max_delay_ms=args.max_delay_ms,
         workers=args.workers,
     )
     write_artifact(args.out, records)

@@ -419,7 +419,6 @@ def _serve_fleet(args, out) -> int:
         mode=args.fleet_mode,
         workers=args.workers,
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         max_queue=args.max_queue,
         policy=args.policy,
     )
@@ -518,7 +517,6 @@ def cmd_serve(args, out) -> int:
     server = SpMVServer(
         registry,
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         max_queue=args.max_queue,
         policy=args.policy,
         workers=args.workers,
@@ -537,7 +535,7 @@ def cmd_serve(args, out) -> int:
         )
     print(
         f"serving {registry.names()} as {args.format} "
-        f"(max_batch={args.max_batch}, window={args.max_delay_ms}ms, "
+        f"(max_batch={args.max_batch}, "
         f"policy={args.policy}, {args.workers} workers)",
         file=out,
     )
@@ -927,8 +925,7 @@ def cmd_chaos(args, out) -> int:
             registry = MatrixRegistry(faults=injector)
             registry.register("chaos", matrix=csr, variant="csr_scipy")
             server = SpMVServer(
-                registry, workers=args.workers, max_delay_ms=0.2,
-                faults=injector,
+                registry, workers=args.workers, faults=injector,
             )
             client = Client(server, retry=retry)
             rng = np.random.default_rng(args.seed)
@@ -1204,8 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="storage format (case-insensitive, e.g. pjds)")
     pv.add_argument("--max-batch", type=int, default=16,
                     help="most vectors coalesced into one spmm call")
-    pv.add_argument("--max-delay-ms", type=float, default=1.0,
-                    help="batching window: longest wait for batch-mates")
     pv.add_argument("--max-queue", type=int, default=256,
                     help="admission bound on queued requests")
     pv.add_argument("--policy", choices=("block", "reject", "shed-oldest"),

@@ -41,7 +41,7 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay_s: float = 0.0
-    max_delay_s: float = 1.0
+    delay_cap_s: float = 1.0
     jitter_s: float = 0.0
     seed: int = 0
     budget: int | None = None
@@ -49,7 +49,7 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0 or self.jitter_s < 0:
+        if self.base_delay_s < 0 or self.delay_cap_s < 0 or self.jitter_s < 0:
             raise ValueError("delays must be >= 0")
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
@@ -58,14 +58,14 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             return 0.0
-        base = min(self.base_delay_s * (2.0 ** (attempt - 1)), self.max_delay_s)
+        base = min(self.base_delay_s * (2.0 ** (attempt - 1)), self.delay_cap_s)
         if self.jitter_s:
             # deterministic jitter: replayable chaos runs
             base += (
                 random.Random(self.seed * 1_000_003 + attempt).random()
                 * self.jitter_s
             )
-        return min(base, self.max_delay_s + self.jitter_s)
+        return min(base, self.delay_cap_s + self.jitter_s)
 
     def retries(self) -> int:
         """Retries available per unit (attempts after the first)."""

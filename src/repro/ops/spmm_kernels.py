@@ -40,6 +40,7 @@ from repro.ops.registry import KernelSpec, kernels_for, register_kernel
 from repro.ops.spmv_kernels import (
     _HAVE_CSR_MATVEC,
     _scipy_sparsetools,
+    _sp_matvec,
     stored_csr_triplet,
 )
 
@@ -70,7 +71,10 @@ def _rows_per_chunk(L: int, k: int) -> int:
 
 
 def _sp_matvecs(nrows, ncols, indptr, indices, data, X, out):
-    """``out = A X`` via scipy's compiled block kernel (accumulating)."""
+    """``out = A X`` via scipy's C kernels; one column takes ``csr_matvec``."""
+    if X.shape[1] == 1:
+        _sp_matvec(nrows, ncols, indptr, indices, data, X[:, 0], out[:, 0])
+        return
     out[:] = 0.0
     _scipy_sparsetools.csr_matvecs(
         nrows, ncols, X.shape[1], indptr, indices, data, X, out

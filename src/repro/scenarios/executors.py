@@ -231,8 +231,7 @@ def serve_roundtrip(axes, *, config, scale, seed):
         reg = MatrixRegistry()
         reg.register("A", matrix=csr, variant=variant)
         server = SpMVServer(
-            reg, policy=axes["serve-policy"], workers=workers,
-            max_delay_ms=1.0, faults=faults,
+            reg, policy=axes["serve-policy"], workers=workers, faults=faults,
         )
         try:
             client = Client(server, retry=RetryPolicy(max_attempts=4))

@@ -6,10 +6,11 @@ long-lived process that can take heavy concurrent traffic:
 * :mod:`repro.serve.registry` — named pool of resident, autotuned
   :class:`~repro.engine.bound.BoundMatrix` handles; refcounted leases
   and byte-budget LRU eviction (in-use matrices are never evicted).
-* :mod:`repro.serve.scheduler` — the micro-batcher: concurrent
-  ``spmv(name, x)`` requests per matrix coalesce (``max_batch`` /
-  ``max_delay_ms`` window) into single ``spmm`` calls on a worker pool
-  — the Eq. (1) bandwidth argument applied to serving.  Admission
+* :mod:`repro.serve.scheduler` — the micro-batcher: a free worker
+  dispatches at once everything queued for one matrix (up to
+  ``max_batch``) as a single ``spmm`` call, so batches fill while the
+  workers are busy — the Eq. (1) bandwidth argument applied to
+  serving, with no batching window.  Admission
   control bounds the queue with ``block`` / ``reject`` / ``shed-oldest``
   backpressure and enforces per-request deadlines before work reaches
   a worker; :meth:`~repro.serve.scheduler.SpMVServer.resize_workers`
@@ -31,7 +32,7 @@ long-lived process that can take heavy concurrent traffic:
   :class:`ShardDown`, ...), each mapped to one HTTP status.
 
 See ``docs/serving.md`` and ``docs/fleet.md`` for architecture,
-window semantics and the metrics tables.
+batching semantics and the metrics tables.
 """
 
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler

@@ -212,7 +212,6 @@ class ShardConfig:
     shard_id: int
     workers: int = 1
     max_batch: int = 16
-    max_delay_ms: float = 1.0
     max_queue: int = 512
     policy: str = "block"
     tune: bool = False
@@ -269,7 +268,6 @@ class _ShardCore:
         self.server = SpMVServer(
             self.registry,
             max_batch=config.max_batch,
-            max_delay_ms=config.max_delay_ms,
             max_queue=config.max_queue,
             policy=config.policy,
             workers=config.workers,
@@ -615,7 +613,6 @@ class Fleet:
         mode: str = "inproc",
         workers: int = 1,
         max_batch: int = 16,
-        max_delay_ms: float = 1.0,
         max_queue: int = 512,
         policy: str = "block",
         tune: bool = False,
@@ -633,7 +630,6 @@ class Fleet:
                 shard_id=i,
                 workers=workers,
                 max_batch=max_batch,
-                max_delay_ms=max_delay_ms,
                 max_queue=max_queue,
                 policy=policy,
                 tune=tune,

@@ -4,11 +4,12 @@ The serving argument is the paper's Eq. (1) argument run backwards:
 SpMV is bandwidth-bound, so *k* concurrent ``A @ x`` requests against
 the same matrix cost nearly the same memory traffic as one — if they
 are executed as a single block product ``A @ [x_1 .. x_k]``.  The
-scheduler therefore coalesces concurrent requests per matrix into
-micro-batches (up to ``max_batch`` vectors or a ``max_delay_ms``
-deadline, whichever comes first) and runs each batch as **one**
-:meth:`~repro.engine.bound.BoundMatrix.spmm` call on a worker-private
-clone, scattering the result columns back to per-request futures.
+scheduler therefore runs concurrent requests per matrix as
+micro-batches, each **one** :meth:`~repro.engine.bound.BoundMatrix.spmm`
+call on a worker-private clone, scattering the result columns back to
+per-request futures.  Batching is work-conserving (no window): a free
+worker takes everything queued for the oldest-headed matrix, up to
+``max_batch``, so batches fill only while every worker is busy.
 
 Admission control in front of the batcher keeps overload from turning
 into unbounded queueing: the pending-request count is capped at
@@ -94,9 +95,6 @@ class SpMVServer:
         resolved against.
     max_batch:
         Most vectors coalesced into one ``spmm`` call.
-    max_delay_ms:
-        Longest a request waits for batch-mates before the partial
-        batch is dispatched anyway (the batching window).
     max_queue:
         Admission bound on *queued* (not yet dispatched) requests.
     policy:
@@ -119,7 +117,6 @@ class SpMVServer:
         registry: MatrixRegistry,
         *,
         max_batch: int = 16,
-        max_delay_ms: float = 1.0,
         max_queue: int = 256,
         policy: str = "block",
         workers: int = 2,
@@ -128,8 +125,6 @@ class SpMVServer:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if policy not in POLICIES:
@@ -138,7 +133,6 @@ class SpMVServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.registry = registry
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_ms / 1e3
         self.max_queue = max_queue
         self.policy = policy
         self.num_workers = workers
@@ -345,9 +339,11 @@ class SpMVServer:
             raise ServerOverloaded("queue full", self._depth, self.max_queue)
         if self.policy == "shed-oldest":
             while self._depth >= self.max_queue:
-                victim = self._pop_oldest_locked()
-                if victim is None:  # pragma: no cover - depth implies one
+                dq = self._oldest_queue_locked()
+                if dq is None:  # pragma: no cover - depth implies one
                     break
+                victim = dq.popleft()
+                self._depth -= 1
                 victim.future.set_exception(
                     ServerOverloaded("shed", self._depth + 1, self.max_queue)
                 )
@@ -371,15 +367,13 @@ class SpMVServer:
                 )
             self._not_full.wait(timeout=remaining)
 
-    def _pop_oldest_locked(self) -> _Request | None:
-        victim_dq = None
+    def _oldest_queue_locked(self) -> deque[_Request] | None:
+        """The non-empty per-matrix queue with the oldest head, if any."""
+        oldest = None
         for dq in self._pending.values():
-            if dq and (victim_dq is None or dq[0].t_submit < victim_dq[0].t_submit):
-                victim_dq = dq
-        if victim_dq is None:
-            return None
-        self._depth -= 1
-        return victim_dq.popleft()
+            if dq and (oldest is None or dq[0].t_submit < oldest[0].t_submit):
+                oldest = dq
+        return oldest
 
     # ------------------------------------------------------------------
     # batch formation
@@ -415,60 +409,36 @@ class SpMVServer:
         self._publish_depth_locked()
         self._not_full.notify_all()
 
-    def _take_batch(self) -> tuple[str, list[_Request]] | None:
-        """Block until a batch is ripe (or the server drains); pop it.
+    def _take_batch(
+        self, limit: int, *, retire: bool = True
+    ) -> tuple[str, list[_Request]] | None:
+        """Block until work is queued (or the server drains); pop a batch.
 
-        A matrix's queue is ripe when it holds ``max_batch`` requests,
-        when its oldest request has waited ``max_delay_ms``, or when
-        the server is closing (drain mode).  Among ripe queues the one
-        with the oldest head wins (FIFO across matrices).
+        The batch is up to ``limit`` requests of the matrix whose head
+        is oldest; nothing waits for batch-mates.  Expired requests are
+        completed with :class:`DeadlineExceeded` here, never executed.
+        ``retire=False`` (the degraded loop) ignores pool shrinks.
         """
         with self._lock:
             while True:
-                now = self._clock()
-                self._expire_locked(now)
-                if self._retire > 0:
+                self._expire_locked(self._clock())
+                if retire and self._retire > 0:
                     # resize_workers shrank the pool: exit cleanly
                     self._retire -= 1
                     return None
                 if self._closing and self._depth == 0:
                     self._ready.notify_all()  # wake sibling workers to exit
                     return None
-                best: str | None = None
-                best_t = math.inf
-                next_event = math.inf
-                for name, dq in self._pending.items():
-                    if not dq:
-                        continue
-                    head = dq[0]
-                    ripe_at = head.t_submit + self.max_delay_s
-                    if (
-                        len(dq) >= self.max_batch
-                        or now >= ripe_at
-                        or self._closing
-                    ):
-                        if head.t_submit < best_t:
-                            best, best_t = name, head.t_submit
-                    else:
-                        next_event = min(next_event, ripe_at)
-                    if head.t_deadline is not None:
-                        next_event = min(next_event, head.t_deadline)
+                best = self._oldest_queue_locked()
                 if best is not None:
-                    dq = self._pending[best]
-                    reqs = [
-                        dq.popleft()
-                        for _ in range(min(self.max_batch, len(dq)))
-                    ]
+                    reqs = [best.popleft() for _ in range(min(limit, len(best)))]
                     self._depth -= len(reqs)
                     self._publish_depth_locked()
                     self._not_full.notify_all()
                     if self._depth:
-                        self._ready.notify()  # more work may be ripe
-                    return best, reqs
-                timeout = None if next_event is math.inf else max(
-                    next_event - now, 0.0
-                )
-                self._ready.wait(timeout=timeout)
+                        self._ready.notify()  # more work is queued
+                    return reqs[0].matrix, reqs
+                self._ready.wait()
 
     # ------------------------------------------------------------------
     # execution
@@ -479,7 +449,7 @@ class SpMVServer:
                 if self.faults is not None:
                     # slow_worker sleeps here; worker_crash raises
                     self.faults.worker_fault(idx)
-                batch = self._take_batch()
+                batch = self._take_batch(self.max_batch)
                 if batch is None:
                     break
                 name, reqs = batch
@@ -518,38 +488,13 @@ class SpMVServer:
     # ------------------------------------------------------------------
     # degraded mode: unbatched per-request fallback
     # ------------------------------------------------------------------
-    def _take_one(self) -> tuple[str, _Request] | None:
-        """Pop the oldest queued request (degraded mode's batch former).
-
-        Deadlines keep their exact pop-time semantics: expired requests
-        are completed with :class:`DeadlineExceeded` here and never
-        executed — degraded mode must not downgrade a 504 to a generic
-        error.
-        """
-        with self._lock:
-            while True:
-                now = self._clock()
-                self._expire_locked(now)
-                if self._closing and self._depth == 0:
-                    return None
-                req = self._pop_oldest_locked()
-                if req is not None:
-                    self._publish_depth_locked()
-                    self._not_full.notify_all()
-                    return req.matrix, req
-                next_event = math.inf
-                for dq in self._pending.values():
-                    if dq and dq[0].t_deadline is not None:
-                        next_event = min(next_event, dq[0].t_deadline)
-                timeout = None if next_event is math.inf else max(next_event - now, 0.0)
-                self._ready.wait(timeout=timeout)
-
     def _degraded_loop(self) -> None:
+        """Unbatched fallback: oldest request first, same pop-time deadlines."""
         while True:
-            item = self._take_one()
+            item = self._take_batch(1, retire=False)
             if item is None:
                 return
-            name, req = item
+            name, (req,) = item
             self._execute_one(name, req)
 
     def _execute_one(self, name: str, req: _Request) -> None:
@@ -836,7 +781,6 @@ class SpMVServer:
                 "queue_depth": self._depth,
                 "policy": self.policy,
                 "max_batch": self.max_batch,
-                "max_delay_ms": self.max_delay_s * 1e3,
                 "max_queue": self.max_queue,
                 "workers": self.num_workers,
                 "live_workers": self._live_workers,

@@ -239,7 +239,9 @@ class TestServe:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 8000
         assert args.policy == "block" and args.max_batch == 16
-        assert args.max_delay_ms == 1.0 and args.max_queue == 256
+        assert args.max_queue == 256
+        with pytest.raises(SystemExit):  # no batching window to set
+            build_parser().parse_args(["serve", "--max-delay-ms", "1"])
         assert args.workers == 2 and args.budget_mb is None
         assert args.matrix is None and args.mtx == []
         assert not args.obs

@@ -148,7 +148,7 @@ class TestInjector:
 
 class TestRetryPolicy:
     def test_backoff_capped_exponential(self):
-        p = RetryPolicy(max_attempts=5, base_delay_s=0.1, max_delay_s=0.25)
+        p = RetryPolicy(max_attempts=5, base_delay_s=0.1, delay_cap_s=0.25)
         assert p.delay(1) == pytest.approx(0.1)
         assert p.delay(2) == pytest.approx(0.2)
         assert p.delay(3) == pytest.approx(0.25)  # capped
@@ -435,7 +435,7 @@ class TestServeChaos:
         reg = MatrixRegistry(faults=registry_faults)
         reg.register("A", matrix=csr, variant="csr_scipy")
         srv = SpMVServer(
-            reg, workers=workers, max_delay_ms=0.2, faults=faults
+            reg, workers=workers, faults=faults
         )
         return csr, srv
 

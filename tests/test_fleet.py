@@ -58,7 +58,7 @@ import contextlib
 def reference_client(csr, name="ref"):
     reg = MatrixRegistry(tune=False)
     reg.register(name, matrix=csr, variant=VARIANT)
-    client = Client(SpMVServer(reg, workers=1, max_delay_ms=0.0))
+    client = Client(SpMVServer(reg, workers=1))
     try:
         yield client
     finally:
@@ -330,7 +330,6 @@ class TestHedging:
             mode="inproc",
             workers=1,
             max_batch=1,
-            max_delay_ms=0.0,
             pace={"bandwidth_bytes": bw, "per_request": True},
         )
 
@@ -366,7 +365,7 @@ class TestHedging:
         reg = MatrixRegistry(tune=False)
         reg.register("A", matrix=csr, variant=VARIANT)
         server = SpMVServer(
-            reg, workers=1, max_batch=1, max_delay_ms=0.0,
+            reg, workers=1, max_batch=1,
             faults=plan.injector(),
         )
         client = Client(server)
@@ -402,7 +401,7 @@ class TestHedging:
         csr = small_csr()
         reg = MatrixRegistry(tune=False)
         reg.register("A", matrix=csr, variant=VARIANT)
-        server = SpMVServer(reg, workers=1, max_batch=1, max_delay_ms=0.0)
+        server = SpMVServer(reg, workers=1, max_batch=1)
         stuck: list[Future] = []
         real_submit = server.submit
 
@@ -488,7 +487,7 @@ class TestChaosDrill:
             )
         )
         fleet = Fleet(
-            2, mode="inproc", workers=1, max_batch=1, max_delay_ms=0.0,
+            2, mode="inproc", workers=1, max_batch=1,
             pace={"bandwidth_bytes": bw, "per_request": True},
         )
         router = FleetRouter(fleet, replicas=2)

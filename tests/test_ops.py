@@ -521,8 +521,9 @@ class TestCompiledTier:
         m = convert(coo, fmt)
         A = dense_of(coo)
         rng = np.random.default_rng(14)
-        # k == 1 takes the C kernel's scalar row loop; k == 0 is a no-op
-        for k in (0, 1, 2, 4, 16):
+        # k == 1 takes the C kernel's scalar row loop; k == 0 is a no-op;
+        # 3, 5 and 7 leave every remainder of the 4/2/1 column tiles
+        for k in (0, 1, 2, 3, 4, 5, 7, 16):
             if order == "sliced":
                 X = rng.standard_normal((m.ncols, 2 * k))[:, ::2]
             else:
@@ -539,6 +540,30 @@ class TestCompiledTier:
             np.testing.assert_allclose(
                 outs[name], A @ X, rtol=1e-12, atol=1e-12, err_msg=msg
             )
+
+    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
+    @pytest.mark.parametrize(
+        "fmt,spmm_name,spmv_name",
+        [
+            ("CRS", "spmm_csr", "csr_scipy"),
+            ("ELLPACK-R", "spmm_ell", "ell_scipy"),
+            ("pJDS", "spmm_jds", "jds_scipy"),
+            ("SELL-C-sigma", "spmm_sell", "sell_scipy"),
+            ("CMRS", "spmm_cmrs", "cmrs_scipy"),
+            ("ARG-CSR", "spmm_argcsr", "argcsr_scipy"),
+        ],
+    )
+    def test_scipy_spmm_one_column_is_spmv(self, fmt, spmm_name, spmv_name):
+        """A 1-column scipy-backed batch is bitwise the variant's spmv."""
+        for coo in (random_coo(35, seed=13), _multi_chunk_coo()):
+            m = convert(coo, fmt)
+            x = np.random.default_rng(15).standard_normal(m.ncols)
+            out = np.full((m.nrows, 1), np.nan, dtype=m.dtype)
+            got = get_kernel(m, spmm_name, "spmm").run(
+                m, x[:, None].copy(), out, Workspace()
+            )
+            ref = bind(m, tune=False, variant=spmv_name).spmv(x)
+            np.testing.assert_array_equal(got[:, 0], ref, err_msg=fmt)
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
     @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
@@ -948,7 +973,7 @@ class TestBackendAdapters:
         reg = MatrixRegistry()
         reg.register("A", matrix=m, tune=False)
         serial = bind(m, tune=False)
-        with SpMVServer(reg, max_batch=4, max_delay_ms=2.0, workers=1) as srv:
+        with SpMVServer(reg, max_batch=4, workers=1) as srv:
             op = Client(srv).operator("A")
             assert op.shape == (40, 40) and op.dtype == m.dtype
             # batched execution is bitwise-identical to the pinned

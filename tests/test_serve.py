@@ -210,7 +210,7 @@ class TestCoalescing:
         refs = [serial.spmv(x) for x in xs]
 
         server = SpMVServer(
-            reg, max_batch=8, max_delay_ms=50.0, workers=1, autostart=False
+            reg, max_batch=8, workers=1, autostart=False
         )
         futures = [server.submit("A", x) for x in xs]
         assert server.queue_depth == 24
@@ -224,17 +224,53 @@ class TestCoalescing:
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)  # bitwise
 
-    def test_partial_batch_dispatches_on_delay_window(self):
+    def test_lone_request_dispatches_at_once(self):
+        """A free worker never waits for batch-mates (no batching window)."""
         reg = make_registry()
-        with SpMVServer(reg, max_batch=64, max_delay_ms=5.0, workers=1) as server:
+        with SpMVServer(reg, max_batch=64, workers=1) as server:
+            server.spmv("A", np.ones(60), timeout=10)  # warm the clone
+            t0 = time.perf_counter()
             y = server.spmv("A", np.ones(60), timeout=10)
+            elapsed = time.perf_counter() - t0
         assert y.shape == (60,)
-        assert server.spmm_calls == 1  # single under-full batch
+        assert server.spmm_calls == 2  # two single-column batches
+        assert elapsed < 0.5
+
+    def test_batches_form_under_load(self, monkeypatch):
+        """Requests queued while the only worker is busy form one batch."""
+        from repro.engine.bound import BoundMatrix
+
+        entered, release = threading.Event(), threading.Event()
+        widths = []
+        real_spmm = BoundMatrix.spmm
+
+        def gated_spmm(self, X, *args, **kwargs):
+            widths.append(X.shape[1])
+            entered.set()
+            assert release.wait(10)
+            return real_spmm(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(BoundMatrix, "spmm", gated_spmm)
+        csr = make_csr()
+        reg = MatrixRegistry()
+        reg.register("A", matrix=csr, variant=VARIANT)
+        xs = vectors(csr.ncols, 6, seed=4)
+        serial = bind(csr, tune=False, variant=VARIANT)
+        with SpMVServer(reg, max_batch=16, workers=1) as server:
+            futures = [server.submit("A", xs[0])]
+            assert entered.wait(10)  # the worker is inside the first batch
+            futures += [server.submit("A", x) for x in xs[1:]]
+            assert server.queue_depth == 5
+            release.set()
+            results = [f.result(timeout=10) for f in futures]
+        assert widths == [1, 5]
+        for got, x in zip(results, xs):
+            np.testing.assert_array_equal(got, serial.spmv(x))
 
     def test_batches_are_per_matrix(self):
         reg = make_registry(("A", "B"), n=50, seed=9)
         server = SpMVServer(
-            reg, max_batch=16, max_delay_ms=50.0, workers=1, autostart=False
+            reg, max_batch=16, workers=1, autostart=False
         )
         fa = [server.submit("A", x) for x in vectors(50, 3, seed=1)]
         fb = [server.submit("B", x) for x in vectors(50, 3, seed=2)]
@@ -250,7 +286,7 @@ class TestCoalescing:
     def test_stats_counts_and_mean_batch_size(self):
         reg = make_registry()
         server = SpMVServer(
-            reg, max_batch=4, max_delay_ms=50.0, workers=1, autostart=False
+            reg, max_batch=4, workers=1, autostart=False
         )
         futures = [server.submit("A", x) for x in vectors(60, 8)]
         server.start()
@@ -268,7 +304,7 @@ class TestCoalescing:
     def test_bad_vector_fails_alone_batch_survives(self):
         reg = make_registry()
         server = SpMVServer(
-            reg, max_batch=8, max_delay_ms=50.0, workers=1, autostart=False
+            reg, max_batch=8, workers=1, autostart=False
         )
         good = [server.submit("A", x) for x in vectors(60, 3)]
         bad = server.submit("A", np.ones(61))  # wrong length
@@ -305,7 +341,6 @@ class TestBackpressure:
             max_queue=2,
             policy="reject",
             max_batch=4,
-            max_delay_ms=50.0,
             workers=1,
             autostart=False,
         )
@@ -327,7 +362,6 @@ class TestBackpressure:
             reg,
             max_queue=2,
             policy="shed-oldest",
-            max_delay_ms=50.0,
             workers=1,
             autostart=False,
         )
@@ -349,7 +383,6 @@ class TestBackpressure:
             reg,
             max_queue=2,
             policy="block",
-            max_delay_ms=1.0,
             workers=1,
             autostart=False,
         )
@@ -395,7 +428,7 @@ class TestDeadline:
         """Acceptance (c): a request whose deadline passed is never run."""
         reg = make_registry()
         server = SpMVServer(
-            reg, max_batch=4, max_delay_ms=1.0, workers=1, autostart=False
+            reg, max_batch=4, workers=1, autostart=False
         )
         doomed = server.submit("A", np.ones(60), deadline_ms=10)
         time.sleep(0.05)  # let the deadline lapse while workers are off
@@ -409,7 +442,7 @@ class TestDeadline:
     def test_expiry_is_per_request(self):
         reg = make_registry()
         server = SpMVServer(
-            reg, max_batch=8, max_delay_ms=1.0, workers=1, autostart=False
+            reg, max_batch=8, workers=1, autostart=False
         )
         doomed = server.submit("A", np.ones(60), deadline_ms=10)
         alive = server.submit("A", np.ones(60))
@@ -424,7 +457,7 @@ class TestDeadline:
 
     def test_generous_deadline_is_met(self):
         reg = make_registry()
-        with SpMVServer(reg, max_delay_ms=1.0, workers=1) as server:
+        with SpMVServer(reg, workers=1) as server:
             y = server.spmv("A", np.ones(60), deadline_ms=30_000, timeout=10)
         assert y.shape == (60,)
 
@@ -441,7 +474,7 @@ class TestDeadline:
         ).injector()
         reg = make_registry()
         server = SpMVServer(
-            reg, max_batch=4, max_delay_ms=1.0, workers=1, faults=inj,
+            reg, max_batch=4, workers=1, faults=inj,
             autostart=False,
         )
         try:
@@ -476,7 +509,7 @@ class TestLifecycle:
         reg = MatrixRegistry()
         reg.register("A", matrix=csr, variant=VARIANT)
         server = SpMVServer(
-            reg, max_batch=4, max_delay_ms=10_000.0, workers=1, autostart=False
+            reg, max_batch=4, workers=1, autostart=False
         )
         xs = vectors(60, 3)
         futures = [server.submit("A", x) for x in xs]
@@ -518,7 +551,7 @@ class TestLifecycle:
         serial = bind(csr, tune=False, variant=VARIANT)
         errors = []
 
-        with SpMVServer(reg, max_batch=8, max_delay_ms=2.0, workers=2) as server:
+        with SpMVServer(reg, max_batch=8, workers=2) as server:
 
             def hammer(seed):
                 rng = np.random.default_rng(seed)
@@ -550,7 +583,7 @@ class TestClient:
     def client(self):
         reg = MatrixRegistry(tune=False)
         reg.register("poisson", matrix=convert(poisson2d(7), "CRS"))
-        server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
+        server = SpMVServer(reg, workers=1)
         yield Client(server)
         server.close()
 
@@ -610,7 +643,7 @@ class TestHTTP:
         reg.register("A", matrix=make_csr(), variant=VARIANT)
         reg.register("A32", matrix=make_csr32(), variant=VARIANT)
         reg.register("poisson", matrix=convert(poisson2d(6), "CRS"))
-        server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
+        server = SpMVServer(reg, workers=1)
         client = Client(server)
         httpd = make_http_server(client, port=0)
         t = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -825,7 +858,7 @@ class TestObsIntegration:
         obs.enable()
         reg = make_registry()
         server = SpMVServer(
-            reg, max_batch=4, max_delay_ms=50.0, workers=1, autostart=False
+            reg, max_batch=4, workers=1, autostart=False
         )
         futures = [server.submit("A", x) for x in vectors(60, 4)]
         server.start()
@@ -866,7 +899,7 @@ class TestObsIntegration:
     def test_latency_summary_in_prometheus_text(self):
         obs.enable()
         reg = make_registry()
-        with SpMVServer(reg, max_delay_ms=1.0, workers=1) as server:
+        with SpMVServer(reg, workers=1) as server:
             server.spmv("A", np.ones(60), timeout=10)
         text = obs.prometheus_text()
         assert "serve_request_seconds" in text
@@ -875,7 +908,7 @@ class TestObsIntegration:
 
     def test_server_stats_work_with_obs_disabled(self):
         reg = make_registry()
-        with SpMVServer(reg, max_delay_ms=1.0, workers=1) as server:
+        with SpMVServer(reg, workers=1) as server:
             server.spmv("A", np.ones(60), timeout=10)
         s = server.stats()
         assert s["requests"]["ok"] == 1

@@ -82,7 +82,7 @@ def traced_endpoint():
     reg = MatrixRegistry(tune=False)
     reg.register("A", matrix=make_csr(), variant=VARIANT)
     reg.register("poisson", matrix=convert(poisson2d(6), "CRS"))
-    server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
+    server = SpMVServer(reg, workers=1)
     mon = SLOMonitor(default_serve_slos())
     httpd = make_http_server(Client(server), port=0, slo=mon)
     t = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -100,7 +100,7 @@ def bare_endpoint():
     """No SLO monitor attached, obs off — the pre-tracing behavior."""
     reg = MatrixRegistry(tune=False)
     reg.register("A", matrix=make_csr(), variant=VARIANT)
-    server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
+    server = SpMVServer(reg, workers=1)
     httpd = make_http_server(Client(server), port=0)
     t = threading.Thread(target=httpd.serve_forever, daemon=True)
     t.start()
@@ -223,7 +223,7 @@ class TestDegradedInstrumentation:
         reg = MatrixRegistry(tune=False)
         reg.register("A", matrix=make_csr(), variant=VARIANT)
         server = SpMVServer(
-            reg, max_delay_ms=1.0, workers=1, faults=inj,
+            reg, workers=1, faults=inj,
         )
         try:
             # first request takes the crash; retry until the fallback
@@ -273,7 +273,7 @@ class TestSLOAgainstLiveServer:
         obs.enable()
         reg = MatrixRegistry(tune=False)
         reg.register("A", matrix=make_csr(), variant=VARIANT)
-        server = SpMVServer(reg, max_delay_ms=1.0, workers=1)
+        server = SpMVServer(reg, workers=1)
         t = [0.0]
         mon = SLOMonitor(default_serve_slos(), clock=lambda: t[0])
         try:
