@@ -13,15 +13,24 @@ in plan order.
 Two shard transports share one core (:class:`_ShardCore`):
 
 * :class:`ProcessShard` — the production transport: the shard runs in
-  its own OS process (``repro serve --fleet N``), commands and results
-  travel over a duplex :mod:`multiprocessing` pipe, and a reader
-  thread on the parent side resolves submission futures.  A dead
-  process (crash, ``kill()``, chaos ``shard_kill``) fails every
+  its own OS process (``repro serve --fleet N``).  Commands travel over
+  a duplex :mod:`multiprocessing` socketpair and a reader thread on the
+  parent side resolves submission futures.  Vectors never go through
+  the pipe: every spmv/spmm borrows a shared-memory *slot* (an
+  ``os.memfd_create`` file mapped by both processes, its fd passed to
+  the shard once with ``send_handle``), the parent writes x into it,
+  the shard writes its rows of y back into the same slot, and the
+  message and the reply carry only the slot id and the shapes.  A slot
+  is reused only after its own reply arrives, so a hedge loser that
+  answers late never writes into a slot that serves another request.
+  A registered row block travels the same way, through a one-off slot
+  that both sides unmap once the shard has copied the arrays out.
+  A dead process (crash, ``kill()``, chaos ``shard_kill``) fails every
   in-flight future with :class:`~repro.serve.errors.ShardDown` — the
-  router's failover trigger.
+  router's failover trigger — and unmaps its slots.
 * :class:`InprocShard` — the same semantics on threads in the calling
-  process: deterministic for tests, and the cheap default for
-  short-lived programmatic fleets.
+  process, arrays passed by reference: deterministic for tests, and
+  the cheap default for short-lived programmatic fleets.
 
 **Modeled-device pacing.**  For scaling experiments on hosts with
 fewer cores than shards (CI, laptops), a shard can pace its kernels to
@@ -39,16 +48,20 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
+import mmap
+import os
 import signal
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing.reduction import recv_handle, send_handle
 
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
-from repro.serve.errors import ServeError, ShardDown
+from repro.serve.errors import MatrixNotFound, ServeError, ShardDown
 from repro.serve.registry import MatrixRegistry
 from repro.serve.scheduler import SpMVServer
 from repro.utils.workers import mp_context
@@ -381,6 +394,86 @@ def _encode_exc(exc: Exception) -> tuple[str, str]:
     return type(exc).__name__, str(exc)
 
 
+class _Slot:
+    """One memfd-backed buffer mapped by the parent and one shard process.
+
+    ``fd`` stays open only until the shard has received it.
+    """
+
+    __slots__ = ("id", "size", "mm", "fd")
+
+    def __init__(self, slot_id: int, size: int):
+        fd = os.memfd_create(f"repro-slot-{slot_id}", os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(fd, size)
+            self.mm = mmap.mmap(fd, size)
+        except BaseException:
+            os.close(fd)
+            raise
+        self.id, self.size, self.fd = slot_id, size, fd
+
+    def array(self, dtype, shape) -> np.ndarray:
+        return np.ndarray(shape, dtype=dtype, buffer=self.mm)
+
+    def close(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        self.mm.close()
+
+
+class _SlotPool:
+    """A process shard's slots, reused by power-of-two size, grown on demand.
+
+    A slot has one owner at a time: the submitting thread, the table of
+    pending replies, or the reader copying y out.  It goes back to the
+    free list only through :meth:`give`; once the pool is closed (shard
+    dead or closed) a returned slot is unmapped instead.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._free: dict[int, list[_Slot]] = {}
+        self._ids = itertools.count()
+        self._closed = False
+
+    def take(self, nbytes: int) -> _Slot:
+        size = max(mmap.PAGESIZE, 1 << max(nbytes - 1, 0).bit_length())
+        with self._lock:
+            free = self._free.get(size)
+            if free:
+                return free.pop()
+        return self.new(size)
+
+    def new(self, size: int) -> _Slot:
+        """A slot outside the free lists (the caller gives or closes it)."""
+        return _Slot(next(self._ids), size)
+
+    def give(self, slot: _Slot) -> None:
+        with self._lock:
+            if not self._closed:
+                self._free.setdefault(slot.size, []).append(slot)
+                return
+        slot.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            slots = [s for free in self._free.values() for s in free]
+            self._free.clear()
+        for slot in slots:
+            slot.close()
+
+
+def _copy_out(mm, layout) -> list:
+    """Copies of the ``(dtype, length)`` arrays laid end to end in ``mm``."""
+    out, offset = [], 0
+    for dtype, n in layout:
+        out.append(np.frombuffer(mm, dtype=dtype, count=n, offset=offset).copy())
+        offset += out[-1].nbytes
+    return out
+
+
 def _shard_main(conn, config: ShardConfig) -> None:
     """Entry point of a shard process: serve pipe commands until stop."""
     # A terminal ^C delivers SIGINT to the whole foreground process
@@ -394,6 +487,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
     aux = ThreadPoolExecutor(
         max_workers=2, thread_name_prefix=f"shard{config.shard_id}-aux"
     )
+    slots: dict[int, mmap.mmap] = {}
 
     def reply(rid, ok, payload) -> None:
         with send_lock:
@@ -402,9 +496,14 @@ def _shard_main(conn, config: ShardConfig) -> None:
             except (BrokenPipeError, OSError):  # parent gone: nothing to do
                 pass
 
-    def run_sync(rid, fn, *args) -> None:
+    def answer(rid, mm, dtype, shape, y) -> None:
+        """Write a block product into its slot; the reply carries no array."""
+        np.ndarray(shape, dtype=dtype, buffer=mm)[...] = y
+        reply(rid, True, None)
+
+    def run_spmm(rid, mm, key, block, X, dtype, out_shape) -> None:
         try:
-            reply(rid, True, fn(*args))
+            answer(rid, mm, dtype, out_shape, core.spmm(key, block, X))
         except Exception as exc:  # noqa: BLE001 - shipped to the parent
             reply(rid, False, _encode_exc(exc))
 
@@ -419,23 +518,35 @@ def _shard_main(conn, config: ShardConfig) -> None:
                 reply(rid, True, None)
                 break
             try:
-                if op == "spmv":
-                    _, _, key, block, x, deadline_ms = msg
-                    fut = core.submit(key, block, x, deadline_ms)
+                if op in ("spmv", "spmm"):
+                    key, block, slot_id, dtype, in_shape, out_shape, deadline_ms = msg[2:]
+                    mm = slots[slot_id]
+                    x = np.ndarray(in_shape, dtype=dtype, buffer=mm)
+                    if op == "spmm":
+                        aux.submit(
+                            run_spmm, rid, mm, key, block, x, dtype, out_shape
+                        )
+                        continue
 
-                    def _done(f, rid=rid):
+                    def _done(f, rid=rid, mm=mm, dtype=dtype, shape=out_shape):
                         exc = f.exception()
                         if exc is None:
-                            reply(rid, True, f.result())
+                            answer(rid, mm, dtype, shape, f.result())
                         else:
                             reply(rid, False, _encode_exc(exc))
 
-                    fut.add_done_callback(_done)
-                elif op == "spmm":
-                    _, _, key, block, X = msg
-                    aux.submit(run_sync, rid, core.spmm, key, block, X)
+                    core.submit(key, block, x, deadline_ms).add_done_callback(_done)
+                elif op == "slot":
+                    fd = recv_handle(conn)
+                    try:
+                        slots[msg[2]] = mmap.mmap(fd, msg[3])
+                    finally:
+                        os.close(fd)
                 elif op == "register":
-                    _, _, key, block, matrix, variant = msg
+                    key, block, slot_id, layout, shape, variant = msg[2:]
+                    with slots.pop(slot_id) as mm:
+                        indptr, indices, data = _copy_out(mm, layout)
+                    matrix = CSRMatrix(indptr, indices, data, shape)
                     core.register_block(key, block, matrix, variant)
                     reply(rid, True, None)
                 elif op == "resize":
@@ -457,7 +568,12 @@ def _shard_main(conn, config: ShardConfig) -> None:
 
 
 class ProcessShard:
-    """A shard hosted in its own OS process behind a duplex pipe."""
+    """A shard hosted in its own OS process behind a duplex pipe.
+
+    x and y of every spmv/spmm, and each registered block, move through
+    shared-memory slots (see the module docstring); the pipe carries
+    commands, shapes and errors.
+    """
 
     mode = "process"
 
@@ -481,9 +597,13 @@ class ProcessShard:
         self._proc.start()
         child_conn.close()
         self._rid = itertools.count()
-        self._pending: dict[int, Future] = {}
+        #: rid -> (future, slot or None, (dtype, shape) of the answer)
+        self._pending: dict[int, tuple] = {}
         self._plock = threading.Lock()
         self._wlock = threading.Lock()
+        self._slots = _SlotPool()
+        #: (key, block) -> (nrows, ncols) of each registered block
+        self._shapes: dict[tuple, tuple] = {}
         self._dead = False
         self._death_reason = ""
         self._reader = threading.Thread(
@@ -505,10 +625,15 @@ class ProcessShard:
             while True:
                 rid, ok, payload = self._conn.recv()
                 with self._plock:
-                    fut = self._pending.pop(rid, None)
-                if fut is None or fut.done():
+                    entry = self._pending.pop(rid, None)
+                if entry is None:
                     continue
-                if not fut.set_running_or_notify_cancel():
+                fut, slot, out = entry
+                if slot is not None:
+                    if ok and not fut.done():
+                        payload = slot.array(*out).copy()
+                    self._slots.give(slot)
+                if fut.done() or not fut.set_running_or_notify_cancel():
                     continue
                 if ok:
                     fut.set_result(payload)
@@ -527,24 +652,46 @@ class ProcessShard:
             self._death_reason = reason
             pending = list(self._pending.values())
             self._pending.clear()
+        self._slots.close()
         exc = ShardDown(self.shard_id, reason)
-        for fut in pending:
+        for fut, slot, _ in pending:
+            if slot is not None:
+                self._slots.give(slot)
             if not fut.done() and fut.set_running_or_notify_cancel():
                 fut.set_exception(exc)
 
-    def _send(self, op: str, *args) -> Future:
-        if self._dead:
-            raise ShardDown(self.shard_id, self._death_reason)
+    def _ship(self, slot: _Slot) -> None:
+        """Hand a new slot's fd to the shard once; both sides then keep
+        only the mapping."""
+        try:
+            with self._wlock:
+                self._conn.send(("slot", None, slot.id, slot.size))
+                send_handle(self._conn, slot.fd, self._proc.pid)
+        except (BrokenPipeError, OSError) as exc:
+            self._on_death(f"pipe write failed: {exc}")
+            raise ShardDown(self.shard_id, self._death_reason) from exc
+        finally:
+            os.close(slot.fd)
+            slot.fd = None
+
+    def _send(self, op: str, *args, slot: _Slot | None = None, out=None) -> Future:
+        """Send one command; ``slot`` (with the answer's ``out`` dtype and
+        shape) is owned by the pending table from here on."""
         rid = next(self._rid)
         fut: Future = Future()
         with self._plock:
-            self._pending[rid] = fut
+            dead = self._dead
+            if not dead:
+                self._pending[rid] = (fut, slot, out)
+        if dead:
+            if slot is not None:
+                self._slots.give(slot)
+            raise ShardDown(self.shard_id, self._death_reason)
         try:
             with self._wlock:
                 self._conn.send((op, rid, *args))
         except (BrokenPipeError, OSError) as exc:
-            with self._plock:
-                self._pending.pop(rid, None)
+            # fails every pending future, this one included
             self._on_death(f"pipe write failed: {exc}")
             raise ShardDown(self.shard_id, self._death_reason) from exc
         return fut
@@ -552,15 +699,60 @@ class ProcessShard:
     def _call(self, op: str, *args, timeout: float = 30.0):
         return self._send(op, *args).result(timeout)
 
+    def _product(self, op: str, key, block, x, deadline_ms=None) -> Future:
+        """Write x into a slot and ask the shard for its rows of y."""
+        if self._dead:
+            raise ShardDown(self.shard_id, self._death_reason)
+        shape = self._shapes.get((key, block))
+        if shape is None:
+            raise MatrixNotFound(block_name(key, block))
+        x = np.asarray(x)
+        if x.ndim != (1 if op == "spmv" else 2) or x.shape[0] != shape[1]:
+            raise ValueError(
+                f"{op} on {block_name(key, block)} needs {shape[1]} rows "
+                f"of x, got shape {x.shape}"
+            )
+        out_shape = (shape[0], *x.shape[1:])
+        slot = self._slots.take(
+            max(x.nbytes, math.prod(out_shape) * x.itemsize)
+        )
+        try:
+            if slot.fd is not None:
+                self._ship(slot)
+            slot.array(x.dtype, x.shape)[...] = x
+        except BaseException:
+            self._slots.give(slot)
+            raise
+        return self._send(
+            op, key, block, slot.id, x.dtype.str, x.shape, out_shape,
+            deadline_ms, slot=slot, out=(x.dtype, out_shape),
+        )
+
     # -- shard API ---------------------------------------------------------
     def register_block(self, key, block, matrix, variant=None) -> None:
-        self._call("register", key, block, matrix, variant, timeout=120.0)
+        """Ship a :class:`CSRMatrix` block through a one-off slot."""
+        arrays = (matrix.indptr, matrix.indices, matrix.data)
+        buf = self._slots.new(sum(a.nbytes for a in arrays))
+        try:
+            offset = 0
+            for a in arrays:
+                np.ndarray(a.shape, a.dtype, buffer=buf.mm, offset=offset)[...] = a
+                offset += a.nbytes
+            self._ship(buf)
+            layout = tuple((a.dtype.str, a.size) for a in arrays)
+            self._call(
+                "register", key, block, buf.id, layout, tuple(matrix.shape),
+                variant, timeout=120.0,
+            )
+        finally:
+            buf.close()
+        self._shapes[(key, block)] = tuple(matrix.shape)
 
     def submit(self, key, block, x, deadline_ms=None) -> "Future[np.ndarray]":
-        return self._send("spmv", key, block, np.asarray(x), deadline_ms)
+        return self._product("spmv", key, block, x, deadline_ms)
 
     def spmm(self, key, block, X) -> "Future[np.ndarray]":
-        return self._send("spmm", key, block, np.asarray(X))
+        return self._product("spmm", key, block, X)
 
     def stats(self) -> dict:
         return self._call("stats", timeout=30.0)
@@ -570,12 +762,16 @@ class ProcessShard:
 
     def kill(self, reason: str = "killed") -> None:
         """Hard-kill the shard process (the chaos ``shard_kill`` effect)."""
+        if self._conn.closed:  # closed: the process is gone already
+            return
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=5.0)
         self._on_death(reason)
 
     def close(self) -> None:
+        if self._conn.closed:
+            return
         if not self._dead:
             try:
                 self._call("stop", timeout=10.0)
@@ -586,10 +782,16 @@ class ProcessShard:
             self._proc.terminate()
             self._proc.join(timeout=5.0)
         self._on_death("closed")
+        # the reader sees EOF once the process is gone; closing the pipe
+        # under it could let it read a later pipe that reuses the fd
+        self._reader.join(timeout=5.0)
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
+        # releases the process's sentinel pipe now, not at garbage collection
+        with contextlib.suppress(ValueError):  # pragma: no cover - still running
+            self._proc.close()
 
 
 # ---------------------------------------------------------------------------

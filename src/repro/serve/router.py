@@ -20,11 +20,19 @@ neighbours instead of doubling one survivor).  Ring placement makes
 assignment deterministic per seed and **stable**: adding or removing
 a shard moves only the keys whose ring interval changed.
 
-**Scatter/gather.**  ``spmv`` broadcasts ``x`` to one live replica of
-every block and concatenates the row-block results in plan order —
-bitwise-equal to the single-server answer, because a CRS row's
-reduction never crosses a block boundary.  Failures walk the replica
-chain (*failover*); after ``hedge_delay_ms`` without an answer a
+**Column compaction.**  As in the paper's Sect. III, where a rank
+receives only the elements of x its rows touch, each block is stored on
+its shards with only the columns it reads: ``register`` marks them in a
+bool mask, keeps their ids in :attr:`Placement.cols`, and renumbers the
+block's column indices by the mask's running count.  The renumbering
+is monotone, so every row keeps its stored order and sums the same
+products in the same order.
+
+**Scatter/gather.**  ``spmv`` sends each block's ``x[cols]`` to one
+live replica of that block and concatenates the row-block results in
+plan order — bitwise-equal to the single-server answer, because a CRS
+row's reduction never crosses a block boundary.  Failures walk the
+replica chain (*failover*); after ``hedge_delay_ms`` without an answer a
 backup request races the slow replica (*hedging* — the fleet
 generalisation of ``Client.spmv_hedged``, and the same discard
 discipline: a losing replica's late error can never surface through a
@@ -44,10 +52,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import queue
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,6 +155,9 @@ class Placement:
     shape: tuple
     dtype: np.dtype
     variant: str | None
+    #: per block: the sorted global columns its rows read (the shards
+    #: store the block with these renumbered 0..len-1)
+    cols: tuple = field(compare=False)
 
     @property
     def nblocks(self) -> int:
@@ -169,6 +180,29 @@ class Placement:
                 for b in range(self.nblocks)
             ],
         }
+
+
+def compact_columns(csr: CSRMatrix, lo: int, hi: int) -> tuple:
+    """Rows ``[lo, hi)`` of ``csr`` with only the columns they read.
+
+    Returns the block (values shared with ``csr``, column indices
+    renumbered by ``cumsum(read) - 1``) and the sorted global columns.
+    The renumbering is monotone, so each row keeps its stored order.  A
+    block that reads nothing keeps column 0: a CSR matrix needs one.
+    """
+    a, b = int(csr.indptr[lo]), int(csr.indptr[hi])
+    indices = csr.indices[a:b]
+    read = np.zeros(csr.ncols, dtype=bool)
+    read[indices] = True
+    if not read.any():
+        read[0] = True
+    cols = np.flatnonzero(read)
+    local = np.cumsum(read) - 1
+    block = CSRMatrix(
+        csr.indptr[lo:hi + 1] - a, local[indices], csr.data[a:b],
+        (hi - lo, cols.size),
+    )
+    return block, cols
 
 
 def place_blocks(ring: HashRing, key: str, nblocks: int, replicas: int) -> tuple:
@@ -240,13 +274,16 @@ class RoutedOperator(LinearOperator):
 class _BlockState:
     """Replica walk of one row block within one scatter/gather request."""
 
-    __slots__ = ("block", "replicas", "next_idx", "futures", "hedge_at",
-                 "result", "errors", "used_fallback")
+    __slots__ = ("block", "replicas", "x", "next_idx", "sends", "futures",
+                 "hedge_at", "result", "errors", "used_fallback")
 
-    def __init__(self, block: int, replicas: tuple):
+    def __init__(self, block: int, replicas: tuple, x: np.ndarray):
         self.block = block
         self.replicas = replicas
+        #: the block's part of x, sent to every replica tried
+        self.x = x
         self.next_idx = 0
+        self.sends = 0
         self.futures: dict = {}  # future -> shard_id
         self.hedge_at = float("inf")
         self.result = None
@@ -293,6 +330,8 @@ class FleetRouter:
         self._status = {"ok": 0, "degraded": 0, "partial": 0, "error": 0}
         self._hedges = 0
         self._failovers = 0
+        #: spmv/spmm requests, bytes of x sent to shards, bytes of y received
+        self._transport = {"requests": 0, "x_bytes": 0, "y_bytes": 0}
         self._latency = obs.Summary(window=4096)
         #: attached by :meth:`attach_autoscaler`
         self.autoscaler = None
@@ -333,8 +372,10 @@ class FleetRouter:
             row_weights=csr.row_lengths().astype(np.float64),
         )
         assignment = place_blocks(self.ring, name, nblocks, nreplicas)
+        cols = []
         for b, (lo, hi) in enumerate(partition):
-            block_csr = csr.row_block(lo, hi)
+            block_csr, block_cols = compact_columns(csr, lo, hi)
+            cols.append(block_cols)
             for sid in assignment[b]:
                 self.fleet.shard(sid).register_block(
                     name, b, block_csr, variant
@@ -346,6 +387,7 @@ class FleetRouter:
             shape=tuple(csr.shape),
             dtype=np.dtype(csr.dtype),
             variant=variant,
+            cols=tuple(cols),
         )
         with self._lock:
             self._placements[name] = placement
@@ -445,8 +487,9 @@ class FleetRouter:
                 obs.inc("fleet_requests_total", 1, matrix=matrix, status=status)
                 obs.observe_summary("fleet_request_seconds", dt, matrix=matrix)
 
-    def _launch(self, st: _BlockState, matrix: str, x, deadline_ms) -> bool:
-        """Submit to the next usable replica of one block."""
+    def _launch(self, st: _BlockState, matrix: str, deadline_ms, arrived) -> bool:
+        """Submit to the next usable replica of one block; the future
+        lands in ``arrived`` when it completes."""
         while st.next_idx < len(st.replicas):
             sid = st.replicas[st.next_idx]
             via_fallback = st.next_idx > 0
@@ -456,7 +499,7 @@ class FleetRouter:
                 continue
             try:
                 fut = self.fleet.shard(sid).submit(
-                    matrix, st.block, x, deadline_ms
+                    matrix, st.block, st.x, deadline_ms
                 )
             except ShardDown as exc:
                 self._mark_down(sid, str(exc))
@@ -466,6 +509,8 @@ class FleetRouter:
                 st.errors.append(exc)
                 continue
             st.futures[fut] = sid
+            st.sends += 1
+            fut.add_done_callback(arrived.put)
             return True
         return False
 
@@ -477,11 +522,13 @@ class FleetRouter:
         hedge_s = None if hedge_ms is None else max(hedge_ms, 0.0) / 1e3
         deadline = None if timeout is None else time.monotonic() + timeout
         states = [
-            _BlockState(b, pl.replicas[b]) for b in range(pl.nblocks)
+            _BlockState(b, pl.replicas[b], x[pl.cols[b]])
+            for b in range(pl.nblocks)
         ]
         hedges = failovers = 0
+        arrived = queue.SimpleQueue()
         for st in states:
-            if self._launch(st, pl.key, x, deadline_ms) and hedge_s is not None:
+            if self._launch(st, pl.key, deadline_ms, arrived) and hedge_s is not None:
                 st.hedge_at = time.monotonic() + hedge_s
 
         while True:
@@ -511,14 +558,15 @@ class FleetRouter:
                         f"{len(by_future)} submission(s) in flight"
                     )
                 wait_for = rem if wait_for is None else min(wait_for, rem)
-            done, _ = wait(
-                by_future, timeout=wait_for, return_when=FIRST_COMPLETED
-            )
+            try:
+                done = [arrived.get(timeout=wait_for)]
+            except queue.Empty:
+                done = []
             for fut in done:
-                st = by_future[fut]
-                sid = st.futures.pop(fut, None)
-                if st.result is not None:
+                st = by_future.get(fut)
+                if st is None:  # a loser of an answered block
                     continue
+                sid = st.futures.pop(fut, None)
                 if fut.cancelled():
                     continue
                 exc = fut.exception()
@@ -534,7 +582,7 @@ class FleetRouter:
                     self._mark_down(sid, str(exc))
                 st.used_fallback = True
                 if not st.futures:
-                    if self._launch(st, pl.key, x, deadline_ms):
+                    if self._launch(st, pl.key, deadline_ms, arrived):
                         failovers += 1
                         if hedge_s is not None:
                             st.hedge_at = time.monotonic() + hedge_s
@@ -542,7 +590,7 @@ class FleetRouter:
                 now = time.monotonic()
                 for st in hedgeable:
                     if st.result is None and now >= st.hedge_at:
-                        if self._launch(st, pl.key, x, deadline_ms):
+                        if self._launch(st, pl.key, deadline_ms, arrived):
                             hedges += 1
                         st.hedge_at = now + hedge_s
 
@@ -550,15 +598,18 @@ class FleetRouter:
         degraded = any(st.used_fallback or st.errors for st in states)
         if missing and not self.allow_partial:
             raise FleetDegraded(pl.key, missing)
-        y = np.zeros(pl.shape[0], dtype=pl.dtype)
+        y = np.empty(pl.shape[0], dtype=pl.dtype)
         for st in states:
-            if st.result is not None:
-                lo, hi = pl.block_range(st.block)
-                y[lo:hi] = st.result
+            lo, hi = pl.block_range(st.block)
+            y[lo:hi] = 0.0 if st.result is None else st.result
         status = "partial" if missing else ("degraded" if degraded else "ok")
         with self._lock:
             self._hedges += hedges
             self._failovers += failovers
+        self._count_transport(
+            sum(st.sends * st.x.nbytes for st in states),
+            sum(st.result.nbytes for st in states if st.result is not None),
+        )
         if obs.enabled():
             if hedges:
                 obs.inc("fleet_hedges_total", hedges, matrix=pl.key)
@@ -594,31 +645,46 @@ class FleetRouter:
                 f"X must have shape ({pl.shape[1]}, k), got {X.shape}"
             )
         self._fire_shard_faults()
+        x_bytes = y_bytes = 0
         with obs.span("fleet.spmm", matrix=matrix, k=X.shape[1]):
             Y = np.zeros((pl.shape[0], X.shape[1]), dtype=pl.dtype)
             missing: list[int] = []
             for b in range(pl.nblocks):
-                block_y = self._spmm_block(pl, b, X)
+                block_y, sent = self._spmm_block(pl, b, X[pl.cols[b]])
+                x_bytes += sent
                 if block_y is None:
                     missing.append(b)
                     continue
                 lo, hi = pl.block_range(b)
                 Y[lo:hi] = block_y
+                y_bytes += block_y.nbytes
+        self._count_transport(x_bytes, y_bytes)
         if missing and not self.allow_partial:
             raise FleetDegraded(matrix, missing)
         return Y
 
-    def _spmm_block(self, pl, block: int, X):
+    def _spmm_block(self, pl, block: int, Xb) -> tuple:
+        """The block's rows of ``A @ X`` (None when no replica answers)
+        and the bytes of ``Xb`` sent on the way."""
+        sent = 0
         for sid in pl.replicas[block]:
             if not self._shard_usable(sid):
                 continue
             try:
-                return self.fleet.shard(sid).spmm(pl.key, block, X).result()
+                fut = self.fleet.shard(sid).spmm(pl.key, block, Xb)
+                sent += Xb.nbytes
+                return fut.result(), sent
             except ShardDown as exc:
                 self._mark_down(sid, str(exc))
             except Exception:  # noqa: BLE001 - walk the chain
                 continue
-        return None
+        return None, sent
+
+    def _count_transport(self, x_bytes: int, y_bytes: int) -> None:
+        with self._lock:
+            self._transport["requests"] += 1
+            self._transport["x_bytes"] += x_bytes
+            self._transport["y_bytes"] += y_bytes
 
     # -- solvers over the routed operator ---------------------------------
     def operator(self, matrix: str) -> RoutedOperator:
@@ -741,7 +807,10 @@ class FleetRouter:
             requests = dict(self._status)
             hedges, failovers = self._hedges, self._failovers
             down = dict(self._down)
+            placements = dict(self._placements)
+            transport = dict(self._transport)
         q = self._latency.snapshot()
+        per_req = max(transport["requests"], 1) * 1024
         out = {
             "fleet": True,
             "mode": self.fleet.mode,
@@ -750,11 +819,16 @@ class FleetRouter:
             "requests": requests,
             "hedges": hedges,
             "failovers": failovers,
+            # x written to shards (slots) and y read back, per spmv/spmm
+            "transport_kb_per_req": {
+                "x": transport["x_bytes"] / per_req,
+                "y": transport["y_bytes"] / per_req,
+            },
             "latency_ms": {str(k): v * 1e3 for k, v in q.items()},
             "down": {str(k): v for k, v in down.items()},
             "shards": self._shard_rows(),
             "placements": {
-                name: pl.describe() for name, pl in self._placements.items()
+                name: pl.describe() for name, pl in placements.items()
             },
         }
         if self.autoscaler is not None:

@@ -78,11 +78,12 @@ def rng() -> np.random.Generator:
 
 
 def _live_resources() -> dict:
-    """What a rank pool may leave behind, as comparable snapshots."""
+    """What a rank pool or a fleet may leave behind, as comparable snapshots."""
     with open("/proc/self/maps") as maps:
-        shm = {
-            tok for ln in maps for tok in ln.split() if tok.startswith("/dev/shm/")
-        }
+        lines = maps.readlines()
+    shm = {tok for ln in lines for tok in ln.split() if tok.startswith("/dev/shm/")}
+    # fleet slots are memfd files whose names repeat across shards: key by address
+    memfd = {ln.split()[0] for ln in lines if "/memfd:" in ln}
     return {
         "rank threads": {
             t.ident for t in threading.enumerate() if t.name.startswith("rank-")
@@ -90,6 +91,7 @@ def _live_resources() -> dict:
         "child processes": {p.pid for p in mp.active_children()},
         "open fds": len(os.listdir("/proc/self/fd")),
         "shm segments": shm,
+        "memfd mappings": memfd,
     }
 
 
@@ -105,7 +107,8 @@ def _grown(before: dict, after: dict) -> dict:
 
 @pytest.fixture
 def no_leaks():
-    """Fail a test that leaves rank threads, children, fds or shm behind.
+    """Fail a test that leaves rank threads, children, fds, shm or memfd
+    mappings behind.
 
     Resources get up to 3 s to settle (daemon rank threads drain their
     halo wait, children are reaped) before an increase counts.

@@ -7,6 +7,7 @@ answer must be *bitwise* identical to the unsharded one, not merely
 close.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -16,7 +17,8 @@ import pytest
 
 from repro import obs
 from repro.faults import FaultEvent, FaultPlan
-from repro.formats import convert
+from repro.engine import bind
+from repro.formats import COOMatrix, convert
 from repro.matrices import generate, poisson2d
 from repro.obs.slo import SLOMonitor, default_fleet_slos
 from repro.ops import variant_names_for
@@ -69,6 +71,7 @@ def reference_client(csr, name="ref"):
 def _clean_obs():
     obs.reset_all()
     yield
+    obs.disable()
     obs.reset_all()
 
 
@@ -276,6 +279,115 @@ class TestProcessShards:
         for row in rows:
             assert row["variant"] == variant
             assert row["spmm_variant"] == spmm_variant
+
+    def test_rectangular_with_an_empty_block_is_bitwise(self):
+        # rows 0 and 29 carry every entry: the nnz-balanced 3-way split
+        # falls back to even thirds, so block 1 is rows 10..19, all empty
+        rng = np.random.default_rng(11)
+        cols = np.concatenate([rng.choice(50, 20, replace=False) for _ in range(2)])
+        rows = np.repeat([0, 29], 20)
+        coo = COOMatrix(rows, cols, rng.standard_normal(40), (30, 50))
+        csr = convert(coo, "CRS")
+        x = rng.standard_normal(50)
+        X = rng.standard_normal((50, 3))
+        ref = bind(csr, variant=VARIANT)
+        with Fleet(2, mode="process", workers=1) as fleet:
+            router = FleetRouter(fleet)
+            pl = router.register("A", csr, blocks=3)
+            assert pl.block_range(1) == (10, 20)
+            assert csr.row_lengths()[10:20].sum() == 0
+            assert all(len(c) < csr.ncols for c in pl.cols)
+            assert np.array_equal(router.spmv("A", x, timeout=60), ref.spmv(x))
+            assert np.array_equal(router.spmm("A", X), ref.spmm(X))
+            kb = router.stats()["transport_kb_per_req"]
+        sent = sum(len(c) for c in pl.cols) * 8 * (1 + 3) / 2 / 1024
+        assert kb["x"] == pytest.approx(sent)
+        assert kb["y"] == pytest.approx(30 * 8 * (1 + 3) / 2 / 1024)
+
+    def test_every_request_hedged_stays_bitwise(self):
+        # hedge delay 0: each block also goes to its replica at once,
+        # and the loser answers into its own slot after the winner
+        csr = small_csr()
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((200, csr.ncols))
+        ref = bind(csr, variant=VARIANT)
+        with Fleet(2, mode="process", workers=1) as fleet:
+            router = FleetRouter(fleet, replicas=2, hedge_delay_ms=0)
+            router.register("A", csr)
+            for x in xs:
+                assert np.array_equal(router.spmv("A", x, timeout=60), ref.spmv(x))
+            # a block answered before the router looks again is not hedged
+            assert router.stats()["hedges"] >= len(xs) // 4
+
+    def test_more_callers_than_cores_share_slots_safely(self):
+        # four callers, every request hedged, a short switch interval:
+        # a slot handed to a second request before its own reply would
+        # mix one caller's x into another's answer
+        csr = small_csr()
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal((4, 40, csr.ncols))
+        ref = bind(csr, variant=VARIANT)
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Fleet(2, mode="process", workers=2) as fleet:
+                router = FleetRouter(fleet, replicas=2, hedge_delay_ms=0)
+                router.register("A", csr)
+
+                def load(j):
+                    for x in xs[j]:
+                        y = router.spmv("A", x, timeout=60)
+                        if not np.array_equal(y, ref.spmv(x)):
+                            wrong.append(j)
+
+                threads = [threading.Thread(target=load, args=(j,)) for j in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert router.stats()["requests"]["ok"] == xs.shape[0] * xs.shape[1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
+
+    def test_kill_with_requests_in_flight_leaks_nothing(self):
+        csr = small_csr()
+        rng = np.random.default_rng(6)
+        xs = rng.standard_normal((8, csr.ncols))
+        ref = bind(csr, variant=VARIANT)
+        y_refs = [ref.spmv(x) for x in xs]
+        wrong, errors, served = [], [], []
+        stop = threading.Event()
+        with Fleet(2, mode="process", workers=1) as fleet:
+            router = FleetRouter(fleet, replicas=2)
+            router.register("A", csr)
+
+            def load(j):
+                i = j
+                while not stop.is_set():
+                    try:
+                        y = router.spmv("A", xs[i % 8], timeout=60)
+                    except Exception as exc:  # noqa: BLE001 - asserted below
+                        errors.append(exc)
+                        return
+                    served.append(i)
+                    if not np.array_equal(y, y_refs[i % 8]):
+                        wrong.append(i)
+                    i += 1
+
+            threads = [threading.Thread(target=load, args=(j,)) for j in range(2)]
+            for t in threads:
+                t.start()
+            time.sleep(0.3)
+            fleet.kill(0)
+            time.sleep(0.3)
+            stop.set()
+            for t in threads:
+                t.join(timeout=60)
+            assert router.health()["status"] == "degraded"
+        assert served and not wrong and not errors
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +614,7 @@ class TestChaosDrill:
 
             # occupy the victim's only worker, then start a request that
             # queues behind it — guaranteed in flight when the kill lands
-            plug = fleet.shard(victim).submit("A", 0, x)
+            plug = fleet.shard(victim).submit("A", 0, x[pl.cols[0]])
             caught = {}
 
             def in_flight():
