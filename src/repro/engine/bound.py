@@ -26,7 +26,6 @@ from repro.engine.tuner import TuneResult, autotune
 from repro.engine.workspace import Workspace
 from repro.obs import profile as _profile
 from repro.ops.registry import (
-    KernelSpec,
     KernelVariant,
     get_variant,
     kernels_for,
@@ -34,31 +33,17 @@ from repro.ops.registry import (
 )
 from repro.ops.spmm_kernels import spmm_dispatch
 from repro.formats.base import SparseMatrixFormat
-from repro.perfmodel.predict import variant_tier
 
-__all__ = ["BoundMatrix", "bind", "batch_kernel", "make_spmv_operator"]
-
-
-def batch_kernel(matrix, variant: KernelVariant) -> KernelSpec | None:
-    """The spmm kernel that batches run on a matrix bound to ``variant``.
-
-    The batch kernel follows the spmv variant's tier: a ``cnative``
-    variant takes the ``cnative`` spmm candidate, and every other
-    variant takes the first non-``cnative`` one.  So a process pinned
-    to a single-threaded kernel never wakes the compiled tier's thread
-    pool for a batch.  Rank 0 when no candidate matches; ``None`` when
-    the format has no batched kernel (spmm then loops over columns).
-    """
-    candidates = kernels_for(matrix, "spmm")
-    native = variant_tier(variant.tags) == "cnative"
-    for spec in candidates:
-        if (variant_tier(spec.tags) == "cnative") == native:
-            return spec
-    return candidates[0] if candidates else None
+__all__ = ["BoundMatrix", "bind", "make_spmv_operator"]
 
 
 class BoundMatrix:
-    """A format instance bound to a workspace and a chosen kernel variant."""
+    """A format instance bound to a workspace and a chosen kernel variant.
+
+    The variant is the spmv kernel only.  :meth:`spmm` runs the
+    format's rank-0 spmm kernel (:attr:`spmm_kernel`), whatever the
+    variant, so a batch's bits never depend on it.
+    """
 
     def __init__(
         self,
@@ -71,8 +56,9 @@ class BoundMatrix:
     ):
         self.matrix = matrix
         self.variant = variant
-        #: the batched kernel :meth:`spmm` runs (see :func:`batch_kernel`)
-        self.spmm_kernel = batch_kernel(matrix, variant)
+        #: the format's rank-0 spmm kernel, which :meth:`spmm` runs;
+        #: ``None`` when the format has none (batches loop over columns)
+        self.spmm_kernel = next(iter(kernels_for(matrix, "spmm")), None)
         self.workspace = workspace
         self.tune_result = tune_result
         #: optional :class:`~repro.faults.inject.FaultInjector`; its
@@ -255,6 +241,8 @@ class BoundMatrix:
     def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched multi-vector product through :attr:`spmm_kernel`.
 
+        ``X`` and ``out`` may have any memory order.  For a format with
+        a ``*_scipy`` spmv variant, every column is bitwise that spmv.
         Instrumented like :meth:`spmv`: profiler sample per call (the
         batch path is cold enough that thinning isn't needed) and an
         ``engine.spmm`` kernel span when a trace is active — this is

@@ -9,8 +9,9 @@ CMRS and ARG-CSR hot loops (spmv and batched spmm), registered through
 :func:`repro.ops.registry.register_kernel` as ordinary variants — so
 :class:`~repro.engine.bound.BoundMatrix`, every backend (distributed
 / serve) and all five solvers pick them up with zero
-call-site changes, and the autotuner simply ranks them against the
-NumPy kernels per matrix.
+call-site changes, and the autotuner simply ranks the spmv kernels
+against the NumPy ones per matrix.  The spmm kernels rank first in
+their lists, so every batch runs them when the tier is built.
 
 The ``cnative`` backend consists of C kernels compiled once per machine
 with the system C compiler (``cc``/``gcc``/``clang``), cached as a
@@ -72,6 +73,7 @@ from repro.formats.cmrs import CMRSMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
 from repro.ops.registry import CNATIVE_TAG, register_kernel
+from repro.ops.spmm_kernels import _block
 from repro.ops.spmv_kernels import (
     _HAVE_CSR_MATVEC,
     _jds_cols,
@@ -937,20 +939,20 @@ _CNATIVE: _CNative | None = (
 # shared python-side glue
 # ---------------------------------------------------------------------------
 
-def _contig_vec(ws: Workspace, name: str, x: np.ndarray, dtype) -> np.ndarray:
-    """``x`` itself when already compiled-callable, else a scratch copy."""
+def _contig_vec(ws: Workspace | None, name: str, x: np.ndarray, dtype) -> np.ndarray:
+    """``x`` (a vector or a block) itself when compiled-callable, else a copy."""
     if x.flags.c_contiguous and x.dtype == dtype:
         return x
-    buf = ws.buf(name, x.shape[0], dtype)
-    buf[:] = x
+    buf = _block(ws, name, x.shape, dtype)
+    buf[...] = x
     return buf
 
 
-def _out_vec(ws: Workspace, name: str, y: np.ndarray):
+def _out_vec(ws: Workspace | None, name: str, y: np.ndarray):
     """(callable target, finish) pair tolerating non-contiguous ``y``."""
     if y.flags.c_contiguous:
         return y, None
-    buf = ws.buf(name, y.shape[0], y.dtype)
+    buf = _block(ws, name, y.shape, y.dtype)
     return buf, buf
 
 
@@ -1089,75 +1091,64 @@ if _CNATIVE is not None:
             y[:] = fin
 
     # -- batched spmm over the (cached) stored-order CSR views ----------
+    # Each wrapper runs whatever the memory order of X and out: X is
+    # copied to a C-ordered block when it is not one, and an out that
+    # is not C-contiguous is written through a workspace block, as
+    # ``_out_vec`` does for spmv.  No wrapper hands off to another
+    # kernel, so a batch's bits never depend on the layout.
 
-    def _cc_spmm_stored(m, X, out, ws, permuted=False):
-        """Fused k-wide sweep; returns the stored-order block."""
-        indptr, indices, data = stored_csr_triplet(m, permuted)
-        nrows = indptr.shape[0] - 1
+    def _cc_spmm_into(m, X, out, ws, indptr, indices, data):
+        """Fused k-wide sweep of a CSR view in original row order."""
+        if m.nnz == 0:
+            out[...] = 0.0
+            return out
         k = X.shape[1]
-        _cc_csr_call("spmm", nrows, indptr, indices, data, X, out, k=k)
+        Xb = _contig_vec(ws, f"cc_X:{k}", X, m.dtype)
+        Yb, fin = _out_vec(ws, f"cc_Y:{k}", out)
+        _cc_csr_call("spmm", m.nrows, indptr, indices, data, Xb, Yb, k=k)
+        if fin is not None:
+            out[...] = fin
         return out
+
+    def _cc_spmm_acc(m, X, ws, nrows):
+        """Fused sweep of the stored-order CSR view into a scratch block."""
+        k = X.shape[1]
+        acc = _block(ws, f"cc_spmm_acc:{k}", (nrows, k), m.dtype)
+        indptr, indices, data = stored_csr_triplet(m)
+        Xb = _contig_vec(ws, f"cc_X:{k}", X, m.dtype)
+        _cc_csr_call("spmm", nrows, indptr, indices, data, Xb, acc, k=k)
+        return acc
 
     def _cc_csr_spmm(m: CSRMatrix, X, out, ws):
-        if m.nnz == 0 or not (X.flags.c_contiguous and out.flags.c_contiguous):
-            return None
-        _cc_csr_call(
-            "spmm", m.nrows, m.indptr, m.indices, m.data, X, out,
-            k=X.shape[1],
-        )
-        return out
+        return _cc_spmm_into(m, X, out, ws, m.indptr, m.indices, m.data)
 
-    def _cc_ell_spmm(m: ELLPACKMatrix, X, out, ws):
-        if m.nnz == 0 or not (X.flags.c_contiguous and out.flags.c_contiguous):
-            return None
-        return _cc_spmm_stored(m, X, out, ws)
+    def _cc_plaincsr_spmm(m, X, out, ws):
+        """ELLPACK, CMRS, ARG-CSR: their stored-CSR view is already
+        original row order and unpadded, so the fused sweep writes
+        ``out`` directly with no permutation or trim step."""
+        return _cc_spmm_into(m, X, out, ws, *stored_csr_triplet(m))
 
     def _cc_jds_spmm(m: JaggedDiagonalsBase, X, out, ws):
-        if m.total_slots == 0 or not X.flags.c_contiguous:
-            return None
-        k = X.shape[1]
-        acc = ws.buf(f"cc_spmm_acc:{k}", (m.nrows, k), m.dtype)
-        _cc_spmm_stored(m, X, acc, ws)
+        if m.total_slots == 0:
+            out[...] = 0.0
+            return out
+        acc = _cc_spmm_acc(m, X, ws, m.nrows)
         np.take(acc, m.permutation.inverse, axis=0, out=out, mode="clip")
         return out
 
     def _cc_sell_spmm(m: SELLMatrix, X, out, ws):
-        if m.total_slots == 0 or not X.flags.c_contiguous:
-            return None
-        k = X.shape[1]
-        acc = ws.buf(f"cc_spmm_acc:{k}", (m.padded_rows, k), m.dtype)
-        _cc_spmm_stored(m, X, acc, ws)
+        if m.total_slots == 0:
+            out[...] = 0.0
+            return out
+        acc = _cc_spmm_acc(m, X, ws, m.padded_rows)
         out[m.permutation.perm] = acc[: m.nrows]
         return out
 
-    def _cc_plaincsr_spmm(m, X, out, ws):
-        """CMRS / ARG-CSR: their stored-CSR view is already original
-        row order and unpadded, so the fused sweep writes ``out``
-        directly with no permutation or trim step."""
-        if m.nnz == 0 or not (X.flags.c_contiguous and out.flags.c_contiguous):
-            return None
-        return _cc_spmm_stored(m, X, out, ws)
-
 
 # ---------------------------------------------------------------------------
-# registration: ordinary variants, ranked by the autotuner per matrix
+# registration: ordinary variants (spmv ranked by the autotuner per
+# matrix, spmm at rank 0; see repro.ops.registry)
 # ---------------------------------------------------------------------------
-
-# Fall back to the vectorised kernel path when the compiled spmm
-# preconditions (contiguity) do not hold: the wrappers above return
-# None in that case and these shims delegate.
-
-def _spmm_with_fallback(fast, slow_name):
-    def run(m, X, out, ws):
-        got = fast(m, X, out, ws)
-        if got is not None:
-            return got
-        from repro.ops.registry import get_kernel
-
-        return get_kernel(m, slow_name, "spmm").run(m, X, out, ws)
-
-    return run
-
 
 def _register_all() -> None:
     if _CNATIVE is not None:
@@ -1176,16 +1167,16 @@ def _register_all() -> None:
             _cc_sell_spmv
         )
         register_kernel(CSRMatrix, "spmm", name="spmm_csr_cc", tags=tags)(
-            _spmm_with_fallback(_cc_csr_spmm, "spmm_csr")
+            _cc_csr_spmm
         )
         register_kernel(ELLPACKMatrix, "spmm", name="spmm_ell_cc", tags=tags)(
-            _spmm_with_fallback(_cc_ell_spmm, "spmm_ell")
+            _cc_plaincsr_spmm
         )
         register_kernel(
             JaggedDiagonalsBase, "spmm", name="spmm_jds_cc", tags=tags
-        )(_spmm_with_fallback(_cc_jds_spmm, "spmm_jds"))
+        )(_cc_jds_spmm)
         register_kernel(SELLMatrix, "spmm", name="spmm_sell_cc", tags=tags)(
-            _spmm_with_fallback(_cc_sell_spmm, "spmm_sell")
+            _cc_sell_spmm
         )
         register_kernel(CMRSMatrix, "spmv", name="cmrs_cc", tags=tags)(
             _cc_cmrs_spmv
@@ -1194,10 +1185,10 @@ def _register_all() -> None:
             _cc_argcsr_spmv
         )
         register_kernel(CMRSMatrix, "spmm", name="spmm_cmrs_cc", tags=tags)(
-            _spmm_with_fallback(_cc_plaincsr_spmm, "spmm_cmrs")
+            _cc_plaincsr_spmm
         )
         register_kernel(ARGCSRMatrix, "spmm", name="spmm_argcsr_cc", tags=tags)(
-            _spmm_with_fallback(_cc_plaincsr_spmm, "spmm_argcsr")
+            _cc_plaincsr_spmm
         )
 
 

@@ -28,7 +28,9 @@ Kernel contracts (per ``op``):
     order; ``x`` is already coerced to the matrix dtype.
 ``spmm``
     ``run(matrix, X, out, ws)`` with C-contiguous ``(ncols, k)`` X,
-    writing the *original*-order ``(nrows, k)`` result into ``out``.
+    writing the *original*-order ``(nrows, k)`` result into ``out`` of
+    any memory order.  Every batch runs the rank-0 kernel, and that
+    kernel never hands off to another one.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ __all__ = [
 #: operations the registry understands
 OPS = ("spmv", "spmm")
 
-#: tag of the compiled C tier (:mod:`repro.kernels.compiled`); its
-#: kernels always rank after the NumPy/scipy kernels of the same
-#: (format, op), so the untuned default never depends on import order
+#: tag of the compiled C tier (:mod:`repro.kernels.compiled`).  Its
+#: spmv kernels rank after the NumPy/scipy ones (the autotuner ranks
+#: spmv per matrix) and its spmm kernels rank first (nothing tunes
+#: spmm; the compiled one gives the same bits in less time), whatever
+#: module registers first
 CNATIVE_TAG = "cnative"
 
 
@@ -97,8 +101,9 @@ def register_kernel(
     ``first=True`` prepends the kernel to the candidate list — it
     becomes the best-guess default taken when tuning is off (the
     compiled scipy delegates use this).  Kernels tagged
-    :data:`CNATIVE_TAG` are kept behind every other kernel of the
-    list, whichever module registers first.  Registering the same name
+    :data:`CNATIVE_TAG` are kept behind every other spmv kernel and
+    ahead of every other spmm kernel, whichever module registers
+    first.  Registering the same name
     twice for one (format, op) pair raises unless it is the identical
     function (idempotent re-registration, e.g. module reloads).
     """
@@ -131,7 +136,7 @@ def register_kernel(
             else:
                 lst.append(spec)
             # stable: each tier keeps its registration order
-            lst.sort(key=lambda s: CNATIVE_TAG in s.tags)
+            lst.sort(key=lambda s: (CNATIVE_TAG in s.tags) == (op == "spmv"))
         return fn
 
     return decorate

@@ -9,17 +9,18 @@ is read once and the k-wide FMA amortises the index traffic — exactly
 the code-balance improvement (Eq. 1) block Krylov methods and the KPM
 exploit on real hardware.
 
-Layout notes: C-ordered ``X`` (rows contiguous) is the fast path for
-the row-gather kernels; Fortran-ordered ``X`` gets a zero-copy
-per-column fallback (its column views are already contiguous) instead
-of a silent full copy.
+Layout notes: the kernels take a C-ordered ``X`` (rows contiguous);
+:func:`spmm_dispatch` copies any other order once.  ``out`` may have
+any order.
 
 Dispatch is registry-driven: each kernel is declared with
 ``@register_kernel(<FormatClass>, "spmm", name="spmm_<fmt>")`` and
-:func:`spmm_dispatch` resolves through
-:func:`repro.ops.registry.kernels_for`, so format subclasses inherit
-their base format's batched kernel and unknown formats degrade to the
-per-column loop.
+:func:`spmm_dispatch` runs the rank-0 kernel of
+:func:`repro.ops.registry.kernels_for` (the compiled one when the
+tier is built), so format subclasses inherit their base format's
+batched kernel and unknown formats degrade to the per-column loop.
+The NumPy kernels here run scipy's ``csr_matvecs`` over the stored-CSR
+view; their blocked NumPy bodies run only when scipy lacks it.
 """
 
 from __future__ import annotations
@@ -81,22 +82,23 @@ def _sp_matvecs(nrows, ncols, indptr, indices, data, X, out):
     )
 
 
-def _try_spmm_scipy(m, X, out, permuted=False) -> bool:
-    """Compiled batched sweep over the stored-CSR view, when possible.
+def _try_spmm_scipy(m, X, out, ws, permuted=False) -> bool:
+    """scipy's batched sweep over the stored-CSR view, when it exists.
 
-    Requires the optional scipy delegate plus C-contiguous operands
-    (the compiled kernel walks raw row-major buffers).  Returns False
-    to let the caller fall back to the NumPy kernel.
+    scipy's kernel walks raw row-major buffers, so an ``out`` that is
+    not C-contiguous gets a workspace block that is copied out after.
+    Returns False only when ``csr_matvecs`` is missing, leaving the
+    batch to the NumPy kernel.
     """
-    if not (
-        _HAVE_CSR_MATVEC
-        and out.flags.c_contiguous
-        and X.flags.c_contiguous
-        and out.shape[0] == m.nrows
-    ):
+    if not _HAVE_CSR_MATVEC:
         return False
     indptr, indices, data = stored_csr_triplet(m, permuted)
-    _sp_matvecs(m.nrows, m.ncols, indptr, indices, data, X, out)
+    if out.flags.c_contiguous:
+        _sp_matvecs(m.nrows, m.ncols, indptr, indices, data, X, out)
+    else:
+        acc = _block(ws, f"spmm_stage:{X.shape[1]}", out.shape, m.dtype)
+        _sp_matvecs(m.nrows, m.ncols, indptr, indices, data, X, acc)
+        out[...] = acc
     return True
 
 
@@ -115,7 +117,7 @@ def _spmm_csr(m: CSRMatrix, X, out, ws):
     if m.nnz == 0:
         out[:] = 0.0
         return out
-    if _try_spmm_scipy(m, X, out):
+    if _try_spmm_scipy(m, X, out, ws):
         return out
     k = X.shape[1]
     idx_g, data_g, groups = m._length_groups()  # noqa: SLF001
@@ -169,7 +171,7 @@ def _spmm_ell(m: ELLPACKMatrix, X, out, ws):
     if m.width == 0:
         out[:] = 0.0
         return out
-    if _try_spmm_scipy(m, X, out):
+    if _try_spmm_scipy(m, X, out, ws):
         return out
     k = X.shape[1]
     col_rm, val_rm = m._row_major_entries()  # noqa: SLF001
@@ -202,7 +204,7 @@ def _spmm_jds_stored(m: JaggedDiagonalsBase, X, acc, permuted, ws):
     exactly once, with no per-column accumulator re-reads.  ``acc``
     must be C-contiguous.
     """
-    if _try_spmm_scipy(m, X, acc, permuted):
+    if _try_spmm_scipy(m, X, acc, ws, permuted):
         return acc
     idx_g, data_g, groups = m._grouped_entries(permuted)  # noqa: SLF001
     k = X.shape[1]
@@ -255,7 +257,7 @@ def _spmm_sell(m: SELLMatrix, X, out, ws):
     k = X.shape[1]
     C = m.chunk_rows
     acc = _block(ws, f"spmm_acc:{k}", (m.padded_rows, k), m.dtype)
-    if _HAVE_CSR_MATVEC and X.flags.c_contiguous:
+    if _HAVE_CSR_MATVEC:
         # compiled sweep over the padded-stored-rows CSR view
         indptr, indices, data = stored_csr_triplet(m)
         _sp_matvecs(m.padded_rows, m.ncols, indptr, indices, data, X, acc)
@@ -289,7 +291,7 @@ def _spmm_csrview(m, X, out, ws, *, name: str):
     if m.nnz == 0:
         out[:] = 0.0
         return out
-    if _try_spmm_scipy(m, X, out):
+    if _try_spmm_scipy(m, X, out, ws):
         return out
     indptr, indices, data = stored_csr_triplet(m)
     k = X.shape[1]
@@ -325,14 +327,14 @@ def spmm_dispatch(
     ws: Workspace | None = None,
     kernel: KernelSpec | None = None,
 ) -> np.ndarray:
-    """Route a validated (X, out) pair to the fused kernel of ``m``.
+    """Run the fused kernel of ``m`` on a validated (X, out) pair.
 
     ``X`` must already have the matrix dtype and ``out`` the right
-    shape (callers go through ``check_rhs_block``).  Fortran-ordered
-    ``X`` takes the zero-copy per-column path; everything else is made
-    C-contiguous once and processed by ``kernel`` — a bound matrix
-    passes the one matched to its spmv variant — or else by the
-    format's rank-0 batched kernel from the central registry.
+    shape (callers go through ``check_rhs_block``).  ``X`` of any order
+    is made C-contiguous once and processed by ``kernel`` (a bound
+    matrix passes its cached one) or else by the format's rank-0
+    batched kernel from the central registry; a format without one
+    loops over columns.
     """
     if X.ndim != 2:  # defensive: dispatch is also called directly
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -341,12 +343,7 @@ def spmm_dispatch(
         if not candidates:
             return m.spmm_percolumn(X, out)
         kernel = candidates[0]
-    if not X.flags.c_contiguous:
-        if X.flags.f_contiguous:
-            # Fortran fast path: column views are contiguous, no copies
-            return m.spmm_percolumn(X, out)
-        X = np.ascontiguousarray(X)
-    return kernel.run(m, X, out, ws)
+    return kernel.run(m, np.ascontiguousarray(X), out, ws)
 
 
 def spmm_permuted(

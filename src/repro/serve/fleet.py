@@ -61,6 +61,7 @@ from multiprocessing.reduction import recv_handle, send_handle
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
+from repro.ops.registry import kernels_for
 from repro.serve.errors import MatrixNotFound, ServeError, ShardDown
 from repro.serve.registry import MatrixRegistry
 from repro.serve.scheduler import SpMVServer
@@ -585,6 +586,10 @@ class ProcessShard:
     ):
         self.shard_id = config.shard_id
         self.config = config
+        # load the kernel registry (the kernel modules and the compiled
+        # library) before forking: a forked shard inherits it instead
+        # of loading it on its first request
+        kernels_for(CSRMatrix)
         ctx = mp_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn

@@ -37,10 +37,11 @@ class MatrixSpec:
 
     name: str
     loader: Callable[[], SparseMatrixFormat]
-    #: force a kernel variant (skips autotuning); ``None`` = autotune.
-    #: Pinning a stored-order sequential variant (the scipy delegates)
-    #: also pins bitwise consistency between batched and unbatched
-    #: execution — see docs/serving.md.
+    #: force a spmv kernel variant (skips autotuning); ``None`` =
+    #: autotune.  Batches always run the format's rank-0 spmm kernel;
+    #: pinning a stored-order sequential variant (``*_scipy``,
+    #: ``*_cc``) makes unbatched answers bitwise the batched ones —
+    #: see docs/serving.md.
     variant: str | None = None
     tune: bool = True
 

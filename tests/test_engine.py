@@ -15,7 +15,7 @@ from repro.engine import (
     variants_for,
 )
 from repro.ops.spmv_kernels import _HAVE_CSR_MATVEC
-from repro.ops import stored_csr_triplet
+from repro.ops import kernels_for, stored_csr_triplet
 from repro.formats import convert
 from repro.matrices.cache import TunerCache
 
@@ -308,14 +308,20 @@ class TestCompiledDelegates:
     @_scipy_only
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_numpy_fallback_matches_delegate(self, fmt, coo, monkeypatch):
-        """The pure-NumPy spmm path must agree with the compiled one."""
+        """The pure-NumPy spmm path must agree with the compiled one.
+
+        ``m.spmm`` runs the rank-0 kernel, which is the compiled one
+        when the tier is built; the format's NumPy kernel (its
+        ``numpy``-tagged spmm) is called directly so that its pure-NumPy
+        body still runs."""
         m = convert(coo, fmt)
         X = np.ascontiguousarray(
             np.random.default_rng(8).standard_normal((coo.ncols, 5))
         )
         Y_sp = m.spmm(X)
+        spec = next(k for k in kernels_for(m, "spmm") if "numpy" in k.tags)
         monkeypatch.setattr("repro.ops.spmm_kernels._HAVE_CSR_MATVEC", False)
-        Y_np = m.spmm(X)
+        Y_np = spec.run(m, X, np.empty_like(Y_sp), Workspace())
         assert np.allclose(Y_np, Y_sp, atol=1e-12)
 
 

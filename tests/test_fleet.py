@@ -21,6 +21,7 @@ from repro.engine import bind
 from repro.formats import COOMatrix, convert
 from repro.matrices import generate, poisson2d
 from repro.obs.slo import SLOMonitor, default_fleet_slos
+from repro.kernels.compiled import backend_status
 from repro.ops import variant_names_for
 from repro.serve import (
     AutoscalePolicy,
@@ -250,13 +251,10 @@ class TestProcessShards:
             assert np.array_equal(router.spmv("A", x, timeout=60), y_ref)
             assert router.health()["status"] == "degraded"
 
-    @pytest.mark.parametrize(
-        "variant, spmm_variant",
-        [("csr_scipy", "spmm_csr"), ("csr_cc", "spmm_csr_cc")],
-    )
-    def test_shard_batches_run_the_pinned_variants_kernel(
-        self, variant, spmm_variant
-    ):
+    @pytest.mark.parametrize("variant", ["csr_scipy", "csr_cc"])
+    def test_shard_batches_run_the_rank0_spmm(self, variant):
+        """Whatever spmv variant a shard pins, its batches run the
+        format's rank-0 spmm kernel and stay bitwise."""
         csr = small_csr()
         if variant not in variant_names_for(csr):
             pytest.skip(f"{variant} is not registered here")
@@ -272,13 +270,46 @@ class TestProcessShards:
             router = FleetRouter(fleet, default_variant=variant)
             router.register("A", csr)
             assert np.array_equal(router.spmv("A", X[:, 0], timeout=60), y_ref)
-            assert np.array_equal(router.spmm("A", X), Y_ref)
+            Y = router.spmm("A", X)
             shards = router.stats()["shards"]
+        assert np.array_equal(Y, Y_ref)
+        spmv = bind(csr, tune=False, variant=VARIANT)
+        for j in range(X.shape[1]):
+            assert np.array_equal(Y[:, j], spmv.spmv(X[:, j].copy()))
+        cnative = backend_status()["cnative"]["available"]
+        rank0 = "spmm_csr_cc" if cnative else "spmm_csr"
         rows = [r for s in shards for r in s["registry"]["resident"]]
         assert len(rows) == 2
         for row in rows:
             assert row["variant"] == variant
-            assert row["spmm_variant"] == spmm_variant
+            assert row["spmm_variant"] == rank0
+
+    def test_shards_fork_from_a_loaded_registry(self):
+        """A cold parent loads the kernel registry before it forks a
+        shard, so no shard pays for loading it on its first request."""
+        import os
+        import subprocess
+
+        code = (
+            "import repro.ops.registry as registry\n"
+            "import repro.serve.fleet as fleet\n"
+            "print('cold:', registry._LOADED)\n"
+            "real = fleet.mp_context()\n"
+            "class Ctx:\n"
+            "    Pipe = staticmethod(real.Pipe)\n"
+            "    def Process(self, **kw):\n"
+            "        print('at fork:', registry._LOADED)\n"
+            "        return real.Process(**kw)\n"
+            "fleet.mp_context = Ctx\n"
+            "with fleet.Fleet(1, mode='process', workers=1):\n"
+            "    pass\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert out.split("\n")[:2] == ["cold: False", "at fork: True"]
 
     def test_rectangular_with_an_empty_block_is_bitwise(self):
         # rows 0 and 29 carry every entry: the nnz-balanced 3-way split

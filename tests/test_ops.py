@@ -364,6 +364,16 @@ _BITWISE_PAIRS = {
     "ARG-CSR": ("argcsr_cc", "argcsr_sweep"),
 }
 
+#: format -> its scipy-delegate spmv, whose bits every spmm column has
+_SCIPY_SPMV = {
+    "CRS": "csr_scipy",
+    "ELLPACK-R": "ell_scipy",
+    "pJDS": "jds_scipy",
+    "SELL-C-sigma": "sell_scipy",
+    "CMRS": "cmrs_scipy",
+    "ARG-CSR": "argcsr_scipy",
+}
+
 #: compiled spmm kernel -> the NumPy spmm kernel of the same format;
 #: both sweep the stored-CSR view in entry order (the NumPy one through
 #: scipy's ``csr_matvecs``), so float64 agreement is bitwise
@@ -544,14 +554,7 @@ class TestCompiledTier:
     @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize(
         "fmt,spmm_name,spmv_name",
-        [
-            ("CRS", "spmm_csr", "csr_scipy"),
-            ("ELLPACK-R", "spmm_ell", "ell_scipy"),
-            ("pJDS", "spmm_jds", "jds_scipy"),
-            ("SELL-C-sigma", "spmm_sell", "sell_scipy"),
-            ("CMRS", "spmm_cmrs", "cmrs_scipy"),
-            ("ARG-CSR", "spmm_argcsr", "argcsr_scipy"),
-        ],
+        [(f, _SPMM_PAIRS[f][1], v) for f, v in _SCIPY_SPMV.items()],
     )
     def test_scipy_spmm_one_column_is_spmv(self, fmt, spmm_name, spmv_name):
         """A 1-column scipy-backed batch is bitwise the variant's spmv."""
@@ -565,27 +568,90 @@ class TestCompiledTier:
             ref = bind(m, tune=False, variant=spmv_name).spmv(x)
             np.testing.assert_array_equal(got[:, 0], ref, err_msg=fmt)
 
-    @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
     @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
-    def test_bound_spmm_follows_variant_tier(self, fmt):
-        """A bound matrix batches through the spmm kernel of its spmv
-        variant's tier, and both tiers' batches agree bitwise."""
+    def test_bound_spmm_runs_the_rank0_kernel(self, fmt):
+        """Every variant's bound matrix batches through the format's
+        rank-0 spmm kernel (the compiled one when the tier is built),
+        and all of them agree bitwise."""
         cc_name, np_name = _SPMM_PAIRS[fmt]
+        want = cc_name if _CNATIVE_OK else np_name
         for coo in (random_coo(40, seed=17), _multi_chunk_coo()):
             m = convert(coo, fmt)
+            assert kernels_for(m, "spmm")[0].name == want
             X = np.random.default_rng(18).standard_normal((m.ncols, 3))
             outs = {}
             for variant in variant_names_for(m):
                 bound = bind(m, tune=False, variant=variant)
-                native = "cnative" in bound.variant.tags
-                want = cc_name if native else np_name
                 assert bound.spmm_variant_name == want, variant
                 outs[variant] = bound.spmm(X)
             ref = outs[_BITWISE_PAIRS[fmt][1]]
             for variant, got in outs.items():
                 np.testing.assert_array_equal(
                     got, ref, err_msg=f"{fmt}/{variant}/n={m.nrows}"
+                )
+
+    @staticmethod
+    def _assert_columns_are_scipy_spmv(m, X, Y, msg):
+        ref = bind(m, tune=False, variant=_SCIPY_SPMV[m.name])
+        for j in range(X.shape[1]):
+            np.testing.assert_array_equal(
+                Y[:, j], ref.spmv(np.ascontiguousarray(X[:, j])),
+                err_msg=f"{msg}/col={j}",
+            )
+
+    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
+    @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
+    def test_spmm_bits_ignore_the_order_of_x(self, fmt):
+        """A C-order, Fortran-order or sliced X gives every column the
+        bits of the ``*_scipy`` spmv, on every variant's handle and
+        through the unbound ``fmt.spmm``."""
+        m = convert(_multi_chunk_coo(), fmt)
+        W = np.random.default_rng(23).standard_normal((m.ncols, 8))
+        blocks = {
+            "C": np.ascontiguousarray(W[:, :4]),
+            "F": np.asfortranarray(W[:, :4]),
+            "sliced": W[:, ::2],
+        }
+        for order, X in blocks.items():
+            self._assert_columns_are_scipy_spmv(
+                m, X, m.spmm(X), f"{fmt}/unbound/{order}"
+            )
+            for variant in variant_names_for(m):
+                Y = bind(m, tune=False, variant=variant).spmm(X)
+                self._assert_columns_are_scipy_spmv(
+                    m, X, Y, f"{fmt}/{variant}/{order}"
+                )
+
+    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
+    @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
+    def test_spmm_fortran_out_is_bitwise(self, fmt):
+        """A Fortran-order ``out`` is written with the bits a C-order
+        one gets, on every variant's handle."""
+        m = convert(_multi_chunk_coo(), fmt)
+        X = np.random.default_rng(24).standard_normal((m.ncols, 5))
+        for variant in variant_names_for(m):
+            out = np.full((m.nrows, 5), np.nan, order="F")
+            Y = bind(m, tune=False, variant=variant).spmm(X, out=out)
+            assert Y is out
+            self._assert_columns_are_scipy_spmv(m, X, Y, f"{fmt}/{variant}")
+
+    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
+    @pytest.mark.parametrize("fmt", ["pJDS", "SELL-C-sigma"])
+    def test_spmm_batch_widths_change_on_one_handle(self, fmt):
+        """Widths 1, 3, 2, 5, 1 on one handle: each batch runs the
+        rank-0 kernel and is bitwise the ``*_scipy`` spmv, column by
+        column, whatever width came before it."""
+        m = convert(_multi_chunk_coo(), fmt)
+        rank0 = kernels_for(m, "spmm")[0].name
+        W = np.random.default_rng(25).standard_normal((m.ncols, 5))
+        for variant in variant_names_for(m):
+            bound = bind(m, tune=False, variant=variant)
+            assert bound.spmm_variant_name == rank0, variant
+            for k in (1, 3, 2, 5, 1):
+                X = W[:, :k]
+                self._assert_columns_are_scipy_spmv(
+                    m, X, bound.spmm(X), f"{fmt}/{variant}/k={k}"
                 )
 
     def test_registry_order_is_import_order_free(self):
@@ -618,8 +684,8 @@ class TestCompiledTier:
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
     def test_spmm_noncontiguous_falls_back(self):
-        """The cnative spmm glue refuses non-C-contiguous X; the
-        registered wrapper must silently delegate to the NumPy path."""
+        """The cnative spmm takes a Fortran-order X and out itself (no
+        hand-off to another kernel) and writes the C-order bits."""
         coo = random_coo(25, seed=19)
         m = convert(coo, "CRS")
         A = dense_of(coo)
@@ -629,9 +695,14 @@ class TestCompiledTier:
         X = np.asfortranarray(
             np.random.default_rng(20).standard_normal((m.ncols, 4))
         )
-        out = np.zeros((m.nrows, 4), dtype=m.dtype)
+        out = np.zeros((m.nrows, 4), dtype=m.dtype, order="F")
         got = spec.run(m, X, out, Workspace())
+        assert got is out
         np.testing.assert_allclose(got, A @ X, rtol=1e-12, atol=1e-12)
+        ref = spec.run(
+            m, np.ascontiguousarray(X), np.zeros((m.nrows, 4)), Workspace()
+        )
+        np.testing.assert_array_equal(got, ref)
 
     def test_new_format_rosters_fall_back_when_disabled(self):
         """With ``REPRO_COMPILED_DISABLE=all`` the CMRS / ARG-CSR
