@@ -1,11 +1,11 @@
 """Shared JSON-artifact and threshold-gate helpers for the bench scripts.
 
 Every bench entry point (``bench_kernels.py`` and its ``--dispatch`` /
-``--obs-overhead`` / ``--shootout`` modes, ``bench_serve.py`` and its
-``--fleet`` mode) writes its records with :func:`write_artifact`,
-splits the trailing ``{"summary": True}`` record off with
-:func:`split_summary`, and funnels its thresholds through one
-:class:`GateSet`, so CI reads one exit-code convention:
+``--obs-overhead`` / ``--shootout`` modes, and ``bench_serve.py``)
+writes its records with :func:`write_artifact`, splits the trailing
+``{"summary": True}`` record off with :func:`split_summary`, and
+funnels its thresholds through one :class:`GateSet`, so CI reads one
+exit-code convention:
 
 * ``EXIT_OK`` (0)          — every gate held (or nothing was gated);
 * ``EXIT_GATE_FAILED`` (1) — at least one threshold was violated

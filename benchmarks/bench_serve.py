@@ -9,25 +9,20 @@ one :class:`~repro.serve.scheduler.SpMVServer`, once with coalescing
 disabled (``max_batch=1``, the per-request baseline) and once with the
 micro-batcher on.
 
-Run as a script (``python benchmarks/bench_serve.py``) to produce
-``BENCH_serve.json``: one record per configuration with throughput,
-latency quantiles (p50/p95/p99), achieved batch sizes and spmm-call
-counts, plus a ``summary`` record with the batched-vs-baseline
-throughput ratio — the number the CI serve-smoke step asserts on.
+The configurations are timed in alternation, not one after the other:
+every server is started and warmed with one untimed closed loop, then
+``ROUNDS`` rounds time each configuration once, reversing the order
+every round so each configuration leads equally often.  The gated
+number is the median of the per-round batched-vs-baseline throughput
+ratios, so neither a configuration's place in the process nor one slow
+round decides it.
 
-Fleet scaling (``--fleet``) drives the same closed loop through the
-sharded :class:`~repro.serve.router.FleetRouter` at 1/2/4 shards and
-writes ``BENCH_fleet.json``.  Shard kernels run in **modeled-device
-mode** (``mode: "modeled-device"`` in the artifact): each shard paces
-its spmm to the paper's Eq. (1) time for a device whose bandwidth is
-calibrated from ``--service-ms``, exactly like the repo's other
-model-driven scaling studies (``bench_fig5_scaling.py``).  The sleeps
-release the GIL, so shards overlap the way real devices would, while
-the router, pipes, batching, hedging and gather all run for real —
-the measured scaling is the *system's*, only the kernel speed is
-modeled (mandatory honesty on hosts with fewer cores than shards;
-answers are still computed exactly and checked against a
-single-server reference before each timed run).
+Run as a script (``python benchmarks/bench_serve.py``) to produce
+``BENCH_serve.json``: one record per configuration with throughput
+(median over rounds), latency quantiles (p50/p95/p99 over every timed
+request), achieved batch sizes and spmm-call counts, plus a
+``summary`` record with the per-round ratios and their median — the
+number the CI serve gate asserts on.
 """
 
 import threading
@@ -84,6 +79,11 @@ def _quantiles_ms(latencies) -> dict:
     }
 
 
+#: timed rounds per configuration (even, so the alternating order lets
+#: every configuration lead equally often)
+ROUNDS = 10
+
+
 def run_serve_bench(
     scale=64,
     *,
@@ -97,8 +97,10 @@ def run_serve_bench(
 ):
     """Benchmark the server at each ``max_batch``; batch 1 is the baseline.
 
-    Every configuration serves the *same* bound matrix (loaded once,
-    outside the timed region) so the comparison isolates the scheduler.
+    Every configuration serves the *same* matrix from its own server;
+    all of them are warmed before the first timed loop, and the timed
+    rounds alternate their order (see the module docstring).  Counts
+    and latencies cover the timed rounds only.
     """
     from repro.formats import convert
     from repro.matrices import generate
@@ -106,177 +108,77 @@ def run_serve_bench(
 
     mat = convert(generate(matrix, scale=scale, seed=seed), fmt)
     n = mat.ncols
-    records = []
-    for max_batch in batch_sizes:
-        registry = MatrixRegistry(tune=False)
-        registry.register("bench", matrix=mat)
-        server = SpMVServer(
-            registry,
-            max_batch=max_batch,
-            max_queue=max(256, clients * 4),
-            workers=workers,
+    total = clients * requests_per_client
+
+    def loop(server):
+        return _closed_loop(
+            server, "bench", n,
+            clients=clients, requests_per_client=requests_per_client,
+            seed=seed,
         )
-        try:
-            # warm up: load + bind the matrix and the worker clones
-            server.spmv("bench", np.ones(n), timeout=120)
-            elapsed, latencies = _closed_loop(
-                server,
-                "bench",
-                n,
-                clients=clients,
-                requests_per_client=requests_per_client,
-                seed=seed,
+
+    servers = {}
+    try:
+        for max_batch in batch_sizes:
+            registry = MatrixRegistry(tune=False)
+            registry.register("bench", matrix=mat)
+            servers[max_batch] = SpMVServer(
+                registry,
+                max_batch=max_batch,
+                max_queue=max(256, clients * 4),
+                workers=workers,
             )
-            stats = server.stats()
-        finally:
+        # warm up: load + bind the matrix and the worker clones, and
+        # run each configuration once untimed
+        for server in servers.values():
+            loop(server)
+        warm_calls = {b: s.stats()["spmm_calls"] for b, s in servers.items()}
+        rps = {b: [] for b in servers}
+        latencies = {b: [] for b in servers}
+        order = list(servers)
+        for rnd in range(ROUNDS):
+            for b in order if rnd % 2 == 0 else order[::-1]:
+                elapsed, lat = loop(servers[b])
+                rps[b].append(total / elapsed)
+                latencies[b] += lat
+        calls = {
+            b: s.stats()["spmm_calls"] - warm_calls[b]
+            for b, s in servers.items()
+        }
+    finally:
+        for server in servers.values():
             server.close()
-        total = clients * requests_per_client
-        records.append(
-            {
-                "matrix": matrix,
-                "format": fmt,
-                "scale": scale,
-                "nrows": mat.nrows,
-                "nnz": mat.nnz,
-                "max_batch": max_batch,
-                "clients": clients,
-                "workers": workers,
-                "requests": total,
-                "seconds": round(elapsed, 6),
-                "throughput_rps": round(total / elapsed, 3),
-                "spmm_calls": stats["spmm_calls"],
-                "mean_batch_size": stats["mean_batch_size"],
-                "latency_ms": _quantiles_ms(latencies),
-            }
-        )
-    base = next(r for r in records if r["max_batch"] == 1)
-    batched = [r for r in records if r["max_batch"] > 1] or [base]
-    best = max(batched, key=lambda r: r["throughput_rps"])
+    timed = total * ROUNDS
+    records = [
+        {
+            "matrix": matrix,
+            "format": fmt,
+            "scale": scale,
+            "nrows": mat.nrows,
+            "nnz": mat.nnz,
+            "max_batch": b,
+            "clients": clients,
+            "workers": workers,
+            "requests": timed,
+            "throughput_rps": round(float(np.median(rps[b])), 3),
+            "round_rps": [round(v, 3) for v in rps[b]],
+            "spmm_calls": calls[b],
+            "mean_batch_size": round(timed / max(calls[b], 1), 4),
+            "latency_ms": _quantiles_ms(latencies[b]),
+        }
+        for b in servers
+    ]
+    ratios = {b: [v / r1 for v, r1 in zip(rps[b], rps[1])] for b in servers}
+    batched = [b for b in servers if b > 1] or [1]
+    best = max(batched, key=lambda b: np.median(ratios[b]))
     summary = {
         "summary": True,
-        "baseline_rps": base["throughput_rps"],
-        "best_rps": best["throughput_rps"],
-        "best_max_batch": best["max_batch"],
-        "batched_speedup": round(
-            best["throughput_rps"] / base["throughput_rps"], 4
-        ),
-    }
-    return records + [summary]
-
-
-def run_fleet_bench(
-    scale=512,
-    *,
-    matrix="sAMG",
-    shard_counts=(1, 2, 4),
-    clients=16,
-    requests_per_client=40,
-    service_ms=8.0,
-    mode="process",
-    replicas=1,
-    workers=1,
-    max_batch=16,
-    seed=0,
-):
-    """Closed-loop load through the fleet router at each shard count.
-
-    ``service_ms`` calibrates the modeled device: it is the Eq. (1)
-    single-vector sweep time of the *whole* matrix on one shard, and
-    the derived bandwidth paces every shard's kernels — so S shards
-    each pace their ~1/S-nnz row block proportionally faster, exactly
-    the per-device speedup the paper's row-block distribution buys.
-    The device streams its matrix block once **per vector**
-    (``per_request`` pacing) on every shard count alike, so the
-    measurement isolates scatter/gather scaling from batch-formation
-    noise.  Before each timed run the sharded answer is checked
-    bitwise against a single-server reference (same ``csr_scipy``
-    kernel).
-    """
-    from repro.formats import convert
-    from repro.matrices import generate
-    from repro.serve import Fleet, FleetRouter, MatrixRegistry
-    from repro.serve.fleet import eq1_spmm_seconds
-
-    csr = convert(generate(matrix, scale=scale, seed=seed), "CRS")
-    n = csr.ncols
-    bandwidth = (
-        eq1_spmm_seconds(csr.nnz, csr.nrows, 1, 1.0) / (service_ms / 1e3)
-    )
-    # bitwise reference: the same pinned kernel, one process, no pacing
-    ref_registry = MatrixRegistry(tune=False)
-    ref_registry.register("bench", matrix=csr, variant="csr_scipy")
-    rng = np.random.default_rng(seed)
-    x_check = rng.standard_normal(n)
-    with ref_registry.acquire("bench") as lease:
-        y_ref = lease.clone_for("ref").spmv(x_check)
-
-    records = []
-    for nshards in shard_counts:
-        fleet = Fleet(
-            nshards,
-            mode=mode,
-            workers=workers,
-            max_batch=max_batch,
-            max_queue=max(256, clients * 4),
-            pace={"bandwidth_bytes": bandwidth, "per_request": True},
-        )
-        router = FleetRouter(fleet, replicas=min(replicas, nshards))
-        try:
-            router.register("bench", csr, blocks=nshards)
-            # warm up (bind every block) + bitwise parity gate
-            router.spmv("bench", np.ones(n), timeout=120)
-            exact = bool(
-                np.array_equal(router.spmv("bench", x_check), y_ref)
-            )
-            elapsed, latencies = _closed_loop(
-                router,
-                "bench",
-                n,
-                clients=clients,
-                requests_per_client=requests_per_client,
-                seed=seed,
-            )
-            stats = router.stats()
-        finally:
-            router.close()
-        total = clients * requests_per_client
-        records.append(
-            {
-                "mode": "modeled-device",
-                "transport": mode,
-                "matrix": matrix,
-                "scale": scale,
-                "nrows": csr.nrows,
-                "nnz": csr.nnz,
-                "shards": nshards,
-                "replicas": min(replicas, nshards),
-                "workers": workers,
-                "clients": clients,
-                "service_ms": service_ms,
-                "model_bandwidth_bytes": round(bandwidth, 1),
-                "requests": total,
-                "seconds": round(elapsed, 6),
-                "throughput_rps": round(total / elapsed, 3),
-                "latency_ms": _quantiles_ms(latencies),
-                "bitwise_equal": exact,
-                "hedges": stats["hedges"],
-                "failovers": stats["failovers"],
-            }
-        )
-    base = next(r for r in records if r["shards"] == min(shard_counts))
-    summary = {
-        "summary": True,
-        "mode": "modeled-device",
-        "service_ms": service_ms,
-        "baseline_shards": base["shards"],
-        "baseline_rps": base["throughput_rps"],
-        "scaling": {
-            str(r["shards"]): round(
-                r["throughput_rps"] / base["throughput_rps"], 4
-            )
-            for r in records
-        },
-        "bitwise_equal": all(r["bitwise_equal"] for r in records),
+        "rounds": ROUNDS,
+        "baseline_rps": round(float(np.median(rps[1])), 3),
+        "best_rps": round(float(np.median(rps[best])), 3),
+        "best_max_batch": best,
+        "round_ratios": [round(v, 4) for v in ratios[best]],
+        "batched_speedup": round(float(np.median(ratios[best])), 4),
     }
     return records + [summary]
 
@@ -292,7 +194,8 @@ def test_bench_serve_smoke():
     rows = [r for r in records if not r.get("summary")]
     assert {r["max_batch"] for r in rows} == {1, 8}
     for r in rows:
-        assert r["requests"] == 40
+        assert r["requests"] == 40 * ROUNDS
+        assert len(r["round_rps"]) == ROUNDS
         assert r["throughput_rps"] > 0
         assert r["latency_ms"]["p50"] is not None
     base = next(r for r in rows if r["max_batch"] == 1)
@@ -300,74 +203,9 @@ def test_bench_serve_smoke():
     # baseline executes one spmm per request; batched coalesces
     assert base["spmm_calls"] >= base["requests"]
     assert batched["spmm_calls"] <= batched["requests"]
-    assert records[-1]["summary"] and records[-1]["batched_speedup"] > 0
-
-
-def test_bench_fleet_smoke():
-    """Tiny fleet loop: records well-formed, answers bitwise-exact."""
-    records = run_fleet_bench(
-        scale=512,
-        shard_counts=(1, 2),
-        clients=4,
-        requests_per_client=5,
-        service_ms=2.0,
-        mode="inproc",
-    )
-    rows = [r for r in records if not r.get("summary")]
-    assert {r["shards"] for r in rows} == {1, 2}
-    for r in rows:
-        assert r["mode"] == "modeled-device"
-        assert r["requests"] == 20
-        assert r["throughput_rps"] > 0
-        assert r["bitwise_equal"]
-        assert r["latency_ms"]["p50"] is not None
-    assert records[-1]["summary"] and records[-1]["bitwise_equal"]
-    assert records[-1]["scaling"]["1"] == 1.0
-
-
-def _main_fleet(args):
-    records = run_fleet_bench(
-        args.scale,
-        matrix=args.matrix,
-        shard_counts=tuple(args.fleet_shards),
-        clients=args.clients,
-        requests_per_client=args.requests,
-        service_ms=args.service_ms,
-        mode=args.fleet_transport,
-        replicas=args.replicas,
-        workers=args.workers,
-    )
-    write_artifact(args.out, records)
-    print(
-        f"{'shards':>6s} {'rps':>10s} {'scaling':>8s} "
-        f"{'p50ms':>8s} {'p99ms':>8s} {'exact':>6s}"
-    )
     summary = records[-1]
-    for r in records:
-        if r.get("summary"):
-            continue
-        lat = r["latency_ms"]
-        print(
-            f"{r['shards']:6d} {r['throughput_rps']:10.1f} "
-            f"{summary['scaling'][str(r['shards'])]:8.2f} "
-            f"{lat['p50']:8.3f} {lat['p99']:8.3f} "
-            f"{str(r['bitwise_equal']):>6s}"
-        )
-    print(
-        f"modeled-device fleet scaling (service_ms={args.service_ms:g}): "
-        + ", ".join(
-            f"{s} shards = {v:.2f}x" for s, v in summary["scaling"].items()
-        )
-    )
-    print(f"wrote {args.out} ({len(records)} records)")
-    gates = GateSet()
-    gates.require(summary["bitwise_equal"], "sharded answers not bitwise")
-    top = str(max(int(s) for s in summary["scaling"]))
-    gates.at_least(
-        summary["scaling"][top], args.min_scaling,
-        f"throughput scaling at {top} shards",
-    )
-    return gates.exit_code()
+    assert summary["summary"] and summary["batched_speedup"] > 0
+    assert len(summary["round_ratios"]) == ROUNDS
 
 
 def main(argv=None):
@@ -387,38 +225,11 @@ def main(argv=None):
     ap.add_argument("--batches", type=int, nargs="+", default=[1, 4, 16],
                     help="max_batch values to sweep (include 1 as baseline)")
     ap.add_argument("--workers", type=int, default=2)
-    ap.add_argument("--out", default=None,
-                    help="artifact path (default BENCH_serve.json, or "
-                         "BENCH_fleet.json with --fleet)")
-    ap.add_argument("--fleet", action="store_true",
-                    help="benchmark the sharded fleet router instead "
-                         "(modeled-device pacing; writes BENCH_fleet.json)")
-    ap.add_argument("--fleet-shards", type=int, nargs="+", default=[1, 2, 4])
-    ap.add_argument("--fleet-transport", choices=("process", "inproc"),
-                    default="process")
-    ap.add_argument("--replicas", type=int, default=1)
-    ap.add_argument("--service-ms", type=float, default=8.0,
-                    help="modeled Eq. (1) whole-matrix sweep time on one "
-                         "shard (calibrates the device bandwidth)")
+    ap.add_argument("--out", default="BENCH_serve.json")
     ap.add_argument("--min-batched-speedup", type=float, default=None,
-                    help="fail (exit 1) when the batched-vs-baseline "
-                         "throughput ratio is below this (CI smoke: 1.0)")
-    ap.add_argument("--min-scaling", type=float, default=None,
-                    help="fail (exit 1) when --fleet throughput scaling at "
-                         "the largest shard count is below this")
+                    help="fail (exit 1) when the median per-round "
+                         "batched-vs-baseline throughput ratio is below this")
     args = ap.parse_args(argv)
-    if args.fleet:
-        args.out = args.out or "BENCH_fleet.json"
-        if args.workers == 2:
-            args.workers = 1  # one modeled device per shard
-        if args.scale == 64:
-            args.scale = 512  # small vectors: keep IPC out of the signal
-        if args.clients == 8:
-            args.clients = 16
-        if args.requests == 50:
-            args.requests = 40
-        return _main_fleet(args)
-    args.out = args.out or "BENCH_serve.json"
     if 1 not in args.batches:
         args.batches = [1, *args.batches]
     records = run_serve_bench(
@@ -448,7 +259,9 @@ def main(argv=None):
     summary = records[-1]
     print(
         f"batched speedup: {summary['batched_speedup']:.2f}x "
-        f"(max_batch={summary['best_max_batch']}, "
+        f"(median of {summary['rounds']} rounds: "
+        + " ".join(f"{v:.2f}" for v in summary["round_ratios"])
+        + f"; max_batch={summary['best_max_batch']}, "
         f"{summary['best_rps']:.1f} vs {summary['baseline_rps']:.1f} rps)"
     )
     print(f"wrote {args.out} ({len(records)} records)")

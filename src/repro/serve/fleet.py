@@ -31,17 +31,6 @@ Two shard transports share one core (:class:`_ShardCore`):
 * :class:`InprocShard` — the same semantics on threads in the calling
   process, arrays passed by reference: deterministic for tests, and
   the cheap default for short-lived programmatic fleets.
-
-**Modeled-device pacing.**  For scaling experiments on hosts with
-fewer cores than shards (CI, laptops), a shard can pace its kernels to
-the paper's Eq. (1) bandwidth model: :func:`eq1_spmm_seconds` predicts
-the block-product time for a device of a given memory bandwidth, and
-:class:`PacingRegistry` wraps every bound matrix so each ``spmv`` /
-``spmm`` takes at least that long (the real kernel still runs — the
-answers stay exact; only the *timing* emulates the device).  This is
-the serving analogue of the repo's other model-driven scaling studies
-(``bench_fig5_scaling.py``): the router, pipes, batching and hedging
-are all real, the device speed is modeled.
 """
 
 from __future__ import annotations
@@ -53,7 +42,6 @@ import mmap
 import os
 import signal
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing.reduction import recv_handle, send_handle
@@ -72,9 +60,7 @@ __all__ = [
     "Fleet",
     "InprocShard",
     "ProcessShard",
-    "PacingRegistry",
     "ShardRequestError",
-    "eq1_spmm_seconds",
     "block_name",
     "plan_for_shard",
 ]
@@ -103,119 +89,6 @@ class ShardRequestError(ServeError):
 
 
 # ---------------------------------------------------------------------------
-# Eq. (1) modeled-device pacing
-# ---------------------------------------------------------------------------
-
-def eq1_spmm_seconds(
-    nnz: int,
-    nrows: int,
-    k: int,
-    bandwidth_bytes: float,
-    alpha: float = 1.0,
-) -> float:
-    """Predicted block-product time on a device of the given bandwidth.
-
-    Eq. (1) traffic for a DP CRS sweep with ``k`` right-hand sides: the
-    matrix values + column indices stream once (``8 + 4`` bytes per
-    non-zero), and each RHS adds the x gather (``8·alpha`` bytes per
-    non-zero, ``alpha ∈ [1/Nnzr, 1]``) plus the write-allocate + store
-    of its result rows (``16`` bytes per row).
-    """
-    if bandwidth_bytes <= 0:
-        raise ValueError(f"bandwidth_bytes must be > 0, got {bandwidth_bytes}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    traffic = nnz * 12.0 + k * (8.0 * alpha * nnz + 16.0 * nrows)
-    return traffic / bandwidth_bytes
-
-
-class _PacedBound:
-    """A bound matrix whose kernels take at least the Eq. (1) device time.
-
-    Pure timing shim: results come from the real wrapped kernels, the
-    residual of the modeled time is slept off (releasing the GIL, so
-    paced shards overlap like real devices would).  ``per_request``
-    switches the spmm model from one shared matrix stream per batch
-    (the micro-batching discount) to one stream per vector — the
-    device then serves every request at single-vector speed, which
-    isolates sharding measurements from batch-formation noise.
-    """
-
-    def __init__(
-        self,
-        inner,
-        bandwidth_bytes: float,
-        alpha: float = 1.0,
-        per_request: bool = False,
-    ):
-        self._inner = inner
-        self._bw = float(bandwidth_bytes)
-        self._alpha = float(alpha)
-        self._per_request = bool(per_request)
-
-    def _pace(self, k: int, t0: float) -> None:
-        if self._per_request:
-            target = k * eq1_spmm_seconds(
-                self._inner.nnz, self._inner.nrows, 1, self._bw, self._alpha
-            )
-        else:
-            target = eq1_spmm_seconds(
-                self._inner.nnz, self._inner.nrows, k, self._bw, self._alpha
-            )
-        rest = target - (time.perf_counter() - t0)
-        if rest > 0:
-            time.sleep(rest)
-
-    def spmv(self, x, out=None):
-        t0 = time.perf_counter()
-        y = self._inner.spmv(x, out=out)
-        self._pace(1, t0)
-        return y
-
-    def spmm(self, X, out=None):
-        t0 = time.perf_counter()
-        Y = self._inner.spmm(X, out=out)
-        self._pace(int(np.asarray(X).shape[1]), t0)
-        return Y
-
-    def clone(self) -> "_PacedBound":
-        return _PacedBound(
-            self._inner.clone(), self._bw, self._alpha, self._per_request
-        )
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class PacingRegistry(MatrixRegistry):
-    """A registry whose resident matrices run at modeled-device speed.
-
-    ``pace`` is ``{"bandwidth_bytes": float, "alpha": float}`` (alpha
-    optional); ``None`` makes this an ordinary registry.
-    """
-
-    def __init__(self, *, pace: dict | None = None, **kwargs):
-        super().__init__(**kwargs)
-        if pace is not None and "bandwidth_bytes" not in pace:
-            raise ValueError("pace needs a 'bandwidth_bytes' entry")
-        self._pace_params = dict(pace) if pace else None
-
-    def acquire(self, name: str):
-        lease = super().acquire(name)
-        if self._pace_params is not None:
-            with self._lock:
-                entry = lease._entry
-                if not isinstance(entry.bound, _PacedBound):
-                    entry.bound = _PacedBound(
-                        entry.bound,
-                        self._pace_params["bandwidth_bytes"],
-                        self._pace_params.get("alpha", 1.0),
-                        self._pace_params.get("per_request", False),
-                    )
-        return lease
-
-
-# ---------------------------------------------------------------------------
 # shard configuration
 # ---------------------------------------------------------------------------
 
@@ -229,8 +102,6 @@ class ShardConfig:
     max_queue: int = 512
     policy: str = "block"
     tune: bool = False
-    #: Eq. (1) pacing params ({"bandwidth_bytes", "alpha"}) or None
-    pace: dict | None = None
     #: serve-layer fault schedule for this shard (already filtered to
     #: it — see :func:`plan_for_shard`)
     faults: object | None = field(default=None, compare=False)
@@ -276,9 +147,7 @@ class _ShardCore:
         if config.faults is not None:
             injector = config.faults.injector()
         self.faults = injector
-        self.registry = PacingRegistry(
-            pace=config.pace, tune=config.tune, faults=injector
-        )
+        self.registry = MatrixRegistry(tune=config.tune, faults=injector)
         self.server = SpMVServer(
             self.registry,
             max_batch=config.max_batch,
@@ -823,7 +692,6 @@ class Fleet:
         max_queue: int = 512,
         policy: str = "block",
         tune: bool = False,
-        pace: dict | None = None,
         faults=None,
     ):
         if nshards < 1:
@@ -840,7 +708,6 @@ class Fleet:
                 max_queue=max_queue,
                 policy=policy,
                 tune=tune,
-                pace=pace,
                 faults=plan_for_shard(faults, i),
             )
             if mode == "inproc":

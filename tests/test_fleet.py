@@ -1,4 +1,4 @@
-"""Tests for the sharded serve fleet: placement, parity, chaos, scaling.
+"""Tests for the sharded serve fleet: placement, parity, concurrency, chaos.
 
 Parity discipline: the fleet pins every shard to the same
 ``csr_scipy`` kernel variant the single-server reference uses, and
@@ -38,10 +38,10 @@ from repro.serve import (
 from repro.serve.fleet import (
     ShardConfig,
     block_name,
-    eq1_spmm_seconds,
     plan_for_shard,
 )
 from repro.serve.router import place_blocks
+from repro.utils.workers import mp_context
 
 VARIANT = "csr_scipy"
 
@@ -219,6 +219,50 @@ class TestShardedParity:
             assert lo0 == 0 and hi1 == csr.nrows and hi0 == lo1
             desc = pl.describe()
             assert len(desc["blocks"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# concurrency: the blocks of one request run on their shards at once
+# ---------------------------------------------------------------------------
+class TestConcurrency:
+    NBLOCKS = 3
+
+    @pytest.mark.parametrize("mode", ["inproc", "process"])
+    def test_blocks_of_one_request_overlap(self, mode, monkeypatch):
+        """Every shard kernel waits at a barrier for all the others.
+
+        The request can only finish, bitwise, if the router has every
+        block kernel in flight at the same time; a router that waited
+        for one block before sending the next would break the barrier.
+        """
+        from repro.engine.bound import BoundMatrix
+
+        if mode == "process":
+            ctx = mp_context()
+            if ctx.get_start_method() != "fork":
+                pytest.skip("the patched kernel reaches shards only by fork")
+            barrier = ctx.Barrier(self.NBLOCKS, timeout=10)
+        else:
+            barrier = threading.Barrier(self.NBLOCKS, timeout=10)
+        csr = small_csr()
+        x = np.random.default_rng(11).standard_normal(csr.ncols)
+        with reference_client(csr) as ref:
+            y_ref = ref.spmv("ref", x)
+        real_spmm = BoundMatrix.spmm
+
+        def spmm_after_every_block_arrives(self, X, *args, **kwargs):
+            barrier.wait()
+            return real_spmm(self, X, *args, **kwargs)
+
+        # patched before the fleet exists, so forked shards inherit it
+        monkeypatch.setattr(BoundMatrix, "spmm", spmm_after_every_block_arrives)
+        with Fleet(self.NBLOCKS, mode=mode, workers=1) as fleet:
+            router = FleetRouter(fleet, replicas=1)
+            pl = router.register("A", csr, blocks=self.NBLOCKS)
+            assert len({r[0] for r in pl.replicas}) == self.NBLOCKS
+            y, report = router.spmv_detail("A", x, timeout=60)
+        assert report["status"] == "ok"
+        assert np.array_equal(y, y_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -466,31 +510,37 @@ class TestDegradedAnswers:
 # hedging
 # ---------------------------------------------------------------------------
 class TestHedging:
-    def _paced_fleet(self, csr, nshards, service_s):
-        bw = eq1_spmm_seconds(csr.nnz, csr.nrows, 1, 1.0) / service_s
-        return Fleet(
-            nshards,
-            mode="inproc",
-            workers=1,
-            max_batch=1,
-            pace={"bandwidth_bytes": bw, "per_request": True},
-        )
+    def test_router_hedges_slow_primary_and_stays_exact(self, monkeypatch):
+        from repro.engine.bound import BoundMatrix
 
-    def test_router_hedges_slow_primary_and_stays_exact(self):
         csr = small_csr()
         rng = np.random.default_rng(5)
         x = rng.standard_normal(csr.ncols)
         with reference_client(csr) as ref:
             y_ref = ref.spmv("ref", x)
-        with self._paced_fleet(csr, 2, service_s=0.12) as fleet:
-            router = FleetRouter(fleet, replicas=2, hedge_delay_ms=5.0)
-            router.register("A", csr, blocks=2)
-            y, report = router.spmv_detail("A", x, timeout=30)
-            assert np.array_equal(y, y_ref)
-            # every block is paced well past the hedge delay, so the
-            # router must have raced the replica of each block
-            assert report["hedges"] >= 1
-            assert router.stats()["hedges"] >= 1
+        # the first shard kernel of the request (one block's primary)
+        # is held until the request has returned; every other runs
+        held, release = threading.Lock(), threading.Event()
+        real_spmm = BoundMatrix.spmm
+
+        def spmm_holding_the_first(self, X, *args, **kwargs):
+            if held.acquire(blocking=False):
+                assert release.wait(10)
+            return real_spmm(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(BoundMatrix, "spmm", spmm_holding_the_first)
+        with Fleet(2, mode="inproc", workers=1, max_batch=1) as fleet:
+            try:
+                router = FleetRouter(fleet, replicas=2, hedge_delay_ms=5.0)
+                router.register("A", csr, blocks=2)
+                y, report = router.spmv_detail("A", x, timeout=30)
+                assert np.array_equal(y, y_ref)
+                # the held primary cannot answer, so only a hedge to
+                # its replica can have finished the request
+                assert report["hedges"] >= 1
+                assert router.stats()["hedges"] >= 1
+            finally:
+                release.set()
             # losers were discarded, not leaked: a second request on a
             # clean fleet still answers exactly
             assert np.array_equal(router.spmv("A", x, timeout=30), y_ref)
@@ -619,8 +669,6 @@ class TestChaosDrill:
         x = np.ones(csr.ncols)
         with reference_client(csr) as ref:
             y_ref = ref.spmv("ref", x)
-        service_s = 0.15
-        bw = eq1_spmm_seconds(csr.nnz // 2, csr.nrows // 2, 1, 1.0) / service_s
         monitor = SLOMonitor(
             default_fleet_slos(
                 p99_latency_s=30.0,  # only the error-rate SLO may fire
@@ -629,10 +677,15 @@ class TestChaosDrill:
                 fast_window_s=2.0,
             )
         )
-        fleet = Fleet(
-            2, mode="inproc", workers=1, max_batch=1,
-            pace={"bandwidth_bytes": bw, "per_request": True},
+        # every shard worker rests 0.15 s before taking each batch, so
+        # the victim's only worker is still busy with the plug below (or
+        # the rest before it) when the kill lands
+        slow = FaultPlan(
+            (FaultEvent("slow_worker", 0.0, layer="serve", times=0,
+                        delay_s=0.15),),
+            name="busy-workers",
         )
+        fleet = Fleet(2, mode="inproc", workers=1, max_batch=1, faults=slow)
         router = FleetRouter(fleet, replicas=2)
         try:
             pl = router.register("A", csr, blocks=2)

@@ -439,7 +439,7 @@ class TestDeadline:
         assert server.spmm_calls == 0  # never reached a worker
         assert server.stats()["requests"]["expired"] == 1
 
-    def test_expiry_is_per_request(self):
+    def test_each_request_expires_alone(self):
         reg = make_registry()
         server = SpMVServer(
             reg, max_batch=8, workers=1, autostart=False
