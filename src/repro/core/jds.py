@@ -214,67 +214,41 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
             acc[: e - s] += val[s:e] * x[col_idx[s:e]]
         return acc
 
-    def _row_groups(self):
-        """Stored rows grouped by padded length, entries re-permuted row-major.
-
-        Returns ``(entry_perm, groups)``: ``groups`` is a list of
-        ``(L, r0, r1)`` — padded lengths are non-increasing, so stored
-        rows of padded length ``L`` form the contiguous range
-        ``[r0, r1)`` — and ``entry_perm`` re-permutes the flat
-        column-major jagged arrays so each group's slots become a dense
-        row-major ``(r1 - r0, L)`` rectangle.  This is the dual of the
-        jagged layout the engine's grouped kernels reduce with one
-        fused pass per distinct length.  Cached per matrix.
-        """
-        cached = getattr(self, "_row_groups_cache", None)
-        if cached is None:
-            pl = self._padded_lengths
-            n = self.nrows
-            cs = self._col_start
-            if n == 0:
-                cached = (np.empty(0, dtype=INDEX_DTYPE), [])
-                self._row_groups_cache = cached
-                return cached
-            bnd = np.flatnonzero(np.diff(pl)) + 1
-            starts = np.concatenate(([0], bnd))
-            ends = np.concatenate((bnd, [n]))
-            parts = []
-            groups = []
-            for r0, r1 in zip(starts, ends):
-                L = int(pl[r0])
-                if L == 0:
-                    continue
-                ks = np.arange(r0, r1, dtype=INDEX_DTYPE)
-                parts.append((cs[:L][None, :] + ks[:, None]).ravel())
-                groups.append((L, int(r0), int(r1)))
-            entry_perm = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=INDEX_DTYPE)
-            )
-            cached = (entry_perm, groups)
-            self._row_groups_cache = cached
-        return cached
-
     def _grouped_entries(self, permuted: bool = False):
-        """``(idx_g, data_g, groups)`` of the row-grouped view (cached).
+        """``(idx_g, data_g, groups)``: the jagged entries re-laid row-major.
 
-        ``idx_g`` holds column indices in the requested basis
-        (original, or permuted for the stored-basis solver path);
-        ``data_g`` the matching values.  Padding slots carry value 0 /
-        column 0, so they contribute nothing to the fused reductions.
+        ``groups`` is a list of ``(L, r0, r1)`` — padded lengths are
+        non-increasing, so stored rows of padded length ``L`` form the
+        contiguous range ``[r0, r1)`` — and ``idx_g``/``data_g`` hold
+        each group's slots as a dense row-major ``(r1 - r0, L)``
+        rectangle: the stored-order CSR view of
+        :func:`repro.ops.spmv_kernels.stored_csr_triplet`, which caches
+        it.  ``idx_g`` holds column indices in the requested basis
+        (original, or permuted for the stored-basis solver path).
+        Padding slots carry value 0 / column 0.  Only ``data_g`` is
+        cached here, so the views of both bases share it.
         """
-        key = "_grouped_perm_cache" if permuted else "_grouped_orig_cache"
-        cached = getattr(self, key, None)
-        if cached is None:
-            entry_perm, groups = self._row_groups()
-            data_g = getattr(self, "_grouped_data_cache", None)
-            if data_g is None:
-                data_g = np.ascontiguousarray(self._val[entry_perm])
-                self._grouped_data_cache = data_g
-            src = self._permuted_col_idx() if permuted else self._col_idx
-            idx_g = np.ascontiguousarray(src[entry_perm])
-            cached = (idx_g, data_g, groups)
-            setattr(self, key, cached)
-        return cached
+        pl = self._padded_lengths
+        cs = self._col_start
+        bnd = np.flatnonzero(np.diff(pl)) + 1
+        parts = []
+        groups = []
+        for r0, r1 in zip(np.r_[0, bnd], np.r_[bnd, self.nrows]):
+            L = int(pl[r0]) if r1 > r0 else 0
+            if L == 0:
+                continue
+            ks = np.arange(r0, r1, dtype=INDEX_DTYPE)
+            parts.append((cs[:L][None, :] + ks[:, None]).ravel())
+            groups.append((L, int(r0), int(r1)))
+        entry_perm = (
+            np.concatenate(parts) if parts else np.empty(0, dtype=INDEX_DTYPE)
+        )
+        data_g = getattr(self, "_grouped_data_cache", None)
+        if data_g is None:
+            data_g = np.ascontiguousarray(self._val[entry_perm])
+            self._grouped_data_cache = data_g
+        src = self._permuted_col_idx() if permuted else self._col_idx
+        return np.ascontiguousarray(src[entry_perm]), data_g, groups
 
     # ------------------------------------------------------------------
     def to_coo(self) -> COOMatrix:

@@ -9,18 +9,19 @@ fastest for its structure.
 * :mod:`repro.engine.workspace` — named, reusable scratch buffers so
   steady-state kernel calls perform no allocation.
 * :mod:`repro.ops` — the central kernel registry the engine resolves
-  variants from (per format: one NumPy kernel, the optional compiled
-  scipy and cnative kernels, and the batched SpMM kernels).
+  variants from (per format: a scipy delegate, one NumPy kernel, the
+  optional cnative kernel, and the batched SpMM kernels).
 * :mod:`repro.engine.tuner` — times candidates on the live matrix and
   caches the decision under a structural fingerprint.
-* :mod:`repro.engine.bound` — :class:`BoundMatrix` + the
-  :func:`make_spmv_operator` closure solvers consume.
+* :mod:`repro.engine.bound` — :class:`BoundMatrix` and :func:`bind`;
+  solvers reach a bound matrix through
+  :class:`repro.ops.BoundOperator`.
 
 ``variants_for``/``get_variant``/``spmm_dispatch``/``spmm_permuted``
 are canonical re-exports from :mod:`repro.ops`.
 """
 
-from repro.engine.bound import BoundMatrix, bind, make_spmv_operator
+from repro.engine.bound import BoundMatrix, bind
 from repro.engine.tuner import (
     TuneResult,
     autotune,
@@ -41,7 +42,6 @@ __all__ = [
     "default_tuner_cache",
     "fingerprint",
     "get_variant",
-    "make_spmv_operator",
     "spmm_dispatch",
     "spmm_permuted",
     "variants_for",

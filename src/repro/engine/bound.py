@@ -16,7 +16,6 @@ argument: fewer bytes moved per flop) and expose the same stored-basis
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from repro.ops.registry import (
 from repro.ops.spmm_kernels import spmm_dispatch
 from repro.formats.base import SparseMatrixFormat
 
-__all__ = ["BoundMatrix", "bind", "make_spmv_operator"]
+__all__ = ["BoundMatrix", "bind"]
 
 
 class BoundMatrix:
@@ -356,38 +355,3 @@ def bind(
     else:
         chosen = variants_for(matrix)[0]
     return BoundMatrix(matrix, chosen, ws, tr, faults=faults, label=label)
-
-
-def make_spmv_operator(
-    matrix: SparseMatrixFormat | BoundMatrix,
-    *,
-    permuted: bool = False,
-    tune: bool = True,
-    num_buffers: int = 2,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Allocation-free ``A @ x`` closure over a bound matrix.
-
-    Output buffers are ping-ponged (``num_buffers`` of them), so the
-    classic three-term recurrences (CG, Lanczos, KPM, power iteration)
-    can hold the previous result while the next one is computed without
-    any per-iteration allocation.  Results are only valid until the
-    buffer cycles back — callers needing longer-lived results must
-    copy.
-    """
-    bound = matrix if isinstance(matrix, BoundMatrix) else bind(matrix, tune=tune)
-    if permuted:
-        return bound.spmv_permuted
-    if num_buffers < 1:
-        raise ValueError(f"num_buffers must be >= 1, got {num_buffers}")
-    buffers = [
-        np.zeros(bound.nrows, dtype=bound.dtype) for _ in range(num_buffers)
-    ]
-    state = {"i": 0}
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        i = state["i"]
-        state["i"] = (i + 1) % num_buffers
-        return bound.spmv(x, out=buffers[i])
-
-    apply.bound = bound  # type: ignore[attr-defined] - introspection hook
-    return apply

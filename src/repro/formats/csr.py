@@ -110,41 +110,6 @@ class CSRMatrix(SparseMatrixFormat):
             self._nonempty_starts_cache = cached
         return cached
 
-    def _length_groups(self):
-        """Rows bucketed by row length, entries re-permuted accordingly.
-
-        Returns ``(idx_g, data_g, groups)`` where ``groups`` is a list
-        of ``(L, rows_L)`` and ``idx_g``/``data_g`` hold the entries of
-        all length-``L`` rows contiguously (each group a dense
-        ``(len(rows_L), L)`` rectangle when reshaped).  This is the
-        quasi-ELLPACK view the batched SpMM kernel reduces with one
-        BLAS batched-GEMV per group instead of one ``reduceat`` segment
-        per row.  Cached — costs one ``argsort``-free pass per matrix.
-        """
-        cached = getattr(self, "_length_groups_cache", None)
-        if cached is None:
-            lengths = np.diff(self._indptr)
-            groups = []
-            parts = []
-            for L in np.unique(lengths):
-                L = int(L)
-                if L == 0:
-                    continue
-                rows_l = np.flatnonzero(lengths == L)
-                pos = (self._indptr[rows_l][:, None] + np.arange(L)).ravel()
-                parts.append(pos)
-                groups.append((L, rows_l))
-            if parts:
-                entry_perm = np.concatenate(parts)
-                idx_g = np.ascontiguousarray(self._indices[entry_perm])
-                data_g = np.ascontiguousarray(self._data[entry_perm])
-            else:
-                idx_g = self._indices[:0]
-                data_g = self._data[:0]
-            cached = (idx_g, data_g, groups)
-            self._length_groups_cache = cached
-        return cached
-
     def to_coo(self) -> COOMatrix:
         rows = np.repeat(
             np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self._indptr)

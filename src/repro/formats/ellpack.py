@@ -121,22 +121,19 @@ class ELLPACKMatrix(SparseMatrixFormat):
         return y
 
     def _row_major_entries(self):
-        """The padded rectangle in row-major order (cached).
+        """The padded rectangle in row-major order.
 
         Returns ``(col_rm, val_rm)`` where ``col_rm`` is the flat
         column-index array with row ``r``'s slots at
         ``[r * width, (r + 1) * width)`` and ``val_rm`` the matching
         ``(padded_rows, width)`` value rectangle.  Padding slots hold
-        value 0 / column 0.  The engine's blocked SpMM kernel reduces
-        this view with per-row-chunk batched GEMVs.
+        value 0 / column 0.  The stored-CSR view
+        (:func:`repro.ops.spmv_kernels.stored_csr_triplet`) is built
+        from it once and cached there.
         """
-        cached = getattr(self, "_row_major_cache", None)
-        if cached is None:
-            val_rm = np.ascontiguousarray(self._val.T)
-            col_rm = np.ascontiguousarray(self._col.T).ravel()
-            cached = (col_rm, val_rm)
-            self._row_major_cache = cached
-        return cached
+        val_rm = np.ascontiguousarray(self._val.T)
+        col_rm = np.ascontiguousarray(self._col.T).ravel()
+        return col_rm, val_rm
 
     def to_coo(self) -> COOMatrix:
         rows_ = []

@@ -10,8 +10,10 @@ CMRS and ARG-CSR hot loops (spmv and batched spmm), registered through
 :class:`~repro.engine.bound.BoundMatrix`, every backend (distributed
 / serve) and all five solvers pick them up with zero
 call-site changes, and the autotuner simply ranks the spmv kernels
-against the NumPy ones per matrix.  The spmm kernels rank first in
-their lists, so every batch runs them when the tier is built.
+against the NumPy ones per matrix.  Its spmm kernels are the shared
+stored-CSR batch body (:func:`repro.ops.spmm_kernels.stored_spmm`)
+handed the C ``csr_spmm`` sweep; they rank first in their lists, so
+every batch runs them when the tier is built.
 
 The ``cnative`` backend consists of C kernels compiled once per machine
 with the system C compiler (``cc``/``gcc``/``clang``), cached as a
@@ -22,11 +24,12 @@ claims chunks beside one worker per CPU in the process's affinity mask
 minus one; ``OMP_NUM_THREADS`` does not apply.  A chunk always holds
 whole rows, so results are bitwise the same at any thread count.
 
-Every kernel preserves the per-row accumulation order (ascending entry
-order, zero-initialised accumulator) of one NumPy kernel, so at
+Every spmv kernel preserves the per-row accumulation order (ascending
+entry order, zero-initialised accumulator) of one NumPy kernel, so at
 float64 they agree *bitwise* with those references (``csr_bincount``,
 ``ell_sweep``, ``jds_sweep``, ``sell_chunks``, ``cmrs_bincount``,
-``argcsr_sweep``) — ``tests/test_ops.py`` pins that.
+``argcsr_sweep``); every spmm column is bitwise the format's
+``*_scipy`` spmv — ``tests/test_ops.py`` pins both.
 
 The same library carries three float64 Krylov vector kernels
 (``vec_dot_f64``, ``cg_update_f64``, ``vec_xpby_f64``), bound by
@@ -56,6 +59,7 @@ appears (see :func:`repro.engine.tuner.fingerprint`).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -65,6 +69,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy
 
 from repro.core.jds import JaggedDiagonalsBase
 from repro.core.sell import SELLMatrix
@@ -73,12 +78,8 @@ from repro.formats.cmrs import CMRSMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
 from repro.ops.registry import CNATIVE_TAG, register_kernel
-from repro.ops.spmm_kernels import _block
-from repro.ops.spmv_kernels import (
-    _HAVE_CSR_MATVEC,
-    _jds_cols,
-    stored_csr_triplet,
-)
+from repro.ops.spmm_kernels import stored_spmm
+from repro.ops.spmv_kernels import _jds_cols
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.workspace import Workspace
@@ -939,20 +940,20 @@ _CNATIVE: _CNative | None = (
 # shared python-side glue
 # ---------------------------------------------------------------------------
 
-def _contig_vec(ws: Workspace | None, name: str, x: np.ndarray, dtype) -> np.ndarray:
-    """``x`` (a vector or a block) itself when compiled-callable, else a copy."""
+def _contig_vec(ws: Workspace, name: str, x: np.ndarray, dtype) -> np.ndarray:
+    """``x`` itself when compiled-callable, else a workspace copy."""
     if x.flags.c_contiguous and x.dtype == dtype:
         return x
-    buf = _block(ws, name, x.shape, dtype)
+    buf = ws.buf(name, x.shape, dtype)
     buf[...] = x
     return buf
 
 
-def _out_vec(ws: Workspace | None, name: str, y: np.ndarray):
+def _out_vec(ws: Workspace, name: str, y: np.ndarray):
     """(callable target, finish) pair tolerating non-contiguous ``y``."""
     if y.flags.c_contiguous:
         return y, None
-    buf = _block(ws, name, y.shape, y.dtype)
+    buf = ws.buf(name, y.shape, y.dtype)
     return buf, buf
 
 
@@ -1090,59 +1091,16 @@ if _CNATIVE is not None:
         if fin is not None:
             y[:] = fin
 
-    # -- batched spmm over the (cached) stored-order CSR views ----------
-    # Each wrapper runs whatever the memory order of X and out: X is
-    # copied to a C-ordered block when it is not one, and an out that
-    # is not C-contiguous is written through a workspace block, as
-    # ``_out_vec`` does for spmv.  No wrapper hands off to another
-    # kernel, so a batch's bits never depend on the layout.
+    def _cc_matvecs(nrows, ncols, indptr, indices, data, X, Y):
+        """``Y = A X`` by the C ``csr_spmm`` sweep: the compiled tier's
+        CSR sweep for the shared batch body
+        (:func:`repro.ops.spmm_kernels.stored_spmm`)."""
+        _cc_csr_call("spmm", nrows, indptr, indices, data, X, Y, k=X.shape[1])
 
-    def _cc_spmm_into(m, X, out, ws, indptr, indices, data):
-        """Fused k-wide sweep of a CSR view in original row order."""
-        if m.nnz == 0:
-            out[...] = 0.0
-            return out
-        k = X.shape[1]
-        Xb = _contig_vec(ws, f"cc_X:{k}", X, m.dtype)
-        Yb, fin = _out_vec(ws, f"cc_Y:{k}", out)
-        _cc_csr_call("spmm", m.nrows, indptr, indices, data, Xb, Yb, k=k)
-        if fin is not None:
-            out[...] = fin
-        return out
-
-    def _cc_spmm_acc(m, X, ws, nrows):
-        """Fused sweep of the stored-order CSR view into a scratch block."""
-        k = X.shape[1]
-        acc = _block(ws, f"cc_spmm_acc:{k}", (nrows, k), m.dtype)
-        indptr, indices, data = stored_csr_triplet(m)
-        Xb = _contig_vec(ws, f"cc_X:{k}", X, m.dtype)
-        _cc_csr_call("spmm", nrows, indptr, indices, data, Xb, acc, k=k)
-        return acc
-
-    def _cc_csr_spmm(m: CSRMatrix, X, out, ws):
-        return _cc_spmm_into(m, X, out, ws, m.indptr, m.indices, m.data)
-
-    def _cc_plaincsr_spmm(m, X, out, ws):
-        """ELLPACK, CMRS, ARG-CSR: their stored-CSR view is already
-        original row order and unpadded, so the fused sweep writes
-        ``out`` directly with no permutation or trim step."""
-        return _cc_spmm_into(m, X, out, ws, *stored_csr_triplet(m))
-
-    def _cc_jds_spmm(m: JaggedDiagonalsBase, X, out, ws):
-        if m.total_slots == 0:
-            out[...] = 0.0
-            return out
-        acc = _cc_spmm_acc(m, X, ws, m.nrows)
-        np.take(acc, m.permutation.inverse, axis=0, out=out, mode="clip")
-        return out
-
-    def _cc_sell_spmm(m: SELLMatrix, X, out, ws):
-        if m.total_slots == 0:
-            out[...] = 0.0
-            return out
-        acc = _cc_spmm_acc(m, X, ws, m.padded_rows)
-        out[m.permutation.perm] = acc[: m.nrows]
-        return out
+    def _csr_arrays(m: CSRMatrix, permuted=False):
+        """A CRS matrix's own arrays: the C sweep takes their index
+        dtype as it is, so no narrowed copy is cached beside them."""
+        return m.indptr, m.indices, m.data
 
 
 # ---------------------------------------------------------------------------
@@ -1166,30 +1124,25 @@ def _register_all() -> None:
         register_kernel(SELLMatrix, "spmv", name="sell_cc", tags=tags)(
             _cc_sell_spmv
         )
-        register_kernel(CSRMatrix, "spmm", name="spmm_csr_cc", tags=tags)(
-            _cc_csr_spmm
-        )
-        register_kernel(ELLPACKMatrix, "spmm", name="spmm_ell_cc", tags=tags)(
-            _cc_plaincsr_spmm
-        )
-        register_kernel(
-            JaggedDiagonalsBase, "spmm", name="spmm_jds_cc", tags=tags
-        )(_cc_jds_spmm)
-        register_kernel(SELLMatrix, "spmm", name="spmm_sell_cc", tags=tags)(
-            _cc_sell_spmm
-        )
         register_kernel(CMRSMatrix, "spmv", name="cmrs_cc", tags=tags)(
             _cc_cmrs_spmv
         )
         register_kernel(ARGCSRMatrix, "spmv", name="argcsr_cc", tags=tags)(
             _cc_argcsr_spmv
         )
-        register_kernel(CMRSMatrix, "spmm", name="spmm_cmrs_cc", tags=tags)(
-            _cc_plaincsr_spmm
+        # every batch: the shared stored-CSR body with the C sweep
+        spmm = functools.partial(stored_spmm, sweep=_cc_matvecs)
+        register_kernel(CSRMatrix, "spmm", name="spmm_csr_cc", tags=tags)(
+            functools.partial(spmm, triplet=_csr_arrays)
         )
-        register_kernel(ARGCSRMatrix, "spmm", name="spmm_argcsr_cc", tags=tags)(
-            _cc_plaincsr_spmm
-        )
+        for cls, name in (
+            (ELLPACKMatrix, "spmm_ell_cc"),
+            (JaggedDiagonalsBase, "spmm_jds_cc"),
+            (SELLMatrix, "spmm_sell_cc"),
+            (CMRSMatrix, "spmm_cmrs_cc"),
+            (ARGCSRMatrix, "spmm_argcsr_cc"),
+        ):
+            register_kernel(cls, "spmm", name=name, tags=tags)(spmm)
 
 
 _register_all()
@@ -1207,14 +1160,7 @@ def kernel_tiers() -> tuple[str, ...]:
     must not survive the tier appearing — the roster it was ranked
     against is no longer the roster that exists.
     """
-    tiers = ["numpy"]
-    if _HAVE_CSR_MATVEC:
-        try:
-            import scipy
-
-            tiers.append(f"scipy-{scipy.__version__}")
-        except ImportError:  # pragma: no cover - _HAVE implies scipy
-            tiers.append("scipy")
+    tiers = ["numpy", f"scipy-{scipy.__version__}"]
     if _CNATIVE is not None:
         tiers.append(f"cnative-{_CNATIVE.tag}")
     return tuple(tiers)

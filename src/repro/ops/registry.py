@@ -27,10 +27,12 @@ Kernel contracts (per ``op``):
     ``y_stored`` (length ``nrows``) in the format's *stored* row
     order; ``x`` is already coerced to the matrix dtype.
 ``spmm``
-    ``run(matrix, X, out, ws)`` with C-contiguous ``(ncols, k)`` X,
-    writing the *original*-order ``(nrows, k)`` result into ``out`` of
+    ``run(matrix, X, out, ws)`` with ``(ncols, k)`` X, writing the
+    *original*-order ``(nrows, k)`` result into ``out``; both may have
     any memory order.  Every batch runs the rank-0 kernel, and that
-    kernel never hands off to another one.
+    kernel never hands off to another one.  Every format with a
+    stored-CSR view registers the one batch body
+    (:func:`repro.ops.spmm_kernels.stored_spmm`) with a compiled sweep.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class KernelSpec:
     #: supports the permuted-basis (stored-order in, stored-order out)
     #: solver path of jagged formats
     supports_permuted: bool = False
-    #: free-form labels ("numpy", "compiled", "blocked", ...) surfaced
+    #: free-form labels ("numpy", "scipy", "compiled", ...) surfaced
     #: by ``repro ops list`` and usable for roster filtering
     tags: tuple[str, ...] = ()
 
@@ -94,18 +96,18 @@ def register_kernel(
     name: str,
     supports_permuted: bool = False,
     tags: Iterable[str] = (),
-    first: bool = False,
 ):
     """Decorator registering a kernel for ``fmt_cls`` (and subclasses).
 
-    ``first=True`` prepends the kernel to the candidate list — it
-    becomes the best-guess default taken when tuning is off (the
-    compiled scipy delegates use this).  Kernels tagged
+    Kernels join the candidate list in registration order, so the
+    first one registered is the best-guess default taken when tuning
+    is off (:mod:`repro.ops.spmv_kernels` registers its scipy
+    delegates ahead of its NumPy kernels).  Kernels tagged
     :data:`CNATIVE_TAG` are kept behind every other spmv kernel and
     ahead of every other spmm kernel, whichever module registers
-    first.  Registering the same name
-    twice for one (format, op) pair raises unless it is the identical
-    function (idempotent re-registration, e.g. module reloads).
+    first.  Registering the same name twice for one (format, op) pair
+    raises unless it is the identical function (idempotent
+    re-registration, e.g. module reloads).
     """
     if op not in OPS:
         raise ValueError(f"op must be one of {OPS}, got {op!r}")
@@ -131,10 +133,7 @@ def register_kernel(
                         f"kernel {name!r} already registered for "
                         f"{fmt_cls.__name__}/{op} with a different function"
                     )
-            if first:
-                lst.insert(0, spec)
-            else:
-                lst.append(spec)
+            lst.append(spec)
             # stable: each tier keeps its registration order
             lst.sort(key=lambda s: (CNATIVE_TAG in s.tags) == (op == "spmv"))
         return fn

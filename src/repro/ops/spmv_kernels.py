@@ -2,9 +2,9 @@
 
 The paper's Table I shows the winning format is matrix-dependent; Koza
 et al. (CMRS) show the winning *kernel variant within a format* is
-matrix-dependent too.  This module declares, per storage format, one
-NumPy streaming kernel plus a compiled ``*_scipy`` delegate (COO: two
-NumPy kernels), all writing into caller-provided buffers through a
+matrix-dependent too.  This module declares, per storage format, a
+``*_scipy`` delegate and one NumPy streaming kernel (COO: the NumPy
+kernel only), all writing into caller-provided buffers through a
 :class:`~repro.engine.workspace.Workspace` so the steady state
 allocates nothing.  Each NumPy kernel of a format with a cnative
 kernel (:mod:`repro.kernels.compiled`) accumulates every row in that
@@ -13,24 +13,25 @@ kernel's order, so at float64 it is the kernel's bitwise reference:
 ========  =====================================================
 format    variants
 ========  =====================================================
-CRS       ``csr_bincount`` (scatter via bincount),
-          ``csr_scipy`` (compiled csr_matvec delegate)
-COO       ``coo_reduceat`` (row-run segments), ``coo_bincount``
-ELLPACK*  ``ell_sweep`` (per rectangle column),
-          ``ell_scipy`` (unpadded-rows CSR view, compiled sweep)
-JDS/pJDS  ``jds_sweep`` (Listing-2 column sweep),
-          ``jds_scipy`` (stored-order CSR view, compiled sweep)
-SELL      ``sell_chunks`` (per-chunk loop),
-          ``sell_scipy`` (padded-rows CSR view, compiled sweep)
-CMRS      ``cmrs_bincount`` (scatter via bincount),
-          ``cmrs_scipy`` (strip stream is row-major CSR, compiled)
-ARG-CSR   ``argcsr_sweep`` (per-group column sweep incl. padding),
-          ``argcsr_scipy`` (unpadded CSR view, compiled sweep)
+CRS       ``csr_scipy``, ``csr_bincount`` (scatter via bincount)
+COO       ``coo_reduceat`` (row-run segments)
+ELLPACK*  ``ell_scipy`` (unpadded rows), ``ell_sweep`` (per
+          rectangle column)
+JDS/pJDS  ``jds_scipy`` (stored rows), ``jds_sweep`` (Listing-2
+          column sweep)
+SELL      ``sell_scipy`` (padded stored rows), ``sell_chunks``
+          (per-chunk loop)
+CMRS      ``cmrs_scipy`` (the strip stream is row-major CSR),
+          ``cmrs_bincount`` (scatter via bincount)
+ARG-CSR   ``argcsr_scipy`` (unpadded rows), ``argcsr_sweep``
+          (per-group column sweep incl. padding)
 ========  =====================================================
 
-The ``*_scipy`` delegates only register when :mod:`scipy` is
-importable (the same optional dependency that gates RCM reordering);
-the autotuner decides per matrix whether they beat the NumPy kernels.
+Every ``*_scipy`` delegate is one body: scipy's compiled
+``csr_matvec`` over the format's cached stored-order CSR view
+(:func:`stored_csr_triplet`).  scipy is a required dependency, so the
+delegates always register, ahead of the NumPy kernels, and are the
+untuned default; the autotuner decides per matrix which kernel wins.
 
 Kernel contract: ``run(matrix, ws, x, y_stored, permuted=False)``
 fully writes ``y_stored`` (length ``nrows``) with the result in the
@@ -47,6 +48,8 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from scipy.sparse import _sparsetools
+
 from repro.core.jds import JaggedDiagonalsBase
 from repro.core.sell import SELLMatrix
 from repro.formats.argcsr import ARGCSRMatrix
@@ -57,24 +60,211 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
 from repro.ops.registry import register_kernel
 
-try:  # optional compiled CSR matvec (scipy already gates RCM reordering)
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover - scipy-less environment
-    _scipy_sparsetools = None
-
-#: scipy's C ``csr_matvec`` fuses gather + FMA + row reduction in one
-#: compiled pass — no NumPy kernel can avoid materialising the gathered
-#: product, so when it is importable it joins the candidate list and the
-#: autotuner decides per matrix whether it wins.
-_HAVE_CSR_MATVEC = _scipy_sparsetools is not None and hasattr(
-    _scipy_sparsetools, "csr_matvec"
-)
-
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine.workspace import Workspace
 
 __all__ = ["stored_csr_triplet"]
 
+
+# ---------------------------------------------------------------------------
+# stored-order CSR views, swept by scipy's compiled csr_matvec
+# ---------------------------------------------------------------------------
+
+def _sp_index_dtype(count: int):
+    """Narrowest index dtype scipy's sparsetools accepts for ``count``."""
+    return np.int32 if count < np.iinfo(np.int32).max else np.int64
+
+
+def _sp_matvec(nrows, ncols, indptr, indices, data, x, y):
+    """``y = A x`` via scipy's C kernel (it *accumulates*, so zero first)."""
+    y.fill(0.0)
+    _sparsetools.csr_matvec(nrows, ncols, indptr, indices, data, x, y)
+
+
+def _jds_stored_csr(m: JaggedDiagonalsBase, permuted: bool):
+    """CSR triplet of the stored-order (row-permuted) matrix.
+
+    The grouped row-major entry order of :meth:`_grouped_entries` *is*
+    a CSR layout whose rows are the stored rows and whose row lengths
+    are the padded lengths — padding slots carry a 0.0 value and an
+    in-bounds column index, so the compiled kernel may sweep them.
+    """
+    idx_g, data_g, groups = m._grouped_entries(permuted)  # noqa: SLF001
+    it = _sp_index_dtype(max(idx_g.shape[0], m.ncols))
+    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
+    for length, r0, r1 in groups:
+        indptr[r0 + 1 : r1 + 1] = length
+    np.cumsum(indptr, out=indptr)
+    return indptr.astype(it), idx_g.astype(it), data_g
+
+
+def _ell_true_csr(m: ELLPACKMatrix):
+    """CSR triplet of the unpadded entries of the ELLPACK rectangle.
+
+    Uses the true row lengths (the ELLPACK-R descriptor), so the
+    compiled sweep skips the padding arithmetic entirely.
+    """
+    col_rm, val_rm = m._row_major_entries()  # noqa: SLF001
+    w = m.width
+    lens = np.asarray(m.row_lengths(), dtype=np.int64)
+    keep = (np.arange(w, dtype=np.int64)[None, :] < lens[:, None]).ravel()
+    it = _sp_index_dtype(max(int(lens.sum()), m.ncols))
+    indices = col_rm[: m.nrows * w][keep].astype(it)
+    data = np.ascontiguousarray(val_rm[: m.nrows].reshape(-1)[keep])
+    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    return indptr.astype(it), indices, data
+
+
+def _sell_stored_csr(m: SELLMatrix):
+    """CSR triplet over the *padded* stored rows of a SELL-C-sigma matrix.
+
+    Chunk slots are column-major within each chunk; one transpose per
+    chunk at build time converts them to row-major runs.  Row ``i`` of
+    the triplet is padded stored row ``i`` (chunk ``i // C``), so the
+    matvec result needs the same ``acc[:nrows]`` trim + scatter as the
+    NumPy SELL kernel.  Padding slots are 0.0-valued with in-bounds
+    column indices.
+    """
+    C = m.chunk_rows
+    it = _sp_index_dtype(max(m.total_slots, m.ncols))
+    lens = np.repeat(m.chunk_widths, C)
+    indptr = np.zeros(m.padded_rows + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    indices = np.empty(m.total_slots, dtype=it)
+    data = np.empty(m.total_slots, dtype=m.dtype)
+    ptr = m.chunk_ptr
+    for c in range(m.nchunks):
+        s, e = int(ptr[c]), int(ptr[c + 1])
+        w = int(m.chunk_widths[c])
+        if w == 0:
+            continue
+        indices[s:e] = m.col_idx[s:e].reshape(w, C).T.reshape(-1)
+        data[s:e] = m.val[s:e].reshape(w, C).T.reshape(-1)
+    return indptr.astype(it), indices, data
+
+
+def _cmrs_csr(m: CMRSMatrix):
+    """CSR triplet of a CMRS matrix — a relabelling, not a copy.
+
+    The CMRS entry stream *is* row-major CSR order; only the row
+    pointer needs recovering from the strip structure (cached on the
+    matrix).  Values alias the matrix array.
+    """
+    it = _sp_index_dtype(max(m.nnz, m.ncols))
+    return (
+        np.asarray(m.row_ptr).astype(it, copy=False),
+        np.asarray(m.col_idx).astype(it, copy=False),
+        m.val,
+    )
+
+
+def _argcsr_true_csr(m: ARGCSRMatrix):
+    """CSR triplet of the unpadded entries of the group rectangles.
+
+    Original row order; the per-group padding tails are dropped, so
+    the compiled sweep touches only true non-zeros.
+    """
+    lens = np.asarray(m.row_lengths(), dtype=np.int64)
+    nnz = int(lens.sum())
+    it = _sp_index_dtype(max(nnz, m.ncols))
+    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    indices = np.empty(nnz, dtype=it)
+    data = np.empty(nnz, dtype=m.dtype)
+    for g in range(m.ngroups):
+        vals, cols, rows = m.group_rect(g)
+        w = vals.shape[1]
+        tl = lens[rows]
+        j = np.arange(w, dtype=np.int64)[None, :]
+        keep = j < tl[:, None]
+        dst = (indptr[rows][:, None] + j)[keep]
+        indices[dst] = cols[keep].astype(it)
+        data[dst] = vals[keep]
+    return indptr.astype(it), indices, data
+
+
+#: per-matrix cache of stored-order CSR triplets, shared by the
+#: ``*_scipy`` spmv delegates and the batch body of
+#: :mod:`repro.ops.spmm_kernels` (weak keys: the triplet dies with its
+#: matrix)
+_STORED_CSR: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def stored_csr_triplet(m: SparseMatrixFormat, permuted: bool = False):
+    """Cached ``(indptr, indices, data)`` stored-order CSR view of ``m``.
+
+    For :class:`CSRMatrix` the triplet aliases the matrix arrays (no
+    copy); the other formats build and cache one.  Raises ``TypeError``
+    for formats without a CSR view.
+    """
+    key = "perm" if permuted else "orig"
+    per_m = _STORED_CSR.get(m)
+    if per_m is None:
+        per_m = _STORED_CSR[m] = {}
+    if key not in per_m:
+        if isinstance(m, CSRMatrix):
+            it = _sp_index_dtype(max(m.nnz, m.ncols))
+            per_m[key] = (
+                m.indptr.astype(it, copy=False),
+                m.indices.astype(it, copy=False),
+                m.data,
+            )
+        elif isinstance(m, JaggedDiagonalsBase):
+            per_m[key] = _jds_stored_csr(m, permuted)
+        elif isinstance(m, SELLMatrix):
+            per_m[key] = _sell_stored_csr(m)
+        elif isinstance(m, ELLPACKMatrix):
+            per_m[key] = _ell_true_csr(m)
+        elif isinstance(m, CMRSMatrix):
+            per_m[key] = _cmrs_csr(m)
+        elif isinstance(m, ARGCSRMatrix):
+            per_m[key] = _argcsr_true_csr(m)
+        else:
+            raise TypeError(f"no stored-CSR view for {type(m).__name__}")
+    return per_m[key]
+
+
+def _scipy_spmv(m: SparseMatrixFormat, ws: Workspace, x, y, permuted=False):
+    """``y = A x`` by scipy's ``csr_matvec`` over the stored-CSR view.
+
+    The C kernel fuses gather, multiply and row reduction in one pass;
+    every pure-NumPy kernel must materialise the gathered product (one
+    extra write+read pass per stored entry), so on latency-bound
+    gathers (small ``Nnzr``) this is the variant to beat.  SELL's view
+    holds its padded stored rows, so its result is trimmed to ``nrows``.
+    """
+    if m.nnz == 0:
+        y.fill(0.0)
+        return
+    indptr, indices, data = stored_csr_triplet(m, permuted)
+    if isinstance(m, SELLMatrix):
+        acc = ws.buf("sell_sp_acc", m.padded_rows, m.dtype)
+        _sp_matvec(m.padded_rows, m.ncols, indptr, indices, data, x, acc)
+        y[:] = acc[: m.nrows]
+    else:
+        _sp_matvec(m.nrows, m.ncols, indptr, indices, data, x, y)
+
+
+# registered before the NumPy kernels below, so each delegate leads its
+# candidate list: the best guess when tuning is off
+for _cls, _name in (
+    (CSRMatrix, "csr_scipy"),
+    (ELLPACKMatrix, "ell_scipy"),
+    (JaggedDiagonalsBase, "jds_scipy"),
+    (SELLMatrix, "sell_scipy"),
+    (CMRSMatrix, "cmrs_scipy"),
+    (ARGCSRMatrix, "argcsr_scipy"),
+):
+    register_kernel(
+        _cls, "spmv", name=_name, tags=("scipy", "compiled"),
+        supports_permuted=_cls is JaggedDiagonalsBase,
+    )(_scipy_spmv)
+
+
+# ---------------------------------------------------------------------------
+# NumPy streaming kernels
+# ---------------------------------------------------------------------------
 
 def _take_mul(x, idx, val, gbuf):
     """``gbuf[:] = x[idx] * val`` without temporaries.
@@ -127,19 +317,6 @@ def _coo_reduceat(m: COOMatrix, ws: Workspace, x, y, permuted=False):
     np.add.reduceat(g, starts, out=r)
     y.fill(0.0)
     y[urows] = r
-
-
-@register_kernel(COOMatrix, "spmv", name="coo_bincount", tags=("numpy",))
-def _coo_bincount(m: COOMatrix, ws: Workspace, x, y, permuted=False):
-    if m.nnz == 0:
-        y.fill(0.0)
-        return
-    vals = ws.const("values", lambda: m.values)
-    cols = ws.const("cols", lambda: m.cols)
-    rows = ws.const("rows", lambda: m.rows)
-    g = _take_mul(x, cols, vals, ws.buf("coo_g", m.nnz, m.dtype))
-    acc = np.bincount(rows, weights=g, minlength=m.nrows)
-    np.copyto(y, acc, casting="same_kind")
 
 
 # ---------------------------------------------------------------------------
@@ -281,238 +458,3 @@ def _argcsr_sweep(m: ARGCSRMatrix, ws: Workspace, x, y, permuted=False):
             np.multiply(gv, vals2[:, j], out=gv)
             a += gv
         y[rids[r0:r1]] = a
-
-
-# ---------------------------------------------------------------------------
-# compiled csr_matvec delegates (optional; only registered when scipy's
-# private sparsetools module is importable)
-# ---------------------------------------------------------------------------
-
-def _sp_index_dtype(count: int):
-    """Narrowest index dtype scipy's sparsetools accepts for ``count``."""
-    return np.int32 if count < np.iinfo(np.int32).max else np.int64
-
-
-def _sp_matvec(nrows, ncols, indptr, indices, data, x, y):
-    """``y = A x`` via scipy's C kernel (it *accumulates*, so zero first)."""
-    y.fill(0.0)
-    _scipy_sparsetools.csr_matvec(nrows, ncols, indptr, indices, data, x, y)
-
-
-def _jds_stored_csr(m: JaggedDiagonalsBase, permuted: bool):
-    """CSR triplet of the stored-order (row-permuted) matrix.
-
-    The grouped row-major entry order of :meth:`_grouped_entries` *is*
-    a CSR layout whose rows are the stored rows and whose row lengths
-    are the padded lengths — padding slots carry a 0.0 value and an
-    in-bounds column index, so the compiled kernel may sweep them.
-    """
-    idx_g, data_g, groups = m._grouped_entries(permuted)  # noqa: SLF001
-    it = _sp_index_dtype(max(idx_g.shape[0], m.ncols))
-    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
-    for length, r0, r1 in groups:
-        indptr[r0 + 1 : r1 + 1] = length
-    np.cumsum(indptr, out=indptr)
-    return indptr.astype(it), idx_g.astype(it), data_g
-
-
-def _ell_true_csr(m: ELLPACKMatrix):
-    """CSR triplet of the unpadded entries of the ELLPACK rectangle.
-
-    Uses the true row lengths (the ELLPACK-R descriptor), so the
-    compiled sweep skips the padding arithmetic entirely.
-    """
-    col_rm, val_rm = m._row_major_entries()  # noqa: SLF001
-    w = m.width
-    lens = np.asarray(m.row_lengths(), dtype=np.int64)
-    keep = (np.arange(w, dtype=np.int64)[None, :] < lens[:, None]).ravel()
-    it = _sp_index_dtype(max(int(lens.sum()), m.ncols))
-    indices = col_rm[: m.nrows * w][keep].astype(it)
-    data = np.ascontiguousarray(val_rm[: m.nrows].reshape(-1)[keep])
-    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    return indptr.astype(it), indices, data
-
-
-def _sell_stored_csr(m: SELLMatrix):
-    """CSR triplet over the *padded* stored rows of a SELL-C-sigma matrix.
-
-    Chunk slots are column-major within each chunk; one transpose per
-    chunk at build time converts them to row-major runs.  Row ``i`` of
-    the triplet is padded stored row ``i`` (chunk ``i // C``), so the
-    matvec result needs the same ``acc[:nrows]`` trim + scatter as the
-    NumPy SELL kernel.  Padding slots are 0.0-valued with in-bounds
-    column indices.
-    """
-    C = m.chunk_rows
-    it = _sp_index_dtype(max(m.total_slots, m.ncols))
-    lens = np.repeat(m.chunk_widths, C)
-    indptr = np.zeros(m.padded_rows + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    indices = np.empty(m.total_slots, dtype=it)
-    data = np.empty(m.total_slots, dtype=m.dtype)
-    ptr = m.chunk_ptr
-    for c in range(m.nchunks):
-        s, e = int(ptr[c]), int(ptr[c + 1])
-        w = int(m.chunk_widths[c])
-        if w == 0:
-            continue
-        indices[s:e] = m.col_idx[s:e].reshape(w, C).T.reshape(-1)
-        data[s:e] = m.val[s:e].reshape(w, C).T.reshape(-1)
-    return indptr.astype(it), indices, data
-
-
-def _cmrs_csr(m: CMRSMatrix):
-    """CSR triplet of a CMRS matrix — a relabelling, not a copy.
-
-    The CMRS entry stream *is* row-major CSR order; only the row
-    pointer needs recovering from the strip structure (cached on the
-    matrix).  Values alias the matrix array.
-    """
-    it = _sp_index_dtype(max(m.nnz, m.ncols))
-    return (
-        np.asarray(m.row_ptr).astype(it, copy=False),
-        np.asarray(m.col_idx).astype(it, copy=False),
-        m.val,
-    )
-
-
-def _argcsr_true_csr(m: ARGCSRMatrix):
-    """CSR triplet of the unpadded entries of the group rectangles.
-
-    Original row order; the per-group padding tails are dropped, so
-    the compiled sweep touches only true non-zeros.
-    """
-    lens = np.asarray(m.row_lengths(), dtype=np.int64)
-    nnz = int(lens.sum())
-    it = _sp_index_dtype(max(nnz, m.ncols))
-    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    indices = np.empty(nnz, dtype=it)
-    data = np.empty(nnz, dtype=m.dtype)
-    for g in range(m.ngroups):
-        vals, cols, rows = m.group_rect(g)
-        w = vals.shape[1]
-        tl = lens[rows]
-        j = np.arange(w, dtype=np.int64)[None, :]
-        keep = j < tl[:, None]
-        dst = (indptr[rows][:, None] + j)[keep]
-        indices[dst] = cols[keep].astype(it)
-        data[dst] = vals[keep]
-    return indptr.astype(it), indices, data
-
-
-#: per-matrix cache of stored-order CSR triplets, shared by the spmv
-#: kernels and the batched SpMM delegates (weak keys: the triplet dies
-#: with its matrix)
-_STORED_CSR: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def stored_csr_triplet(m: SparseMatrixFormat, permuted: bool = False):
-    """Cached ``(indptr, indices, data)`` stored-order CSR view of ``m``.
-
-    For :class:`CSRMatrix` the triplet aliases the matrix arrays (no
-    copy); the other formats build and cache one.  Raises ``TypeError``
-    for formats without a CSR view.
-    """
-    key = "perm" if permuted else "orig"
-    per_m = _STORED_CSR.get(m)
-    if per_m is None:
-        per_m = _STORED_CSR[m] = {}
-    if key not in per_m:
-        if isinstance(m, CSRMatrix):
-            it = _sp_index_dtype(max(m.nnz, m.ncols))
-            per_m[key] = (
-                m.indptr.astype(it, copy=False),
-                m.indices.astype(it, copy=False),
-                m.data,
-            )
-        elif isinstance(m, JaggedDiagonalsBase):
-            per_m[key] = _jds_stored_csr(m, permuted)
-        elif isinstance(m, SELLMatrix):
-            per_m[key] = _sell_stored_csr(m)
-        elif isinstance(m, ELLPACKMatrix):
-            per_m[key] = _ell_true_csr(m)
-        elif isinstance(m, CMRSMatrix):
-            per_m[key] = _cmrs_csr(m)
-        elif isinstance(m, ARGCSRMatrix):
-            per_m[key] = _argcsr_true_csr(m)
-        else:
-            raise TypeError(f"no stored-CSR view for {type(m).__name__}")
-    return per_m[key]
-
-
-def _csr_scipy(m: CSRMatrix, ws: Workspace, x, y, permuted=False):
-    """Delegate to the compiled fused gather-FMA-reduce CSR matvec.
-
-    Every pure-NumPy kernel must materialise the gathered product
-    (one extra write+read pass per stored entry); the C kernel fuses
-    the whole row reduction, so on latency-bound gathers (small
-    ``Nnzr``) it is the variant to beat.
-    """
-    indptr, indices, data = stored_csr_triplet(m)
-    _sp_matvec(m.nrows, m.ncols, indptr, indices, data, x, y)
-
-
-def _jds_scipy(m: JaggedDiagonalsBase, ws: Workspace, x, y, permuted=False):
-    """Stored-order grouped layout viewed as CSR, swept by the C kernel."""
-    indptr, indices, data = stored_csr_triplet(m, permuted)
-    _sp_matvec(m.nrows, m.ncols, indptr, indices, data, x, y)
-
-
-def _ell_scipy(m: ELLPACKMatrix, ws: Workspace, x, y, permuted=False):
-    """Unpadded-rows CSR view of the rectangle, swept by the C kernel."""
-    if m.width == 0:
-        y.fill(0.0)
-        return
-    indptr, indices, data = stored_csr_triplet(m)
-    _sp_matvec(m.nrows, m.ncols, indptr, indices, data, x, y)
-
-
-def _cmrs_scipy(m: CMRSMatrix, ws: Workspace, x, y, permuted=False):
-    """Strip stream relabelled as CSR, swept by the C kernel."""
-    indptr, indices, data = stored_csr_triplet(m)
-    _sp_matvec(m.nrows, m.ncols, indptr, indices, data, x, y)
-
-
-def _argcsr_scipy(m: ARGCSRMatrix, ws: Workspace, x, y, permuted=False):
-    """Unpadded original-order CSR view of the groups, compiled sweep."""
-    indptr, indices, data = stored_csr_triplet(m)
-    _sp_matvec(m.nrows, m.ncols, indptr, indices, data, x, y)
-
-
-def _sell_scipy(m: SELLMatrix, ws: Workspace, x, y, permuted=False):
-    """Padded-stored-rows CSR view of the chunks, swept by the C kernel."""
-    if m.total_slots == 0:
-        y.fill(0.0)
-        return
-    indptr, indices, data = stored_csr_triplet(m)
-    acc = ws.buf("sell_sp_acc", m.padded_rows, m.dtype)
-    _sp_matvec(m.padded_rows, m.ncols, indptr, indices, data, x, acc)
-    y[:] = acc[: m.nrows]
-
-
-if _HAVE_CSR_MATVEC:
-    # compiled delegates lead their candidate lists (``first=True``):
-    # they are the best guess when tuning is off, and the autotuner
-    # re-ranks them against the NumPy kernels per matrix anyway.
-    _sp_tags = ("scipy", "compiled")
-    register_kernel(
-        CSRMatrix, "spmv", name="csr_scipy", tags=_sp_tags, first=True
-    )(_csr_scipy)
-    register_kernel(
-        ELLPACKMatrix, "spmv", name="ell_scipy", tags=_sp_tags, first=True
-    )(_ell_scipy)
-    register_kernel(
-        JaggedDiagonalsBase, "spmv", name="jds_scipy",
-        supports_permuted=True, tags=_sp_tags, first=True,
-    )(_jds_scipy)
-    register_kernel(
-        SELLMatrix, "spmv", name="sell_scipy", tags=_sp_tags, first=True
-    )(_sell_scipy)
-    register_kernel(
-        CMRSMatrix, "spmv", name="cmrs_scipy", tags=_sp_tags, first=True
-    )(_cmrs_scipy)
-    register_kernel(
-        ARGCSRMatrix, "spmv", name="argcsr_scipy", tags=_sp_tags, first=True
-    )(_argcsr_scipy)

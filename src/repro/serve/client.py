@@ -10,8 +10,8 @@ Solves are *not* micro-batched: a CG run is thousands of dependent
 SpMVs, so there is nothing to coalesce across requests — instead each
 solve leases the matrix (pinning it against eviction for the whole
 run) and iterates through the allocation-free
-:func:`~repro.engine.bound.make_spmv_operator` machinery the solvers
-already use for bound matrices.
+:class:`~repro.ops.BoundOperator` the solvers wrap every bound
+matrix in.
 """
 
 from __future__ import annotations

@@ -10,12 +10,10 @@ from repro.engine import (
     bind,
     fingerprint,
     get_variant,
-    make_spmv_operator,
     spmm_permuted,
     variants_for,
 )
-from repro.ops.spmv_kernels import _HAVE_CSR_MATVEC
-from repro.ops import kernels_for, stored_csr_triplet
+from repro.ops import stored_csr_triplet
 from repro.formats import convert
 from repro.matrices.cache import TunerCache
 
@@ -207,19 +205,9 @@ class TestModelGuidedTuning:
 
 # ---------------------------------------------------------------------------
 class TestOperator:
-    def test_ping_pong_buffers(self, coo, x, y_ref):
-        m = convert(coo, "CRS")
-        op = make_spmv_operator(m, tune=False, num_buffers=2)
-        y1 = op(x)
-        y2 = op(x)
-        y3 = op(x)
-        assert y1 is y3  # cycled back
-        assert y1 is not y2
-        assert np.allclose(y1, y_ref, atol=1e-12)
-
     def test_permuted_operator(self, coo, x, y_ref):
         m = convert(coo, "pJDS")
-        op = make_spmv_operator(m, permuted=True, tune=False)
+        op = bind(m, tune=False).spmv_permuted
         xp = m.permutation.to_permuted(x)
         yp = op(xp)
         assert np.allclose(m.permutation.to_original(yp.copy()), y_ref, atol=1e-12)
@@ -264,6 +252,26 @@ class TestSpMM:
         Y = np.column_stack([P.to_original(Yp[:, j].copy()) for j in range(3)])
         assert np.allclose(Y, m.spmm_percolumn(X), atol=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["JDS", "pJDS"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_spmm_permuted_columns_are_jds_scipy_spmv(self, fmt, order):
+        """Each column of a stored-basis batch is bitwise the
+        ``jds_scipy`` ``spmv_permuted`` of that column, whatever the
+        memory order of the block and its output."""
+        m = convert(random_coo(3_000, seed=43, max_row=24), fmt)
+        rng = np.random.default_rng(44)
+        Xp = np.asarray(rng.standard_normal((m.ncols, 5)), order=order)
+        out = np.full((m.nrows, 5), np.nan, order=order)
+        Yp = spmm_permuted(m, Xp, out=out, ws=Workspace())
+        assert Yp is out
+        ref = bind(m, tune=False, variant="jds_scipy")
+        for j in range(Xp.shape[1]):
+            np.testing.assert_array_equal(
+                Yp[:, j],
+                ref.spmv_permuted(np.ascontiguousarray(Xp[:, j])),
+                err_msg=f"{fmt}/{order}/col={j}",
+            )
+
     def test_float32_native(self, coo):
         m = convert(coo.astype(np.float32), "CRS")
         X = np.random.default_rng(6).standard_normal((coo.ncols, 3)).astype(
@@ -275,15 +283,9 @@ class TestSpMM:
 
 
 # ---------------------------------------------------------------------------
-_scipy_only = pytest.mark.skipif(
-    not _HAVE_CSR_MATVEC, reason="scipy sparsetools unavailable"
-)
-
-
 class TestCompiledDelegates:
-    """The optional scipy-backed stored-CSR delegate kernels."""
+    """The scipy-backed stored-CSR delegate kernels."""
 
-    @_scipy_only
     @pytest.mark.parametrize(
         "fmt", ["CRS", "ELLPACK", "ELLPACK-R", "JDS", "pJDS", "SELL-C-sigma"]
     )
@@ -292,7 +294,6 @@ class TestCompiledDelegates:
         names = {v.name for v in variants_for(m)}
         assert any(n.endswith("_scipy") for n in names), names
 
-    @_scipy_only
     @pytest.mark.parametrize("fmt", ["CRS", "pJDS", "SELL-C-sigma"])
     def test_stored_csr_triplet_cached(self, fmt, coo):
         m = convert(coo, fmt)
@@ -304,25 +305,6 @@ class TestCompiledDelegates:
         assert indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
         if indices.size:
             assert 0 <= indices.min() and indices.max() < m.ncols
-
-    @_scipy_only
-    @pytest.mark.parametrize("fmt", ALL_FORMATS)
-    def test_numpy_fallback_matches_delegate(self, fmt, coo, monkeypatch):
-        """The pure-NumPy spmm path must agree with the compiled one.
-
-        ``m.spmm`` runs the rank-0 kernel, which is the compiled one
-        when the tier is built; the format's NumPy kernel (its
-        ``numpy``-tagged spmm) is called directly so that its pure-NumPy
-        body still runs."""
-        m = convert(coo, fmt)
-        X = np.ascontiguousarray(
-            np.random.default_rng(8).standard_normal((coo.ncols, 5))
-        )
-        Y_sp = m.spmm(X)
-        spec = next(k for k in kernels_for(m, "spmm") if "numpy" in k.tags)
-        monkeypatch.setattr("repro.ops.spmm_kernels._HAVE_CSR_MATVEC", False)
-        Y_np = spec.run(m, X, np.empty_like(Y_sp), Workspace())
-        assert np.allclose(Y_np, Y_sp, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ entry points (:mod:`repro.engine` operators, :mod:`repro.ops`)."""
 import numpy as np
 import pytest
 
-from repro.engine import make_spmv_operator
+from repro.engine import bind
 from repro.formats import convert
 from repro.kernels import (
     csr_spmv_reference,
@@ -83,18 +83,18 @@ class TestDispatch:
 
     def test_operator_plain(self, coo, x):
         p = convert(coo, "pJDS", block_rows=8)
-        op = make_spmv_operator(p, tune=False)
+        op = bind(p, tune=False).spmv
         assert np.allclose(op(x), coo.spmv(x))
 
     def test_operator_permuted(self, coo, x):
         p = convert(coo, "pJDS", block_rows=8)
-        op = make_spmv_operator(p, permuted=True, tune=False)
+        op = bind(p, tune=False).spmv_permuted
         xp = p.permutation.to_permuted(x)
         assert np.allclose(p.permutation.to_original(op(xp)), coo.spmv(x))
 
     def test_operator_permuted_unsupported(self, coo, x):
         m = convert(coo, "CRS")
-        op = make_spmv_operator(m, permuted=True, tune=False)
+        op = bind(m, tune=False).spmv_permuted
         with pytest.raises(TypeError, match="permuted"):
             op(x)
 

@@ -45,7 +45,6 @@ from repro.ops import (
     variant_names_for,
     variants_for,
 )
-from repro.ops.spmv_kernels import _HAVE_CSR_MATVEC
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ class TestFormatRegistry:
 #: the NumPy kernel (the cnative kernel's bitwise reference), the
 #: cnative kernel
 _SPMV_ROSTERS = {
-    "COO": ["coo_reduceat", "coo_bincount"],
+    "COO": ["coo_reduceat"],
     "CRS": ["csr_scipy", "csr_bincount", "csr_cc"],
     "ELLPACK": ["ell_scipy", "ell_sweep", "ell_cc"],
     "ELLPACK-R": ["ell_scipy", "ell_sweep", "ell_cc"],
@@ -125,9 +124,7 @@ class TestKernelRegistry:
         for name, full in _SPMV_ROSTERS.items():
             m = convert(random_coo(20, seed=1), name)
             expected = [
-                v for v in full
-                if (_CNATIVE_OK or not v.endswith("_cc"))
-                and (_HAVE_CSR_MATVEC or not v.endswith("_scipy"))
+                v for v in full if _CNATIVE_OK or not v.endswith("_cc")
             ]
             assert variant_names_for(m) == expected, name
 
@@ -167,20 +164,6 @@ class TestKernelRegistry:
         # own table shadows the inherited one entirely
         assert variant_names_for(_Sub) == ["sub_kernel"]
         assert variant_names_for(_Base) == ["base_kernel"]
-
-    def test_first_flag_prepends(self):
-        class _Fmt:
-            pass
-
-        @register_kernel(_Fmt, "spmv", name="second")
-        def _a(m, ws, x, y, permuted=False):
-            pass
-
-        @register_kernel(_Fmt, "spmv", name="now_first", first=True)
-        def _b(m, ws, x, y, permuted=False):
-            pass
-
-        assert variant_names_for(_Fmt) == ["now_first", "second"]
 
     def test_unknown_format_falls_back(self):
         class _Nothing:
@@ -374,9 +357,10 @@ _SCIPY_SPMV = {
     "ARG-CSR": "argcsr_scipy",
 }
 
-#: compiled spmm kernel -> the NumPy spmm kernel of the same format;
-#: both sweep the stored-CSR view in entry order (the NumPy one through
-#: scipy's ``csr_matvecs``), so float64 agreement is bitwise
+#: compiled spmm kernel -> the scipy spmm kernel of the same format;
+#: both are the one stored-CSR batch body, swept in entry order by the
+#: C ``csr_spmm`` and scipy's ``csr_matvecs``, so float64 agreement is
+#: bitwise
 _SPMM_PAIRS = {
     "CRS": ("spmm_csr_cc", "spmm_csr"),
     "ELLPACK-R": ("spmm_ell_cc", "spmm_ell"),
@@ -522,7 +506,6 @@ class TestCompiledTier:
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
-    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("order", ["C", "F", "sliced"])
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
     def test_spmm_compiled_parity(self, fmt, order):
@@ -551,7 +534,6 @@ class TestCompiledTier:
                 outs[name], A @ X, rtol=1e-12, atol=1e-12, err_msg=msg
             )
 
-    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize(
         "fmt,spmm_name,spmv_name",
         [(f, _SPMM_PAIRS[f][1], v) for f, v in _SCIPY_SPMV.items()],
@@ -568,7 +550,6 @@ class TestCompiledTier:
             ref = bind(m, tune=False, variant=spmv_name).spmv(x)
             np.testing.assert_array_equal(got[:, 0], ref, err_msg=fmt)
 
-    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
     def test_bound_spmm_runs_the_rank0_kernel(self, fmt):
         """Every variant's bound matrix batches through the format's
@@ -600,7 +581,6 @@ class TestCompiledTier:
                 err_msg=f"{msg}/col={j}",
             )
 
-    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
     def test_spmm_bits_ignore_the_order_of_x(self, fmt):
         """A C-order, Fortran-order or sliced X gives every column the
@@ -623,7 +603,6 @@ class TestCompiledTier:
                     m, X, Y, f"{fmt}/{variant}/{order}"
                 )
 
-    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
     def test_spmm_fortran_out_is_bitwise(self, fmt):
         """A Fortran-order ``out`` is written with the bits a C-order
@@ -636,7 +615,6 @@ class TestCompiledTier:
             assert Y is out
             self._assert_columns_are_scipy_spmv(m, X, Y, f"{fmt}/{variant}")
 
-    @pytest.mark.skipif(not _HAVE_CSR_MATVEC, reason="no scipy csr_matvecs")
     @pytest.mark.parametrize("fmt", ["pJDS", "SELL-C-sigma"])
     def test_spmm_batch_widths_change_on_one_handle(self, fmt):
         """Widths 1, 3, 2, 5, 1 on one handle: each batch runs the
