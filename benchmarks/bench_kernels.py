@@ -142,8 +142,9 @@ def _seed_spmv_jagged(m, x, out):
 
 
 def _seed_kernel_for(m):
-    """Pre-engine kernel for ``m`` (historical transcription where the
-    seed differed; the format's own allocating spmv otherwise)."""
+    """Pre-engine kernel for ``m``: the historical CRS and jagged
+    transcriptions, else ``None``.  The unbound ``spmv`` of every other
+    format now runs the engine's own rank-0 kernel, so it is no seed."""
     from repro.core.jds import JaggedDiagonalsBase
     from repro.formats.csr import CSRMatrix
 
@@ -151,14 +152,15 @@ def _seed_kernel_for(m):
         return _seed_spmv_crs
     if isinstance(m, JaggedDiagonalsBase):
         return _seed_spmv_jagged
-    return lambda mm, x, out: mm.spmv(x)  # allocates the result per call
+    return None
 
 
 def run_engine_bench(scale=64, *, keys=TABLE1_KEYS, reps=5, spmm_rhs=8):
     """Measure engine vs seed kernels; return one record per (matrix, fmt).
 
     Fields per record: ``seed_gflops`` / ``engine_gflops`` /
-    ``engine_speedup`` (same 2*nnz flop count), the autotuned
+    ``engine_speedup`` (same 2*nnz flop count; the seed fields are
+    ``None`` for formats without a seed transcription), the autotuned
     ``variant``, and ``spmm_percolumn_gflops`` / ``spmm_batched_gflops``
     / ``spmm_speedup`` at ``spmm_rhs`` right-hand sides.
     """
@@ -181,7 +183,9 @@ def run_engine_bench(scale=64, *, keys=TABLE1_KEYS, reps=5, spmm_rhs=8):
         m = convert(coo, fmt)
         out = np.zeros(m.nrows)
         seed_kernel = _seed_kernel_for(m)
-        t_seed = Stopwatch.measure(lambda: seed_kernel(m, x, out), reps).best
+        t_seed = None
+        if seed_kernel is not None:
+            t_seed = Stopwatch.measure(lambda: seed_kernel(m, x, out), reps).best
         b = bind(m, reps=max(1, reps // 2), cache=cache)
         t_engine = Stopwatch.measure(lambda: b.spmv(x, out=out), reps).best
         Yout = np.zeros((m.nrows, spmm_rhs))
@@ -194,9 +198,13 @@ def run_engine_bench(scale=64, *, keys=TABLE1_KEYS, reps=5, spmm_rhs=8):
                 "scale": scale,
                 "nnz": m.nnz,
                 "variant": b.variant_name,
-                "seed_gflops": round(gflops(m.nnz, t_seed), 4),
+                "seed_gflops": (
+                    None if t_seed is None else round(gflops(m.nnz, t_seed), 4)
+                ),
                 "engine_gflops": round(gflops(m.nnz, t_engine), 4),
-                "engine_speedup": round(t_seed / t_engine, 3),
+                "engine_speedup": (
+                    None if t_seed is None else round(t_seed / t_engine, 3)
+                ),
                 "spmm_rhs": spmm_rhs,
                 "spmm_percolumn_gflops": round(
                     gflops(m.nnz * spmm_rhs, t_col), 4
@@ -564,10 +572,13 @@ def main(argv=None):
     )
     print(hdr)
     for r in records:
+        seed, speedup = r["seed_gflops"], r["engine_speedup"]
         print(
             f"{r['matrix']:6s} {r['format']:12s} {r['variant']:16s} "
-            f"{r['seed_gflops']:8.3f} {r['engine_gflops']:8.3f} "
-            f"{r['engine_speedup']:6.2f} {r['spmm_speedup']:6.2f}"
+            f"{'-' if seed is None else f'{seed:.3f}':>8s} "
+            f"{r['engine_gflops']:8.3f} "
+            f"{'-' if speedup is None else f'{speedup:.2f}':>6s} "
+            f"{r['spmm_speedup']:6.2f}"
         )
     print(f"wrote {args.out} ({len(records)} records)")
     return EXIT_OK

@@ -193,6 +193,12 @@ def cmd_shootout(args, out) -> int:
 
 
 def cmd_spmv(args, out) -> int:
+    """``repro spmv FILE``: one spMVM with the format's rank-0 kernel.
+
+    The serial product is the unbound ``fmt.spmv``, which runs the rank-0
+    registry kernel (``csr_scipy`` for CRS); ``--parallel N`` runs the
+    same kernel on each rank's row block.
+    """
     from repro.formats import convert
     from repro.gpu import C2070, simulate_spmv
     from repro.matrices import read_matrix_market, structure_stats
@@ -339,7 +345,7 @@ def cmd_ops(args, out) -> int:
                 file=out,
             )
         print(f"{len(rows)} kernels registered "
-              f"(+ the 'generic' spmv fallback for unlisted formats)", file=out)
+              f"(rank 0 is what the unbound spmv/spmm run)", file=out)
         from repro.ops import kernel_tiers
         from repro.scenarios.specs import axis_values
 
@@ -1134,7 +1140,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--nodes", type=int, default=4)
     pt.add_argument("--mode", choices=("vector", "naive", "task"), default="task")
 
-    ps = sub.add_parser("spmv", help="run spMVM on a MatrixMarket file")
+    ps = sub.add_parser(
+        "spmv",
+        help="run spMVM (the format's rank-0 kernel) on a MatrixMarket file",
+    )
     ps.add_argument("matrix_file")
     ps.add_argument("--format", default="pJDS")
     ps.add_argument("--seed", type=int, default=0)

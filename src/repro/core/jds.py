@@ -165,28 +165,23 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
         return int(self._col_start[-1])
 
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``y = A @ x`` in the *original* basis (permutation undone)."""
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        # stored col_idx refer to original column numbers: gather from x
-        # directly, then scatter the stored-order result back.
-        acc = self._column_sweep(x, self._col_idx)
-        y[self._perm.perm] = acc
-        return y
-
     def spmv_permuted(self, x_perm: np.ndarray) -> np.ndarray:
         """``y~ = P A P^T x~`` entirely in the permuted basis.
 
         For a square matrix the Krylov-solver workflow of Sect. II-A
         permutes both row and column space once up front; pass a vector
         already in stored order and receive the result in stored order —
-        no scatter/gather happens inside the iteration.
+        no scatter/gather happens inside the iteration.  Runs the rank-0
+        registry kernel, as :meth:`spmv` does.
         """
         if self.nrows != self.ncols:
             raise ValueError("permuted-basis spmv requires a square matrix")
         x_perm = self.check_rhs(x_perm)
-        return self._column_sweep(x_perm, self._permuted_col_idx())
+        y = np.empty(self.nrows, dtype=self._dtype)
+        from repro.engine.workspace import Workspace  # late: avoid cycle
+        from repro.ops.spmm_kernels import spmv_dispatch
+
+        return spmv_dispatch(self, x_perm, y, Workspace(), permuted=True)
 
     def _permuted_col_idx(self) -> np.ndarray:
         """Column indices rewritten into the permuted basis (cached)."""
@@ -198,21 +193,6 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
                 cached = self._perm.inverse[self._col_idx]
             self._col_idx_perm = cached
         return cached
-
-    def _column_sweep(self, x: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
-        """Listing-2 kernel, one vectorised pass per jagged column.
-
-        Returns the accumulator in *stored* row order, in the matrix's
-        native dtype (no per-column float64 upcast copies).
-        """
-        acc = np.zeros(self.nrows, dtype=self._dtype)
-        cs = self._col_start
-        val = self._val
-        for j in range(self.width):
-            s = cs[j]
-            e = cs[j + 1]
-            acc[: e - s] += val[s:e] * x[col_idx[s:e]]
-        return acc
 
     def _grouped_entries(self, permuted: bool = False):
         """``(idx_g, data_g, groups)``: the jagged entries re-laid row-major.

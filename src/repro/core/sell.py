@@ -172,26 +172,6 @@ class SELLMatrix(SparseMatrixFormat):
         )
 
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        if self.total_slots == 0:
-            return y
-        C = self._chunk_rows
-        acc = np.zeros(self.padded_rows, dtype=self._dtype)
-        widths = self._chunk_width
-        max_width = int(widths.max())
-        lane = np.arange(C, dtype=INDEX_DTYPE)
-        chunk_ids = np.arange(self.nchunks, dtype=INDEX_DTYPE)
-        for j in range(max_width):
-            active = chunk_ids[widths > j]
-            base = self._chunk_ptr[active] + j * C
-            pos = (base[:, None] + lane).ravel()
-            rows = (active[:, None] * C + lane).ravel()
-            acc[rows] += self._val[pos] * x[self._col_idx[pos]]
-        y[self._perm.perm] = acc[: self.nrows]
-        return y
-
     def to_coo(self) -> COOMatrix:
         C = self._chunk_rows
         rows_, cols_, vals_ = [], [], []

@@ -76,7 +76,10 @@ class Permutation:
             raise ValueError("perm is not a permutation (duplicate entries)")
         self._perm = perm
         self._inv = np.empty(n, dtype=INDEX_DTYPE)
-        self._inv[perm] = np.arange(n, dtype=INDEX_DTYPE)
+        rows = np.arange(n, dtype=INDEX_DTYPE)
+        self._inv[perm] = rows
+        # checked once: every unbound spmv of a permuting format asks
+        self._identity = bool(np.array_equal(perm, rows))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -100,7 +103,7 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self._perm, np.arange(self.size)))
+        return self._identity
 
     # ------------------------------------------------------------------
     def to_permuted(self, x: np.ndarray) -> np.ndarray:

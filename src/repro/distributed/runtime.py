@@ -23,9 +23,11 @@ of Sect. III-A:
 * ``mode="vector"`` — wait for the complete halo, then run one
   *unsplit* kernel over the row block against
   ``x_rank = [halo below | x_local | halo above]``.  The halo is sorted
-  by global column, so every row reduces the same element sequence as
-  the serial :meth:`CSRMatrix.spmv <repro.formats.csr.CSRMatrix.spmv>`:
-  the result is **bitwise equal to serial** for any rank count.
+  by global column, and ``block.spmv`` runs the rank-0 registry kernel
+  (``csr_scipy``) that the serial ``CSRMatrix.spmv`` and an untuned
+  bound matrix run, so every row reduces the same element sequence in
+  the same kernel: the result is **bitwise equal to serial** for any
+  rank count.
 * ``mode="task"`` — run the local kernel while halo messages are in
   flight and add the nonlocal kernel after ``waitall`` (the overlap
   split).  The within-row summation order changes, so task mode
@@ -69,6 +71,7 @@ from repro.distributed.plan import CommPlan, RankPlan
 from repro.faults.inject import FaultError, InjectedFault
 from repro.faults.retry import RetryExhausted
 from repro.formats.csr import CSRMatrix
+from repro.ops.registry import kernels_for
 from repro.utils.workers import mp_context
 
 __all__ = [
@@ -539,6 +542,10 @@ class RankPool:
         return (self.n, self.n)
 
     def _start(self) -> None:
+        # load the kernel registry that every rank's block.spmv resolves
+        # before the ranks start: forked ranks inherit it instead of each
+        # loading the kernel modules and the compiled library in round 1
+        kernels_for(CSRMatrix)
         processes = self.backend == "processes"
         ctx = mp_context() if processes else None
         make_queue = ctx.Queue if processes else queue.Queue

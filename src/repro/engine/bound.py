@@ -5,7 +5,6 @@
 * a persistent :class:`~repro.engine.workspace.Workspace` (gather /
   product / accumulator scratch created on first call, reused after),
 * the autotuned kernel variant for this matrix's structure,
-* preallocated output staging,
 
 so iterative solvers can run allocation-free inner loops.  The bound
 kernels compute in the matrix's native dtype (the Eq. (1) code-balance
@@ -20,7 +19,6 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.core.jds import JaggedDiagonalsBase
 from repro.engine.tuner import TuneResult, autotune
 from repro.engine.workspace import Workspace
 from repro.obs import profile as _profile
@@ -30,7 +28,7 @@ from repro.ops.registry import (
     kernels_for,
     variants_for,
 )
-from repro.ops.spmm_kernels import spmm_dispatch
+from repro.ops.spmm_kernels import spmm_dispatch, spmv_dispatch
 from repro.formats.base import SparseMatrixFormat
 
 __all__ = ["BoundMatrix", "bind"]
@@ -67,13 +65,6 @@ class BoundMatrix:
         #: same matrix share it); the serve registry sets the served
         #: name here, anonymous handles get a shape-derived default
         self.matrix_label = label or f"m{matrix.nrows}x{matrix.ncols}"
-        self._is_jagged = isinstance(matrix, JaggedDiagonalsBase)
-        perm = getattr(matrix, "permutation", None)
-        self._permutes = perm is not None and not perm.is_identity
-        # stored-order staging for permuting formats
-        self._acc = (
-            np.zeros(matrix.nrows, dtype=matrix.dtype) if self._permutes else None
-        )
         self.calls = 0
         # per-handle instrumentation cache: (metrics generation,
         # profiler generation, counter child, spmv slot, spmm slot,
@@ -141,19 +132,6 @@ class BoundMatrix:
         self._obs_cache = cache
         return cache
 
-    def _run_kernel(self, x: np.ndarray, y: np.ndarray) -> None:
-        m = self.matrix
-        if self._permutes:
-            self.variant.run(m, self.workspace, x, self._acc)
-            # gather through the inverse permutation rather than fancy
-            # scatter: np.take's contiguous write path is faster
-            inv = self.workspace.const(
-                "perm_inverse", lambda: m.permutation.inverse
-            )
-            np.take(self._acc, inv, out=y, mode="clip")
-        else:
-            self.variant.run(m, self.workspace, x, y)
-
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``y = A @ x`` through the bound (tuned, workspace) kernel.
 
@@ -168,12 +146,10 @@ class BoundMatrix:
             # chaos hook: kernel_exception raises, slow_worker sleeps
             self.faults.engine_fault(format=m.name, variant=self.variant.name)
         x = m.check_rhs(x)
-        # variants fully write y (their contract), so skip the zero-fill
-        y = m.alloc_result(out, x, zero=False)
+        y = m.alloc_result(out, x)
         self.calls += 1
         if not obs.enabled():
-            self._run_kernel(x, y)
-            return y
+            return spmv_dispatch(m, x, y, self.workspace, self.variant)
         _, _, counter, slot, _, balance = self._obs_state()
         counter.inc()
         tracer = obs.get_tracer()
@@ -182,8 +158,7 @@ class BoundMatrix:
         slot.calls += 1
         sampled = n > 0 and slot.calls % n == 1 % n
         if not (traced or sampled):
-            self._run_kernel(x, y)
-            return y
+            return spmv_dispatch(m, x, y, self.workspace, self.variant)
         if traced:
             with tracer.span(
                 "engine.spmv",
@@ -192,7 +167,7 @@ class BoundMatrix:
                 variant=self.variant.name,
             ) as sp:
                 t0 = time.perf_counter()
-                self._run_kernel(x, y)
+                spmv_dispatch(m, x, y, self.workspace, self.variant)
                 dt = time.perf_counter() - t0
                 gflops = 2.0 * m.nnz / dt / 1e9 if dt > 0 else 0.0
                 sp.set_attr("gflops", gflops)
@@ -200,7 +175,7 @@ class BoundMatrix:
                 sp.set_attr("model_balance", balance)
         else:
             t0 = time.perf_counter()
-            self._run_kernel(x, y)
+            spmv_dispatch(m, x, y, self.workspace, self.variant)
             dt = time.perf_counter() - t0
         if sampled:
             slot.add(
@@ -234,8 +209,9 @@ class BoundMatrix:
         x_perm = m.check_rhs(x_perm)
         y = self.workspace.buf("bound_yperm", m.nrows, m.dtype)
         self.calls += 1
-        self.variant.run(m, self.workspace, x_perm, y, permuted=True)
-        return y
+        return spmv_dispatch(
+            m, x_perm, y, self.workspace, self.variant, permuted=True
+        )
 
     def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched multi-vector product through :attr:`spmm_kernel`.
@@ -295,12 +271,11 @@ class BoundMatrix:
 
         A :class:`BoundMatrix` is **not** safe to call from two threads
         at once: ``spmv``/``spmm`` scribble into the handle's named
-        :class:`~repro.engine.workspace.Workspace` buffers (and the
-        permuting formats' staging accumulator), so concurrent calls
-        corrupt each other's scratch.  ``clone()`` is the supported way
-        to share one tuned matrix across workers — the (read-only)
-        matrix data and the autotuner's variant decision are shared,
-        while every clone owns private scratch.  The matrix registry of
+        :class:`~repro.engine.workspace.Workspace` buffers, so
+        concurrent calls corrupt each other's scratch.  ``clone()`` is
+        the supported way to share one tuned matrix across workers — the
+        (read-only) matrix data and the autotuner's variant decision are
+        shared, while every clone owns private scratch.  The matrix registry of
         :mod:`repro.serve` hands each worker its own clone.
 
         The fault injector (when set) is shared by clones: its firing
@@ -340,7 +315,10 @@ def bind(
     ``faults`` attaches a :class:`~repro.faults.inject.FaultInjector`
     whose engine-layer events fire inside :meth:`BoundMatrix.spmv`.
     ``label`` names the matrix in profiler attribution tables.
+    A format with no registered spmv kernel raises ``TypeError``.
     """
+    if not variants_for(matrix):
+        raise TypeError(f"no spmv kernel registered for format {matrix.name!r}")
     ws = Workspace()
     tr = None
     if variant is not None:

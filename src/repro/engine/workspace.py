@@ -58,6 +58,21 @@ class Workspace:
             )
         return arr
 
+    def grow(self, name: str, size: int, dtype) -> np.ndarray:
+        """Get the flat buffer ``name`` with room for ``size`` elements.
+
+        Unlike :meth:`buf`, a request for more room than the buffer has
+        replaces it with one of exactly ``size`` elements, so the buffer
+        is as large as the largest request so far; callers view a
+        prefix.  Its content is undefined.
+        """
+        dtype = np.dtype(dtype)
+        arr = self._buffers.get(name)
+        if arr is None or arr.shape[0] < size or arr.dtype != dtype:
+            arr = self._buffers[name] = np.empty(int(size), dtype=dtype)
+            self.allocations += 1
+        return arr
+
     def const(self, name: str, factory):
         """Get-or-create a precomputed constant (index arrays, run maps).
 

@@ -230,16 +230,6 @@ class ARGCSRMatrix(SparseMatrixFormat):
     # ------------------------------------------------------------------
     # SparseMatrixFormat interface
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        for g in range(self.ngroups):
-            vals, cols, rows = self.group_rect(g)
-            # padding contributes 0 * x[0]; one fused gather+reduce per
-            # group rectangle
-            y[rows] = (vals * x[cols]).sum(axis=1)
-        return y
-
     def to_coo(self) -> COOMatrix:
         rows_parts, cols_parts, vals_parts = [], [], []
         for g in range(self.ngroups):

@@ -4,7 +4,9 @@ Every format in :mod:`repro.formats` and :mod:`repro.core` derives from
 :class:`SparseMatrixFormat`.  The contract is deliberately small:
 
 * construction from / conversion to COO (the interchange format),
-* a vectorised ``spmv`` (sparse matrix-vector multiply, ``y = A @ x``),
+* ``spmv`` (sparse matrix-vector multiply, ``y = A @ x``), which runs
+  the format's rank-0 kernel from the central registry
+  (:mod:`repro.ops`), the same one a bound matrix runs untuned,
 * byte-exact storage accounting (``memory_breakdown``), which Table I of
   the paper is built on,
 * row-length introspection, which both the pJDS construction and the
@@ -98,24 +100,6 @@ class SparseMatrixFormat(abc.ABC):
     # abstract interface
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Compute ``y = A @ x`` with the format's vectorised kernel.
-
-        Parameters
-        ----------
-        x : ndarray
-            Dense RHS vector of length ``ncols``.
-        out : ndarray, optional
-            Preallocated result vector of length ``nrows``; overwritten.
-
-        Returns
-        -------
-        ndarray
-            The result ``y`` in the matrix's *original* row ordering
-            (permuting formats undo their permutation internally).
-        """
-
-    @abc.abstractmethod
     def to_coo(self) -> "COOMatrix":
         """Convert to the COO interchange format (canonical ordering)."""
 
@@ -168,28 +152,20 @@ class SparseMatrixFormat(abc.ABC):
         return check_dense_vector(x, self.ncols, dtype=self._dtype, name="x")
 
     def alloc_result(
-        self,
-        out: np.ndarray | None,
-        x: np.ndarray | None = None,
-        *,
-        zero: bool = True,
+        self, out: np.ndarray | None, x: np.ndarray | None = None
     ) -> np.ndarray:
-        """Return a zeroed result vector, reusing ``out`` when provided.
+        """Return a result vector, reusing ``out`` when provided.
 
-        When ``x`` (the already-coerced RHS) is passed, an explicit
-        aliasing check rejects ``spmv(x, out=x)``-style calls: every
-        kernel zeroes/overwrites ``out`` before it has finished reading
-        ``x``, so an aliased output would silently corrupt the result.
+        The vector's content is undefined: every spmv kernel fully
+        writes it.  When ``x`` (the already-coerced RHS) is passed, an
+        explicit aliasing check rejects ``spmv(x, out=x)``-style calls:
+        kernels write ``out`` before they have finished reading ``x``,
+        so an aliased output would silently corrupt the result.
         Callers that want in-place semantics must go through a distinct
         buffer (e.g. the ping-pong operator of :mod:`repro.engine`).
-
-        ``zero=False`` skips the zero-fill of a caller-provided ``out``;
-        it is reserved for kernels that provably write every element
-        (the engine's bound path) — the format kernels themselves rely
-        on the zeroing.
         """
         if out is None:
-            return np.zeros(self.nrows, dtype=self._dtype)
+            return np.empty(self.nrows, dtype=self._dtype)
         result = check_dense_vector(out, self.nrows, name="out")
         if result.dtype != self._dtype:
             raise ValueError(
@@ -202,9 +178,39 @@ class SparseMatrixFormat(abc.ABC):
                 "out aliases the input vector x; kernels overwrite out "
                 "while still reading x — pass a separate output buffer"
             )
-        if zero:
-            result[:] = 0.0
         return result
+
+    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``y = A @ x`` with the format's rank-0 registry kernel.
+
+        The kernel is the one :func:`repro.engine.bind` takes untuned,
+        so the result is bitwise a bound handle's and each column of
+        :meth:`spmm`'s.
+
+        Parameters
+        ----------
+        x : ndarray
+            Dense RHS vector of length ``ncols``.
+        out : ndarray, optional
+            Preallocated result vector of length ``nrows``; overwritten.
+
+        Returns
+        -------
+        ndarray
+            The result ``y`` in the matrix's *original* row ordering
+            (permuting formats undo their permutation).
+
+        Raises
+        ------
+        TypeError
+            When no spmv kernel is registered for the format.
+        """
+        x = self.check_rhs(x)
+        y = self.alloc_result(out, x)
+        from repro.engine.workspace import Workspace  # late: avoid cycle
+        from repro.ops.spmm_kernels import spmv_dispatch
+
+        return spmv_dispatch(self, x, y, Workspace())
 
     def todense(self) -> np.ndarray:
         """Materialise as a dense ndarray (small matrices / tests only)."""

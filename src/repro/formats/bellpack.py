@@ -141,28 +141,6 @@ class BELLPACKMatrix(SparseMatrixFormat):
         )
 
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        br, bc = self.block_shape
-        nbr = self.nblockrows
-        # pad x to the block grid, accumulate block-row results in the
-        # matrix's native dtype (x is already coerced by check_rhs)
-        xpad = np.zeros(-(-self.ncols // bc) * bc, dtype=self._dtype)
-        xpad[: self.ncols] = x
-        xblocks = xpad.reshape(-1, bc)
-        acc = np.zeros((nbr, br), dtype=self._dtype)
-        for j in range(self.width):
-            active = self._blocks > j
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            blocks = self._val[j, idx]  # (k, br, bc)
-            xs = xblocks[self._col[j, idx]]  # (k, bc)
-            acc[idx] += np.einsum("krc,kc->kr", blocks, xs)
-        y[:] = acc.reshape(-1)[: self.nrows]
-        return y
-
     def to_coo(self) -> COOMatrix:
         br, bc = self.block_shape
         rows_, cols_, vals_ = [], [], []

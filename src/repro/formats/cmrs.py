@@ -192,32 +192,9 @@ class CMRSMatrix(SparseMatrixFormat):
             self._row_ptr_cache = cached
         return cached
 
-    def _row_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(run start offsets, row per run) of the row-major entry stream."""
-        cached = getattr(self, "_row_runs_cache", None)
-        if cached is None:
-            rows = self.entry_rows
-            new_run = np.empty(rows.size, dtype=bool)
-            if rows.size:
-                new_run[0] = True
-                np.not_equal(rows[1:], rows[:-1], out=new_run[1:])
-            starts = np.flatnonzero(new_run)
-            cached = (starts, rows[starts])
-            self._row_runs_cache = cached
-        return cached
-
     # ------------------------------------------------------------------
     # SparseMatrixFormat interface
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        if self._nnz:
-            prod = self._val * x[self._col_idx]
-            starts, urows = self._row_runs()
-            y[urows] = np.add.reduceat(prod, starts)
-        return y
-
     def to_coo(self) -> COOMatrix:
         return COOMatrix(
             self.entry_rows,

@@ -119,19 +119,6 @@ class COOMatrix(SparseMatrixFormat):
     # ------------------------------------------------------------------
     # SparseMatrixFormat interface
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        if self._nnz:
-            # canonical form is row-major sorted: entries of one row are
-            # consecutive, so row sums are independent ``reduceat``
-            # segments — native dtype end-to-end, no scatter-add and no
-            # float64 upcast/downcast copies.
-            prod = self._values * x[self._cols]
-            starts, urows = self._row_runs()
-            y[urows] = np.add.reduceat(prod, starts)
-        return y
-
     def _row_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """(run start offsets, row index per run) of the sorted rows."""
         cached = getattr(self, "_row_runs_cache", None)

@@ -79,37 +79,6 @@ class CSRMatrix(SparseMatrixFormat):
         return v
 
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        if self._nnz == 0:
-            return y
-        # row-local segment sums via ``np.add.reduceat`` over the rows
-        # that hold entries: honors the matrix dtype end-to-end (no
-        # float64 upcast/downcast copies) and each row's sum is
-        # independent of every other row, so row-block partitions of
-        # the parallel backend reproduce serial results bit-for-bit.
-        prod = self._data * x[self._indices]
-        starts = self._nonempty_starts()
-        y[self._nonempty_rows()] = np.add.reduceat(prod, starts)
-        return y
-
-    def _nonempty_rows(self) -> np.ndarray:
-        """Indices of rows holding at least one entry (cached)."""
-        cached = getattr(self, "_nonempty_rows_cache", None)
-        if cached is None:
-            cached = np.flatnonzero(np.diff(self._indptr) > 0)
-            self._nonempty_rows_cache = cached
-        return cached
-
-    def _nonempty_starts(self) -> np.ndarray:
-        """``indptr`` offsets of the non-empty rows (cached)."""
-        cached = getattr(self, "_nonempty_starts_cache", None)
-        if cached is None:
-            cached = np.ascontiguousarray(self._indptr[self._nonempty_rows()])
-            self._nonempty_starts_cache = cached
-        return cached
-
     def to_coo(self) -> COOMatrix:
         rows = np.repeat(
             np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self._indptr)

@@ -106,20 +106,6 @@ class ELLPACKMatrix(SparseMatrixFormat):
         return self._val.shape[0]
 
     # ------------------------------------------------------------------
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self.check_rhs(x)
-        y = self.alloc_result(out, x)
-        if self.width == 0:
-            return y
-        # native-dtype column sweep: x was coerced to the matrix dtype by
-        # check_rhs, so no per-column astype copies happen.
-        acc = np.zeros(self.padded_rows, dtype=self._dtype)
-        for j in range(self.width):
-            # one jagged column: contiguous val/col rows, gathered RHS
-            acc += self._val[j] * x[self._col[j]]
-        y[:] = acc[: self.nrows]
-        return y
-
     def _row_major_entries(self):
         """The padded rectangle in row-major order.
 

@@ -87,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "kernel_tiers",
     "backend_status",
-    "compiled_variant_names",
     "CNATIVE_TAG",
 ]
 
@@ -1182,13 +1181,3 @@ def backend_status() -> dict[str, dict]:
         )
     return status
 
-
-def compiled_variant_names() -> dict[str, list[str]]:
-    """Registered compiled-tier variant names per op (for tests/bench)."""
-    from repro.ops.registry import registry_rows
-
-    out: dict[str, list[str]] = {"spmv": [], "spmm": []}
-    for row in registry_rows():
-        if COMPILED_TAG in row["tags"]:
-            out[row["op"]].append(row["variant"])
-    return out

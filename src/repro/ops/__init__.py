@@ -58,6 +58,7 @@ __all__ = [
     "variant_names_for",
     "get_variant",
     "stored_csr_triplet",
+    "spmv_dispatch",
     "spmm_dispatch",
     "spmm_permuted",
     # compiled tier introspection
@@ -79,10 +80,10 @@ __all__ = [
 
 
 def __getattr__(name):
-    # spmm_dispatch/spmm_permuted import the format classes (and thus
-    # most of the package); resolve them lazily to keep ``import
-    # repro.ops`` cheap and cycle-free.
-    if name in ("spmm_dispatch", "spmm_permuted"):
+    # the dispatchers import the format classes (and thus most of the
+    # package); resolve them lazily to keep ``import repro.ops`` cheap
+    # and cycle-free.
+    if name in ("spmv_dispatch", "spmm_dispatch", "spmm_permuted"):
         from repro.ops import spmm_kernels
 
         return getattr(spmm_kernels, name)

@@ -42,7 +42,8 @@ class DistributedOperator(LinearOperator):
     strong-scaling experiments time.  The workers start on the first
     ``apply`` and persist until :meth:`close` (or the end of a ``with``
     block).  ``mode="vector"`` is bitwise equal to the serial
-    ``CSRMatrix.spmv``; ``mode="task"`` runs the overlap split.
+    ``CSRMatrix.spmv`` (each rank runs the same rank-0 kernel);
+    ``mode="task"`` runs the overlap split.
     """
 
     def __init__(

@@ -17,15 +17,21 @@ Kernels are declared with the :func:`register_kernel` decorator::
 
 Resolution walks the matrix class's MRO, so subclasses (ELLPACK-R,
 ELLR-T, pJDS, ...) inherit their base format's kernels unless they
-register their own.  Formats with no registered spmv kernel fall back
-to the ``generic`` wrapper around their own ``spmv`` method.
+register their own.  Every format of the package registers a spmv
+kernel, and the unbound :meth:`SparseMatrixFormat.spmv
+<repro.formats.base.SparseMatrixFormat.spmv>` runs the rank-0 one
+(through :func:`repro.ops.spmm_kernels.spmv_dispatch`), so there is
+no per-format spmv body outside this registry; a format registered
+nowhere must override ``spmv`` itself.
 
 Kernel contracts (per ``op``):
 
 ``spmv``
     ``run(matrix, ws, x, y_stored, permuted=False)`` fully writes
     ``y_stored`` (length ``nrows``) in the format's *stored* row
-    order; ``x`` is already coerced to the matrix dtype.
+    order; ``x`` is already coerced to the matrix dtype.  The rank-0
+    kernel is what the unbound ``spmv``, an untuned bound matrix and
+    every distributed rank run.
 ``spmm``
     ``run(matrix, X, out, ws)`` with ``(ncols, k)`` X, writing the
     *original*-order ``(nrows, k)`` result into ``out``; both may have
@@ -141,20 +147,6 @@ def register_kernel(
     return decorate
 
 
-# ---------------------------------------------------------------------------
-# generic fallback (spmv only): wraps the format's own vectorised method
-# ---------------------------------------------------------------------------
-
-def _generic_spmv(m, ws, x, y, permuted=False):
-    if permuted:
-        y[:] = m.spmv_permuted(x)
-    else:
-        m.spmv(x, out=y)
-
-
-GENERIC_SPMV = KernelSpec("generic", _generic_spmv, tags=("fallback",))
-
-
 def _ensure_loaded() -> None:
     """Import the kernel modules once so their decorators have run."""
     global _LOADED
@@ -172,29 +164,26 @@ def _ensure_loaded() -> None:
         _LOADED = True
 
 
-def _resolve(cls: type, op: str) -> list[KernelSpec] | None:
+def _resolve(cls: type, op: str) -> list[KernelSpec]:
     for c in cls.__mro__:
         lst = _REGISTRY.get((c, op))
         if lst:
             return lst
-    return None
+    return []
 
 
 def kernels_for(matrix, op: str = "spmv") -> list[KernelSpec]:
     """Candidate kernels for a matrix (or format class), best-guess first.
 
-    For ``op="spmv"`` an unknown format gets the ``generic`` fallback;
-    for ``op="spmm"`` the list may be empty (callers then degrade to a
-    per-column loop over spmv).
+    The list is empty for a format nobody registered a kernel for:
+    its spmv then raises ``TypeError`` and its spmm loops over
+    columns of its (overridden) spmv.
     """
     if op not in OPS:
         raise ValueError(f"op must be one of {OPS}, got {op!r}")
     _ensure_loaded()
     cls = matrix if isinstance(matrix, type) else type(matrix)
-    lst = _resolve(cls, op)
-    if lst is not None:
-        return list(lst)
-    return [GENERIC_SPMV] if op == "spmv" else []
+    return list(_resolve(cls, op))
 
 
 def kernel_names_for(matrix, op: str = "spmv") -> list[str]:

@@ -47,14 +47,20 @@ from repro.ops.spmv_kernels import _sp_matvec, _sparsetools, stored_csr_triplet
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine.workspace import Workspace
 
-__all__ = ["spmm_dispatch", "spmm_permuted", "stored_spmm"]
+__all__ = ["spmm_dispatch", "spmm_permuted", "spmv_dispatch", "stored_spmm"]
 
 
-def _block(ws: Workspace | None, name: str, shape, dtype) -> np.ndarray:
-    """Workspace buffer when bound, plain allocation otherwise."""
+def _block(ws: Workspace | None, name: str, rows: int, k: int, dtype) -> np.ndarray:
+    """``(rows, k)`` C-ordered scratch block.
+
+    Bound, it is a view of the workspace's one flat block ``name``,
+    which grows to the widest batch seen: a worker that sees every
+    width from 1 to ``max_batch`` holds one block per name, not one
+    per width.  Unbound, a plain allocation.
+    """
     if ws is None:
-        return np.empty(shape, dtype=dtype)
-    return ws.buf(name, shape, dtype)
+        return np.empty((rows, k), dtype=dtype)
+    return ws.grow(name, rows * k, dtype)[: rows * k].reshape(rows, k)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +108,14 @@ def stored_spmm(
         return out
     k = X.shape[1]
     if not (X.flags.c_contiguous and X.dtype == m.dtype):
-        Xc = _block(ws, f"spmm_X:{k}", X.shape, m.dtype)
+        Xc = _block(ws, "spmm_X", m.ncols, k, m.dtype)
         Xc[...] = X
         X = Xc
     sell = isinstance(m, SELLMatrix)
     jds = isinstance(m, JaggedDiagonalsBase) and not permuted
     rows = m.padded_rows if sell else m.nrows
     if sell or jds or not (out.flags.c_contiguous and out.dtype == m.dtype):
-        Y = _block(ws, f"spmm_acc:{k}", (rows, k), m.dtype)
+        Y = _block(ws, "spmm_acc", rows, k, m.dtype)
     else:
         Y = out
     sweep(rows, m.ncols, *triplet(m, permuted), X, Y)
@@ -143,7 +149,7 @@ def _spmm_coo(m: COOMatrix, X, out, ws):
         out[:] = 0.0
         return out
     k = X.shape[1]
-    prod = _block(ws, f"spmm_prod:{k}", (m.nnz, k), m.dtype)
+    prod = _block(ws, "spmm_prod", m.nnz, k, m.dtype)
     np.take(X, m.cols, axis=0, out=prod, mode="clip")
     prod *= m.values[:, None]
     starts, urows = m._row_runs()  # noqa: SLF001
@@ -153,6 +159,48 @@ def _spmm_coo(m: COOMatrix, X, out, ws):
 
 
 # ---------------------------------------------------------------------------
+
+def _stored_inverse(m: SparseMatrixFormat) -> np.ndarray | None:
+    """``permutation.inverse`` of a permuting format, else ``None``."""
+    perm = getattr(m, "permutation", None)
+    return None if perm is None or perm.is_identity else perm.inverse
+
+
+def spmv_dispatch(
+    m: SparseMatrixFormat,
+    x: np.ndarray,
+    y: np.ndarray,
+    ws: Workspace,
+    kernel: KernelSpec | None = None,
+    permuted: bool = False,
+) -> np.ndarray:
+    """Run a spmv kernel of ``m`` on a validated (x, y) pair; return ``y``.
+
+    ``x`` must already have the matrix dtype and ``y`` be a C-contiguous
+    result vector (callers go through ``check_rhs``/``alloc_result``).
+    ``kernel`` is a bound matrix's cached variant; without one the
+    format's rank-0 spmv kernel runs.  Kernels write stored row order,
+    and this is the one place that undoes the permutation: a permuting
+    format's kernel writes a workspace vector that is gathered into
+    ``y`` through ``permutation.inverse``.  ``permuted=True`` (the
+    stored-basis path of the jagged formats) keeps stored order.
+    """
+    if kernel is None:
+        candidates = kernels_for(m, "spmv")
+        if not candidates:
+            raise TypeError(f"no spmv kernel registered for format {m.name!r}")
+        kernel = candidates[0]
+    inv = None if permuted else ws.const("perm_inverse", lambda: _stored_inverse(m))
+    if inv is None:
+        kernel.run(m, ws, x, y, permuted=permuted)
+        return y
+    acc = ws.buf("spmv_stored", m.nrows, m.dtype)
+    kernel.run(m, ws, x, acc)
+    # a gather through the inverse permutation rather than a fancy
+    # scatter: np.take's contiguous write path is faster
+    np.take(acc, inv, out=y, mode="clip")
+    return y
+
 
 def spmm_dispatch(
     m: SparseMatrixFormat,

@@ -3,8 +3,8 @@
 The paper's Table I shows the winning format is matrix-dependent; Koza
 et al. (CMRS) show the winning *kernel variant within a format* is
 matrix-dependent too.  This module declares, per storage format, a
-``*_scipy`` delegate and one NumPy streaming kernel (COO: the NumPy
-kernel only), all writing into caller-provided buffers through a
+``*_scipy`` delegate and one NumPy streaming kernel (COO and BELLPACK:
+the NumPy kernel only), all writing into caller-provided buffers through a
 :class:`~repro.engine.workspace.Workspace` so the steady state
 allocates nothing.  Each NumPy kernel of a format with a cnative
 kernel (:mod:`repro.kernels.compiled`) accumulates every row in that
@@ -25,6 +25,7 @@ CMRS      ``cmrs_scipy`` (the strip stream is row-major CSR),
           ``cmrs_bincount`` (scatter via bincount)
 ARG-CSR   ``argcsr_scipy`` (unpadded rows), ``argcsr_sweep``
           (per-group column sweep incl. padding)
+BELLPACK  ``bell_einsum`` (one ``einsum`` per block column)
 ========  =====================================================
 
 Every ``*_scipy`` delegate is one body: scipy's compiled
@@ -36,8 +37,10 @@ untuned default; the autotuner decides per matrix which kernel wins.
 Kernel contract: ``run(matrix, ws, x, y_stored, permuted=False)``
 fully writes ``y_stored`` (length ``nrows``) with the result in the
 format's *stored* row order; ``x`` is already coerced to the matrix
-dtype.  Formats without a registered kernel fall back to the
-``generic`` wrapper around their own ``spmv``.
+dtype.  These are the only spmv bodies of the package: the unbound
+``fmt.spmv``, a bound matrix and every distributed rank run one of
+them through :func:`repro.ops.spmm_kernels.spmv_dispatch`, which
+undoes the permutation.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.core.jds import JaggedDiagonalsBase
 from repro.core.sell import SELLMatrix
 from repro.formats.argcsr import ARGCSRMatrix
 from repro.formats.base import SparseMatrixFormat
+from repro.formats.bellpack import BELLPACKMatrix
 from repro.formats.cmrs import CMRSMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -458,3 +462,31 @@ def _argcsr_sweep(m: ARGCSRMatrix, ws: Workspace, x, y, permuted=False):
             np.multiply(gv, vals2[:, j], out=gv)
             a += gv
         y[rids[r0:r1]] = a
+
+
+# ---------------------------------------------------------------------------
+# BELLPACK (blocked ELLPACK)
+# ---------------------------------------------------------------------------
+
+@register_kernel(BELLPACKMatrix, "spmv", name="bell_einsum", tags=("numpy",))
+def _bell_einsum(m: BELLPACKMatrix, ws: Workspace, x, y, permuted=False):
+    """One ``einsum`` per stored block column over its active block rows.
+
+    ``x`` is padded to the block grid so every tile gathers a whole
+    ``bc``-wide slice; block-row results accumulate in the matrix dtype.
+    """
+    br, bc = m.block_shape
+    xpad = ws.buf("bell_x", -(-m.ncols // bc) * bc, m.dtype)
+    xpad[: m.ncols] = x
+    xpad[m.ncols :] = 0.0
+    xblocks = xpad.reshape(-1, bc)
+    acc = ws.buf("bell_acc", (m.nblockrows, br), m.dtype)
+    acc.fill(0.0)
+    val, col = m._val, m._col  # noqa: SLF001
+    blocks = m.blocks_per_row
+    for j in range(m.width):
+        idx = np.flatnonzero(blocks > j)
+        if not idx.size:
+            break
+        acc[idx] += np.einsum("krc,kc->kr", val[j, idx], xblocks[col[j, idx]])
+    y[:] = acc.reshape(-1)[: m.nrows]

@@ -42,6 +42,11 @@ class Stopwatch:
 
         sw = Stopwatch.measure(lambda: matrix.spmv(x), reps=7)
         print(sw.median, sw.iqr, sw.best)
+
+    Timing the unbound ``matrix.spmv`` times the format's rank-0
+    registry kernel (the untuned engine default) plus argument checks
+    and a fresh result vector; a bound handle's ``spmv(x, out=y)``
+    times its pinned variant without the allocation.
     """
 
     total: float = 0.0

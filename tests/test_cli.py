@@ -304,10 +304,13 @@ class TestOpsList:
     def test_full_registry_listing(self):
         text = run_cli("ops", "list")
         assert "kernels registered" in text
-        for expected in ("csr_bincount", "spmm_csr", "jds_scipy", "sell_chunks"):
+        for expected in (
+            "csr_bincount", "spmm_csr", "jds_scipy", "sell_chunks",
+            "bell_einsum",
+        ):
             assert expected in text, expected
-        # header + the generic-fallback note
-        assert "variant" in text and "generic" in text
+        # header + the note on what rank 0 means
+        assert "variant" in text and "rank 0 is what the unbound" in text
 
     def test_matrix_roster_and_tuning(self, tmp_path):
         from repro.matrices import poisson2d, write_matrix_market

@@ -26,6 +26,7 @@ from repro.formats import (
     convert,
     register_format,
 )
+from repro.formats.base import SparseMatrixFormat
 from repro.formats.conversions import FORMATS
 from repro.ops import (
     CountingOperator,
@@ -114,7 +115,7 @@ _SPMV_ROSTERS = {
     "SELL-C-sigma": ["sell_scipy", "sell_chunks", "sell_cc"],
     "CMRS": ["cmrs_scipy", "cmrs_bincount", "cmrs_cc"],
     "ARG-CSR": ["argcsr_scipy", "argcsr_sweep", "argcsr_cc"],
-    "BELLPACK": ["generic"],
+    "BELLPACK": ["bell_einsum"],
 }
 
 
@@ -165,13 +166,33 @@ class TestKernelRegistry:
         assert variant_names_for(_Sub) == ["sub_kernel"]
         assert variant_names_for(_Base) == ["base_kernel"]
 
-    def test_unknown_format_falls_back(self):
-        class _Nothing:
-            pass
+    def test_unregistered_format_has_no_kernels(self):
+        """A format nobody registered gets empty rosters, and its
+        unbound spmv raises a ``TypeError`` naming the format."""
 
-        spmv = kernels_for(_Nothing, "spmv")
-        assert [k.name for k in spmv] == ["generic"]
-        assert kernels_for(_Nothing, "spmm") == []
+        class _Bare(SparseMatrixFormat):
+            name = "bare-test-only"
+
+            def to_coo(self):  # pragma: no cover
+                raise NotImplementedError
+
+            @classmethod
+            def from_coo(cls, coo, **kw):  # pragma: no cover
+                raise NotImplementedError
+
+            def memory_breakdown(self):  # pragma: no cover
+                return {}
+
+            def row_lengths(self):  # pragma: no cover
+                raise NotImplementedError
+
+        bare = _Bare((3, 3), nnz=0, dtype=np.float64)
+        assert kernels_for(bare, "spmv") == []
+        assert kernels_for(bare, "spmm") == []
+        with pytest.raises(TypeError, match="bare-test-only"):
+            bare.spmv(np.ones(3))
+        with pytest.raises(TypeError, match="bare-test-only"):
+            bind(bare)
 
     def test_get_variant_keyerror_lists_candidates(self):
         m = convert(random_coo(10, seed=2), "CRS")
@@ -196,6 +217,109 @@ class TestKernelRegistry:
         spmv_crs = [r for r in rows if r["format"] == "CRS" and r["op"] == "spmv"]
         assert [r["rank"] for r in spmv_crs] == list(range(len(spmv_crs)))
         assert any(r["op"] == "spmm" for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# one spmv per format: every spmv path runs a registry kernel
+# ---------------------------------------------------------------------------
+
+from repro.matrices import generate  # noqa: E402
+
+#: sAMG at scale 256 (13,300 rows, rows of up to 70 entries): the NumPy
+#: ``reduceat`` bodies the formats used to carry sum long rows in
+#: another order than any registered kernel, so on CRS, CMRS and
+#: ARG-CSR their bits differed here
+_SAMG_COO = generate("sAMG", scale=256, seed=0)
+
+
+def _assert_bits(got, ref, what):
+    assert got.dtype == ref.dtype, what
+    assert np.array_equal(got, ref), (
+        f"{what}: max |diff| {float(np.max(np.abs(got - ref)))}"
+    )
+
+
+class TestOneSpmvPerFormat:
+    """The unbound spmv, a bound spmv of every variant, each column of
+    spmm and the raw-format operator all give the same bits."""
+
+    @pytest.mark.parametrize("fmt", available_formats())
+    def test_every_spmv_path_is_bitwise_float64(self, fmt):
+        m = convert(_SAMG_COO, fmt)
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(m.ncols)
+        X = rng.standard_normal((m.ncols, 3))
+        y = m.spmv(x)
+        for v in variant_names_for(m):
+            _assert_bits(bind(m, variant=v).spmv(x), y, f"{fmt}/{v}")
+        op = FormatOperator(m)
+        _assert_bits(op.apply(x), y, f"{fmt}/FormatOperator.apply")
+        for Y, what in ((m.spmm(X), "spmm"), (op.apply_block(X), "apply_block")):
+            for j in range(X.shape[1]):
+                _assert_bits(
+                    Y[:, j], m.spmv(X[:, j]), f"{fmt}/{what} column {j}"
+                )
+        if hasattr(m, "spmv_permuted"):
+            xp = m.permutation.to_permuted(x)
+            yp = m.spmv_permuted(xp)
+            _assert_bits(
+                bind(m, variant="jds_scipy").spmv_permuted(xp), yp,
+                f"{fmt}/spmv_permuted",
+            )
+            _assert_bits(m.permutation.to_original(yp), y, f"{fmt}/permuted")
+
+    @pytest.mark.parametrize("fmt", available_formats())
+    def test_rank0_paths_are_bitwise_float32(self, fmt):
+        """At float32 the ``*_bincount`` kernels accumulate in float64,
+        so only the rank-0 paths are compared."""
+        m = convert(_SAMG_COO.astype(np.float32), fmt)
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(m.ncols).astype(np.float32)
+        X = rng.standard_normal((m.ncols, 2)).astype(np.float32)
+        y = m.spmv(x)
+        _assert_bits(bind(m, tune=False).spmv(x), y, f"{fmt}/rank-0 bound")
+        Y = m.spmm(X)
+        for j in range(X.shape[1]):
+            _assert_bits(Y[:, j], m.spmv(X[:, j]), f"{fmt}/spmm column {j}")
+
+
+    def test_formats_load_without_the_kernel_layers(self):
+        """``repro.formats`` and ``repro.core`` import neither
+        ``repro.ops`` nor ``repro.engine``: the spmv dispatch they run
+        is imported late, at the first call."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.formats, repro.core\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.ops', 'repro.engine'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(_REPO_ROOT, "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=_REPO_ROOT,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+
+class TestBatchWorkspace:
+    @pytest.mark.parametrize("fmt", ["pJDS", "SELL-C-sigma", "COO"])
+    def test_widths_1_to_16_hold_the_widest_blocks_only(self, fmt):
+        """A handle that ran every width from 1 to 16 holds no more
+        workspace than one that ran only width 16, and its batches
+        have the unbound spmm's bits."""
+        m = convert(generate("sAMG", scale=1024, seed=0), fmt)
+        W = np.random.default_rng(33).standard_normal((m.ncols, 16))
+        widest = bind(m, tune=False)
+        widest.spmm(np.asfortranarray(W))
+        bound = bind(m, tune=False)
+        for k in range(1, 17):
+            X = W[:, :k]  # not C-contiguous below k = 16
+            _assert_bits(bound.spmm(X), m.spmm(X), f"{fmt}/k={k}")
+        assert bound.workspace.nbytes <= widest.workspace.nbytes, fmt
 
 
 # ---------------------------------------------------------------------------
