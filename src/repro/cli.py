@@ -248,7 +248,6 @@ def cmd_engine(args, out) -> int:
     """``repro engine tune <matrix>``: run (or replay) the autotuner."""
     from repro import obs
     from repro.engine import autotune, fingerprint, variants_for
-    from repro.engine.workspace import Workspace
     from repro.formats import convert
     from repro.matrices import generate
     from repro.matrices.cache import TunerCache
@@ -260,7 +259,6 @@ def cmd_engine(args, out) -> int:
     with obs.span("cli.engine_tune", format=fmt, matrix=args.matrix):
         tr = autotune(
             m,
-            Workspace(),
             reps=args.reps,
             seed=args.seed,
             cache=cache,
@@ -360,7 +358,6 @@ def cmd_ops(args, out) -> int:
         return 0
 
     from repro.engine import autotune
-    from repro.engine.workspace import Workspace
     from repro.formats import convert
     from repro.matrices import read_matrix_market
 
@@ -374,7 +371,7 @@ def cmd_ops(args, out) -> int:
         specs = kernels_for(m, op)
         names = [s.name for s in specs] or ["(per-column spmv loop)"]
         print(f"{op} candidates : {names}", file=out)
-    tr = autotune(m, Workspace(), use_cache=False)
+    tr = autotune(m, use_cache=False)
     if tr.timings:
         best = tr.best_seconds
         for name, secs in sorted(tr.timings.items(), key=lambda kv: kv[1]):

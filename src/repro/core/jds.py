@@ -21,7 +21,13 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.sorting import Permutation, descending_row_sort, windowed_row_sort
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    STORED_INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 
 __all__ = ["JDSMatrix", "JaggedDiagonalsBase", "jagged_fill"]
@@ -73,7 +79,7 @@ def jagged_fill(
 
     total = int(col_start[-1])
     val = np.zeros(total, dtype=coo.dtype)
-    col_idx = np.zeros(total, dtype=INDEX_DTYPE)
+    col_idx = np.zeros(total, dtype=STORED_INDEX_DTYPE)
     if coo.nnz:
         row_start = np.zeros(n + 1, dtype=INDEX_DTYPE)
         np.cumsum(orig_lengths, out=row_start[1:])
@@ -107,7 +113,7 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
         if col_start[-1] != val.shape[0]:
             raise ValueError("col_start[-1] must equal the flat array length")
         self._val = np.ascontiguousarray(val)
-        self._col_idx = np.ascontiguousarray(col_idx, dtype=INDEX_DTYPE)
+        self._col_idx = stored_indices(col_idx, shape[1], "col_idx")
         self._col_start = np.ascontiguousarray(col_start, dtype=INDEX_DTYPE)
         self._true_lengths = np.ascontiguousarray(true_lengths, dtype=INDEX_DTYPE)
         self._padded_lengths = np.ascontiguousarray(padded_lengths, dtype=INDEX_DTYPE)
@@ -190,11 +196,13 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
             if self._perm.is_identity:
                 cached = self._col_idx
             else:
-                cached = self._perm.inverse[self._col_idx]
+                cached = self._perm.inverse.astype(STORED_INDEX_DTYPE)[
+                    self._col_idx
+                ]
             self._col_idx_perm = cached
         return cached
 
-    def _grouped_entries(self, permuted: bool = False):
+    def _grouped_entries(self, permuted: bool = False, data_g=None):
         """``(idx_g, data_g, groups)``: the jagged entries re-laid row-major.
 
         ``groups`` is a list of ``(L, r0, r1)`` — padded lengths are
@@ -205,8 +213,8 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
         :func:`repro.ops.spmv_kernels.stored_csr_triplet`, which caches
         it.  ``idx_g`` holds column indices in the requested basis
         (original, or permuted for the stored-basis solver path).
-        Padding slots carry value 0 / column 0.  Only ``data_g`` is
-        cached here, so the views of both bases share it.
+        Padding slots carry value 0 / column 0.  A ``data_g`` already
+        built for the other basis is passed in and shared, not rebuilt.
         """
         pl = self._padded_lengths
         cs = self._col_start
@@ -223,10 +231,8 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
         entry_perm = (
             np.concatenate(parts) if parts else np.empty(0, dtype=INDEX_DTYPE)
         )
-        data_g = getattr(self, "_grouped_data_cache", None)
         if data_g is None:
             data_g = np.ascontiguousarray(self._val[entry_perm])
-            self._grouped_data_cache = data_g
         src = self._permuted_col_idx() if permuted else self._col_idx
         return np.ascontiguousarray(src[entry_perm]), data_g, groups
 

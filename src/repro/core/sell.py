@@ -24,7 +24,13 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.sorting import Permutation, windowed_row_sort
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    STORED_INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import check_positive_int
 
@@ -61,7 +67,7 @@ class SELLMatrix(SparseMatrixFormat):
         if int(chunk_ptr[-1]) != val.shape[0]:
             raise ValueError("chunk_ptr[-1] must equal the flat array length")
         self._val = np.ascontiguousarray(val)
-        self._col_idx = np.ascontiguousarray(col_idx, dtype=INDEX_DTYPE)
+        self._col_idx = stored_indices(col_idx, shape[1], "col_idx")
         self._chunk_ptr = np.ascontiguousarray(chunk_ptr, dtype=INDEX_DTYPE)
         self._chunk_width = np.ascontiguousarray(chunk_width, dtype=INDEX_DTYPE)
         self._true_lengths = np.ascontiguousarray(true_lengths, dtype=INDEX_DTYPE)
@@ -148,7 +154,7 @@ class SELLMatrix(SparseMatrixFormat):
 
         total = int(chunk_ptr[-1])
         val = np.zeros(total, dtype=coo.dtype)
-        col_idx = np.zeros(total, dtype=INDEX_DTYPE)
+        col_idx = np.zeros(total, dtype=STORED_INDEX_DTYPE)
         if coo.nnz:
             row_start = np.zeros(n + 1, dtype=INDEX_DTYPE)
             np.cumsum(np.bincount(coo.rows, minlength=n), out=row_start[1:])

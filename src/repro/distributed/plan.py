@@ -156,7 +156,7 @@ def build_plan(
             halo_pos = np.searchsorted(remote_cols, nonlocal_part.indices)
             np_ = CSRMatrix(
                 nonlocal_part.indptr.copy(),
-                halo_pos.astype(INDEX_DTYPE),
+                halo_pos,
                 nonlocal_part.data.copy(),
                 (plan.local_rows, max(remote_cols.size, 1)),
             )

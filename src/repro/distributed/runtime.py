@@ -70,6 +70,7 @@ from repro import obs
 from repro.distributed.plan import CommPlan, RankPlan
 from repro.faults.inject import FaultError, InjectedFault
 from repro.faults.retry import RetryExhausted
+from repro.formats.coo import row_major_order
 from repro.formats.csr import CSRMatrix
 from repro.ops.registry import kernels_for
 from repro.utils.workers import mp_context
@@ -190,7 +191,7 @@ class _Rank:
         nl_cols = np.where(nl.indices < below, nl.indices, nl.indices + n)
         rows = np.concatenate((rows, nl_rows))
         cols = np.concatenate((loc.indices + below, nl_cols))
-        order = np.lexsort((cols, rows))
+        order = row_major_order(rows, cols, self.xcols.shape[0])
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self.block = CSRMatrix(

@@ -28,7 +28,7 @@ from repro.ops.registry import (
     kernels_for,
     variants_for,
 )
-from repro.ops.spmm_kernels import spmm_dispatch, spmv_dispatch
+from repro.ops.spmm_kernels import rhs_block, spmm_dispatch, spmv_dispatch
 from repro.formats.base import SparseMatrixFormat
 
 __all__ = ["BoundMatrix", "bind"]
@@ -266,6 +266,12 @@ class BoundMatrix:
         )
         return y
 
+    def rhs_block(self, k: int) -> np.ndarray:
+        """A ``(ncols, k)`` block of this handle's workspace that
+        :meth:`spmm` reads without copying it: stack a batch here.  The
+        next batch on this handle overwrites it."""
+        return rhs_block(self.matrix, self.workspace, k)
+
     def clone(self) -> "BoundMatrix":
         """A new handle sharing the matrix + tune decision, fresh workspace.
 
@@ -319,17 +325,18 @@ def bind(
     """
     if not variants_for(matrix):
         raise TypeError(f"no spmv kernel registered for format {matrix.name!r}")
-    ws = Workspace()
     tr = None
     if variant is not None:
         chosen = get_variant(matrix, variant)
     elif tune:
         with obs.span("engine.bind", format=matrix.name):
             tr = autotune(
-                matrix, ws, reps=reps, seed=seed, cache=cache,
+                matrix, reps=reps, seed=seed, cache=cache,
                 use_cache=use_cache,
             )
         chosen = get_variant(matrix, tr.variant)
     else:
         chosen = variants_for(matrix)[0]
-    return BoundMatrix(matrix, chosen, ws, tr, faults=faults, label=label)
+    return BoundMatrix(
+        matrix, chosen, Workspace(), tr, faults=faults, label=label
+    )

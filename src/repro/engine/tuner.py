@@ -27,6 +27,7 @@ import numpy as np
 from repro import obs
 from repro.engine.workspace import Workspace
 from repro.ops.registry import KernelVariant, get_variant, variants_for
+from repro.ops.spmv_kernels import stored_csr_views
 from repro.formats.base import SparseMatrixFormat
 
 __all__ = ["fingerprint", "TuneResult", "autotune", "default_tuner_cache"]
@@ -115,7 +116,10 @@ def _time_variant(
     y: np.ndarray,
     reps: int,
 ) -> float:
-    """Best-of-``reps`` wall-clock seconds of one variant (after warmup)."""
+    """Best-of-``reps`` wall-clock seconds of one variant (after warmup).
+
+    ``ws`` is the variant's own scratch: a loser's buffers die with it.
+    """
     variant.run(matrix, ws, x, y)  # warmup: builds workspace buffers
     best = float("inf")
     for _ in range(reps):
@@ -127,7 +131,6 @@ def _time_variant(
 
 def autotune(
     matrix: SparseMatrixFormat,
-    ws: Workspace | None = None,
     *,
     reps: int = 3,
     seed: int = 0,
@@ -143,9 +146,12 @@ def autotune(
 
     Determinism: for a given fingerprint the decision is stable once
     recorded — repeated binds resolve from the cache, never re-race.
+
+    Nothing a losing candidate built outlives the tuning: each candidate
+    runs in a workspace of its own, and the stored-CSR views that the
+    ``*_scipy`` candidates built are dropped unless one of them wins
+    (the next batch rebuilds a view it needs).
     """
-    if ws is None:
-        ws = Workspace()
     fp = fingerprint(matrix)
     cache = cache if cache is not None else default_tuner_cache()
 
@@ -175,9 +181,11 @@ def autotune(
     y = np.zeros(matrix.nrows, dtype=matrix.dtype)
 
     timings: dict[str, float] = {}
+    views = stored_csr_views(matrix)
+    kept = set(views)
     with obs.span("engine.tune", format=matrix.name, fingerprint=fp):
         for v in variants_for(matrix):
-            dt = _time_variant(v, matrix, ws, x, y, reps)
+            dt = _time_variant(v, matrix, Workspace(), x, y, reps)
             timings[v.name] = dt
             if obs.enabled():
                 obs.observe(
@@ -186,6 +194,9 @@ def autotune(
                 )
     best = min(timings, key=timings.get)
     tier = tuple(get_variant(matrix, best).tags)
+    if "scipy" not in tier:  # only the *_scipy spmv kernels sweep a view
+        for key in set(views) - kept:
+            del views[key]
     if use_cache:
         cache.put(
             fp,

@@ -5,7 +5,13 @@ ELLPACK/ELLPACK-R the GPU baselines the pJDS contribution is measured
 against (Sect. II-A).
 """
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    STORED_INDEX_DTYPE,
+    IndexRangeError,
+    SparseMatrixFormat,
+    index_nbytes,
+)
 from repro.formats.conversions import (
     FORMATS,
     available_formats,
@@ -24,6 +30,8 @@ from repro.formats.verify import FormatInvariantError, verify_format
 
 __all__ = [
     "INDEX_DTYPE",
+    "STORED_INDEX_DTYPE",
+    "IndexRangeError",
     "SparseMatrixFormat",
     "index_nbytes",
     "FORMATS",

@@ -31,7 +31,13 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    STORED_INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import as_1d_array, check_shape
 
@@ -92,7 +98,7 @@ class ARGCSRMatrix(SparseMatrixFormat):
         true_lengths = as_1d_array(
             true_lengths, dtype=INDEX_DTYPE, name="true_lengths"
         )
-        col_idx = as_1d_array(col_idx, dtype=INDEX_DTYPE, name="col_idx")
+        col_idx = stored_indices(col_idx, shape[1], "col_idx", validate=True)
         values = as_1d_array(values, name="values")
 
         ngroups = group_width.size
@@ -142,8 +148,6 @@ class ARGCSRMatrix(SparseMatrixFormat):
                 raise ValueError("row_ids must be unique")
             if np.any(true_lengths <= 0):
                 raise ValueError("stored rows must have positive length")
-        if total_slots and (col_idx.min() < 0 or col_idx.max() >= shape[1]):
-            raise ValueError("col_idx out of range")
 
         super().__init__(
             shape, nnz=int(true_lengths.sum()), dtype=values.dtype
@@ -313,7 +317,7 @@ class ARGCSRMatrix(SparseMatrixFormat):
 
         total_slots = int(group_ptr[-1])
         val = np.zeros(total_slots, dtype=coo.values.dtype)
-        col = np.zeros(total_slots, dtype=INDEX_DTYPE)
+        col = np.zeros(total_slots, dtype=STORED_INDEX_DTYPE)
         # entry j-within-row follows canonical COO order (ascending col)
         j = np.arange(coo.nnz, dtype=INDEX_DTYPE) - row_ptr[coo.rows]
         pos = row_base[coo.rows] + j

@@ -23,27 +23,81 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.utils.validation import check_dense_vector
+from repro.utils.validation import check_dense_vector, check_index_array
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.formats.coo import COOMatrix
 
-__all__ = ["SparseMatrixFormat", "INDEX_DTYPE", "index_nbytes"]
+__all__ = [
+    "SparseMatrixFormat",
+    "INDEX_DTYPE",
+    "STORED_INDEX_DTYPE",
+    "IndexRangeError",
+    "check_index_bound",
+    "index_nbytes",
+    "stored_indices",
+]
 
-#: Package-wide index dtype.  The paper stores indices as 4-byte integers
-#: (``col_start`` is "Nmax x 4 byte"); we *compute* with int64 for safety
-#: but *account* storage at 4 bytes per index to match the paper's byte
-#: counts.  ``index_nbytes`` centralises that accounting rule.
+#: Dtype of offsets (``indptr``, ``col_start``, ``chunk_ptr``,
+#: ``strip_ptr``, ``group_ptr``), of per-row arrays and of all index
+#: arithmetic.  Offsets are *stored* at 8 bytes but *accounted* at 4
+#: (``index_nbytes``), as the paper counts them; they are O(rows), so
+#: the difference is small.
 INDEX_DTYPE = np.int64
 
-#: Storage bytes per index entry used in all memory accounting (the
-#: device-side representation the paper assumes).
+#: Dtype of every nnz-sized index array a kernel streams: the column
+#: indices of every format, COO's row indices and CMRS's
+#: ``row_in_strip``.  The paper stores indices as 4-byte integers, and
+#: Eq. (1) charges 4 bytes per entry, so storage is what is accounted.
+STORED_INDEX_DTYPE = np.int32
+
+#: Storage bytes per index entry used in all memory accounting.
 INDEX_STORAGE_BYTES = 4
+
+#: First dimension a stored (int32) index cannot address.
+_STORED_INDEX_LIMIT = 2**31
+
+
+class IndexRangeError(ValueError):
+    """A dimension of ``2**31`` or more, beyond the 4-byte stored indices."""
 
 
 def index_nbytes(count: int) -> int:
     """Device-storage bytes for ``count`` index entries (4 bytes each)."""
     return int(count) * INDEX_STORAGE_BYTES
+
+
+def check_index_bound(bound: int, name: str) -> None:
+    """Raise :class:`IndexRangeError` when ``bound`` is ``2**31`` or more.
+
+    ``bound`` is the dimension an index array addresses: ``ncols`` for
+    column indices, ``nrows`` for row indices.
+    """
+    if bound >= _STORED_INDEX_LIMIT:
+        raise IndexRangeError(
+            f"{name} indexes a dimension of {bound}; stored indices are "
+            f"4 bytes, so dimensions must be below {_STORED_INDEX_LIMIT}"
+        )
+
+
+def stored_indices(
+    indices, bound: int, name: str, *, validate: bool = False, order=None
+) -> np.ndarray:
+    """``indices`` as the C-contiguous int32 array a kernel streams.
+
+    ``bound`` is checked by :func:`check_index_bound`.  ``validate=True``
+    also checks that the entries lie in ``[0, bound)`` (before narrowing,
+    so no entry wraps).  ``order`` gathers ``indices[order]`` straight
+    into the int32 array, with no wide copy between.  Otherwise an array
+    that is already int32 and contiguous is returned as it is.
+    """
+    check_index_bound(bound, name)
+    if validate:
+        indices = check_index_array(indices, bound, name, dtype=None)
+    if order is not None:
+        out = np.empty(len(order), dtype=STORED_INDEX_DTYPE)
+        return np.take(indices, order, out=out, mode="clip")
+    return np.ascontiguousarray(indices, dtype=STORED_INDEX_DTYPE)
 
 
 class SparseMatrixFormat(abc.ABC):
@@ -114,7 +168,8 @@ class SparseMatrixFormat(abc.ABC):
 
         Values are accounted at :attr:`value_itemsize` bytes per (possibly
         padded) stored element and indices at 4 bytes per entry, matching
-        the paper's footprint discussion.
+        the paper's footprint discussion (and the int32 storage of every
+        nnz-sized index array).
         """
 
     @abc.abstractmethod

@@ -16,7 +16,13 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    STORED_INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import check_positive_int
 
@@ -48,7 +54,7 @@ class BELLPACKMatrix(SparseMatrixFormat):
         if nbr * br < shape[0]:
             raise ValueError("block grid does not cover the row space")
         self._val = np.ascontiguousarray(block_val)
-        self._col = np.ascontiguousarray(block_col, dtype=INDEX_DTYPE)
+        self._col = stored_indices(block_col, shape[1], "block_col")
         self._blocks = np.ascontiguousarray(blocks_per_row, dtype=INDEX_DTYPE)
 
     # ------------------------------------------------------------------
@@ -96,8 +102,9 @@ class BELLPACKMatrix(SparseMatrixFormat):
         nbr = -(-coo.nrows // br)
         nbc = -(-coo.ncols // bc)
 
-        brow = coo.rows // br
-        bcol = coo.cols // bc
+        # block keys reach nbr * nbc, which can pass 2**31: widen first
+        brow = coo.rows.astype(INDEX_DTYPE) // br
+        bcol = coo.cols.astype(INDEX_DTYPE) // bc
         # enumerate distinct blocks per block-row, assign slot ids
         keys = brow * nbc + bcol
         order = np.argsort(keys, kind="stable")
@@ -114,7 +121,7 @@ class BELLPACKMatrix(SparseMatrixFormat):
         width = int(counts.max()) if nblocks else 0
 
         val = np.zeros((max(width, 1), nbr, br, bc), dtype=coo.dtype)
-        col = np.zeros((max(width, 1), nbr), dtype=INDEX_DTYPE)
+        col = np.zeros((max(width, 1), nbr), dtype=STORED_INDEX_DTYPE)
         if nblocks:
             # slot of each distinct block within its block-row
             starts = np.zeros(nbr + 1, dtype=np.int64)

@@ -26,11 +26,15 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import (
     as_1d_array,
-    check_index_array,
     check_positive_int,
     check_shape,
 )
@@ -97,15 +101,10 @@ class CMRSMatrix(SparseMatrixFormat):
             raise ValueError("strip_ptr must start at 0 and be non-decreasing")
         nnz = int(strip_ptr[-1])
 
-        row_in_strip = as_1d_array(
-            row_in_strip, dtype=INDEX_DTYPE, name="row_in_strip"
+        row_in_strip = stored_indices(
+            row_in_strip, hs, "row_in_strip", validate=True
         )
-        row_in_strip = check_index_array(row_in_strip, hs, "row_in_strip")
-        col_idx = check_index_array(
-            as_1d_array(col_idx, dtype=INDEX_DTYPE, name="col_idx"),
-            shape[1],
-            "col_idx",
-        )
+        col_idx = stored_indices(col_idx, shape[1], "col_idx", validate=True)
         values = as_1d_array(values, name="values")
         if not (row_in_strip.size == col_idx.size == values.size == nnz):
             raise ValueError(

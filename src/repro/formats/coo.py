@@ -13,7 +13,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    SparseMatrixFormat,
+    check_index_bound,
+    index_nbytes,
+    stored_indices,
+)
 from repro.utils.validation import (
     as_1d_array,
     check_dtype,
@@ -21,7 +27,20 @@ from repro.utils.validation import (
     check_shape,
 )
 
-__all__ = ["COOMatrix"]
+__all__ = ["COOMatrix", "row_major_order"]
+
+
+def row_major_order(rows, cols, ncols: int) -> np.ndarray:
+    """``np.lexsort((cols, rows))``: the stable row-major order.
+
+    One stable sort of the int64 key ``row * ncols + col`` gives the
+    same permutation at a fraction of lexsort's time; the key stays
+    below ``2**62`` while both dimensions are below ``2**31``.
+    """
+    key = np.asarray(rows).astype(INDEX_DTYPE)
+    key *= ncols
+    key += cols
+    return np.argsort(key, kind="stable")
 
 
 class COOMatrix(SparseMatrixFormat):
@@ -56,8 +75,10 @@ class COOMatrix(SparseMatrixFormat):
         drop_zeros: bool = False,
     ):
         shape = check_shape(shape, allow_empty=True)
-        rows = check_index_array(as_1d_array(rows, name="rows"), shape[0], "rows")
-        cols = check_index_array(as_1d_array(cols, name="cols"), shape[1], "cols")
+        check_index_bound(shape[0], "rows")
+        check_index_bound(shape[1], "cols")
+        rows = check_index_array(rows, shape[0], "rows", dtype=None)
+        cols = check_index_array(cols, shape[1], "cols", dtype=None)
         values = as_1d_array(values, name="values")
         if values.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             values = values.astype(np.float64)
@@ -68,9 +89,12 @@ class COOMatrix(SparseMatrixFormat):
                 f"{rows.size}, {cols.size}, {values.size}"
             )
 
-        # canonical ordering: row-major, stable so duplicate order is kept
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
+        # canonical ordering: row-major, stable so duplicate order is
+        # kept; the gathers narrow the indices
+        order = row_major_order(rows, cols, shape[1])
+        rows = stored_indices(rows, shape[0], "rows", order=order)
+        cols = stored_indices(cols, shape[1], "cols", order=order)
+        values = values[order]
 
         if sum_duplicates and rows.size:
             # collapse runs of identical (row, col) pairs

@@ -11,7 +11,12 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import as_1d_array, check_index_array, check_shape
 
@@ -45,9 +50,7 @@ class CSRMatrix(SparseMatrixFormat):
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
         nnz = int(indptr[-1])
-        indices = check_index_array(
-            as_1d_array(indices, name="indices"), shape[1], "indices"
-        )
+        indices = stored_indices(indices, shape[1], "indices", validate=True)
         data = as_1d_array(data, name="data")
         if indices.shape[0] != nnz or data.shape[0] != nnz:
             raise ValueError(
@@ -168,14 +171,10 @@ class CSRMatrix(SparseMatrixFormat):
         lengths = np.diff(self._indptr)[perm]
         indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
         np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(self._nnz, dtype=INDEX_DTYPE)
-        data = np.empty(self._nnz, dtype=self._dtype)
         # gather rows in permuted order; vectorised via repeat/arange math
         src_start = self._indptr[perm]
         offsets = np.arange(self._nnz, dtype=INDEX_DTYPE) - np.repeat(
             indptr[:-1], lengths
         )
         src = np.repeat(src_start, lengths) + offsets
-        indices[:] = self._indices[src]
-        data[:] = self._data[src]
-        return CSRMatrix(indptr, indices, data, self.shape)
+        return CSRMatrix(indptr, self._indices[src], self._data[src], self.shape)

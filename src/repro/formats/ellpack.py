@@ -15,7 +15,13 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE, SparseMatrixFormat, index_nbytes
+from repro.formats.base import (
+    INDEX_DTYPE,
+    STORED_INDEX_DTYPE,
+    SparseMatrixFormat,
+    index_nbytes,
+    stored_indices,
+)
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import check_positive_int
 
@@ -39,7 +45,7 @@ def build_ell_arrays(
     """
     lengths = np.bincount(coo.rows, minlength=padded_rows).astype(INDEX_DTYPE)
     val = np.zeros((width, padded_rows), dtype=coo.dtype)
-    col = np.zeros((width, padded_rows), dtype=INDEX_DTYPE)
+    col = np.zeros((width, padded_rows), dtype=STORED_INDEX_DTYPE)
     if coo.nnz:
         # position of each entry within its row: COO canonical order is
         # row-major, so entries of one row are consecutive.
@@ -79,7 +85,7 @@ class ELLPACKMatrix(SparseMatrixFormat):
         if shape[0] > val.shape[1]:
             raise ValueError("padded row count smaller than nrows")
         self._val = np.ascontiguousarray(val)
-        self._col = np.ascontiguousarray(col)
+        self._col = stored_indices(col, shape[1], "col")
         self._row_lengths = np.ascontiguousarray(row_lengths, dtype=INDEX_DTYPE)
 
     # ------------------------------------------------------------------

@@ -149,7 +149,8 @@ def _finalize(
     line = device.cache_line_bytes
     val_line = (pos * itemsize) // line
     idx_line = (pos * 4) // line
-    rhs_line = (col * itemsize) // line
+    # col may be a stored int32 array: widen before the byte offset
+    rhs_line = (col.astype(np.int64) * itemsize) // line
 
     order = np.argsort(unit, kind="stable")
     unit = unit[order]

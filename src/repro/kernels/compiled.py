@@ -107,8 +107,11 @@ def _disabled() -> set[str]:
 # cnative backend: one C translation unit, compiled once per machine
 # ---------------------------------------------------------------------------
 
-# Kernel bodies are generated for float64/float32 values and (for the
-# stored-CSR-view spmm delegates) int64/int32 indices.  Accumulation is
+# Kernel bodies are generated for float64/float32 values.  Column
+# indices (and CMRS's row_in_strip) are int32, as every format stores
+# them; offsets and row arrays are int64.  The CSR body is generated
+# twice, for the int64 row pointer of a CRS matrix and the int32 one of
+# the stored-CSR views.  Accumulation is
 # a zero-initialised scalar walked in ascending entry order — the same
 # order as the NumPy sweep kernels, which is what makes the float64
 # parity bitwise.  Every kernel splits its work into fixed chunks (row
@@ -356,7 +359,8 @@ static void row_block(i64 nrows, i64 rows, i64 c, i64 *lo, i64 *hi) {
 _C_CSR_TEMPLATE = r"""
 typedef struct {{
     i64 nrows, k, per, nchunks;
-    const {IT} *indptr, *col;
+    const {IT} *indptr;
+    const i32 *col;
     const {FT} *val, *X;
     {FT} *Y;
 }} csr_job_{I}_{F};
@@ -372,7 +376,7 @@ static void csr_rows_{I}_{F}(const csr_job_{I}_{F} *a, i64 c, i64 *lo,
 static void csr_spmv_chunk_{I}_{F}(void *p, i64 c) {{
     const csr_job_{I}_{F} *a = p;
     const {IT} *restrict indptr = a->indptr;
-    const {IT} *restrict col = a->col;
+    const i32 *restrict col = a->col;
     const {FT} *restrict val = a->val;
     const {FT} *restrict x = a->X;
     {FT} *restrict y = a->Y;
@@ -396,7 +400,7 @@ static void csr_spmv_chunk_{I}_{F}(void *p, i64 c) {{
 static void csr_spmm_chunk_{I}_{F}(void *p, i64 c) {{
     const csr_job_{I}_{F} *a = p;
     const {IT} *restrict indptr = a->indptr;
-    const {IT} *restrict col = a->col;
+    const i32 *restrict col = a->col;
     const {FT} *restrict val = a->val;
     const {FT} *restrict X = a->X;
     {FT} *restrict Y = a->Y;
@@ -466,7 +470,7 @@ static void csr_spmm_chunk_{I}_{F}(void *p, i64 c) {{
 }}
 
 /* k == 1 is the spmv row loop (unit-stride x, no column tiles). */
-void csr_spmm_{I}_{F}(i64 nrows, i64 k, const {IT} *indptr, const {IT} *col,
+void csr_spmm_{I}_{F}(i64 nrows, i64 k, const {IT} *indptr, const i32 *col,
                       const {FT} *val, const {FT} *X, {FT} *Y) {{
     csr_job_{I}_{F} a = {{nrows, k, 0, 1, indptr, col, val, X, Y}};
     i64 nnz;
@@ -480,7 +484,7 @@ void csr_spmm_{I}_{F}(i64 nrows, i64 k, const {IT} *indptr, const {IT} *col,
              a.nchunks);
 }}
 
-void csr_spmv_{I}_{F}(i64 nrows, const {IT} *indptr, const {IT} *col,
+void csr_spmv_{I}_{F}(i64 nrows, const {IT} *indptr, const i32 *col,
                       const {FT} *val, const {FT} *x, {FT} *y) {{
     csr_spmm_{I}_{F}(nrows, 1, indptr, col, val, x, y);
 }}
@@ -493,7 +497,8 @@ _C_FMT_TEMPLATE = r"""
    accumulator cache-resident. */
 typedef struct {{
     i64 nrows, prows, width, rows;
-    const i64 *cs, *col;
+    const i64 *cs;
+    const i32 *col;
     const {FT} *val, *x;
     {FT} *y;
 }} slab_job_{F};
@@ -508,13 +513,13 @@ static void ell_chunk_{F}(void *p, i64 c) {{
         y[i] = 0;
     for (j = 0; j < a->width; j++) {{
         const {FT} *restrict vj = a->val + j * a->prows;
-        const i64 *restrict cj = a->col + j * a->prows;
+        const i32 *restrict cj = a->col + j * a->prows;
         for (i = lo; i < hi; i++)
             y[i] += vj[i] * x[cj[i]];
     }}
 }}
 
-void ell_spmv_{F}(i64 nrows, i64 prows, i64 width, const i64 *col,
+void ell_spmv_{F}(i64 nrows, i64 prows, i64 width, const i32 *col,
                   const {FT} *val, const {FT} *x, {FT} *y) {{
     slab_job_{F} a = {{nrows, prows, width, even_block(nrows, CHUNK_ROWS),
                        NULL, col, val, x, y}};
@@ -525,7 +530,7 @@ void ell_spmv_{F}(i64 nrows, i64 prows, i64 width, const i64 *col,
    too-short column. */
 static void jds_chunk_{F}(void *p, i64 c) {{
     const slab_job_{F} *a = p;
-    const i64 *restrict col = a->col;
+    const i32 *restrict col = a->col;
     const {FT} *restrict val = a->val;
     const {FT} *restrict x = a->x;
     {FT} *restrict y = a->y;
@@ -545,7 +550,7 @@ static void jds_chunk_{F}(void *p, i64 c) {{
 }}
 
 void jds_spmv_{F}(i64 nrows, i64 width, const i64 *col_start,
-                  const i64 *col, const {FT} *val, const {FT} *x, {FT} *y) {{
+                  const i32 *col, const {FT} *val, const {FT} *x, {FT} *y) {{
     slab_job_{F} a = {{nrows, 0, width, even_block(nrows, CHUNK_ROWS),
                        col_start, col, val, x, y}};
     pool_run(jds_chunk_{F}, &a, ceil_div(nrows, a.rows));
@@ -558,15 +563,16 @@ void jds_spmv_{F}(i64 nrows, i64 width, const i64 *col_start,
    cmrs_bincount at float64). */
 typedef struct {{
     i64 nrows, nstrips, hs, nchunks;
-    const i64 *sptr, *ris, *col;
+    const i64 *sptr;
+    const i32 *ris, *col;
     const {FT} *val, *x;
     {FT} *y;
 }} cmrs_job_{F};
 
 static void cmrs_chunk_{F}(void *p, i64 c) {{
     const cmrs_job_{F} *a = p;
-    const i64 *restrict ris = a->ris;
-    const i64 *restrict col = a->col;
+    const i32 *restrict ris = a->ris;
+    const i32 *restrict col = a->col;
     const {FT} *restrict val = a->val;
     const {FT} *restrict x = a->x;
     {FT} *restrict y = a->y;
@@ -596,7 +602,7 @@ static void cmrs_chunk_{F}(void *p, i64 c) {{
 }}
 
 void cmrs_spmv_{F}(i64 nrows, i64 nstrips, i64 hs, const i64 *sptr,
-                   const i64 *ris, const i64 *col, const {FT} *val,
+                   const i32 *ris, const i32 *col, const {FT} *val,
                    const {FT} *x, {FT} *y) {{
     const i64 nnz = sptr[nstrips];
     cmrs_job_{F} a = {{nrows, nstrips, hs,
@@ -612,7 +618,8 @@ void cmrs_spmv_{F}(i64 nrows, i64 nstrips, i64 hs, const i64 *sptr,
    slots, and may span groups. */
 typedef struct {{
     i64 ngroups, nchunks, nrows;
-    const i64 *gptr, *gwidth, *rptr, *row_ids, *col;
+    const i64 *gptr, *gwidth, *rptr, *row_ids;
+    const i32 *col;
     const {FT} *val, *x;
     {FT} *y;
 }} argcsr_job_{F};
@@ -651,7 +658,7 @@ static void argcsr_chunk_{F}(void *p, i64 c) {{
         end = min_i64(a->rptr[g + 1], rhi);
         for (; r < end; r++) {{
             const {FT} *restrict vr = a->val + base + (r - r0) * L;
-            const i64 *restrict cr = a->col + base + (r - r0) * L;
+            const i32 *restrict cr = a->col + base + (r - r0) * L;
             {FT} t = 0;
             i64 j;
             for (j = 0; j < L; j++)
@@ -663,7 +670,7 @@ static void argcsr_chunk_{F}(void *p, i64 c) {{
 
 void argcsr_spmv_{F}(i64 nrows, i64 ngroups, const i64 *gptr,
                      const i64 *gwidth, const i64 *rptr,
-                     const i64 *row_ids, const i64 *col, const {FT} *val,
+                     const i64 *row_ids, const i32 *col, const {FT} *val,
                      const {FT} *x, {FT} *y) {{
     const i64 slots = gptr[ngroups];
     argcsr_job_{F} a = {{ngroups,
@@ -681,7 +688,8 @@ void argcsr_spmv_{F}(i64 nrows, i64 ngroups, const i64 *gptr,
    (even_block). */
 typedef struct {{
     i64 nchunks, C, run;
-    const i64 *ptr, *widths, *col;
+    const i64 *ptr, *widths;
+    const i32 *col;
     const {FT} *val, *x;
     {FT} *y;
 }} sell_job_{F};
@@ -701,7 +709,7 @@ static void sell_chunk_{F}(void *p, i64 k) {{
             yy[r] = 0;
         for (j = 0; j < w; j++) {{
             const {FT} *restrict vj = a->val + base + j * C;
-            const i64 *restrict cj = a->col + base + j * C;
+            const i32 *restrict cj = a->col + base + j * C;
             for (r = 0; r < C; r++)
                 yy[r] += vj[r] * x[cj[r]];
         }}
@@ -709,7 +717,7 @@ static void sell_chunk_{F}(void *p, i64 k) {{
 }}
 
 void sell_spmv_{F}(i64 nchunks, i64 C, const i64 *ptr, const i64 *widths,
-                   const i64 *col, const {FT} *val, const {FT} *x, {FT} *y) {{
+                   const i32 *col, const {FT} *val, const {FT} *x, {FT} *y) {{
     sell_job_{F} a = {{nchunks, C,
                        even_block(nchunks, C < CHUNK_ROWS ? CHUNK_ROWS / C : 1),
                        ptr, widths, col, val, x, y}};
@@ -843,9 +851,9 @@ void vec_xpby_f64(i64 n, const double *z, double beta, double *p) {
 def _c_source() -> str:
     parts = [_C_PRELUDE]
     for fsuf, ftype in (("f64", "double"), ("f32", "float")):
-        for isuf, itype in (("i64", "i64"), ("i32", "i32")):
+        for isuf in ("i64", "i32"):
             parts.append(
-                _C_CSR_TEMPLATE.format(I=isuf, IT=itype, F=fsuf, FT=ftype)
+                _C_CSR_TEMPLATE.format(I=isuf, IT=isuf, F=fsuf, FT=ftype)
             )
         parts.append(_C_FMT_TEMPLATE.format(F=fsuf, FT=ftype))
     parts.append(_C_VEC)
@@ -1096,11 +1104,6 @@ if _CNATIVE is not None:
         (:func:`repro.ops.spmm_kernels.stored_spmm`)."""
         _cc_csr_call("spmm", nrows, indptr, indices, data, X, Y, k=X.shape[1])
 
-    def _csr_arrays(m: CSRMatrix, permuted=False):
-        """A CRS matrix's own arrays: the C sweep takes their index
-        dtype as it is, so no narrowed copy is cached beside them."""
-        return m.indptr, m.indices, m.data
-
 
 # ---------------------------------------------------------------------------
 # registration: ordinary variants (spmv ranked by the autotuner per
@@ -1131,10 +1134,8 @@ def _register_all() -> None:
         )
         # every batch: the shared stored-CSR body with the C sweep
         spmm = functools.partial(stored_spmm, sweep=_cc_matvecs)
-        register_kernel(CSRMatrix, "spmm", name="spmm_csr_cc", tags=tags)(
-            functools.partial(spmm, triplet=_csr_arrays)
-        )
         for cls, name in (
+            (CSRMatrix, "spmm_csr_cc"),
             (ELLPACKMatrix, "spmm_ell_cc"),
             (JaggedDiagonalsBase, "spmm_jds_cc"),
             (SELLMatrix, "spmm_sell_cc"),

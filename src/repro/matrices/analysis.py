@@ -101,7 +101,8 @@ def structure_stats(matrix: SparseMatrixFormat) -> StructureStats:
     min_len = int(lengths.min()) if lengths.size else 0
     max_len = int(lengths.max()) if lengths.size else 0
     if nnz:
-        centre = (coo.rows * coo.ncols) // max(coo.nrows, 1)
+        # rows are stored int32; rows * ncols passes 2**31 (sAMG@64)
+        centre = (coo.rows.astype(np.int64) * coo.ncols) // max(coo.nrows, 1)
         mean_dist = float(np.abs(coo.cols - centre).mean())
     else:
         mean_dist = 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.base import INDEX_DTYPE
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, row_major_order
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -123,7 +123,7 @@ def sample_columns(
     # and collision-free, so the loop never touches them); collisions
     # shrink geometrically
     for _ in range(_MAX_RESAMPLE_ROUNDS):
-        order = np.lexsort((cols, rows))
+        order = row_major_order(rows, cols, ncols)
         rs = rows[order]
         cs = cols[order]
         dup = np.zeros(total, dtype=bool)

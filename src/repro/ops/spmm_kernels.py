@@ -47,7 +47,13 @@ from repro.ops.spmv_kernels import _sp_matvec, _sparsetools, stored_csr_triplet
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine.workspace import Workspace
 
-__all__ = ["spmm_dispatch", "spmm_permuted", "spmv_dispatch", "stored_spmm"]
+__all__ = [
+    "rhs_block",
+    "spmm_dispatch",
+    "spmm_permuted",
+    "spmv_dispatch",
+    "stored_spmm",
+]
 
 
 def _block(ws: Workspace | None, name: str, rows: int, k: int, dtype) -> np.ndarray:
@@ -61,6 +67,13 @@ def _block(ws: Workspace | None, name: str, rows: int, k: int, dtype) -> np.ndar
     if ws is None:
         return np.empty((rows, k), dtype=dtype)
     return ws.grow(name, rows * k, dtype)[: rows * k].reshape(rows, k)
+
+
+def rhs_block(m: SparseMatrixFormat, ws: Workspace | None, k: int) -> np.ndarray:
+    """The ``(ncols, k)`` block :func:`stored_spmm` copies a foreign
+    ``X`` into: a batch written here is swept in place, with no copy.
+    The next batch on ``ws`` overwrites it."""
+    return _block(ws, "spmm_X", m.ncols, k, m.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +95,14 @@ def stored_spmm(
     out: np.ndarray,
     ws: Workspace | None,
     sweep,
-    triplet=stored_csr_triplet,
     permuted: bool = False,
 ) -> np.ndarray:
     """``out = A X`` by one k-wide ``sweep`` of ``m``'s stored-CSR view.
 
     ``sweep(nrows, ncols, indptr, indices, data, X, Y)`` fully writes
-    a C-ordered ``Y`` from a C-ordered ``X``; ``triplet(m, permuted)``
-    gives the view.  The view's rows fix the batch's shape:
+    a C-ordered ``Y`` from a C-ordered ``X``; the view is
+    :func:`~repro.ops.spmv_kernels.stored_csr_triplet`.  Its rows fix
+    the batch's shape:
 
     * plain (CRS, ELLPACK*, CMRS, ARG-CSR; JDS/pJDS when ``permuted``):
       they are ``out``'s rows, so the sweep writes ``out`` directly;
@@ -108,7 +121,7 @@ def stored_spmm(
         return out
     k = X.shape[1]
     if not (X.flags.c_contiguous and X.dtype == m.dtype):
-        Xc = _block(ws, "spmm_X", m.ncols, k, m.dtype)
+        Xc = rhs_block(m, ws, k)
         Xc[...] = X
         X = Xc
     sell = isinstance(m, SELLMatrix)
@@ -118,7 +131,7 @@ def stored_spmm(
         Y = _block(ws, "spmm_acc", rows, k, m.dtype)
     else:
         Y = out
-    sweep(rows, m.ncols, *triplet(m, permuted), X, Y)
+    sweep(rows, m.ncols, *stored_csr_triplet(m, permuted), X, Y)
     if sell:
         out[m.permutation.perm] = Y[: m.nrows]
     elif jds:

@@ -67,16 +67,19 @@ from repro.ops.registry import register_kernel
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine.workspace import Workspace
 
-__all__ = ["stored_csr_triplet"]
+__all__ = ["stored_csr_triplet", "stored_csr_views"]
 
 
 # ---------------------------------------------------------------------------
 # stored-order CSR views, swept by scipy's compiled csr_matvec
 # ---------------------------------------------------------------------------
 
-def _sp_index_dtype(count: int):
-    """Narrowest index dtype scipy's sparsetools accepts for ``count``."""
-    return np.int32 if count < np.iinfo(np.int32).max else np.int64
+def _sp_indptr(indptr: np.ndarray) -> np.ndarray:
+    """A view's row pointer, int32 while its slots fit (scipy's
+    sparsetools wants both index arrays of one dtype, and the column
+    indices are int32), int64 beyond."""
+    it = np.int32 if int(indptr[-1]) < np.iinfo(np.int32).max else np.int64
+    return indptr.astype(it, copy=False)
 
 
 def _sp_matvec(nrows, ncols, indptr, indices, data, x, y):
@@ -85,21 +88,21 @@ def _sp_matvec(nrows, ncols, indptr, indices, data, x, y):
     _sparsetools.csr_matvec(nrows, ncols, indptr, indices, data, x, y)
 
 
-def _jds_stored_csr(m: JaggedDiagonalsBase, permuted: bool):
+def _jds_stored_csr(m: JaggedDiagonalsBase, permuted: bool, data_g=None):
     """CSR triplet of the stored-order (row-permuted) matrix.
 
     The grouped row-major entry order of :meth:`_grouped_entries` *is*
     a CSR layout whose rows are the stored rows and whose row lengths
     are the padded lengths — padding slots carry a 0.0 value and an
     in-bounds column index, so the compiled kernel may sweep them.
+    ``data_g`` is the other basis's value array, shared when it exists.
     """
-    idx_g, data_g, groups = m._grouped_entries(permuted)  # noqa: SLF001
-    it = _sp_index_dtype(max(idx_g.shape[0], m.ncols))
+    idx_g, data_g, groups = m._grouped_entries(permuted, data_g)  # noqa: SLF001
     indptr = np.zeros(m.nrows + 1, dtype=np.int64)
     for length, r0, r1 in groups:
         indptr[r0 + 1 : r1 + 1] = length
     np.cumsum(indptr, out=indptr)
-    return indptr.astype(it), idx_g.astype(it), data_g
+    return _sp_indptr(indptr), idx_g, data_g
 
 
 def _ell_true_csr(m: ELLPACKMatrix):
@@ -112,12 +115,11 @@ def _ell_true_csr(m: ELLPACKMatrix):
     w = m.width
     lens = np.asarray(m.row_lengths(), dtype=np.int64)
     keep = (np.arange(w, dtype=np.int64)[None, :] < lens[:, None]).ravel()
-    it = _sp_index_dtype(max(int(lens.sum()), m.ncols))
-    indices = col_rm[: m.nrows * w][keep].astype(it)
+    indices = col_rm[: m.nrows * w][keep]
     data = np.ascontiguousarray(val_rm[: m.nrows].reshape(-1)[keep])
     indptr = np.zeros(m.nrows + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
-    return indptr.astype(it), indices, data
+    return _sp_indptr(indptr), indices, data
 
 
 def _sell_stored_csr(m: SELLMatrix):
@@ -131,11 +133,10 @@ def _sell_stored_csr(m: SELLMatrix):
     column indices.
     """
     C = m.chunk_rows
-    it = _sp_index_dtype(max(m.total_slots, m.ncols))
     lens = np.repeat(m.chunk_widths, C)
     indptr = np.zeros(m.padded_rows + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
-    indices = np.empty(m.total_slots, dtype=it)
+    indices = np.empty(m.total_slots, dtype=m.col_idx.dtype)
     data = np.empty(m.total_slots, dtype=m.dtype)
     ptr = m.chunk_ptr
     for c in range(m.nchunks):
@@ -145,22 +146,7 @@ def _sell_stored_csr(m: SELLMatrix):
             continue
         indices[s:e] = m.col_idx[s:e].reshape(w, C).T.reshape(-1)
         data[s:e] = m.val[s:e].reshape(w, C).T.reshape(-1)
-    return indptr.astype(it), indices, data
-
-
-def _cmrs_csr(m: CMRSMatrix):
-    """CSR triplet of a CMRS matrix — a relabelling, not a copy.
-
-    The CMRS entry stream *is* row-major CSR order; only the row
-    pointer needs recovering from the strip structure (cached on the
-    matrix).  Values alias the matrix array.
-    """
-    it = _sp_index_dtype(max(m.nnz, m.ncols))
-    return (
-        np.asarray(m.row_ptr).astype(it, copy=False),
-        np.asarray(m.col_idx).astype(it, copy=False),
-        m.val,
-    )
+    return _sp_indptr(indptr), indices, data
 
 
 def _argcsr_true_csr(m: ARGCSRMatrix):
@@ -171,10 +157,9 @@ def _argcsr_true_csr(m: ARGCSRMatrix):
     """
     lens = np.asarray(m.row_lengths(), dtype=np.int64)
     nnz = int(lens.sum())
-    it = _sp_index_dtype(max(nnz, m.ncols))
     indptr = np.zeros(m.nrows + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
-    indices = np.empty(nnz, dtype=it)
+    indices = np.empty(nnz, dtype=m.col_idx.dtype)
     data = np.empty(nnz, dtype=m.dtype)
     for g in range(m.ngroups):
         vals, cols, rows = m.group_rect(g)
@@ -183,9 +168,9 @@ def _argcsr_true_csr(m: ARGCSRMatrix):
         j = np.arange(w, dtype=np.int64)[None, :]
         keep = j < tl[:, None]
         dst = (indptr[rows][:, None] + j)[keep]
-        indices[dst] = cols[keep].astype(it)
+        indices[dst] = cols[keep]
         data[dst] = vals[keep]
-    return indptr.astype(it), indices, data
+    return _sp_indptr(indptr), indices, data
 
 
 #: per-matrix cache of stored-order CSR triplets, shared by the
@@ -195,33 +180,42 @@ def _argcsr_true_csr(m: ARGCSRMatrix):
 _STORED_CSR: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def stored_csr_triplet(m: SparseMatrixFormat, permuted: bool = False):
-    """Cached ``(indptr, indices, data)`` stored-order CSR view of ``m``.
+def stored_csr_views(m: SparseMatrixFormat) -> dict:
+    """The live ``{"orig"|"perm": triplet}`` cache of ``m``'s views.
 
-    For :class:`CSRMatrix` the triplet aliases the matrix arrays (no
-    copy); the other formats build and cache one.  Raises ``TypeError``
-    for formats without a CSR view.
+    The autotuner deletes from it the views that only a losing
+    candidate built; the next caller rebuilds them.
     """
-    key = "perm" if permuted else "orig"
     per_m = _STORED_CSR.get(m)
     if per_m is None:
         per_m = _STORED_CSR[m] = {}
+    return per_m
+
+
+def stored_csr_triplet(m: SparseMatrixFormat, permuted: bool = False):
+    """Cached ``(indptr, indices, data)`` stored-order CSR view of ``m``.
+
+    The column indices are int32, like the format's own.  CMRS and CRS
+    views alias the matrix's columns and values and hold only a row
+    pointer of their own; the other formats build and cache a copy.
+    Raises ``TypeError`` for formats without a CSR view.
+    """
+    key = "perm" if permuted else "orig"
+    per_m = stored_csr_views(m)
     if key not in per_m:
         if isinstance(m, CSRMatrix):
-            it = _sp_index_dtype(max(m.nnz, m.ncols))
-            per_m[key] = (
-                m.indptr.astype(it, copy=False),
-                m.indices.astype(it, copy=False),
-                m.data,
-            )
+            per_m[key] = (_sp_indptr(m.indptr), m.indices, m.data)
         elif isinstance(m, JaggedDiagonalsBase):
-            per_m[key] = _jds_stored_csr(m, permuted)
+            other = per_m.get("orig" if permuted else "perm")
+            per_m[key] = _jds_stored_csr(
+                m, permuted, other[2] if other else None
+            )
         elif isinstance(m, SELLMatrix):
             per_m[key] = _sell_stored_csr(m)
         elif isinstance(m, ELLPACKMatrix):
             per_m[key] = _ell_true_csr(m)
         elif isinstance(m, CMRSMatrix):
-            per_m[key] = _cmrs_csr(m)
+            per_m[key] = (_sp_indptr(m.row_ptr), m.col_idx, m.val)
         elif isinstance(m, ARGCSRMatrix):
             per_m[key] = _argcsr_true_csr(m)
         else:

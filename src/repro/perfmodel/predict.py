@@ -28,7 +28,8 @@ native layout, so ``aux`` does not apply to them.
 where ``S`` is the number of *stored slots the variant actually
 sweeps* (nnz for CSR and the unpadded scipy delegates, the padded
 rectangle/slot count for ELLPACK / JDS / SELL), ``v`` the value
-itemsize, ``i`` the column-index itemsize and ``alpha`` in
+itemsize, ``i`` the column-index itemsize (4: every format stores
+int32 columns) and ``alpha`` in
 ``[1/Nnzr, 1]`` the RHS reuse parameter of Eq. 1 (default: the
 cache-friendly ``1/Nnzr`` lower bound, appropriate for a host whose
 LLC holds the RHS).
@@ -52,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.formats.base import INDEX_STORAGE_BYTES
 
 __all__ = [
     "VariantPrediction",
@@ -166,10 +169,8 @@ def predict_spmv(
     for spec in variants_for(matrix):
         tier = variant_tier(spec.tags)
         slots = max(_swept_slots(matrix, spec.tags), 1)
-        # index itemsize: the registry formats store int64 indices; the
-        # scipy delegates narrow to int32 when the matrix allows it
-        i = 4 if ("scipy" in spec.tags and matrix.nnz < 2**31) else 8
-        base = slots * (v + i + alpha * v) + nrows * 2 * v
+        # every kernel streams 4-byte column indices (INDEX_STORAGE_BYTES)
+        base = slots * (v + INDEX_STORAGE_BYTES + alpha * v) + nrows * 2 * v
         extra = slots * _extra_bytes_per_slot(tier, v)
         # format metadata streams (strip counters, group descriptors);
         # the scipy delegates sweep an unpadded CSR view instead

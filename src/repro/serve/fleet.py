@@ -335,6 +335,16 @@ class _SlotPool:
             slot.close()
 
 
+def _copy_in(mm, arrays) -> tuple:
+    """Lay ``arrays`` end to end in ``mm``; return their layout, the
+    ``(dtype, length)`` pairs :func:`_copy_out` reads them back by."""
+    offset = 0
+    for a in arrays:
+        np.ndarray(a.shape, a.dtype, buffer=mm, offset=offset)[...] = a
+        offset += a.nbytes
+    return tuple((a.dtype.str, a.size) for a in arrays)
+
+
 def _copy_out(mm, layout) -> list:
     """Copies of the ``(dtype, length)`` arrays laid end to end in ``mm``."""
     out, offset = [], 0
@@ -608,12 +618,8 @@ class ProcessShard:
         arrays = (matrix.indptr, matrix.indices, matrix.data)
         buf = self._slots.new(sum(a.nbytes for a in arrays))
         try:
-            offset = 0
-            for a in arrays:
-                np.ndarray(a.shape, a.dtype, buffer=buf.mm, offset=offset)[...] = a
-                offset += a.nbytes
+            layout = _copy_in(buf.mm, arrays)
             self._ship(buf)
-            layout = tuple((a.dtype.str, a.size) for a in arrays)
             self._call(
                 "register", key, block, buf.id, layout, tuple(matrix.shape),
                 variant, timeout=120.0,

@@ -61,6 +61,7 @@ import numpy as np
 
 from repro import obs
 from repro.distributed.partition import RowPartition, partition_rows
+from repro.formats.base import STORED_INDEX_DTYPE
 from repro.formats.csr import CSRMatrix
 from repro.ops.protocol import LinearOperator
 from repro.serve.errors import FleetDegraded, MatrixNotFound, ShardDown
@@ -197,7 +198,8 @@ def compact_columns(csr: CSRMatrix, lo: int, hi: int) -> tuple:
     if not read.any():
         read[0] = True
     cols = np.flatnonzero(read)
-    local = np.cumsum(read) - 1
+    # stored-index dtype: the block's columns are kept as they are made
+    local = np.cumsum(read, dtype=STORED_INDEX_DTYPE) - 1
     block = CSRMatrix(
         csr.indptr[lo:hi + 1] - a, local[indices], csr.data[a:b],
         (hi - lo, cols.size),

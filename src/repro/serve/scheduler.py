@@ -593,7 +593,8 @@ class SpMVServer:
                                 )
                     if not good:
                         return
-                    X = np.stack(cols, axis=1)
+                    # stacked into the block the kernel reads, not a copy
+                    X = np.stack(cols, axis=1, out=bound.rhs_block(len(cols)))
                     Y = bound.spmm(X)
                     with self._lock:
                         self._spmm_calls += 1

@@ -72,19 +72,20 @@ def as_1d_array(
 
 
 def check_index_array(
-    indices: np.ndarray, upper: int, name: str = "indices"
+    indices: np.ndarray, upper: int, name: str = "indices", dtype=np.int64
 ) -> np.ndarray:
     """Validate an integer index array with entries in ``[0, upper)``.
 
-    Returns the array converted to ``int64`` (the package-wide index type;
-    int64 avoids overflow for the large synthetic matrices).
+    Returns the array converted to ``dtype`` (default ``int64``, the
+    package-wide arithmetic type; ``None`` keeps an integer array's
+    own dtype, and makes an empty one int64); the range is checked
+    before any conversion.
     """
     arr = np.ascontiguousarray(indices)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"{name} must be integer-typed, got {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
     if arr.size:
         lo = int(arr.min())
         hi = int(arr.max())
@@ -92,7 +93,11 @@ def check_index_array(
             raise ValueError(
                 f"{name} entries must lie in [0, {upper}), got range [{lo}, {hi}]"
             )
-    return arr
+    if dtype is None:
+        if np.issubdtype(arr.dtype, np.integer):
+            return arr
+        dtype = np.int64  # an empty list arrives as float64
+    return arr.astype(dtype, copy=False)
 
 
 def check_shape(
