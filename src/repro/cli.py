@@ -17,7 +17,7 @@ Examples
     python -m repro serve --port 8080 --matrix sAMG --max-batch 32
                                           # micro-batching HTTP server
     python -m repro serve --fleet 4 --replicas 2 --slo
-                                          # sharded fleet + autoscaler
+                                          # sharded fleet + SLO monitor
     python -m repro fleet status --url http://127.0.0.1:8000
 
 Heavy experiments accept ``--scale`` (matrix shrink factor relative to
@@ -404,18 +404,13 @@ def _serve_fleet(args, out) -> int:
     Matrices are materialised up front (row blocks have to be cut and
     shipped to shards), served as CRS with the deterministic
     ``csr_scipy`` kernel so sharded answers stay bitwise-equal to a
-    single server's.  ``--slo`` additionally wires the fleet SLO
-    monitor and the worker-pool autoscaler.
+    single server's.  ``--slo`` additionally runs the fleet SLO
+    monitor (``/sloz`` and the ``slo`` section of ``/statz``).  Each
+    shard keeps its ``--workers`` threads from start to shutdown.
     """
     from repro.formats import convert
     from repro.matrices import generate
-    from repro.serve import (
-        AutoscalePolicy,
-        Autoscaler,
-        Fleet,
-        FleetRouter,
-        run_http_server,
-    )
+    from repro.serve import Fleet, FleetRouter, run_http_server
 
     fleet = Fleet(
         args.fleet,
@@ -455,18 +450,8 @@ def _serve_fleet(args, out) -> int:
             default_fleet_slos(p99_latency_s=args.slo_p99_ms / 1e3)
         )
         monitor.start()
-        scaler = Autoscaler(
-            router,
-            monitor=monitor,
-            policy=AutoscalePolicy(
-                min_workers=max(1, args.workers),
-                max_workers=max(args.workers, 4 * args.workers),
-            ),
-        )
-        scaler.start()
-        router.attach_autoscaler(scaler, monitor)
         print(
-            f"fleet SLO monitor + autoscaler on "
+            f"fleet SLO monitor on "
             f"(p99 < {args.slo_p99_ms:g} ms): GET /sloz",
             file=out,
         )
@@ -548,9 +533,9 @@ def cmd_serve(args, out) -> int:
 def cmd_fleet(args, out) -> int:
     """``repro fleet status --url ...``: render a running fleet's /fleetz.
 
-    Prints per-shard liveness / queue depth / worker counts, the block
-    placement of every registered matrix, and the autoscaler's recent
-    decisions.  ``--json`` dumps the raw payload instead.
+    Prints per-shard liveness / queue depth / worker counts and the
+    block placement of every registered matrix.  ``--json`` dumps the
+    raw payload instead.
     """
     import json as _json
     import urllib.error
@@ -611,19 +596,6 @@ def cmd_fleet(args, out) -> int:
                 for b in pl.get("blocks", [])
             )
             print(f"  {name}: {blocks}", file=out)
-    scaler = payload.get("autoscaler")
-    if scaler:
-        print(
-            f"autoscaler: {scaler.get('evaluations', 0)} evaluations, "
-            f"workers={scaler.get('workers', {})}",
-            file=out,
-        )
-        for d in scaler.get("decisions", []):
-            print(
-                f"  shard {d['shard']}: {d['from']}->{d['to']} "
-                f"({d['direction']}, {d['reason']})",
-                file=out,
-            )
     return 0
 
 
@@ -1244,7 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fsub = pf.add_subparsers(dest="fleet_command", required=True)
     pfs = fsub.add_parser(
-        "status", help="per-shard placement, queue depth, autoscaler log"
+        "status", help="per-shard liveness, queue depth and block placement"
     )
     pfs.add_argument("--url", default="http://127.0.0.1:8000",
                      help="base URL of the serve front-end")

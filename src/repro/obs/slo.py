@@ -1,11 +1,11 @@
 """Declarative SLOs with sliding-window burn-rate evaluation.
 
-ROADMAP item 1 (a sharded serve fleet with an autoscaler) needs a
-signal saying *"the service is eating its error budget too fast"* —
-not a raw metric.  This module turns the metrics the serve stack
-already publishes (the ``serve_request_seconds`` :class:`Summary`,
-the ``serve_requests_total`` status counters, the
-``serve_queue_depth`` gauge) into that signal:
+An operator of ``repro serve`` wants one signal saying *"the service
+is eating its error budget too fast"* — not a raw metric.  This module
+turns the metrics the serve stack already publishes (the
+``serve_request_seconds`` :class:`Summary`, the ``serve_requests_total``
+status counters, the ``serve_queue_depth`` gauge, and their
+``fleet_*`` counterparts from the router) into that signal:
 
 * :class:`SLOSpec` declares one objective — a p99 latency bound, an
   error-rate bound, or a queue-depth bound — plus the **budget**: the
@@ -19,10 +19,10 @@ the ``serve_requests_total`` status counters, the
   the fast and the slow window burn past the threshold (fast window
   rejects stale alerts, slow window rejects blips).
 * Alert transitions (``firing`` / ``resolved``) append to a bounded
-  event stream — :meth:`SLOMonitor.events` — which a future fleet
-  autoscaler consumes; :meth:`SLOMonitor.state` is the JSON payload
-  behind the server's ``/sloz`` endpoint and the ``slo`` section of
-  ``/statz``.
+  event stream — :meth:`SLOMonitor.events` — that tests and drills
+  read to check an alert fired (and resolved) exactly once;
+  :meth:`SLOMonitor.state` is the JSON payload behind the server's
+  ``/sloz`` endpoint and the ``slo`` section of ``/statz``.
 
 The monitor reads only public registry state, so it works against any
 process that publishes the serve metrics — including offline replays
@@ -130,17 +130,20 @@ def default_fleet_slos(
     *,
     p99_latency_s: float = 0.5,
     error_budget: float = 0.05,
-    max_queue_depth: float = 64,
     window_s: float = 60.0,
     fast_window_s: float = 5.0,
 ) -> list[SLOSpec]:
     """The stock objectives for a fleet router (``repro serve --fleet --slo``).
 
-    Same three signals as :func:`default_serve_slos`, read from the
-    fleet-level metrics the :class:`~repro.serve.router.FleetRouter`
-    publishes: end-to-end scatter/gather latency, router request
-    status (``ok`` is good; ``degraded``/``partial``/``error`` burn
-    the budget), and the worst per-shard queue depth.
+    The latency and error signals of :func:`default_serve_slos`, read
+    from the fleet-level metrics the
+    :class:`~repro.serve.router.FleetRouter` publishes on every
+    request: end-to-end scatter/gather latency and router request
+    status (``ok`` is good; ``degraded``/``partial``/``error`` burn the
+    budget).  There is no queue-depth objective: the router publishes
+    ``fleet_queue_depth`` only when its stats are scraped, so between
+    scrapes the gauge is stale.  An overloaded fixed pool shows up in
+    the latency and error objectives instead.
     """
     return [
         SLOSpec(
@@ -158,15 +161,6 @@ def default_fleet_slos(
             objective=error_budget,
             metric="fleet_requests_total",
             budget=0.05,
-            window_s=window_s,
-            fast_window_s=fast_window_s,
-        ),
-        SLOSpec(
-            name="fleet-queue-depth",
-            kind="queue_depth",
-            objective=max_queue_depth,
-            metric="fleet_queue_depth",
-            budget=0.10,
             window_s=window_s,
             fast_window_s=fast_window_s,
         ),
@@ -397,13 +391,10 @@ class SLOMonitor:
         with self._lock:
             return self._state_locked(now)
 
-    def events(self, *, drain: bool = False) -> list[dict]:
-        """The alert event stream (autoscaler feed); optionally drain it."""
+    def events(self) -> list[dict]:
+        """The alert event stream, oldest first."""
         with self._lock:
-            out = list(self._events)
-            if drain:
-                self._events.clear()
-            return out
+            return list(self._events)
 
     def firing(self) -> list[str]:
         with self._lock:

@@ -13,17 +13,15 @@ long-lived process that can take heavy concurrent traffic:
   serving, with no batching window.  Admission
   control bounds the queue with ``block`` / ``reject`` / ``shed-oldest``
   backpressure and enforces per-request deadlines before work reaches
-  a worker; :meth:`~repro.serve.scheduler.SpMVServer.resize_workers`
-  is the autoscaler's actuator.
+  a worker.  Each server runs the ``workers`` threads it starts with
+  until it closes.
 * :mod:`repro.serve.client` — the in-process API (``spmv``, ``solve``,
   ``eigsh``, ``stats``).
-* :mod:`repro.serve.fleet` / :mod:`repro.serve.router` /
-  :mod:`repro.serve.autoscale` — the sharded fleet: N shard hosts
-  (processes or threads) each owning nnz-balanced row blocks of the
-  registered matrices, a consistent-hash :class:`FleetRouter` doing
-  scatter/gather spmv with replica failover and hedging, and an
-  SLO-burn-driven :class:`Autoscaler` resizing shard worker pools
-  (``repro serve --fleet N``).
+* :mod:`repro.serve.fleet` / :mod:`repro.serve.router` — the sharded
+  fleet: N shard hosts (processes or threads) each owning nnz-balanced
+  row blocks of the registered matrices, and a consistent-hash
+  :class:`FleetRouter` doing scatter/gather spmv with replica failover
+  and hedging (``repro serve --fleet N``).
 * :mod:`repro.serve.http` — JSON endpoint (``repro serve --port N``,
   vectors through ``orjson``): ``/v1/spmv``, ``/v1/solve``,
   ``/healthz``, ``/statz``, ``/fleetz``.
@@ -35,7 +33,6 @@ See ``docs/serving.md`` and ``docs/fleet.md`` for architecture,
 batching semantics and the metrics tables.
 """
 
-from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.client import Client
 from repro.serve.errors import (
     DeadlineExceeded,
@@ -54,8 +51,6 @@ from repro.serve.router import FleetRouter, HashRing, Placement, RoutedOperator
 from repro.serve.scheduler import POLICIES, SpMVServer
 
 __all__ = [
-    "AutoscalePolicy",
-    "Autoscaler",
     "Client",
     "DeadlineExceeded",
     "Fleet",

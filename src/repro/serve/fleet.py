@@ -184,9 +184,6 @@ class _ShardCore:
         s["alive"] = True
         return s
 
-    def resize(self, n: int) -> int:
-        return self.server.resize_workers(n)
-
     def close(self, *, drain: bool = True) -> None:
         self.server.close(drain=drain)
 
@@ -233,10 +230,6 @@ class InprocShard:
     def stats(self) -> dict:
         self._check()
         return self._core.stats()
-
-    def resize_workers(self, n: int) -> int:
-        self._check()
-        return self._core.resize(n)
 
     def kill(self, reason: str = "killed") -> None:
         """Simulate shard death: in-flight work fails, submissions raise."""
@@ -429,8 +422,6 @@ def _shard_main(conn, config: ShardConfig) -> None:
                     matrix = CSRMatrix(indptr, indices, data, shape)
                     core.register_block(key, block, matrix, variant)
                     reply(rid, True, None)
-                elif op == "resize":
-                    reply(rid, True, core.resize(msg[2]))
                 elif op == "stats":
                     reply(rid, True, core.stats())
                 elif op == "ping":
@@ -636,9 +627,6 @@ class ProcessShard:
 
     def stats(self) -> dict:
         return self._call("stats", timeout=30.0)
-
-    def resize_workers(self, n: int) -> int:
-        return self._call("resize", n, timeout=30.0)
 
     def kill(self, reason: str = "killed") -> None:
         """Hard-kill the shard process (the chaos ``shard_kill`` effect)."""

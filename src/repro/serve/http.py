@@ -43,9 +43,8 @@ Endpoints
     Burn-rate state of the attached :class:`~repro.obs.slo.SLOMonitor`
     (404 when the server runs without one).
 ``GET /fleetz``
-    Fleet topology: per-shard liveness/queue depth, block placement
-    per matrix, and the autoscaler's recent decisions (404 when the
-    backend is a single server, not a
+    Fleet topology: per-shard liveness/queue depth and block placement
+    per matrix (404 when the backend is a single server, not a
     :class:`~repro.serve.router.FleetRouter`).
 
 The backend may be a single-process :class:`~repro.serve.client.Client`

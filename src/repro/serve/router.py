@@ -335,9 +335,6 @@ class FleetRouter:
         #: spmv/spmm requests, bytes of x sent to shards, bytes of y received
         self._transport = {"requests": 0, "x_bytes": 0, "y_bytes": 0}
         self._latency = obs.Summary(window=4096)
-        #: attached by :meth:`attach_autoscaler`
-        self.autoscaler = None
-        self.monitor = None
 
     # -- registration ------------------------------------------------------
     def register(
@@ -758,21 +755,6 @@ class FleetRouter:
             "seconds": dt,
         }
 
-    # -- autoscaling hook --------------------------------------------------
-    def attach_autoscaler(self, autoscaler, monitor=None) -> None:
-        """Attach an :class:`~repro.serve.autoscale.Autoscaler` (and its
-        monitor) so their state shows up in ``stats()``/``/fleetz``."""
-        self.autoscaler = autoscaler
-        self.monitor = monitor
-
-    def shard_queue_depths(self) -> dict:
-        """Live per-shard queue depth (publishes the fleet gauge)."""
-        depths: dict[int, int] = {}
-        for row in self._shard_rows():
-            if row.get("alive"):
-                depths[row["shard"]] = int(row.get("queue_depth", 0))
-        return depths
-
     # -- introspection / lifecycle ----------------------------------------
     def _shard_rows(self) -> list[dict]:
         rows = []
@@ -813,7 +795,7 @@ class FleetRouter:
             transport = dict(self._transport)
         q = self._latency.snapshot()
         per_req = max(transport["requests"], 1) * 1024
-        out = {
+        return {
             "fleet": True,
             "mode": self.fleet.mode,
             "nshards": self.fleet.nshards,
@@ -833,11 +815,6 @@ class FleetRouter:
                 name: pl.describe() for name, pl in placements.items()
             },
         }
-        if self.autoscaler is not None:
-            out["autoscaler"] = self.autoscaler.state()
-        if self.monitor is not None:
-            out["slo"] = self.monitor.state()
-        return out
 
     def health(self) -> dict:
         rows = self._shard_rows()
@@ -854,10 +831,6 @@ class FleetRouter:
         }
 
     def close(self) -> None:
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-        if self.monitor is not None:
-            self.monitor.stop()
         self.fleet.close()
 
     def __enter__(self) -> "FleetRouter":

@@ -147,9 +147,6 @@ class SpMVServer:
         self._closing = False
         self._threads: list[threading.Thread] = []
         self._started = False
-        #: workers asked to retire by :meth:`resize_workers` (shrink)
-        self._retire = 0
-        self._next_worker_idx = 0
 
         # resilience state: worker deaths and the degraded fallback
         self._live_workers = 0
@@ -183,58 +180,14 @@ class SpMVServer:
                 return self
             self._started = True
             self._live_workers = self.num_workers
-            self._next_worker_idx = self.num_workers
         for i in range(self.num_workers):
-            self._spawn_worker(i)
+            t = threading.Thread(
+                target=self._worker, args=(i,), name=f"serve-worker-{i}",
+                daemon=True,
+            )
+            self._threads.append(t)
+            t.start()
         return self
-
-    def _spawn_worker(self, idx: int) -> None:
-        t = threading.Thread(
-            target=self._worker, args=(idx,), name=f"serve-worker-{idx}",
-            daemon=True,
-        )
-        self._threads.append(t)
-        t.start()
-
-    def resize_workers(self, n: int) -> int:
-        """Grow or shrink the worker pool to ``n`` threads (autoscaler hook).
-
-        Growing spawns fresh workers immediately (new thread indices, so
-        per-worker clone caches stay coherent).  Shrinking retires the
-        surplus cooperatively: workers check a retire counter at the top
-        of batch formation and exit cleanly before taking more work —
-        in-flight batches always complete.  Returns the applied delta
-        (positive = spawned, negative = retiring).  Growing a degraded
-        server restores a live batcher pool alongside the fallback loop
-        (both drain the same queue under the same lock).
-        """
-        if n < 1:
-            raise ValueError(f"workers must be >= 1, got {n}")
-        spawn: list[int] = []
-        with self._lock:
-            if self._closing:
-                raise ServerClosed("cannot resize a closed server")
-            self.num_workers = n
-            if not self._started:
-                return 0
-            effective = self._live_workers - self._retire
-            delta = n - effective
-            if delta > 0:
-                # cancel pending retirements first, then spawn the rest
-                cancelled = min(self._retire, delta)
-                self._retire -= cancelled
-                spawn = [
-                    self._next_worker_idx + i
-                    for i in range(delta - cancelled)
-                ]
-                self._next_worker_idx += len(spawn)
-                self._live_workers += len(spawn)
-            elif delta < 0:
-                self._retire += -delta
-                self._ready.notify_all()
-        for idx in spawn:
-            self._spawn_worker(idx)
-        return delta
 
     def close(self, *, drain: bool = True, timeout: float | None = 10.0) -> None:
         """Stop accepting requests; drain (default) or fail the queue."""
@@ -409,23 +362,16 @@ class SpMVServer:
         self._publish_depth_locked()
         self._not_full.notify_all()
 
-    def _take_batch(
-        self, limit: int, *, retire: bool = True
-    ) -> tuple[str, list[_Request]] | None:
+    def _take_batch(self, limit: int) -> tuple[str, list[_Request]] | None:
         """Block until work is queued (or the server drains); pop a batch.
 
         The batch is up to ``limit`` requests of the matrix whose head
         is oldest; nothing waits for batch-mates.  Expired requests are
         completed with :class:`DeadlineExceeded` here, never executed.
-        ``retire=False`` (the degraded loop) ignores pool shrinks.
         """
         with self._lock:
             while True:
                 self._expire_locked(self._clock())
-                if retire and self._retire > 0:
-                    # resize_workers shrank the pool: exit cleanly
-                    self._retire -= 1
-                    return None
                 if self._closing and self._depth == 0:
                     self._ready.notify_all()  # wake sibling workers to exit
                     return None
@@ -491,7 +437,7 @@ class SpMVServer:
     def _degraded_loop(self) -> None:
         """Unbatched fallback: oldest request first, same pop-time deadlines."""
         while True:
-            item = self._take_batch(1, retire=False)
+            item = self._take_batch(1)
             if item is None:
                 return
             name, (req,) = item
@@ -785,7 +731,6 @@ class SpMVServer:
                 "max_queue": self.max_queue,
                 "workers": self.num_workers,
                 "live_workers": self._live_workers,
-                "retiring_workers": self._retire,
                 "degraded": self._degraded,
                 "degraded_requests": self._degraded_requests,
                 "worker_deaths": list(self._worker_deaths),

@@ -77,16 +77,22 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+#: name prefixes of the threads the rank pool, the serve scheduler, the
+#: fleet shards and the SLO monitor start
+_OWN_THREADS = ("rank-", "serve-", "shard", "slo-monitor")
+
+
 def _live_resources() -> dict:
-    """What a rank pool or a fleet may leave behind, as comparable snapshots."""
+    """What a rank pool, a server or a fleet may leave behind, as
+    comparable snapshots."""
     with open("/proc/self/maps") as maps:
         lines = maps.readlines()
     shm = {tok for ln in lines for tok in ln.split() if tok.startswith("/dev/shm/")}
     # fleet slots are memfd files whose names repeat across shards: key by address
     memfd = {ln.split()[0] for ln in lines if "/memfd:" in ln}
     return {
-        "rank threads": {
-            t.ident for t in threading.enumerate() if t.name.startswith("rank-")
+        "threads": {
+            t for t in threading.enumerate() if t.name.startswith(_OWN_THREADS)
         },
         "child processes": {p.pid for p in mp.active_children()},
         "open fds": len(os.listdir("/proc/self/fd")),
@@ -107,11 +113,11 @@ def _grown(before: dict, after: dict) -> dict:
 
 @pytest.fixture
 def no_leaks():
-    """Fail a test that leaves rank threads, children, fds, shm or memfd
-    mappings behind.
+    """Fail a test that leaves rank, serve, shard or SLO-monitor threads,
+    children, fds, shm or memfd mappings behind.
 
-    Resources get up to 3 s to settle (daemon rank threads drain their
-    halo wait, children are reaped) before an increase counts.
+    Resources get up to 3 s to settle (daemon threads drain their last
+    wait, children are reaped) before an increase counts.
     """
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("needs /proc")

@@ -533,3 +533,89 @@ class TestFleetCLI:
         ) == 0
         fleetz = json.loads(raw.getvalue())
         assert fleetz["fleet"] is True and fleetz["nshards"] == 2
+
+    @pytest.mark.usefixtures("no_leaks")
+    def test_serve_fleet_slo_serves_the_monitor(self, monkeypatch):
+        """``--fleet --slo`` runs the fleet SLO monitor behind ``/sloz``
+        and ``/statz``, ``/fleetz`` and ``fleet status`` show only the
+        topology, and shutting the HTTP server down stops the monitor
+        and every shard."""
+        import json
+        import re
+        import threading
+        import time
+        import urllib.request
+
+        from repro import obs
+        from repro.serve import http as serve_http
+
+        servers = []
+        make = serve_http.make_http_server
+
+        def make_and_keep(*args, **kwargs):
+            servers.append(make(*args, **kwargs))
+            return servers[-1]
+
+        monkeypatch.setattr(serve_http, "make_http_server", make_and_keep)
+        out = io.StringIO()
+        t = threading.Thread(
+            target=main,
+            args=(
+                [
+                    "serve", "--port", "0", "--scale", "512", "--workers", "1",
+                    "--fleet", "2", "--fleet-mode", "inproc", "--slo",
+                ],
+            ),
+            kwargs={"out": out},
+            daemon=True,
+        )
+        t.start()
+        try:
+            port = None
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and port is None:
+                m = re.search(
+                    r"listening on http://127\.0\.0\.1:(\d+)", out.getvalue()
+                )
+                if m:
+                    port = int(m.group(1))
+                else:
+                    time.sleep(0.05)
+            assert port, f"fleet server never announced a port: {out.getvalue()!r}"
+            assert "fleet SLO monitor on" in out.getvalue()
+
+            def get(path):
+                url = f"http://127.0.0.1:{port}{path}"
+                with urllib.request.urlopen(url, timeout=30) as resp:
+                    return resp.status, json.loads(resp.read())
+
+            status, sloz = get("/sloz")
+            assert status == 200
+            assert {s["name"] for s in sloz["slos"]} == {
+                "fleet-latency-p99", "fleet-error-rate",
+            }
+            assert "slo" in get("/statz")[1]
+            assert set(get("/fleetz")[1]) == {
+                "fleet", "mode", "nshards", "replicas", "requests", "hedges",
+                "failovers", "transport_kb_per_req", "latency_ms", "down",
+                "shards", "placements",
+            }
+
+            status_out = io.StringIO()
+            assert main(
+                ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
+                out=status_out,
+            ) == 0
+            sections = [
+                line.split(":")[0]
+                for line in status_out.getvalue().splitlines()
+                if not line.startswith(" ")
+            ]
+            assert sections == ["fleet", "shards", "placement"]
+        finally:
+            for httpd in servers:
+                httpd.shutdown()
+            t.join(timeout=30)
+            obs.disable()
+            obs.reset_all()
+        assert not t.is_alive()

@@ -24,8 +24,6 @@ from repro.obs.slo import SLOMonitor, default_fleet_slos
 from repro.kernels.compiled import backend_status
 from repro.ops import variant_names_for
 from repro.serve import (
-    AutoscalePolicy,
-    Autoscaler,
     Client,
     Fleet,
     FleetDegraded,
@@ -42,6 +40,8 @@ from repro.serve.fleet import (
 )
 from repro.serve.router import place_blocks
 from repro.utils.workers import mp_context
+
+pytestmark = pytest.mark.usefixtures("no_leaks")
 
 VARIANT = "csr_scipy"
 
@@ -241,9 +241,22 @@ class TestConcurrency:
             ctx = mp_context()
             if ctx.get_start_method() != "fork":
                 pytest.skip("the patched kernel reaches shards only by fork")
-            barrier = ctx.Barrier(self.NBLOCKS, timeout=10)
+            # a semaphore that only counts arrivals, not ctx.Barrier: a
+            # Barrier keeps its state in multiprocessing's heap, whose
+            # arena (a /dev/shm file and 2 fds) outlives the test
+            arrived = ctx.Semaphore(0)
+
+            def wait_for_every_block():
+                arrived.release()
+                deadline = time.monotonic() + 10
+                while arrived.get_value() < self.NBLOCKS:
+                    if time.monotonic() > deadline:
+                        raise threading.BrokenBarrierError
+                    time.sleep(0.001)
         else:
-            barrier = threading.Barrier(self.NBLOCKS, timeout=10)
+            wait_for_every_block = threading.Barrier(
+                self.NBLOCKS, timeout=10
+            ).wait
         csr = small_csr()
         x = np.random.default_rng(11).standard_normal(csr.ncols)
         with reference_client(csr) as ref:
@@ -251,7 +264,7 @@ class TestConcurrency:
         real_spmm = BoundMatrix.spmm
 
         def spmm_after_every_block_arrives(self, X, *args, **kwargs):
-            barrier.wait()
+            wait_for_every_block()
             return real_spmm(self, X, *args, **kwargs)
 
         # patched before the fleet exists, so forked shards inherit it
@@ -268,7 +281,6 @@ class TestConcurrency:
 # ---------------------------------------------------------------------------
 # process transport
 # ---------------------------------------------------------------------------
-@pytest.mark.usefixtures("no_leaks")
 class TestProcessShards:
     def test_spmv_parity_across_processes(self):
         csr = small_csr()
@@ -747,92 +759,6 @@ class TestChaosDrill:
         finally:
             router.close()
             monitor.stop()
-
-
-# ---------------------------------------------------------------------------
-# autoscaler
-# ---------------------------------------------------------------------------
-class TestAutoscaler:
-    POLICY = AutoscalePolicy(
-        min_workers=1, max_workers=3, step=1, cooldown_s=5.0,
-        queue_high=8.0, queue_low=1.0, scale_down_after=3,
-    )
-
-    def _rig(self, depths):
-        fleet = Fleet(2, mode="inproc", workers=1)
-        router = FleetRouter(fleet)
-        router.shard_queue_depths = lambda: dict(depths)
-        return fleet, router
-
-    def test_queue_pressure_scales_up_until_bounded(self):
-        depths = {0: 20.0, 1: 0.0}
-        fleet, router = self._rig(depths)
-        try:
-            scaler = Autoscaler(router, policy=self.POLICY)
-            made = scaler.evaluate(now=0.0)
-            assert [d["shard"] for d in made] == [0]
-            assert made[0]["direction"] == "up" and made[0]["to"] == 2
-            # cooldown: pressure persists but no new decision yet
-            assert scaler.evaluate(now=1.0) == []
-            made = scaler.evaluate(now=10.0)
-            assert made and made[0]["to"] == 3
-            # bounded by max_workers
-            assert scaler.evaluate(now=20.0) == []
-            assert router.stats()["shards"][0]["workers"] == 3
-        finally:
-            router.close()
-
-    def test_scale_down_needs_consecutive_calm(self):
-        depths = {0: 20.0, 1: 0.0}
-        fleet, router = self._rig(depths)
-        try:
-            scaler = Autoscaler(router, policy=self.POLICY)
-            scaler.evaluate(now=0.0)  # shard 0 -> 2 workers
-            depths[0] = 0.0
-            assert scaler.evaluate(now=10.0) == []  # calm x1
-            assert scaler.evaluate(now=11.0) == []  # calm x2
-            made = scaler.evaluate(now=12.0)  # calm x3: shrink
-            assert [d["direction"] for d in made] == ["down"]
-            assert made[0]["to"] == 1
-            # at min_workers already: stays put
-            assert scaler.evaluate(now=30.0) == []
-            assert scaler.evaluate(now=31.0) == []
-            assert scaler.evaluate(now=32.0) == []
-        finally:
-            router.close()
-
-    def test_firing_slo_forces_scale_up(self):
-        class Monitor:
-            def firing(self):
-                return ["fleet-latency-p99"]
-
-            def stop(self):
-                pass
-
-        fleet, router = self._rig({0: 0.0, 1: 0.0})
-        try:
-            scaler = Autoscaler(router, policy=self.POLICY, monitor=Monitor())
-            made = scaler.evaluate(now=0.0)
-            assert {d["shard"] for d in made} == {0, 1}
-            assert all(d["reason"].startswith("slo:") for d in made)
-        finally:
-            router.close()
-
-    def test_decisions_surface_in_stats_and_metrics(self):
-        obs.enable()
-        fleet, router = self._rig({0: 50.0, 1: 0.0})
-        try:
-            scaler = Autoscaler(router, policy=self.POLICY)
-            router.attach_autoscaler(scaler)
-            scaler.evaluate(now=0.0)
-            stats = router.stats()
-            assert stats["autoscaler"]["evaluations"] == 1
-            assert stats["autoscaler"]["decisions"][-1]["direction"] == "up"
-            fam = obs.get_registry().get("fleet_autoscale_decisions_total")
-            assert fam is not None
-            assert sum(c.value for _, c in fam.samples()) == 1
-        finally:
-            router.close()
 
 
 # ---------------------------------------------------------------------------

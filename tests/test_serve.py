@@ -43,6 +43,8 @@ from repro.serve import (
 
 from _test_common import random_coo
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 #: stored-order scipy delegate: spmv and spmm-by-columns are bitwise equal
 VARIANT = "csr_scipy"
 
@@ -635,7 +637,6 @@ class TestClient:
 # ---------------------------------------------------------------------------
 # HTTP front-end
 # ---------------------------------------------------------------------------
-@pytest.mark.usefixtures("no_leaks")
 class TestHTTP:
     @pytest.fixture()
     def served(self):
