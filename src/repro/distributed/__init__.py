@@ -21,11 +21,6 @@ from repro.distributed.runtime import (
     distributed_spmv,
     rank_spmv,
 )
-from repro.distributed.solver_model import (
-    CGIterationModel,
-    allreduce_seconds,
-    model_cg_iteration,
-)
 from repro.distributed.scaling import (
     ScalingPoint,
     ScalingSeries,
@@ -65,7 +60,4 @@ __all__ = [
     "single_gpu_effective_gflops",
     "strong_scaling",
     "weak_scaling",
-    "CGIterationModel",
-    "allreduce_seconds",
-    "model_cg_iteration",
 ]

@@ -2,26 +2,28 @@
 
 This is the *correctness* half of the distributed layer: every rank is
 a worker (a thread, or an OS process) with an inbox queue; halo data
-really moves between workers as buffers, following the same
+really moves between workers, following the same
 :class:`~repro.distributed.plan.CommPlan` the timing simulator
 consumes.  A bug in the plan (wrong gather list, wrong halo layout)
 breaks these results, not just a performance plot.
 
 :class:`RankPool` starts one worker per rank and keeps it across
-calls.  ``x`` and ``y`` live in buffers every worker sees (plain arrays
-for threads, :mod:`multiprocessing.shared_memory` for processes); a
-round is one "go" message per rank, an exchange, and one report per
+calls.  Each pool generation allocates one block that every worker
+sees: ``x``, ``y`` and one receive buffer per rank, laid out by the
+mode below.  For processes the block is a memfd mapping made before
+the fork, so every rank inherits it; for threads it is plain memory.
+A round is one "go" message per rank, an exchange, and one report per
 rank.  The two backends differ only in how a worker starts and which
 queue class carries the messages.
 
-The exchange mirrors the mpi4py buffer idiom: senders gather owned
-elements into contiguous buffers (the "local gather" of Fig. 4) and
-post them tagged with their rank and the round; receivers drop stale
-rounds and assemble their halo in plan order.  The two execution modes
-of Sect. III-A:
+The exchange mirrors the mpi4py buffer idiom: a sender gathers its
+owned elements straight into its fixed slice of the receiver's buffer
+(the "local gather" of Fig. 4) and posts ``(round, rank)``; receivers
+drop stale rounds and run their kernel on the receive buffer once
+every source has posted.  The two execution modes of Sect. III-A:
 
 * ``mode="vector"`` — wait for the complete halo, then run one
-  *unsplit* kernel over the row block against
+  *unsplit* kernel over the row block against the receive buffer
   ``x_rank = [halo below | x_local | halo above]``.  The halo is sorted
   by global column, and ``block.spmv`` runs the rank-0 registry kernel
   (``csr_scipy``) that the serial ``CSRMatrix.spmv`` and an untuned
@@ -30,8 +32,9 @@ of Sect. III-A:
   rank count.
 * ``mode="task"`` — run the local kernel while halo messages are in
   flight and add the nonlocal kernel after ``waitall`` (the overlap
-  split).  The within-row summation order changes, so task mode
-  matches serial to rounding; it is bitwise equal across backends.
+  split); the receive buffer is the halo in ``halo_cols`` order.  The
+  within-row summation order changes, so task mode matches serial to
+  rounding; it is bitwise equal across backends.
 
 **Resilience** (see ``docs/resilience.md``): ``faults=`` threads a
 :class:`~repro.faults.FaultInjector` through the workers — the driver
@@ -61,7 +64,6 @@ import queue
 import threading
 import time
 import warnings
-from multiprocessing import shared_memory
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,7 +75,7 @@ from repro.faults.retry import RetryExhausted
 from repro.formats.coo import row_major_order
 from repro.formats.csr import CSRMatrix
 from repro.ops.registry import kernels_for
-from repro.utils.workers import mp_context
+from repro.utils.workers import _Slot, mp_context
 
 __all__ = [
     "distributed_spmv",
@@ -153,22 +155,24 @@ def rank_spmv(
 
 
 class _Rank:
-    """One rank's immutable share: its plan plus the unsplit block.
+    """One rank's immutable share: its plan, mode and unsplit block.
 
     The vector-mode block is the rank's row block with columns remapped
     into the compact space ``x_rank = [halo below lo | x_local | halo
     above hi]``.  ``xcols`` holds the global column of every ``x_rank``
-    slot (ascending), and ``slots`` the ``x_rank`` slice each source
-    rank's halo message fills — sources own contiguous column ranges,
-    so each message lands in one contiguous slice.
+    entry (ascending).  The receive buffer is ``x_rank`` in vector mode
+    and the halo alone in task mode; ``size`` is its length and
+    ``slots`` the slice of it each source rank's gather fills — sources
+    own contiguous column ranges, so each lands in one contiguous slice.
     """
 
-    def __init__(self, plan: RankPlan):
+    def __init__(self, plan: RankPlan, mode: str):
         if plan.local_matrix is None or plan.nonlocal_matrix is None:
             raise ValueError(
                 "plan was built with with_matrices=False; rebuild with matrices"
             )
         self.plan = plan
+        self.mode = mode
         lo, hi = plan.row_range
         n = hi - lo
         halo_cols = plan.halo_cols
@@ -177,11 +181,12 @@ class _Rank:
         self.xcols = np.concatenate(
             (halo_cols[:below], np.arange(lo, hi), halo_cols[below:])
         )
+        shift = n if mode == "vector" else 0
         self.slots = {}
         start = 0
         for src in sorted(plan.recv_cols):
             k = len(plan.recv_cols[src])
-            pos = start if start < below else start + n
+            pos = start if start < below else start + shift
             self.slots[src] = slice(pos, pos + k)
             start += k
 
@@ -200,30 +205,29 @@ class _Rank:
             np.concatenate((loc.data, nl.data))[order],
             (n, self.xcols.shape[0]),
         )
+        self.size = (
+            self.block.ncols if mode == "vector" else plan.nonlocal_matrix.ncols
+        )
 
-    def finish(self, mode, x_local, segments, y_local) -> None:
-        """Complete ``y_local`` once every halo segment has arrived.
+    def finish(self, x_local, recv, y_local) -> None:
+        """Complete ``y_local`` once every halo slice of ``recv`` is in.
 
         Task mode already holds the local product in ``y_local``.
         """
-        if mode == "vector":
-            xr = np.empty(self.block.ncols, dtype=self.block.dtype)
-            xr[self.below:self.below + x_local.shape[0]] = x_local
-            for src, buf in segments.items():
-                xr[self.slots[src]] = buf
-            self.block.spmv(xr, out=y_local)
+        if self.mode == "vector":
+            recv[self.below:self.below + x_local.shape[0]] = x_local
+            self.block.spmv(recv, out=y_local)
         elif self.plan.nnz_nonlocal:
-            halo = np.concatenate([segments[s] for s in sorted(segments)])
-            y_local += self.plan.nonlocal_matrix.spmv(halo)
+            y_local += self.plan.nonlocal_matrix.spmv(recv)
 
-    def recompute(self, mode, x) -> np.ndarray:
+    def recompute(self, x) -> np.ndarray:
         """The rank's rows from the global ``x``, as its worker would.
 
         ``x`` is never mutated, and in a fault-free run the halo equals
         ``x[halo_cols]`` bitwise, so the result is bitwise identical to
         what the worker would have produced.
         """
-        if mode == "vector":
+        if self.mode == "vector":
             return self.block.spmv(x[self.xcols])
         lo, hi = self.plan.row_range
         return rank_spmv(self.plan, x[lo:hi], x[self.plan.halo_cols])
@@ -287,7 +291,9 @@ def _message_faults(directives) -> tuple[set, dict]:
 # the worker: one loop for both backends
 # ---------------------------------------------------------------------------
 
-def _rank_round(rank: _Rank, mode, x, y, inboxes, rnd, directives, timeout) -> None:
+def _rank_round(
+    rank: _Rank, x, y, recv, sends, inboxes, rnd, directives, timeout,
+) -> None:
     """One rank's share of round ``rnd``: exchange, then compute."""
     plan = rank.plan
     r = plan.rank
@@ -298,13 +304,13 @@ def _rank_round(rank: _Rank, mode, x, y, inboxes, rnd, directives, timeout) -> N
     _directive_slow(directives, r, "rank.start")
     drops, delays = _message_faults(directives)
 
-    # local gather + sends (Isend analogue: queues never block)
+    # local gather, straight into each receiver's slice of its buffer
     with obs.span("rank.gather", rank=r):
-        buffers = {
-            dst: x_local[local_idx] for dst, local_idx in plan.send_cols.items()
-        }
+        for dst, local_idx in plan.send_cols.items():
+            np.take(x_local, local_idx, out=sends[dst], mode="clip")
+    # sends (Isend analogue: queues never block)
     with obs.span("rank.send", rank=r):
-        for dst, buf in buffers.items():
+        for dst, buf in sends.items():
             if dst in drops or None in drops:
                 obs.inc("halo_messages_dropped", 1, rank=str(r), dst=str(dst))
                 _note_fault("halo_drop", r, "rank.send", dst=dst)
@@ -312,22 +318,21 @@ def _rank_round(rank: _Rank, mode, x, y, inboxes, rnd, directives, timeout) -> N
             delay = delays.get(dst, delays.get(None, 0.0))
             if delay:
                 time.sleep(delay)
-            inboxes[dst].put((rnd, r, buf))
+            inboxes[dst].put((rnd, r))
             obs.inc("halo_bytes_sent", buf.nbytes, rank=str(r), dst=str(dst))
             obs.inc("halo_messages_sent", 1, rank=str(r))
 
     # task mode: overlap the local kernel with the in-flight halo
-    if mode == "task":
+    if rank.mode == "task":
         with obs.span("rank.local_spmv", rank=r):
             plan.local_matrix.spmv(x_local, out=y_local)
 
     # receive until the halo is complete (Irecv + Waitall)
     pending = set(plan.recv_cols)
-    segments: dict[int, np.ndarray] = {}
     with obs.span("rank.waitall", rank=r):
         while pending:
             try:
-                tag, src, buf = inboxes[r].get(timeout=timeout)
+                tag, src = inboxes[r].get(timeout=timeout)
             except queue.Empty:
                 obs.inc("distributed_timeouts_total", 1, rank=str(r))
                 raise HaloExchangeTimeout(r, sorted(pending), timeout) from None
@@ -335,82 +340,57 @@ def _rank_round(rank: _Rank, mode, x, y, inboxes, rnd, directives, timeout) -> N
                 continue  # left over from an abandoned round
             if src not in pending:
                 raise RuntimeError(f"rank {r}: unexpected message from {src}")
-            if buf.shape[0] != plan.recv_cols[src].shape[0]:
-                raise RuntimeError(
-                    f"rank {r}: bad message size from {src}: "
-                    f"{buf.shape[0]} != {plan.recv_cols[src].shape[0]}"
-                )
-            segments[src] = buf
             pending.discard(src)
 
     _directive_kernel(directives, r, "rank.spmv")
     with obs.span("rank.spmv", rank=r):
-        rank.finish(mode, x_local, segments, y_local)
-
-
-def _open_vectors(vectors, dtype):
-    """Worker side: ``(x, y, shms)`` from the pool's vector handles.
-
-    Threads get the arrays themselves; processes get ``(segment name,
-    length)`` pairs and attach to the shared-memory segments.
-    """
-    if isinstance(vectors[0], np.ndarray):
-        return vectors[0], vectors[1], ()
-    shms = [shared_memory.SharedMemory(name=name) for name, _ in vectors]
-    x, y = (
-        np.ndarray(n, dtype=dtype, buffer=s.buf)
-        for s, (_, n) in zip(shms, vectors)
-    )
-    return x, y, shms
+        rank.finish(x_local, recv, y_local)
 
 
 def _worker_loop(
-    rank: _Rank, mode, vectors, ctrl, inboxes, done, timeout, in_child,
+    rank: _Rank, x, y, recv, sends, ctrl, inboxes, done, timeout, in_child,
 ) -> None:
     """Serve rounds until the ``None`` stop message.
 
-    Each "go" message is ``(round, directives, span context, traced)``;
-    each report is ``(round, rank, error, spans)``.  A process worker
-    starts with a clean tracer (fork copies the driver's spans), follows
-    the driver's tracing switch per round and ships its finished spans
-    home with every report; the driver adopts them, remapping span ids
-    while keeping the cross-process parent link to its own root span.
+    ``x``, ``y``, the rank's receive buffer ``recv`` and ``sends`` (its
+    slice of each receiver's buffer, by destination) are views into the
+    pool generation's shared block.  Each "go" message is ``(round,
+    directives, span context, traced)``; each report is ``(round, rank,
+    error, spans)``.  A process worker starts with a clean tracer (fork
+    copies the driver's spans), follows the driver's tracing switch per
+    round and ships its finished spans home with every report; the
+    driver adopts them, remapping span ids while keeping the
+    cross-process parent link to its own root span.
     """
-    x, y, shms = _open_vectors(vectors, rank.block.dtype)
     tracer = obs.get_tracer()
     if in_child:
         tracer.isolate_forked()
-    try:
-        while (msg := ctrl.get()) is not None:
-            rnd, directives, ctx, traced = msg
-            if in_child:
-                (obs.enable if traced else obs.disable)()
-            err = None
-            try:
-                with obs.attach_context(ctx):
-                    _rank_round(
-                        rank, mode, x, y, inboxes, rnd, directives, timeout
-                    )
-            except (InjectedFault, HaloExchangeTimeout) as exc:
-                err = exc  # typed + picklable: the driver raises or retries
-            except Exception as exc:
-                err = f"{type(exc).__name__}: {exc}"
-            spans = ()
-            if in_child and traced:
-                spans = tracer.finished()
-                tracer.reset()
-            done.put((rnd, rank.plan.rank, err, spans))
-    finally:
-        del x, y  # views into the segments must go before they close
-        for shm in shms:
-            shm.close()
+    while (msg := ctrl.get()) is not None:
+        rnd, directives, ctx, traced = msg
+        if in_child:
+            (obs.enable if traced else obs.disable)()
+        err = None
+        try:
+            with obs.attach_context(ctx):
+                _rank_round(
+                    rank, x, y, recv, sends, inboxes, rnd, directives, timeout
+                )
+        except (InjectedFault, HaloExchangeTimeout) as exc:
+            err = exc  # typed + picklable: the driver raises or retries
+        except Exception as exc:
+            err = f"{type(exc).__name__}: {exc}"
+        spans = ()
+        if in_child and traced:
+            spans = tracer.finished()
+            tracer.reset()
+        done.put((rnd, rank.plan.rank, err, spans))
 
 
 # ---------------------------------------------------------------------------
 # recovery: re-execute failed ranks from immutable inputs
 # ---------------------------------------------------------------------------
 
-def _recompute_rank(rank: _Rank, mode, x: np.ndarray, faults) -> np.ndarray:
+def _recompute_rank(rank: _Rank, x: np.ndarray, faults) -> np.ndarray:
     """Serially re-execute one rank in the driver.
 
     Remaining scheduled faults for this rank still fire (rank crash /
@@ -422,10 +402,10 @@ def _recompute_rank(rank: _Rank, mode, x: np.ndarray, faults) -> np.ndarray:
     _directive_crash(directives, r, "rank.recover")
     _directive_slow(directives, r, "rank.recover")
     _directive_kernel(directives, r, "rank.recover")
-    return rank.recompute(mode, x)
+    return rank.recompute(x)
 
 
-def _recover_failed_ranks(ranks, mode, x, failures: dict, faults, retry) -> dict:
+def _recover_failed_ranks(ranks, x, failures: dict, faults, retry) -> dict:
     """Retry every failed rank under ``retry``; returns {rank: y}.
 
     Raises :class:`~repro.faults.RetryExhausted` (carrying the full
@@ -453,7 +433,7 @@ def _recover_failed_ranks(ranks, mode, x, failures: dict, faults, retry) -> dict
                 obs.inc("faults_retries_total", 1, layer="distributed")
             try:
                 with obs.span("rank.recover", rank=r, attempt=attempt):
-                    recovered[r] = _recompute_rank(ranks[r], mode, x, faults)
+                    recovered[r] = _recompute_rank(ranks[r], x, faults)
             except FaultError as exc:
                 history.append(exc)
                 continue
@@ -531,7 +511,7 @@ class RankPool:
         self.backend = backend
         self.mode = mode
         self.timeout = timeout
-        self.ranks = [_Rank(p) for p in comm_plan.ranks]
+        self.ranks = [_Rank(p, mode) for p in comm_plan.ranks]
         self.dtype = self.ranks[0].block.dtype
         self.n = comm_plan.ncols
         self._workers = None
@@ -550,21 +530,18 @@ class RankPool:
         processes = self.backend == "processes"
         ctx = mp_context() if processes else None
         make_queue = ctx.Queue if processes else queue.Queue
-        w = SimpleNamespace(shms=[])
+        # one block per generation: x, y, then each rank's receive buffer
+        ends = np.cumsum([self.n, self.n, *(rank.size for rank in self.ranks)])
+        total = int(ends[-1])
+        w = SimpleNamespace(slot=None)
         if processes:
-            nbytes = max(1, self.n * self.dtype.itemsize)
-            w.shms = [
-                shared_memory.SharedMemory(create=True, size=nbytes)
-                for _ in range(2)
-            ]
-            w.x, w.y = (
-                np.ndarray(self.n, dtype=self.dtype, buffer=s.buf) for s in w.shms
-            )
-            vectors = tuple((s.name, self.n) for s in w.shms)
+            # mapped before the fork: every rank inherits the mapping
+            w.slot = _Slot(0, max(1, total * self.dtype.itemsize))
+            block = w.slot.array(self.dtype, total)
         else:
-            w.x = np.empty(self.n, dtype=self.dtype)
-            w.y = np.empty(self.n, dtype=self.dtype)
-            vectors = (w.x, w.y)
+            # plain memory: a stuck daemon rank may outlive the generation
+            block = np.empty(total, dtype=self.dtype)
+        w.x, w.y, *recv = np.split(block, ends[:-1])
         w.ctrl = [make_queue() for _ in self.ranks]
         w.inboxes = [make_queue() for _ in self.ranks]
         w.done = make_queue()
@@ -573,8 +550,12 @@ class RankPool:
             start(
                 target=_worker_loop,
                 args=(
-                    rank, self.mode, vectors, w.ctrl[i], w.inboxes, w.done,
-                    self.timeout, processes,
+                    rank, w.x, w.y, recv[i],
+                    {
+                        dst: recv[dst][self.ranks[dst].slots[i]]
+                        for dst in rank.plan.send_cols
+                    },
+                    w.ctrl[i], w.inboxes, w.done, self.timeout, processes,
                 ),
                 name=f"rank-{i}",
                 daemon=True,
@@ -616,10 +597,8 @@ class RankPool:
         for q in (*w.ctrl, *w.inboxes, w.done):
             q.close()
             q.join_thread()
-        del w.x, w.y  # views into the segments must go before they close
-        for shm in w.shms:
-            shm.close()
-            shm.unlink()
+        del w.x, w.y  # views into the mapping must go before it closes
+        w.slot.close()
 
     def _collect(self, rnd: int) -> dict:
         """Wait for every rank's report of round ``rnd``; {rank: error}.
@@ -698,7 +677,7 @@ class RankPool:
                 if retry is None:
                     raise _first_failure(failures)
                 recovered = _recover_failed_ranks(
-                    self.ranks, self.mode, x, failures, faults, retry
+                    self.ranks, x, failures, faults, retry
                 )
                 for r, yr in recovered.items():
                     lo, hi = self.ranks[r].plan.row_range

@@ -53,7 +53,7 @@ from repro.ops.registry import kernels_for
 from repro.serve.errors import MatrixNotFound, ServeError, ShardDown
 from repro.serve.registry import MatrixRegistry
 from repro.serve.scheduler import SpMVServer
-from repro.utils.workers import mp_context
+from repro.utils.workers import _Slot, mp_context
 
 __all__ = [
     "ShardConfig",
@@ -255,34 +255,6 @@ class InprocShard:
 
 def _encode_exc(exc: Exception) -> tuple[str, str]:
     return type(exc).__name__, str(exc)
-
-
-class _Slot:
-    """One memfd-backed buffer mapped by the parent and one shard process.
-
-    ``fd`` stays open only until the shard has received it.
-    """
-
-    __slots__ = ("id", "size", "mm", "fd")
-
-    def __init__(self, slot_id: int, size: int):
-        fd = os.memfd_create(f"repro-slot-{slot_id}", os.MFD_CLOEXEC)
-        try:
-            os.ftruncate(fd, size)
-            self.mm = mmap.mmap(fd, size)
-        except BaseException:
-            os.close(fd)
-            raise
-        self.id, self.size, self.fd = slot_id, size, fd
-
-    def array(self, dtype, shape) -> np.ndarray:
-        return np.ndarray(shape, dtype=dtype, buffer=self.mm)
-
-    def close(self) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        self.mm.close()
 
 
 class _SlotPool:

@@ -121,11 +121,6 @@ def no_leaks():
     """
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("needs /proc")
-    # the shared-memory resource tracker starts with the first segment
-    # and lives as long as the interpreter: start it before the snapshot
-    from multiprocessing import resource_tracker
-
-    resource_tracker.ensure_running()
     before = _live_resources()
     yield
     deadline = time.monotonic() + 3.0

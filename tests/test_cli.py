@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
+import re
+import threading
+import time
 
 import pytest
 
@@ -12,6 +16,46 @@ def run_cli(*argv: str) -> str:
     code = main(list(argv), out=out)
     assert code == 0
     return out.getvalue()
+
+
+@contextlib.contextmanager
+def serving(monkeypatch, *argv: str):
+    """Boot ``repro serve --port 0 --scale 512 --workers 1 *argv`` in a
+    thread and yield ``(port, output)``; shut the server down on exit."""
+    from repro.serve import http as serve_http
+
+    servers = []
+    make = serve_http.make_http_server
+
+    def make_and_keep(*args, **kwargs):
+        servers.append(make(*args, **kwargs))
+        return servers[-1]
+
+    monkeypatch.setattr(serve_http, "make_http_server", make_and_keep)
+    out = io.StringIO()
+    t = threading.Thread(
+        target=main,
+        args=(["serve", "--port", "0", "--scale", "512", "--workers", "1", *argv],),
+        kwargs={"out": out},
+        daemon=True,
+    )
+    t.start()
+    try:
+        port = None
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and port is None:
+            m = re.search(r"listening on http://127\.0\.0\.1:(\d+)", out.getvalue())
+            if m:
+                port = int(m.group(1))
+            else:
+                time.sleep(0.05)
+        assert port, f"server never announced a port: {out.getvalue()!r}"
+        yield port, out
+    finally:
+        for httpd in servers:
+            httpd.shutdown()
+        t.join(timeout=30)
+    assert not t.is_alive()
 
 
 class TestParser:
@@ -427,112 +471,72 @@ class TestFleetCLI:
         assert code == 1
         assert "fleet status failed" in out.getvalue()
 
-    def test_fleet_status_on_non_fleet_server_exits_1(self):
+    @pytest.mark.usefixtures("no_leaks")
+    def test_fleet_status_on_non_fleet_server_exits_1(self, monkeypatch):
         # a plain (unsharded) serve process answers /fleetz with 404
-        import re
-        import threading
-        import time
-
-        out = io.StringIO()
-        t = threading.Thread(
-            target=main,
-            args=(["serve", "--port", "0", "--scale", "512", "--workers", "1"],),
-            kwargs={"out": out},
-            daemon=True,
-        )
-        t.start()
-        port = None
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and port is None:
-            m = re.search(r"listening on http://127\.0\.0\.1:(\d+)", out.getvalue())
-            if m:
-                port = int(m.group(1))
-            else:
-                time.sleep(0.05)
-        assert port, f"server never announced a port: {out.getvalue()!r}"
-        status_out = io.StringIO()
-        code = main(
-            ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
-            out=status_out,
-        )
+        with serving(monkeypatch) as (port, _):
+            status_out = io.StringIO()
+            code = main(
+                ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
+                out=status_out,
+            )
         assert code == 1
         assert "not a fleet" in status_out.getvalue()
 
-    def test_serve_fleet_boots_and_fleet_status_renders(self):
+    @pytest.mark.usefixtures("no_leaks")
+    def test_serve_fleet_boots_and_fleet_status_renders(self, monkeypatch):
         import json
-        import re
-        import threading
-        import time
         import urllib.request
 
-        out = io.StringIO()
-        t = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve", "--port", "0", "--scale", "512", "--workers", "1",
-                    "--fleet", "2", "--fleet-mode", "inproc", "--replicas", "2",
-                ],
-            ),
-            kwargs={"out": out},
-            daemon=True,
-        )
-        t.start()
-        port = None
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and port is None:
-            m = re.search(r"listening on http://127\.0\.0\.1:(\d+)", out.getvalue())
-            if m:
-                port = int(m.group(1))
-            else:
-                time.sleep(0.05)
-        assert port, f"fleet server never announced a port: {out.getvalue()!r}"
-        assert re.search(r"fleet: 2 inproc shard\(s\)", out.getvalue())
+        with serving(
+            monkeypatch, "--fleet", "2", "--fleet-mode", "inproc", "--replicas", "2"
+        ) as (port, out):
+            assert re.search(r"fleet: 2 inproc shard\(s\)", out.getvalue())
 
-        # a sharded spmv through the HTTP front-end answers like a
-        # single server would
-        from repro.formats import convert
-        from repro.matrices import generate
+            # a sharded spmv through the HTTP front-end answers like a
+            # single server would
+            from repro.formats import convert
+            from repro.matrices import generate
 
-        mat = convert(generate("sAMG", scale=512, seed=0), "CRS")
-        body = json.dumps({"matrix": "sAMG", "x": [1.0] * mat.ncols}).encode()
-        req = urllib.request.Request(
-            f"http://127.0.0.1:{port}/v1/spmv", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            payload = json.loads(resp.read())
-        assert payload["n"] == mat.nrows
-        import numpy as np
+            mat = convert(generate("sAMG", scale=512, seed=0), "CRS")
+            body = json.dumps({"matrix": "sAMG", "x": [1.0] * mat.ncols}).encode()
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/spmv", data=body,
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                payload = json.loads(resp.read())
+            assert payload["n"] == mat.nrows
+            import numpy as np
 
-        # bitwise parity holds against the same pinned kernel variant
-        # the shards run, not the raw aggregate-kernel spmv
-        from repro.serve import MatrixRegistry
+            # bitwise parity holds against the same pinned kernel variant
+            # the shards run, not the raw aggregate-kernel spmv
+            from repro.serve import MatrixRegistry
 
-        reg = MatrixRegistry(tune=False)
-        reg.register("ref", matrix=mat, variant="csr_scipy")
-        with reg.acquire("ref") as lease:
-            y_ref = lease.clone_for("t").spmv(np.ones(mat.ncols))
-        assert np.array_equal(payload["y"], y_ref)
+            reg = MatrixRegistry(tune=False)
+            reg.register("ref", matrix=mat, variant="csr_scipy")
+            with reg.acquire("ref") as lease:
+                y_ref = lease.clone_for("t").spmv(np.ones(mat.ncols))
+            assert np.array_equal(payload["y"], y_ref)
 
-        status_out = io.StringIO()
-        code = main(
-            ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
-            out=status_out,
-        )
-        assert code == 0
-        text = status_out.getvalue()
-        assert "fleet: 2 inproc shard(s), replicas=2" in text
-        assert "shard 0" in text and "shard 1" in text
-        assert "sAMG" in text
+            status_out = io.StringIO()
+            code = main(
+                ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
+                out=status_out,
+            )
+            assert code == 0
+            text = status_out.getvalue()
+            assert "fleet: 2 inproc shard(s), replicas=2" in text
+            assert "shard 0" in text and "shard 1" in text
+            assert "sAMG" in text
 
-        raw = io.StringIO()
-        assert main(
-            ["fleet", "status", "--url", f"http://127.0.0.1:{port}", "--json"],
-            out=raw,
-        ) == 0
-        fleetz = json.loads(raw.getvalue())
-        assert fleetz["fleet"] is True and fleetz["nshards"] == 2
+            raw = io.StringIO()
+            assert main(
+                ["fleet", "status", "--url", f"http://127.0.0.1:{port}", "--json"],
+                out=raw,
+            ) == 0
+            fleetz = json.loads(raw.getvalue())
+            assert fleetz["fleet"] is True and fleetz["nshards"] == 2
 
     @pytest.mark.usefixtures("no_leaks")
     def test_serve_fleet_slo_serves_the_monitor(self, monkeypatch):
@@ -541,81 +545,44 @@ class TestFleetCLI:
         topology, and shutting the HTTP server down stops the monitor
         and every shard."""
         import json
-        import re
-        import threading
-        import time
         import urllib.request
 
         from repro import obs
-        from repro.serve import http as serve_http
 
-        servers = []
-        make = serve_http.make_http_server
-
-        def make_and_keep(*args, **kwargs):
-            servers.append(make(*args, **kwargs))
-            return servers[-1]
-
-        monkeypatch.setattr(serve_http, "make_http_server", make_and_keep)
-        out = io.StringIO()
-        t = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve", "--port", "0", "--scale", "512", "--workers", "1",
-                    "--fleet", "2", "--fleet-mode", "inproc", "--slo",
-                ],
-            ),
-            kwargs={"out": out},
-            daemon=True,
-        )
-        t.start()
         try:
-            port = None
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and port is None:
-                m = re.search(
-                    r"listening on http://127\.0\.0\.1:(\d+)", out.getvalue()
-                )
-                if m:
-                    port = int(m.group(1))
-                else:
-                    time.sleep(0.05)
-            assert port, f"fleet server never announced a port: {out.getvalue()!r}"
-            assert "fleet SLO monitor on" in out.getvalue()
+            with serving(
+                monkeypatch, "--fleet", "2", "--fleet-mode", "inproc", "--slo"
+            ) as (port, out):
+                assert "fleet SLO monitor on" in out.getvalue()
 
-            def get(path):
-                url = f"http://127.0.0.1:{port}{path}"
-                with urllib.request.urlopen(url, timeout=30) as resp:
-                    return resp.status, json.loads(resp.read())
+                def get(path):
+                    url = f"http://127.0.0.1:{port}{path}"
+                    with urllib.request.urlopen(url, timeout=30) as resp:
+                        return resp.status, json.loads(resp.read())
 
-            status, sloz = get("/sloz")
-            assert status == 200
-            assert {s["name"] for s in sloz["slos"]} == {
-                "fleet-latency-p99", "fleet-error-rate",
-            }
-            assert "slo" in get("/statz")[1]
-            assert set(get("/fleetz")[1]) == {
-                "fleet", "mode", "nshards", "replicas", "requests", "hedges",
-                "failovers", "transport_kb_per_req", "latency_ms", "down",
-                "shards", "placements",
-            }
+                status, sloz = get("/sloz")
+                assert status == 200
+                assert {s["name"] for s in sloz["slos"]} == {
+                    "fleet-latency-p99", "fleet-error-rate",
+                }
+                assert "slo" in get("/statz")[1]
+                assert set(get("/fleetz")[1]) == {
+                    "fleet", "mode", "nshards", "replicas", "requests", "hedges",
+                    "failovers", "transport_kb_per_req", "latency_ms", "down",
+                    "shards", "placements",
+                }
 
-            status_out = io.StringIO()
-            assert main(
-                ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
-                out=status_out,
-            ) == 0
-            sections = [
-                line.split(":")[0]
-                for line in status_out.getvalue().splitlines()
-                if not line.startswith(" ")
-            ]
-            assert sections == ["fleet", "shards", "placement"]
+                status_out = io.StringIO()
+                assert main(
+                    ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
+                    out=status_out,
+                ) == 0
+                sections = [
+                    line.split(":")[0]
+                    for line in status_out.getvalue().splitlines()
+                    if not line.startswith(" ")
+                ]
+                assert sections == ["fleet", "shards", "placement"]
         finally:
-            for httpd in servers:
-                httpd.shutdown()
-            t.join(timeout=30)
             obs.disable()
             obs.reset_all()
-        assert not t.is_alive()

@@ -239,8 +239,6 @@ class TestConcurrency:
 
         if mode == "process":
             ctx = mp_context()
-            if ctx.get_start_method() != "fork":
-                pytest.skip("the patched kernel reaches shards only by fork")
             # a semaphore that only counts arrivals, not ctx.Barrier: a
             # Barrier keeps its state in multiprocessing's heap, whose
             # arena (a /dev/shm file and 2 fds) outlives the test

@@ -70,6 +70,7 @@ class TestHistogramPipeline:
 
 
 class TestDistributedPipeline:
+    @pytest.mark.usefixtures("no_leaks")
     def test_runtime_and_simulator_share_plan(self):
         """The same CommPlan drives correctness and timing."""
         coo = generate("sAMG", scale=512)

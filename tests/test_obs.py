@@ -20,6 +20,8 @@ from repro.formats import CSRMatrix
 
 from _test_common import random_coo
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 
 @pytest.fixture(autouse=True)
 def clean_obs():

@@ -5,7 +5,14 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.distributed import build_plan, distributed_spmv, partition_rows, rank_spmv
+from repro.distributed import (
+    RUNTIME_MODES,
+    RankPool,
+    build_plan,
+    distributed_spmv,
+    partition_rows,
+    rank_spmv,
+)
 from repro.faults import FaultEvent, FaultPlan, InjectedFault
 from repro.formats import CSRMatrix, convert
 from repro.ops import DistributedOperator
@@ -145,6 +152,27 @@ class TestPersistentPool:
             assert np.array_equal(op.apply(x), csr.spmv(x))
             # the crashed round's children are gone, the new ones serve
             assert len(mp.active_children()) == (3 if backend == "processes" else 0)
+
+
+@pytest.mark.parametrize("mode", RUNTIME_MODES)
+def test_fresh_x_every_round(mode):
+    """The receive buffers are reused across rounds: 20 rounds, each
+    with its own x, give every round's own answer on both backends."""
+    from repro.matrices import generate
+
+    csr = CSRMatrix.from_coo(generate("sAMG", scale=512))
+    plan = _balanced_plan(csr, 3)
+    xs = np.random.default_rng(12).standard_normal((20, csr.ncols))
+    ys = {}
+    for backend in BACKENDS:
+        with RankPool(plan, backend=backend, mode=mode) as pool:
+            ys[backend] = [pool.run(x) for x in xs]
+    for x, y_threads, y_procs in zip(xs, ys["threads"], ys["processes"]):
+        assert np.array_equal(y_threads, y_procs)
+        if mode == "vector":
+            assert np.array_equal(y_threads, csr.spmv(x))
+        else:
+            assert np.allclose(y_threads, csr.spmv(x), rtol=1e-12, atol=1e-12)
 
 
 def test_process_pool_forks_once():
