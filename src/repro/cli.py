@@ -247,7 +247,7 @@ def cmd_spmv(args, out) -> int:
 def cmd_engine(args, out) -> int:
     """``repro engine tune <matrix>``: run (or replay) the autotuner."""
     from repro import obs
-    from repro.engine import autotune, fingerprint, variants_for
+    from repro.engine import autotune, fingerprint, tune_candidates
     from repro.formats import convert
     from repro.matrices import generate
     from repro.matrices.cache import TunerCache
@@ -271,7 +271,7 @@ def cmd_engine(args, out) -> int:
     )
     print(f"fingerprint : {fingerprint(m)}", file=out)
     print(f"cache       : {'hit' if tr.cache_hit else 'miss'}", file=out)
-    print(f"candidates  : {[v.name for v in variants_for(m)]}", file=out)
+    print(f"candidates  : {[v.name for v in tune_candidates(m)]}", file=out)
     if tr.timings:
         best = min(tr.timings.values())
         for name, secs in sorted(tr.timings.items(), key=lambda kv: kv[1]):

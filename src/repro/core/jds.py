@@ -34,7 +34,10 @@ __all__ = ["JDSMatrix", "JaggedDiagonalsBase", "jagged_fill"]
 
 
 def jagged_fill(
-    coo: COOMatrix, perm: Permutation, padded_lengths: np.ndarray
+    coo: COOMatrix,
+    perm: Permutation,
+    padded_lengths: np.ndarray,
+    row_lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build flat jagged-column arrays for a given row order and padding.
 
@@ -47,6 +50,9 @@ def jagged_fill(
     padded_lengths : ndarray
         Padded length of each stored position; must be non-increasing and
         >= the true row length.
+    row_lengths : ndarray, optional
+        Non-zeros per original row (``np.bincount(coo.rows)``), passed by
+        a caller that has counted them already; counted here otherwise.
 
     Returns
     -------
@@ -64,7 +70,9 @@ def jagged_fill(
     if n > 1 and np.any(np.diff(padded_lengths) > 0):
         raise ValueError("padded_lengths must be non-increasing")
 
-    orig_lengths = np.bincount(coo.rows, minlength=n).astype(INDEX_DTYPE)
+    if row_lengths is None:
+        row_lengths = np.bincount(coo.rows, minlength=n)
+    orig_lengths = np.asarray(row_lengths, dtype=INDEX_DTYPE)
     true_lengths = orig_lengths[perm.perm]
     if np.any(true_lengths > padded_lengths):
         raise ValueError("padded_lengths smaller than actual row lengths")
@@ -81,11 +89,15 @@ def jagged_fill(
     val = np.zeros(total, dtype=coo.dtype)
     col_idx = np.zeros(total, dtype=STORED_INDEX_DTYPE)
     if coo.nnz:
-        row_start = np.zeros(n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(orig_lengths, out=row_start[1:])
-        j = np.arange(coo.nnz, dtype=INDEX_DTYPE) - row_start[coo.rows]
-        k = perm.inverse[coo.rows]
-        pos = col_start[j] + k
+        # canonical COO is row-major, so row r's entries are one run of
+        # orig_lengths[r]: entry j of the run lands in jagged column j
+        # at stored position k = perm.inverse[r], flat slot
+        # col_start[j] + k
+        row_start = np.cumsum(orig_lengths) - orig_lengths
+        j = np.arange(coo.nnz, dtype=INDEX_DTYPE)
+        j -= np.repeat(row_start, orig_lengths)
+        pos = col_start[j]
+        pos += np.repeat(perm.inverse, orig_lengths)
         val[pos] = coo.values
         col_idx[pos] = coo.cols
     return val, col_idx, col_start, true_lengths
@@ -289,7 +301,9 @@ class JDSMatrix(JaggedDiagonalsBase):
             # windowed sort may violate global monotonicity; JDS requires
             # the prefix property, so lift to the running maximum.
             sorted_lengths = np.maximum.accumulate(sorted_lengths[::-1])[::-1]
-        val, col_idx, col_start, true_lengths = jagged_fill(coo, perm, sorted_lengths)
+        val, col_idx, col_start, true_lengths = jagged_fill(
+            coo, perm, sorted_lengths, lengths
+        )
         return cls(
             val, col_idx, col_start, true_lengths, sorted_lengths, perm, coo.shape
         )

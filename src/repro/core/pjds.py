@@ -100,7 +100,9 @@ class PJDSMatrix(JaggedDiagonalsBase):
             # windowed sorting can break global monotonicity; restore the
             # jagged prefix property by lifting to the running maximum.
             padded = np.maximum.accumulate(padded[::-1])[::-1]
-        val, col_idx, col_start, true_lengths = jagged_fill(coo, perm, padded)
+        val, col_idx, col_start, true_lengths = jagged_fill(
+            coo, perm, padded, lengths
+        )
         return cls(
             val,
             col_idx,

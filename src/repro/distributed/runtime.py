@@ -155,15 +155,17 @@ def rank_spmv(
 
 
 class _Rank:
-    """One rank's immutable share: its plan, mode and unsplit block.
+    """One rank's immutable share: its plan, mode and receive layout.
 
-    The vector-mode block is the rank's row block with columns remapped
-    into the compact space ``x_rank = [halo below lo | x_local | halo
-    above hi]``.  ``xcols`` holds the global column of every ``x_rank``
-    entry (ascending).  The receive buffer is ``x_rank`` in vector mode
-    and the halo alone in task mode; ``size`` is its length and
-    ``slots`` the slice of it each source rank's gather fills — sources
-    own contiguous column ranges, so each lands in one contiguous slice.
+    In vector mode the rank also holds its unsplit ``block``: its row
+    block with columns remapped into the compact space ``x_rank = [halo
+    below lo | x_local | halo above hi]``, where ``xcols`` holds the
+    global column of every ``x_rank`` entry (ascending).  Task mode runs
+    the plan's local/nonlocal split and holds neither.  The receive
+    buffer is ``x_rank`` in vector mode and the halo alone in task
+    mode; ``size`` is its length and ``slots`` the slice of it each
+    source rank's gather fills — sources own contiguous column ranges,
+    so each lands in one contiguous slice.
     """
 
     def __init__(self, plan: RankPlan, mode: str):
@@ -178,9 +180,6 @@ class _Rank:
         halo_cols = plan.halo_cols
         below = int(np.searchsorted(halo_cols, lo))
         self.below = below
-        self.xcols = np.concatenate(
-            (halo_cols[:below], np.arange(lo, hi), halo_cols[below:])
-        )
         shift = n if mode == "vector" else 0
         self.slots = {}
         start = 0
@@ -190,6 +189,13 @@ class _Rank:
             self.slots[src] = slice(pos, pos + k)
             start += k
 
+        if mode != "vector":
+            self.xcols = self.block = None
+            self.size = plan.nonlocal_matrix.ncols
+            return
+        self.xcols = np.concatenate(
+            (halo_cols[:below], np.arange(lo, hi), halo_cols[below:])
+        )
         loc, nl = plan.local_matrix, plan.nonlocal_matrix
         rows = np.repeat(np.arange(n), np.diff(loc.indptr))
         nl_rows = np.repeat(np.arange(n), np.diff(nl.indptr))
@@ -205,9 +211,7 @@ class _Rank:
             np.concatenate((loc.data, nl.data))[order],
             (n, self.xcols.shape[0]),
         )
-        self.size = (
-            self.block.ncols if mode == "vector" else plan.nonlocal_matrix.ncols
-        )
+        self.size = self.block.ncols
 
     def finish(self, x_local, recv, y_local) -> None:
         """Complete ``y_local`` once every halo slice of ``recv`` is in.
@@ -512,7 +516,7 @@ class RankPool:
         self.mode = mode
         self.timeout = timeout
         self.ranks = [_Rank(p, mode) for p in comm_plan.ranks]
-        self.dtype = self.ranks[0].block.dtype
+        self.dtype = comm_plan.ranks[0].local_matrix.dtype
         self.n = comm_plan.ncols
         self._workers = None
         self._round = 0

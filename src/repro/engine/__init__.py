@@ -11,7 +11,8 @@ fastest for its structure.
 * :mod:`repro.ops` — the central kernel registry the engine resolves
   variants from (per format: a scipy delegate, one NumPy kernel, the
   optional cnative kernel, and the batched SpMM kernels).
-* :mod:`repro.engine.tuner` — times candidates on the live matrix and
+* :mod:`repro.engine.tuner` — times the format's compiled candidates
+  (its NumPy kernels only when it has none) on the live matrix and
   caches the decision under a structural fingerprint.
 * :mod:`repro.engine.bound` — :class:`BoundMatrix` and :func:`bind`;
   solvers reach a bound matrix through
@@ -27,6 +28,7 @@ from repro.engine.tuner import (
     autotune,
     default_tuner_cache,
     fingerprint,
+    tune_candidates,
 )
 from repro.engine.workspace import Workspace
 from repro.ops.registry import KernelVariant, get_variant, variants_for
@@ -44,5 +46,6 @@ __all__ = [
     "get_variant",
     "spmm_dispatch",
     "spmm_permuted",
+    "tune_candidates",
     "variants_for",
 ]

@@ -1,8 +1,15 @@
 """Per-matrix kernel-variant autotuning (the CMRS lesson).
 
-For each bound matrix the tuner times every candidate kernel variant of
-its format (NumPy, scipy and cnative kernels from the :mod:`repro.ops`
-registry) on the live data and picks the fastest.  Decisions are
+For each bound matrix the tuner times the candidate kernel variants of
+its format from the :mod:`repro.ops` registry on the live data and
+picks the fastest.  The candidates are the format's ``compiled``-tagged
+kernels (the ``*_scipy`` delegates and the cnative ``*_cc`` kernels)
+when it has any: its NumPy kernel fuses no gather with the row sum and
+lost every shootout cell that had a compiled sibling, by 3.4x to 46x,
+so racing it only lengthened every cold ``bind()``.  Formats with no
+compiled kernel (COO, BELLPACK) race their NumPy kernels.  The NumPy
+kernels stay registered as the bitwise references of the cnative tier
+and stay selectable by name.  Decisions are
 cached under a *matrix fingerprint* — shape, nnz, dtype and a
 row-length histogram digest — in
 :class:`repro.matrices.cache.TunerCache`, so binding a structurally
@@ -26,11 +33,17 @@ import numpy as np
 
 from repro import obs
 from repro.engine.workspace import Workspace
-from repro.ops.registry import KernelVariant, get_variant, variants_for
+from repro.ops.registry import COMPILED_TAG, KernelVariant, variants_for
 from repro.ops.spmv_kernels import stored_csr_views
 from repro.formats.base import SparseMatrixFormat
 
-__all__ = ["fingerprint", "TuneResult", "autotune", "default_tuner_cache"]
+__all__ = [
+    "fingerprint",
+    "TuneResult",
+    "autotune",
+    "default_tuner_cache",
+    "tune_candidates",
+]
 
 _DEFAULT_CACHE = None
 _DEFAULT_CACHE_LOCK = threading.Lock()
@@ -54,6 +67,16 @@ def default_tuner_cache():
     return _DEFAULT_CACHE
 
 
+def tune_candidates(matrix: SparseMatrixFormat) -> list[KernelVariant]:
+    """The spmv variants :func:`autotune` races for ``matrix``.
+
+    The format's ``compiled``-tagged kernels, in registry order, when it
+    has any; otherwise its whole roster.
+    """
+    roster = variants_for(matrix)
+    return [v for v in roster if COMPILED_TAG in v.tags] or roster
+
+
 def fingerprint(matrix: SparseMatrixFormat) -> str:
     """Structural fingerprint of a matrix instance.
 
@@ -72,10 +95,10 @@ def fingerprint(matrix: SparseMatrixFormat) -> str:
     h[: hist.shape[0]] = hist
     binned = h.reshape(64, -1).sum(axis=1)
     digest = hashlib.sha1(binned.tobytes()).hexdigest()[:16]
-    # fold in the candidate roster: a cached decision must not outlive
-    # the variant set it was ranked against (e.g. the optional compiled
+    # fold in the raced roster: a cached decision must not outlive the
+    # variant set it was ranked against (e.g. the optional compiled
     # delegates registering on one machine but not another)
-    roster = ",".join(v.name for v in variants_for(matrix))
+    roster = ",".join(v.name for v in tune_candidates(matrix))
     vdigest = hashlib.sha1(roster.encode()).hexdigest()[:8]
     # ... and the available kernel-tier set (scipy/cnative presence and
     # version): a cache warmed without a compiled backend must not pin
@@ -141,8 +164,8 @@ def autotune(
 
     A cached decision for the matrix's fingerprint is returned
     immediately (``cache_hit=True``, no timings).  Otherwise each
-    candidate runs ``reps`` times on a seeded random RHS and the
-    fastest wins; the decision is persisted.
+    candidate of :func:`tune_candidates` runs ``reps`` times on a seeded
+    random RHS and the fastest wins; the decision is persisted.
 
     Determinism: for a given fingerprint the decision is stable once
     recorded — repeated binds resolve from the cache, never re-race.
@@ -152,6 +175,7 @@ def autotune(
     ``*_scipy`` candidates built are dropped unless one of them wins
     (the next batch rebuilds a view it needs).
     """
+    candidates = tune_candidates(matrix)
     fp = fingerprint(matrix)
     cache = cache if cache is not None else default_tuner_cache()
 
@@ -160,11 +184,8 @@ def autotune(
 
     if use_cache:
         rec = cache.get(fp)
-        if rec is not None:
-            try:
-                get_variant(matrix, rec["variant"])
-            except KeyError:
-                rec = None  # stale entry from an older variant set
+        if rec is not None and rec["variant"] not in {v.name for v in candidates}:
+            rec = None  # stale entry from an older variant set
         if rec is not None:
             if obs.enabled():
                 obs.inc("engine_tune_cache_hits_total", 1, format=matrix.name)
@@ -184,7 +205,7 @@ def autotune(
     views = stored_csr_views(matrix)
     kept = set(views)
     with obs.span("engine.tune", format=matrix.name, fingerprint=fp):
-        for v in variants_for(matrix):
+        for v in candidates:
             dt = _time_variant(v, matrix, Workspace(), x, y, reps)
             timings[v.name] = dt
             if obs.enabled():
@@ -193,7 +214,7 @@ def autotune(
                     format=matrix.name,
                 )
     best = min(timings, key=timings.get)
-    tier = tuple(get_variant(matrix, best).tags)
+    tier = next(v.tags for v in candidates if v.name == best)
     if "scipy" not in tier:  # only the *_scipy spmv kernels sweep a view
         for key in set(views) - kept:
             del views[key]

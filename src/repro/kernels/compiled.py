@@ -77,7 +77,7 @@ from repro.formats.argcsr import ARGCSRMatrix
 from repro.formats.cmrs import CMRSMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
-from repro.ops.registry import CNATIVE_TAG, register_kernel
+from repro.ops.registry import CNATIVE_TAG, COMPILED_TAG, register_kernel
 from repro.ops.spmm_kernels import stored_spmm
 from repro.ops.spmv_kernels import _jds_cols
 
@@ -89,10 +89,6 @@ __all__ = [
     "backend_status",
     "CNATIVE_TAG",
 ]
-
-#: registry tag shared by every kernel of this module (the backend
-#: tag, :data:`~repro.ops.registry.CNATIVE_TAG`, ranks them last)
-COMPILED_TAG = "compiled"
 
 
 def _disabled() -> set[str]:

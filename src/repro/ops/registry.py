@@ -52,6 +52,7 @@ __all__ = [
     "KernelVariant",
     "OPS",
     "CNATIVE_TAG",
+    "COMPILED_TAG",
     "register_kernel",
     "kernels_for",
     "kernel_names_for",
@@ -71,6 +72,11 @@ OPS = ("spmv", "spmm")
 #: spmm; the compiled one gives the same bits in less time), whatever
 #: module registers first
 CNATIVE_TAG = "cnative"
+
+#: tag of every kernel that runs compiled code: the scipy delegates and
+#: the cnative tier.  The autotuner races only these when a format has
+#: any (:func:`repro.engine.tuner.tune_candidates`)
+COMPILED_TAG = "compiled"
 
 
 @dataclass(frozen=True)

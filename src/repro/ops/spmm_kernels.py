@@ -41,7 +41,12 @@ from repro.formats.cmrs import CMRSMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
-from repro.ops.registry import KernelSpec, kernels_for, register_kernel
+from repro.ops.registry import (
+    COMPILED_TAG,
+    KernelSpec,
+    kernels_for,
+    register_kernel,
+)
 from repro.ops.spmv_kernels import _sp_matvec, _sparsetools, stored_csr_triplet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -152,7 +157,7 @@ for _cls, _name in (
     (ARGCSRMatrix, "spmm_argcsr"),
 ):
     register_kernel(
-        _cls, "spmm", name=_name, tags=("scipy", "compiled")
+        _cls, "spmm", name=_name, tags=("scipy", COMPILED_TAG)
     )(_spmm_scipy)
 
 

@@ -62,7 +62,7 @@ from repro.formats.cmrs import CMRSMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
-from repro.ops.registry import register_kernel
+from repro.ops.registry import COMPILED_TAG, register_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine.workspace import Workspace
@@ -255,7 +255,7 @@ for _cls, _name in (
     (ARGCSRMatrix, "argcsr_scipy"),
 ):
     register_kernel(
-        _cls, "spmv", name=_name, tags=("scipy", "compiled"),
+        _cls, "spmv", name=_name, tags=("scipy", COMPILED_TAG),
         supports_permuted=_cls is JaggedDiagonalsBase,
     )(_scipy_spmv)
 

@@ -133,6 +133,23 @@ class _Handler(BaseHTTPRequestHandler):
         if obs.enabled():
             obs.inc("serve_http_log_lines_total", 1)
 
+    def _send_body(self, status: int, content_type: str, body: bytes) -> None:
+        """Write the head and the body in one send.
+
+        Two writes would put a small body in a segment of its own, which
+        Nagle holds until the client acknowledges the head; on a
+        keep-alive connection that waits out the client's delayed ACK.
+        """
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if self._trace_id:
+            self.send_header("X-Trace-Id", self._trace_id)
+        # end_headers() would flush the head alone: queue the blank
+        # line and the body behind it and flush once
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
     def _send_json(self, status: int, payload: dict) -> None:
         # a trace id means obs is on and this is a /v1 request
         t0 = time.perf_counter() if self._trace_id else None
@@ -141,13 +158,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = _dumps(payload)
         if t0 is not None:
             _record_stage("encode", t0)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, "application/json", body)
         if obs.enabled():
             obs.inc(
                 "serve_http_requests_total",
@@ -183,13 +194,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, health)
         elif path.path == "/statz":
             if "format=prometheus" in (path.query or ""):
-                text = obs.prometheus_text()
-                body = text.encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self._send_body(
+                    200, "text/plain; version=0.0.4",
+                    obs.prometheus_text().encode(),
+                )
             else:
                 stats = self.client.stats()
                 mon = self.slo_monitor

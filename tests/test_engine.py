@@ -11,9 +11,11 @@ from repro.engine import (
     fingerprint,
     get_variant,
     spmm_permuted,
+    tune_candidates,
     variants_for,
 )
 from repro.ops import stored_csr_triplet
+from repro.ops.registry import COMPILED_TAG
 from repro.formats import convert
 from repro.matrices.cache import TunerCache
 
@@ -146,6 +148,61 @@ class TestTuner:
         r = autotune(m, reps=1, cache=cache)
         assert not r.cache_hit
         assert r.variant in {v.name for v in variants_for(m)}
+
+    @pytest.mark.parametrize("fmt", ["CRS", "pJDS", "ELLPACK-R"])
+    def test_races_only_compiled_kernels(self, fmt, coo):
+        """Formats with compiled kernels race exactly those; their NumPy
+        kernels stay registered and bindable by name."""
+        m = convert(coo, fmt)
+        compiled = [v.name for v in variants_for(m) if COMPILED_TAG in v.tags]
+        numpy_ = [v.name for v in variants_for(m) if "numpy" in v.tags]
+        assert compiled and numpy_
+        assert [v.name for v in tune_candidates(m)] == compiled
+        r = autotune(m, reps=1, cache=TunerCache(persist=False))
+        assert list(r.timings) == compiled
+        assert r.variant in compiled
+        for name in numpy_:
+            assert bind(m, variant=name).variant_name == name
+
+    @pytest.mark.parametrize(
+        "fmt,variant", [("COO", "coo_reduceat"), ("BELLPACK", "bell_einsum")]
+    )
+    def test_numpy_only_formats_race_their_numpy_kernel(self, fmt, variant, coo):
+        m = convert(coo, fmt)
+        assert [v.name for v in tune_candidates(m)] == [variant]
+        r = autotune(m, reps=1, cache=TunerCache(persist=False))
+        assert list(r.timings) == [variant] and r.variant == variant
+
+    def test_entry_under_the_full_roster_digest_reraces(self, coo):
+        """A decision cached when every roster kernel was raced (here one
+        that pins the NumPy kernel) is not replayed: the fingerprint
+        digests the raced roster, so the matrix re-races once."""
+        import hashlib
+
+        m = convert(coo, "CRS")
+        fp = fingerprint(m)
+        full = ",".join(v.name for v in variants_for(m))
+        old_fp = fp.replace(
+            fp.split(":vs", 1)[1].split(":", 1)[0],
+            hashlib.sha1(full.encode()).hexdigest()[:8],
+        )
+        assert old_fp != fp
+        cache = TunerCache(persist=False)
+        cache.put(old_fp, {"variant": "csr_bincount", "timings": {}})
+        r = autotune(m, reps=1, cache=cache)
+        assert not r.cache_hit and r.fingerprint == fp
+        assert r.variant != "csr_bincount"
+        assert autotune(m, reps=1, cache=cache).cache_hit
+
+    def test_cached_unraced_variant_reraces(self, coo):
+        """A cache entry naming a registered kernel outside the raced
+        roster is stale, like one naming a deleted kernel."""
+        m = convert(coo, "CRS")
+        cache = TunerCache(persist=False)
+        cache.put(fingerprint(m), {"variant": "csr_bincount"})
+        r = autotune(m, reps=1, cache=cache)
+        assert not r.cache_hit
+        assert r.variant in {v.name for v in tune_candidates(m)}
 
     def test_bind_uses_tuned_variant(self, coo):
         m = convert(coo, "pJDS")

@@ -14,7 +14,54 @@ def coo() -> COOMatrix:
     return random_coo(55, seed=51)
 
 
+def _scatter_formula(coo, perm, padded):
+    """The jagged layout entry by entry: the j-th stored entry of
+    original row r sits at stored position k = perm.inverse[r] of
+    jagged column j, flat slot ``col_start[j] + k``, where column j
+    holds one slot per stored row with padded length > j."""
+    width = int(padded[0]) if len(padded) else 0
+    col_start = [0]
+    for j in range(width):
+        col_start.append(col_start[-1] + int(np.count_nonzero(padded > j)))
+    val = np.zeros(col_start[-1], dtype=coo.dtype)
+    col_idx = np.zeros(col_start[-1], dtype=np.int32)
+    seen = {}
+    for r, c, v in zip(coo.rows.tolist(), coo.cols.tolist(), coo.values):
+        j = seen.get(r, 0)
+        seen[r] = j + 1
+        pos = col_start[j] + int(perm.inverse[r])
+        val[pos] = v
+        col_idx[pos] = c
+    lengths = np.bincount(coo.rows, minlength=coo.nrows)[perm.perm]
+    return val, col_idx, np.asarray(col_start, dtype=np.int64), lengths
+
+
 class TestJaggedFill:
+    @pytest.mark.parametrize(
+        "fmt,kw",
+        [
+            (PJDSMatrix, {}),
+            (PJDSMatrix, {"block_rows": 4}),
+            (PJDSMatrix, {"block_rows": 4, "sigma": 8}),
+            (JDSMatrix, {}),
+            (JDSMatrix, {"sigma": 8}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [52, 53, 54])
+    def test_matches_scatter_formula(self, fmt, kw, seed):
+        """Bitwise the per-entry scatter, on random COO with empty rows."""
+        coo = random_coo(70, seed=seed, max_row=11, empty_row_fraction=0.3)
+        assert np.any(coo.row_lengths() == 0)
+        m = fmt.from_coo(coo, **kw)
+        want = _scatter_formula(coo, m.permutation, m.padded_lengths)
+        got = (m.val, m.col_idx, m.col_start, m.rowmax)
+        got_fill = jagged_fill(coo, m.permutation, m.padded_lengths)
+        for name, w, g, f in zip(("val", "col_idx", "col_start", "rowmax"),
+                                 want, got, got_fill):
+            assert g.dtype == f.dtype, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+            np.testing.assert_array_equal(f, g, err_msg=name)
+
     def test_prefix_property(self, coo):
         lengths = coo.row_lengths()
         perm = Permutation(np.argsort(-lengths, kind="stable"))

@@ -175,6 +175,20 @@ def test_fresh_x_every_round(mode):
             assert np.allclose(y_threads, csr.spmv(x), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_task_mode_ranks_hold_no_unsplit_block(backend):
+    """Task mode runs each rank's local/nonlocal split, so its ranks keep
+    no unsplit copy of their rows (a forked rank would inherit it)."""
+    csr, plan = _setup(nparts=3)
+    x = np.random.default_rng(13).standard_normal(csr.ncols)
+    with RankPool(plan, backend=backend, mode="vector") as pool:
+        assert sum(rank.block.nnz for rank in pool.ranks) == csr.nnz
+    with RankPool(plan, backend=backend, mode="task") as pool:
+        assert all(rank.block is None for rank in pool.ranks)
+        assert all(rank.xcols is None for rank in pool.ranks)
+        np.testing.assert_allclose(pool.run(x), csr.spmv(x), rtol=1e-12, atol=1e-12)
+
+
 def test_process_pool_forks_once():
     """20 applies on one process-backed operator: same children, same bits."""
     csr, plan = _setup(nparts=3)

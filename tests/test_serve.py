@@ -15,6 +15,7 @@ the in-process Client (solve/eigsh), the HTTP front-end, and the obs
 integration (span parenting + serving metrics).
 """
 
+import http.client
 import json
 import math
 import re
@@ -22,6 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
@@ -738,6 +740,25 @@ class TestHTTP:
         body = json.loads(raw)
         assert status == 200 and body["status"] == "ok"
         assert body["uptime_s"] >= 0
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_acks(self, endpoint):
+        """Head and body go out in one send: a small reply written in two
+        waits for the client's delayed ACK (about 40 ms on Linux) before
+        its body leaves, so 11 replies on one connection would take
+        about half a second."""
+        url = urlparse(endpoint)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for path, status in [("/healthz", 200)] * 10 + [("/nope", 404)]:
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                assert resp.status == status
+                assert json.loads(resp.read())
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.1, f"11 keep-alive replies took {elapsed * 1e3:.0f} ms"
 
     def test_statz(self, endpoint):
         self._post(endpoint, "/v1/spmv", {"matrix": "A", "x": [0.0] * 60})
