@@ -271,25 +271,31 @@ def cmd_engine(args, out) -> int:
     )
     print(f"fingerprint : {fingerprint(m)}", file=out)
     print(f"cache       : {'hit' if tr.cache_hit else 'miss'}", file=out)
-    print(f"candidates  : {[v.name for v in tune_candidates(m)]}", file=out)
-    if tr.timings:
-        best = min(tr.timings.values())
-        for name, secs in sorted(tr.timings.items(), key=lambda kv: kv[1]):
-            mark = "  <- chosen" if name == tr.variant else ""
-            print(
-                f"  {name:16s} {secs * 1e6:10.1f} us "
-                f"({secs / best:5.2f}x){mark}",
-                file=out,
-            )
+    candidates = [v.name for v in tune_candidates(m)]
+    print(f"candidates  : {candidates}", file=out)
+    _print_timings(tr, out)
     print(f"chosen      : {tr.variant}", file=out)
     if tr.tier:
         print(f"tier        : {','.join(tr.tier)}", file=out)
     if args.explain:
-        _print_explain(m, tr, out)
+        _print_explain(m, tr, out, lone=len(candidates) == 1)
     return 0
 
 
-def _print_explain(m, tr, out) -> None:
+def _print_timings(tr, out) -> None:
+    """The raced candidates' best times, fastest first."""
+    if not tr.timings:
+        return
+    best = min(tr.timings.values())
+    for name, secs in sorted(tr.timings.items(), key=lambda kv: kv[1]):
+        mark = "  <- chosen" if name == tr.variant else ""
+        print(
+            f"  {name:16s} {secs * 1e6:10.1f} us ({secs / best:5.2f}x){mark}",
+            file=out,
+        )
+
+
+def _print_explain(m, tr, out, lone: bool) -> None:
     """Eq.-1 prediction table for ``engine tune --explain``."""
     from repro.ops import kernel_tiers
     from repro.perfmodel.predict import explain_rows, predict_spmv
@@ -313,6 +319,11 @@ def _print_explain(m, tr, out) -> None:
             f"  {r['variant']:16s} {r['tier']:13s} "
             f"{r['balance_bytes_per_flop']:8.2f} {r['predicted_us']:9.1f} "
             f"{meas} {gbs}",
+            file=out,
+        )
+    if lone:
+        print(
+            f"  {tr.variant} is the only candidate: chosen without timing",
             file=out,
         )
 
@@ -372,15 +383,7 @@ def cmd_ops(args, out) -> int:
         names = [s.name for s in specs] or ["(per-column spmv loop)"]
         print(f"{op} candidates : {names}", file=out)
     tr = autotune(m, use_cache=False)
-    if tr.timings:
-        best = tr.best_seconds
-        for name, secs in sorted(tr.timings.items(), key=lambda kv: kv[1]):
-            mark = "  <- chosen" if name == tr.variant else ""
-            print(
-                f"  {name:16s} {secs * 1e6:10.1f} us "
-                f"({secs / best:5.2f}x){mark}",
-                file=out,
-            )
+    _print_timings(tr, out)
     print(f"tuned variant  : {tr.variant}", file=out)
     return 0
 

@@ -12,10 +12,19 @@ non-increasing in ``k``, the active rows of column ``j`` are exactly the
 prefix ``0..col_len[j)`` and the slot of row ``k`` in column ``j`` sits
 at flat position ``col_start[j] + k`` — precisely the address
 arithmetic of Listing 2.
+
+Set-up runs two one-pass C kernels of the ``cnative`` tier when it is
+loaded (:mod:`repro.kernels.compiled`): ``jds_fill`` places the
+row-major COO into the jagged columns, and ``jds_rows`` writes the
+stored-row CSR view that the ``*_scipy`` delegate sweeps.  Their NumPy
+bodies below are the bitwise reference and the fallback (when the tier
+is off, e.g. under ``REPRO_COMPILED_DISABLE``), as in
+:mod:`repro.solvers.vector`.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +40,75 @@ from repro.formats.base import (
 from repro.formats.coo import COOMatrix
 
 __all__ = ["JDSMatrix", "JaggedDiagonalsBase", "jagged_fill"]
+
+_UNBOUND = object()
+#: ``{value dtype: (jds_fill, jds_rows)}`` of the loaded cnative
+#: library, ``None`` when the tier is off; bound on first use, since
+#: :mod:`repro.kernels.compiled` imports this module
+_KERNELS = _UNBOUND
+
+
+def _cnative():
+    global _KERNELS
+    if _KERNELS is _UNBOUND:
+        # load the whole registry first, so a conversion does not change
+        # the order in which the kernel modules register
+        from repro.ops.registry import _ensure_loaded
+
+        _ensure_loaded()
+        from repro.kernels.compiled import _CNATIVE, _F_SUFFIX
+
+        kernels = None
+        if _CNATIVE is not None:
+            i64, ptr = ctypes.c_longlong, ctypes.c_void_p
+            kernels = {}
+            for dtype, fs in _F_SUFFIX.items():
+                fill, rows = _CNATIVE.lib[f"jds_fill_{fs}"], _CNATIVE.lib[f"jds_rows_{fs}"]
+                fill.argtypes = (i64,) + (ptr,) * 7
+                rows.argtypes = (i64,) + (ptr,) * 8
+                fill.restype = rows.restype = None
+                kernels[dtype] = (fill, rows)
+        _KERNELS = kernels
+    return _KERNELS
+
+
+def _ptr(a: np.ndarray | None):
+    return None if a is None else a.ctypes.data
+
+
+def _fill_cc(coo, inverse, lengths, col_start, val, col_idx) -> bool:
+    """:func:`jagged_fill`'s placement by the compiled ``jds_fill``;
+    ``False`` (nothing written) when the tier is off."""
+    kernels = _cnative()
+    if kernels is None:
+        return False
+    ptr = np.zeros(coo.nrows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(lengths, out=ptr[1:])
+    if ptr[-1] != coo.nnz:
+        raise ValueError("row_lengths do not sum to nnz")
+    # held in locals while the kernel reads them
+    inverse = np.ascontiguousarray(inverse, dtype=INDEX_DTYPE)
+    cols = np.ascontiguousarray(coo.cols, dtype=STORED_INDEX_DTYPE)
+    values = np.ascontiguousarray(coo.values, dtype=val.dtype)
+    kernels[val.dtype][0](
+        coo.nrows, _ptr(ptr), _ptr(inverse), _ptr(col_start), _ptr(cols),
+        _ptr(values), _ptr(col_idx), _ptr(val),
+    )
+    return True
+
+
+def _rows_cc(m, indptr, inverse, indices, data) -> bool:
+    """:meth:`JaggedDiagonalsBase._stored_rows` by the compiled
+    ``jds_rows``; ``False`` (nothing written) when the tier is off."""
+    kernels = _cnative()
+    if kernels is None:
+        return False
+    kernels[m.dtype][1](
+        m.nrows, _ptr(indptr), _ptr(m._padded_lengths), _ptr(m._col_start),
+        _ptr(m._col_idx), _ptr(m._val), _ptr(inverse), _ptr(indices),
+        _ptr(data),
+    )
+    return True
 
 
 def jagged_fill(
@@ -88,11 +166,10 @@ def jagged_fill(
     total = int(col_start[-1])
     val = np.zeros(total, dtype=coo.dtype)
     col_idx = np.zeros(total, dtype=STORED_INDEX_DTYPE)
-    if coo.nnz:
-        # canonical COO is row-major, so row r's entries are one run of
-        # orig_lengths[r]: entry j of the run lands in jagged column j
-        # at stored position k = perm.inverse[r], flat slot
-        # col_start[j] + k
+    # canonical COO is row-major, so row r's entries are one run of
+    # orig_lengths[r]: entry j of the run lands in jagged column j at
+    # stored position k = perm.inverse[r], flat slot col_start[j] + k
+    if not _fill_cc(coo, perm.inverse, orig_lengths, col_start, val, col_idx):
         row_start = np.cumsum(orig_lengths) - orig_lengths
         j = np.arange(coo.nnz, dtype=INDEX_DTYPE)
         j -= np.repeat(row_start, orig_lengths)
@@ -214,39 +291,43 @@ class JaggedDiagonalsBase(SparseMatrixFormat):
             self._col_idx_perm = cached
         return cached
 
-    def _grouped_entries(self, permuted: bool = False, data_g=None):
-        """``(idx_g, data_g, groups)``: the jagged entries re-laid row-major.
+    def _stored_rows(self, permuted: bool = False, data=None):
+        """``(indptr, indices, data)``: the jagged entries re-laid row-major.
 
-        ``groups`` is a list of ``(L, r0, r1)`` — padded lengths are
-        non-increasing, so stored rows of padded length ``L`` form the
-        contiguous range ``[r0, r1)`` — and ``idx_g``/``data_g`` hold
-        each group's slots as a dense row-major ``(r1 - r0, L)``
-        rectangle: the stored-order CSR view of
-        :func:`repro.ops.spmv_kernels.stored_csr_triplet`, which caches
-        it.  ``idx_g`` holds column indices in the requested basis
-        (original, or permuted for the stored-basis solver path).
-        Padding slots carry value 0 / column 0.  A ``data_g`` already
-        built for the other basis is passed in and shared, not rebuilt.
+        Stored row ``k`` holds its ``padded_length[k]`` slots
+        ``col_start[j] + k`` in turn, so this is the stored-order CSR
+        view of :func:`repro.ops.spmv_kernels.stored_csr_triplet` (which
+        caches it), with an int64 ``indptr``.  ``indices`` hold column
+        indices in the requested basis (original, or permuted for the
+        stored-basis solver path).  Padding slots carry value 0 and
+        column 0 (``perm.inverse[0]`` in the permuted basis).  A ``data``
+        already built for the other basis is passed in and shared, not
+        rebuilt.
         """
+        if permuted and self.nrows != self.ncols:
+            raise ValueError("the permuted basis requires a square matrix")
         pl = self._padded_lengths
-        cs = self._col_start
-        bnd = np.flatnonzero(np.diff(pl)) + 1
-        parts = []
-        groups = []
-        for r0, r1 in zip(np.r_[0, bnd], np.r_[bnd, self.nrows]):
-            L = int(pl[r0]) if r1 > r0 else 0
-            if L == 0:
-                continue
-            ks = np.arange(r0, r1, dtype=INDEX_DTYPE)
-            parts.append((cs[:L][None, :] + ks[:, None]).ravel())
-            groups.append((L, int(r0), int(r1)))
-        entry_perm = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=INDEX_DTYPE)
+        indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(pl, out=indptr[1:])
+        total = self.total_slots
+        indices = np.empty(total, dtype=STORED_INDEX_DTYPE)
+        out = np.empty(total, dtype=self._dtype) if data is None else None
+        inverse = (
+            self._perm.inverse if permuted and not self._perm.is_identity
+            else None
         )
-        if data_g is None:
-            data_g = np.ascontiguousarray(self._val[entry_perm])
-        src = self._permuted_col_idx() if permuted else self._col_idx
-        return np.ascontiguousarray(src[entry_perm]), data_g, groups
+        if not _rows_cc(self, indptr, inverse, indices, out):
+            # slot j of stored row k is col_start[j] + k
+            k = np.repeat(np.arange(self.nrows, dtype=INDEX_DTYPE), pl)
+            pos = np.arange(total, dtype=INDEX_DTYPE)
+            pos -= np.repeat(indptr[:-1], pl)
+            pos = self._col_start[pos]
+            pos += k
+            src = self._permuted_col_idx() if permuted else self._col_idx
+            np.take(src, pos, out=indices)
+            if out is not None:
+                np.take(self._val, pos, out=out)
+        return indptr, indices, data if data is not None else out
 
     # ------------------------------------------------------------------
     def to_coo(self) -> COOMatrix:

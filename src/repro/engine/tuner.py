@@ -7,7 +7,8 @@ kernels (the ``*_scipy`` delegates and the cnative ``*_cc`` kernels)
 when it has any: its NumPy kernel fuses no gather with the row sum and
 lost every shootout cell that had a compiled sibling, by 3.4x to 46x,
 so racing it only lengthened every cold ``bind()``.  Formats with no
-compiled kernel (COO, BELLPACK) race their NumPy kernels.  The NumPy
+compiled kernel (COO, BELLPACK) race their NumPy kernels.  A lone
+candidate is not raced: it wins untimed.  The NumPy
 kernels stay registered as the bitwise references of the cnative tier
 and stay selectable by name.  Decisions are
 cached under a *matrix fingerprint* — shape, nnz, dtype and a
@@ -18,8 +19,8 @@ timing phase: the decision is deterministic once cached.
 
 Everything is instrumented through :mod:`repro.obs` when enabled:
 ``engine_tune_total`` / ``engine_tune_cache_hits_total`` counters, an
-``engine_variant_seconds`` histogram per candidate, and one
-``engine.tune`` span per tuning run.
+``engine_variant_seconds`` histogram per timed candidate, and one
+``engine.tune`` span per race.
 """
 
 from __future__ import annotations
@@ -120,15 +121,12 @@ class TuneResult:
 
     fingerprint: str
     variant: str
-    #: best wall-clock seconds per call for each candidate
+    #: best wall-clock seconds per call for each raced candidate (empty
+    #: when a lone candidate won untimed)
     timings: dict[str, float] = field(default_factory=dict)
     cache_hit: bool = False
     #: registry tags of the winning variant (tier provenance)
     tier: tuple[str, ...] = ()
-
-    @property
-    def best_seconds(self) -> float:
-        return self.timings.get(self.variant, float("nan"))
 
 
 def _time_variant(
@@ -152,6 +150,33 @@ def _time_variant(
     return best
 
 
+def _race(matrix, candidates, fp, reps, seed):
+    """``(best, timings, tags)`` from timing every candidate on a seeded
+    random RHS, each in a workspace of its own."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(matrix.ncols).astype(matrix.dtype)
+    y = np.zeros(matrix.nrows, dtype=matrix.dtype)
+
+    timings: dict[str, float] = {}
+    views = stored_csr_views(matrix)
+    kept = set(views)
+    with obs.span("engine.tune", format=matrix.name, fingerprint=fp):
+        for v in candidates:
+            dt = _time_variant(v, matrix, Workspace(), x, y, reps)
+            timings[v.name] = dt
+            if obs.enabled():
+                obs.observe(
+                    "engine_variant_seconds", dt, variant=v.name,
+                    format=matrix.name,
+                )
+    best = min(timings, key=timings.get)
+    tier = next(v.tags for v in candidates if v.name == best)
+    if "scipy" not in tier:  # only the *_scipy spmv kernels sweep a view
+        for key in set(views) - kept:
+            del views[key]
+    return best, timings, tier
+
+
 def autotune(
     matrix: SparseMatrixFormat,
     *,
@@ -165,7 +190,10 @@ def autotune(
     A cached decision for the matrix's fingerprint is returned
     immediately (``cache_hit=True``, no timings).  Otherwise each
     candidate of :func:`tune_candidates` runs ``reps`` times on a seeded
-    random RHS and the fastest wins; the decision is persisted.
+    random RHS and the fastest wins; a lone candidate (COO, BELLPACK,
+    or any format whose only compiled kernel is its scipy delegate when
+    the cnative tier is off) wins untimed, with empty ``timings``.  The
+    decision is persisted either way.
 
     Determinism: for a given fingerprint the decision is stable once
     recorded — repeated binds resolve from the cache, never re-race.
@@ -197,27 +225,11 @@ def autotune(
                 tier=tuple(rec.get("tier", ())),
             )
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(matrix.ncols).astype(matrix.dtype)
-    y = np.zeros(matrix.nrows, dtype=matrix.dtype)
-
-    timings: dict[str, float] = {}
-    views = stored_csr_views(matrix)
-    kept = set(views)
-    with obs.span("engine.tune", format=matrix.name, fingerprint=fp):
-        for v in candidates:
-            dt = _time_variant(v, matrix, Workspace(), x, y, reps)
-            timings[v.name] = dt
-            if obs.enabled():
-                obs.observe(
-                    "engine_variant_seconds", dt, variant=v.name,
-                    format=matrix.name,
-                )
-    best = min(timings, key=timings.get)
-    tier = next(v.tags for v in candidates if v.name == best)
-    if "scipy" not in tier:  # only the *_scipy spmv kernels sweep a view
-        for key in set(views) - kept:
-            del views[key]
+    if len(candidates) == 1:
+        # nothing to race: the lone candidate is chosen untimed
+        best, timings, tier = candidates[0].name, {}, candidates[0].tags
+    else:
+        best, timings, tier = _race(matrix, candidates, fp, reps, seed)
     if use_cache:
         cache.put(
             fp,
@@ -228,7 +240,7 @@ def autotune(
                 "tier": list(tier),
             },
         )
-    if obs.enabled():
+    if obs.enabled() and timings:
         obs.set_gauge(
             "engine_tuned_variant_seconds", timings[best],
             format=matrix.name, variant=best,

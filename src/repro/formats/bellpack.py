@@ -149,28 +149,24 @@ class BELLPACKMatrix(SparseMatrixFormat):
 
     # ------------------------------------------------------------------
     def to_coo(self) -> COOMatrix:
+        # every non-zero of a stored block (slot j < blocks_per_row[b]),
+        # in slot, block-row, then row-major order inside the block;
+        # explicit zeros and slots past a block-row's count are skipped,
+        # and entries of edge blocks past nrows/ncols are clipped
         br, bc = self.block_shape
-        rows_, cols_, vals_ = [], [], []
-        for j in range(self.width):
-            idx = np.nonzero(self._blocks > j)[0]
-            for b in idx:
-                block = self._val[j, b]
-                r, c = np.nonzero(block)
-                if r.size == 0:
-                    continue
-                rows_.append(b * br + r)
-                cols_.append(self._col[j, b] * bc + c)
-                vals_.append(block[r, c])
-        if rows_:
-            rows = np.concatenate(rows_)
-            cols = np.concatenate(cols_)
-            vals = np.concatenate(vals_)
-            keep = (rows < self.nrows) & (cols < self.ncols)
+        live = np.arange(self.width)[:, None] < self._blocks[None, :]
+        nz = self._val != 0
+        nz &= live[:, :, None, None]
+        # flat positions in C order, split like np.nonzero(nz) but faster
+        jb, rc = np.divmod(np.flatnonzero(nz), br * bc)
+        j, b = np.divmod(jb, self.nblockrows)
+        r, c = np.divmod(rc, bc)
+        rows = b * br + r
+        cols = self._col[j, b].astype(INDEX_DTYPE) * bc + c
+        vals = self._val[j, b, r, c]
+        keep = (rows < self.nrows) & (cols < self.ncols)
+        if not keep.all():
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        else:
-            rows = np.empty(0, dtype=INDEX_DTYPE)
-            cols = np.empty(0, dtype=INDEX_DTYPE)
-            vals = np.empty(0, dtype=self._dtype)
         return COOMatrix(rows, cols, vals, self.shape, sum_duplicates=False)
 
     def memory_breakdown(self) -> Mapping[str, int]:

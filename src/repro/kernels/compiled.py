@@ -31,11 +31,21 @@ float64 they agree *bitwise* with those references (``csr_bincount``,
 ``argcsr_sweep``); every spmm column is bitwise the format's
 ``*_scipy`` spmv — ``tests/test_ops.py`` pins both.
 
-The same library carries three float64 Krylov vector kernels
-(``vec_dot_f64``, ``cg_update_f64``, ``vec_xpby_f64``), bound by
-:mod:`repro.solvers.vector` rather than registered: they keep a solver
-iteration's BLAS-1 work in the spmv kernels' pool, and their reductions
-agree bitwise with the NumPy fallback's.
+The same library carries kernels that are bound rather than
+registered, each beside a NumPy body that is its bitwise reference and
+its fallback when the tier is off:
+
+- three float64 Krylov vector kernels (``vec_dot_f64``,
+  ``cg_update_f64``, ``vec_xpby_f64``), bound by
+  :mod:`repro.solvers.vector`: they keep a solver iteration's BLAS-1
+  work in the spmv kernels' pool, and their reductions agree bitwise
+  with the NumPy fallback's;
+- two JDS/pJDS set-up kernels (``jds_fill_{f64,f32}``,
+  ``jds_rows_{f64,f32}``), bound by :mod:`repro.core.jds`: one pass
+  over the row-major COO places every entry in its jagged column, and
+  one pass over the stored rows writes the stored-order CSR view
+  (original or permuted basis) that the ``*_scipy`` delegate sweeps.
+  They are pure copies, so they are bitwise at any dtype.
 
 Environment knobs:
 
@@ -718,6 +728,81 @@ void sell_spmv_{F}(i64 nchunks, i64 C, const i64 *ptr, const i64 *widths,
                        even_block(nchunks, C < CHUNK_ROWS ? CHUNK_ROWS / C : 1),
                        ptr, widths, col, val, x, y}};
     pool_run(sell_chunk_{F}, &a, ceil_div(nchunks, a.run));
+}}
+
+/* JDS/pJDS set-up (bound by repro.core.jds): a row block is a range of
+   original rows for the fill and of stored rows for the view, and no
+   two rows share a slot, so blocks never write the same element. */
+typedef struct {{
+    i64 nrows, rows;
+    const i64 *ptr, *pl, *inv, *cs;
+    const i32 *col;
+    const {FT} *val;
+    i32 *col_out;
+    {FT} *val_out;
+}} jds_setup_job_{F};
+
+/* Entry j of original row r (a run of the row-major COO starting at
+   ptr[r]) goes to slot cs[j] + inv[r]. */
+static void jds_fill_chunk_{F}(void *p, i64 c) {{
+    const jds_setup_job_{F} *a = p;
+    const i64 *restrict cs = a->cs;
+    const i32 *restrict col = a->col;
+    const {FT} *restrict val = a->val;
+    i32 *restrict col_out = a->col_out;
+    {FT} *restrict val_out = a->val_out;
+    i64 r, j, lo, hi;
+    row_block(a->nrows, a->rows, c, &lo, &hi);
+    for (r = lo; r < hi; r++) {{
+        const i64 k = a->inv[r], e = a->ptr[r], len = a->ptr[r + 1] - e;
+        for (j = 0; j < len; j++) {{
+            val_out[cs[j] + k] = val[e + j];
+            col_out[cs[j] + k] = col[e + j];
+        }}
+    }}
+}}
+
+void jds_fill_{F}(i64 nrows, const i64 *ptr, const i64 *inv, const i64 *cs,
+                  const i32 *col, const {FT} *val, i32 *col_out,
+                  {FT} *val_out) {{
+    jds_setup_job_{F} a = {{nrows, even_block(nrows, CHUNK_ROWS), ptr, NULL,
+                            inv, cs, col, val, col_out, val_out}};
+    pool_run(jds_fill_chunk_{F}, &a, ceil_div(nrows, a.rows));
+}}
+
+/* Stored row k's pl[k] slots (cs[j] + k for j < pl[k]) copied row-major
+   to [ptr[k], ptr[k + 1]); column indices pass through inv when it is
+   given (the permuted basis), values are skipped when val_out is NULL. */
+static void jds_rows_chunk_{F}(void *p, i64 c) {{
+    const jds_setup_job_{F} *a = p;
+    const i64 *restrict cs = a->cs;
+    const i64 *restrict inv = a->inv;
+    const i32 *restrict col = a->col;
+    const {FT} *restrict val = a->val;
+    i32 *restrict col_out = a->col_out;
+    {FT} *restrict val_out = a->val_out;
+    i64 k, j, lo, hi;
+    row_block(a->nrows, a->rows, c, &lo, &hi);
+    for (k = lo; k < hi; k++) {{
+        const i64 o = a->ptr[k], len = a->pl[k];
+        if (inv)
+            for (j = 0; j < len; j++)
+                col_out[o + j] = (i32)inv[col[cs[j] + k]];
+        else
+            for (j = 0; j < len; j++)
+                col_out[o + j] = col[cs[j] + k];
+        if (val_out)
+            for (j = 0; j < len; j++)
+                val_out[o + j] = val[cs[j] + k];
+    }}
+}}
+
+void jds_rows_{F}(i64 nrows, const i64 *ptr, const i64 *pl, const i64 *cs,
+                  const i32 *col, const {FT} *val, const i64 *inv,
+                  i32 *col_out, {FT} *val_out) {{
+    jds_setup_job_{F} a = {{nrows, even_block(nrows, CHUNK_ROWS), ptr, pl,
+                            inv, cs, col, val, col_out, val_out}};
+    pool_run(jds_rows_chunk_{F}, &a, ceil_div(nrows, a.rows));
 }}
 """
 

@@ -91,18 +91,14 @@ def _sp_matvec(nrows, ncols, indptr, indices, data, x, y):
 def _jds_stored_csr(m: JaggedDiagonalsBase, permuted: bool, data_g=None):
     """CSR triplet of the stored-order (row-permuted) matrix.
 
-    The grouped row-major entry order of :meth:`_grouped_entries` *is*
-    a CSR layout whose rows are the stored rows and whose row lengths
-    are the padded lengths — padding slots carry a 0.0 value and an
-    in-bounds column index, so the compiled kernel may sweep them.
-    ``data_g`` is the other basis's value array, shared when it exists.
+    The row-major entry order of :meth:`_stored_rows` *is* a CSR layout
+    whose rows are the stored rows and whose row lengths are the padded
+    lengths — padding slots carry a 0.0 value and an in-bounds column
+    index, so the compiled kernel may sweep them.  ``data_g`` is the
+    other basis's value array, shared when it exists.
     """
-    idx_g, data_g, groups = m._grouped_entries(permuted, data_g)  # noqa: SLF001
-    indptr = np.zeros(m.nrows + 1, dtype=np.int64)
-    for length, r0, r1 in groups:
-        indptr[r0 + 1 : r1 + 1] = length
-    np.cumsum(indptr, out=indptr)
-    return _sp_indptr(indptr), idx_g, data_g
+    indptr, indices, data = m._stored_rows(permuted, data_g)  # noqa: SLF001
+    return _sp_indptr(indptr), indices, data
 
 
 def _ell_true_csr(m: ELLPACKMatrix):

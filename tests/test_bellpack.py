@@ -61,6 +61,65 @@ class TestCorrectness:
         assert np.allclose(m.spmv(np.array([1.0, 2.0])), [4.0, 3.0])
 
 
+def _to_coo_per_block(m):
+    """BELLPACK -> COO triplets block by block: every non-zero of each
+    stored block (slot j < blocks_per_row[b]) in slot, block-row and
+    row-major order, clipped to the matrix shape."""
+    br, bc = m.block_shape
+    val, col = m._val, m._col
+    rows, cols, vals = [], [], []
+    for j in range(m.width):
+        for b in np.nonzero(m.blocks_per_row > j)[0]:
+            r, c = np.nonzero(val[j, b])
+            rows.append(b * br + r)
+            cols.append(col[j, b] * bc + c)
+            vals.append(val[j, b][r, c])
+    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    vals = np.concatenate(vals) if vals else np.empty(0, dtype=m.dtype)
+    keep = (rows < m.nrows) & (cols < m.ncols)
+    return COOMatrix(rows[keep], cols[keep], vals[keep], m.shape,
+                     sum_duplicates=False)
+
+
+def _assert_same_coo(got, want):
+    for name in ("rows", "cols", "values"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+class TestToCOO:
+    @pytest.mark.parametrize("br,bc", [(4, 4), (3, 3), (2, 5)])
+    def test_matches_per_block_walk(self, scattered, br, bc):
+        m = BELLPACKMatrix.from_coo(scattered, block_rows=br, block_cols=bc)
+        _assert_same_coo(m.to_coo(), _to_coo_per_block(m))
+        _assert_same_coo(m.to_coo(), scattered)
+
+    def test_drops_explicit_zeros_and_clips_edge_blocks(self):
+        """Explicit zeros inside a block are dropped; entries of edge
+        blocks past nrows/ncols and of slots past a block-row's count
+        are not part of the matrix."""
+        coo = random_coo(17, 23, seed=214, max_row=5)
+        m = BELLPACKMatrix.from_coo(coo, block_rows=4, block_cols=3)
+        val = m._val.copy()
+        val[0, -1, -1, :] = 7.0  # rows 17..19 of the last block-row
+        val[0, 0, 0, :] = 0.0  # explicit zeros in a stored block
+        val[:, :, :, -1] += 5.0  # column 23 of the edge block-column
+        short = int(np.argmin(m.blocks_per_row))
+        val[-1, short] = 3.0  # a padding slot
+        assert m.blocks_per_row[short] < m.width
+        edge = BELLPACKMatrix(val, m._col, m.blocks_per_row, m.shape, m.nnz)
+        got = edge.to_coo()
+        _assert_same_coo(got, _to_coo_per_block(edge))
+        assert got.rows.max() < 17 and got.cols.max() < 23
+        assert np.all(got.values != 0)
+
+    def test_empty(self):
+        m = BELLPACKMatrix.from_coo(COOMatrix([], [], [], (6, 6)), block_rows=3)
+        _assert_same_coo(m.to_coo(), _to_coo_per_block(m))
+        assert m.to_coo().nnz == 0
+
+
 class TestFootprint:
     def test_perfect_tiling_low_fill(self, blocky):
         m = BELLPACKMatrix.from_coo(blocky, block_rows=4)

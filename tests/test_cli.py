@@ -194,6 +194,15 @@ class TestEngineTune:
         assert "<- chosen" in text
         assert "chosen      : jds_" in text
 
+    def test_explain_names_an_untimed_lone_candidate(self):
+        text = run_cli(
+            "engine", "tune", "sAMG", "--format", "coo",
+            "--scale", "512", "--no-cache", "--explain",
+        )
+        assert "candidates  : ['coo_reduceat']" in text
+        assert "<- chosen" not in text
+        assert "coo_reduceat is the only candidate: chosen without timing" in text
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine"])

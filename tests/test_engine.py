@@ -128,7 +128,9 @@ class TestTuner:
         assert r2.cache_hit
         assert r1.variant == r2.variant
         assert r1.variant in {v.name for v in variants_for(m)}
-        assert r1.timings  # measured candidates recorded
+        # measured candidates recorded; a lone candidate is not timed
+        raced = [v.name for v in tune_candidates(m)]
+        assert list(r1.timings) == (raced if len(raced) > 1 else [])
 
     def test_cache_round_trip(self, coo, tmp_path):
         m = convert(coo, "CRS")
@@ -159,7 +161,8 @@ class TestTuner:
         assert compiled and numpy_
         assert [v.name for v in tune_candidates(m)] == compiled
         r = autotune(m, reps=1, cache=TunerCache(persist=False))
-        assert list(r.timings) == compiled
+        # with the cnative tier off the scipy delegate is alone: untimed
+        assert list(r.timings) == (compiled if len(compiled) > 1 else [])
         assert r.variant in compiled
         for name in numpy_:
             assert bind(m, variant=name).variant_name == name
@@ -168,10 +171,31 @@ class TestTuner:
         "fmt,variant", [("COO", "coo_reduceat"), ("BELLPACK", "bell_einsum")]
     )
     def test_numpy_only_formats_race_their_numpy_kernel(self, fmt, variant, coo):
+        """Their NumPy kernel is the lone candidate: chosen untimed, and
+        the decision is cached under the usual fingerprint."""
         m = convert(coo, fmt)
         assert [v.name for v in tune_candidates(m)] == [variant]
-        r = autotune(m, reps=1, cache=TunerCache(persist=False))
-        assert list(r.timings) == [variant] and r.variant == variant
+        cache = TunerCache(persist=False)
+        r = autotune(m, reps=1, cache=cache)
+        assert r.timings == {} and r.variant == variant
+        assert not r.cache_hit and r.fingerprint == fingerprint(m)
+        assert cache.get(r.fingerprint)["variant"] == variant
+        assert autotune(m, reps=1, cache=cache).cache_hit
+
+    def test_lone_candidate_runs_no_kernel(self, coo, monkeypatch):
+        """A lone candidate is never run: no warm-up, no timed reps."""
+        from repro.engine import tuner
+
+        calls = []
+        monkeypatch.setattr(
+            tuner, "_time_variant", lambda *a, **k: calls.append(a) or 1.0
+        )
+        r = autotune(convert(coo, "COO"), cache=TunerCache(persist=False))
+        assert r.variant == "coo_reduceat" and calls == []
+        crs = convert(coo, "CRS")
+        autotune(crs, cache=TunerCache(persist=False))
+        raced = len(tune_candidates(crs))
+        assert len(calls) == (raced if raced > 1 else 0)
 
     def test_entry_under_the_full_roster_digest_reraces(self, coo):
         """A decision cached when every roster kernel was raced (here one

@@ -1,10 +1,14 @@
 """Unit tests for classic JDS and the shared jagged machinery."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import JDSMatrix, PJDSMatrix, Permutation, jagged_fill
+from repro.core import jds
 from repro.formats import COOMatrix
+from repro.kernels import compiled
 
 from _test_common import random_coo
 
@@ -36,17 +40,65 @@ def _scatter_formula(coo, perm, padded):
     return val, col_idx, np.asarray(col_start, dtype=np.int64), lengths
 
 
+_FILL_GRID = pytest.mark.parametrize(
+    "fmt,kw",
+    [
+        (PJDSMatrix, {}),
+        (PJDSMatrix, {"block_rows": 4}),
+        (PJDSMatrix, {"block_rows": 4, "sigma": 8}),
+        (JDSMatrix, {}),
+        (JDSMatrix, {"sigma": 8}),
+    ],
+)
+
+#: matrices the compiled set-up kernels are checked on
+_SETUP_CASES = {
+    "empty_rows": lambda: random_coo(70, seed=55, max_row=11, empty_row_fraction=0.3),
+    "float32": lambda: random_coo(
+        70, seed=56, max_row=11, dtype=np.float32, empty_row_fraction=0.3
+    ),
+    "nnz0": lambda: COOMatrix([], [], [], (0, 0)),
+    "one_row": lambda: random_coo(1, 9, seed=57, max_row=6, min_row=1),
+    "all_rows_empty": lambda: COOMatrix([], [], [], (7, 7)),
+}
+
+
+@pytest.fixture
+def compiled_ran(monkeypatch):
+    """Names of the compiled set-up kernels that ran (the wrappers
+    return ``False`` and write nothing when the tier is off)."""
+    ran = []
+    for name in ("_fill_cc", "_rows_cc"):
+        def spy(*args, _real=getattr(jds, name), _name=name):
+            done = _real(*args)
+            if done:
+                ran.append(_name)
+            return done
+
+        monkeypatch.setattr(jds, name, spy)
+    return ran
+
+
+@contextlib.contextmanager
+def _numpy_only():
+    """The set-up runs its NumPy bodies inside this block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jds, "_cnative", lambda: None)
+        yield
+
+
+def _assert_bitwise(got, want, names):
+    for name, g, w in zip(names, got, want):
+        assert g.dtype == w.dtype, name
+        assert g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+_TIER = compiled._CNATIVE is not None
+
+
 class TestJaggedFill:
-    @pytest.mark.parametrize(
-        "fmt,kw",
-        [
-            (PJDSMatrix, {}),
-            (PJDSMatrix, {"block_rows": 4}),
-            (PJDSMatrix, {"block_rows": 4, "sigma": 8}),
-            (JDSMatrix, {}),
-            (JDSMatrix, {"sigma": 8}),
-        ],
-    )
+    @_FILL_GRID
     @pytest.mark.parametrize("seed", [52, 53, 54])
     def test_matches_scatter_formula(self, fmt, kw, seed):
         """Bitwise the per-entry scatter, on random COO with empty rows."""
@@ -61,6 +113,54 @@ class TestJaggedFill:
             assert g.dtype == f.dtype, name
             np.testing.assert_array_equal(g, w, err_msg=name)
             np.testing.assert_array_equal(f, g, err_msg=name)
+
+    @_FILL_GRID
+    @pytest.mark.parametrize("case", sorted(_SETUP_CASES))
+    def test_compiled_fill_matches_numpy(self, fmt, kw, case, compiled_ran):
+        """The compiled fill is bitwise the NumPy fill, and it ran."""
+        coo = _SETUP_CASES[case]()
+        m = fmt.from_coo(coo, **kw)
+        assert compiled_ran == (["_fill_cc"] if _TIER else [])
+        with _numpy_only():
+            ref = fmt.from_coo(coo, **kw)
+        names = ("val", "col_idx", "col_start", "rowmax", "padded", "perm")
+
+        def arrays(a):
+            return (a.val, a.col_idx, a.col_start, a.rowmax,
+                    a.padded_lengths, a.permutation.perm)
+
+        _assert_bitwise(arrays(m), arrays(ref), names)
+        assert m.val.dtype == coo.dtype
+
+    @_FILL_GRID
+    @pytest.mark.parametrize("case", sorted(_SETUP_CASES))
+    def test_compiled_view_matches_numpy(self, fmt, kw, case, compiled_ran):
+        """The compiled stored-row view is bitwise the NumPy view in
+        both bases, built alone or sharing the other basis's values."""
+        m = fmt.from_coo(_SETUP_CASES[case](), **kw)
+        bases = (False, True) if m.nrows == m.ncols else (False,)
+        names = ("indptr", "indices", "data")
+        del compiled_ran[:]
+        got = {p: m._stored_rows(p) for p in bases}
+        data = got[False][2]
+        shared = [m._stored_rows(True, data)] if len(bases) == 2 else []
+        assert compiled_ran == (["_rows_cc"] * (len(got) + len(shared)) if _TIER else [])
+        with _numpy_only():
+            want = {p: m._stored_rows(p) for p in bases}
+            shared += [m._stored_rows(True, data)] if shared else []
+        for p in bases:
+            _assert_bitwise(got[p], want[p], names)
+        for view in shared:
+            assert view[2] is data
+            _assert_bitwise(view, want[True], names)
+        indptr, indices, data = got[False]
+        assert indptr[-1] == m.total_slots == indices.shape[0] == data.shape[0]
+        np.testing.assert_array_equal(np.diff(indptr), m.padded_lengths)
+
+    def test_permuted_view_needs_a_square_matrix(self):
+        m = PJDSMatrix.from_coo(random_coo(6, 9, seed=58))
+        with pytest.raises(ValueError, match="square"):
+            m._stored_rows(True)
 
     def test_prefix_property(self, coo):
         lengths = coo.row_lengths()
