@@ -82,35 +82,18 @@ def test_all_rates_positive(relative_table):
 # Engine-vs-seed comparison (the CI bench-smoke JSON artifact)
 # ---------------------------------------------------------------------------
 
-def _engine_formats():
-    from repro.scenarios import BENCH_FORMATS
-
-    return BENCH_FORMATS
-
-
-ENGINE_FORMATS = _engine_formats()
+#: the engine-bound formats the engine, dispatch and obs benches probe:
+#: the paper's CRS/pJDS pair, the two intermediate column-sweep
+#: formats, and the two related-work challengers (Koza's CMRS,
+#: Heller-Oberhuber's ARG-CSR)
+ENGINE_FORMATS = ("CRS", "pJDS", "ELLPACK-R", "SELL-C-sigma", "CMRS", "ARG-CSR")
 
 
-def scenario_pairs(keys=TABLE1_KEYS):
-    """Candidate (matrix, format) combos from the scenario bench suite.
-
-    The ``bench`` suite cells (``repro matrix expand --suite bench``)
-    are the single source of what gets measured; this collapses them
-    to unique (suite-matrix, format) pairs, reordered key-major in the
-    caller's ``keys`` order so the printed tables group per matrix.
-    """
-    from repro.scenarios import expand_suite
-
-    seen = []
-    for cell in expand_suite("bench", wave="full"):
-        axes = cell.axes_dict
-        pair = (axes["suite-matrix"], axes["format"])
-        if pair not in seen:
-            seen.append(pair)
-    if keys is None:
-        keys = tuple(dict.fromkeys(k for k, _ in seen))
-    fmts = tuple(dict.fromkeys(f for _, f in seen))
-    return [(k, f) for k in keys for f in fmts if (k, f) in seen]
+def engine_pairs(keys=TABLE1_KEYS):
+    """The (matrix, format) pairs the engine benches time, key-major
+    in the caller's ``keys`` order so the printed tables group per
+    matrix."""
+    return [(k, f) for k in keys for f in ENGINE_FORMATS]
 
 
 def _seed_spmv_crs(m, x, out):
@@ -172,7 +155,7 @@ def run_engine_bench(scale=64, *, keys=TABLE1_KEYS, reps=5, spmm_rhs=8):
     cache = TunerCache(persist=False)  # rank fresh on this machine
     records = []
     coos = {}
-    for key, fmt in scenario_pairs(keys):
+    for key, fmt in engine_pairs(keys):
         if key not in coos:
             coos[key] = generate(key, scale=scale)
         coo = coos[key]
@@ -250,7 +233,7 @@ def run_dispatch_bench(scale=48, *, keys=TABLE1_KEYS, reps=7, inner=20):
 
     records = []
     coos = {}
-    for key, fmt in scenario_pairs(keys):
+    for key, fmt in engine_pairs(keys):
         if key not in coos:
             coos[key] = generate(key, scale=scale)
         m = convert(coos[key], fmt)
@@ -340,7 +323,7 @@ def run_obs_overhead_bench(scale=48, *, keys=TABLE1_KEYS, reps=7, inner=20):
     records = []
     coos = {}
     try:
-        for key, fmt in scenario_pairs(keys):
+        for key, fmt in engine_pairs(keys):
             if key not in coos:
                 coos[key] = generate(key, scale=scale)
             m = convert(coos[key], fmt)

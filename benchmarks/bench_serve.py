@@ -211,14 +211,13 @@ def test_bench_serve_smoke():
 def main(argv=None):
     import argparse
 
-    from repro.scenarios import axis_values
+    from repro.formats import available_formats
+    from repro.matrices import SUITE_KEYS
 
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", type=int, default=64)
-    ap.add_argument("--matrix", default="sAMG",
-                    choices=axis_values("suite-matrix"))
-    ap.add_argument("--format", default="pJDS",
-                    choices=axis_values("format"))
+    ap.add_argument("--matrix", default="sAMG", choices=SUITE_KEYS)
+    ap.add_argument("--format", default="pJDS", choices=available_formats())
     ap.add_argument("--clients", type=int, default=8)
     ap.add_argument("--requests", type=int, default=50,
                     help="requests per client")

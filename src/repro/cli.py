@@ -356,16 +356,8 @@ def cmd_ops(args, out) -> int:
         print(f"{len(rows)} kernels registered "
               f"(rank 0 is what the unbound spmv/spmm run)", file=out)
         from repro.ops import kernel_tiers
-        from repro.scenarios.specs import axis_values
 
         print(f"kernel tiers: {', '.join(kernel_tiers())}", file=out)
-        # the same axes the scenario matrix expands — one roster,
-        # no drift between `repro ops list`, the specs, and CI
-        print(
-            f"scenario axes: format={','.join(axis_values('format'))}; "
-            f"kernel-tier={','.join(axis_values('kernel-tier'))}",
-            file=out,
-        )
         return 0
 
     from repro.engine import autotune
@@ -840,11 +832,11 @@ def cmd_chaos(args, out) -> int:
         try:
             seed = int(args.plan)
         except ValueError:
-            from repro.scenarios.specs import axis_values
+            from repro.faults import NAMED_PLANS
 
             print(
                 f"unknown plan {args.plan!r}; known: "
-                f"{sorted(axis_values('fault-plan'))} or an integer seed",
+                f"{sorted(NAMED_PLANS)} or an integer seed",
                 file=out,
             )
             return 2
@@ -1005,78 +997,6 @@ def cmd_chaos(args, out) -> int:
     return 0 if ok else 1
 
 
-def cmd_matrix(args, out) -> int:
-    """``repro matrix expand|run``: the declarative scenario matrix.
-
-    ``expand`` prints the deduplicated, seed-deterministic cell rows a
-    suite/wave expands to (``--json`` output is byte-identical across
-    runs with the same seed — CI diffs it).  ``run`` executes each
-    cell through its executor binding and gates on the per-cell
-    status: exit 0 when nothing failed (skips are fine — they mean
-    the cell is not runnable on this host), 1 when any cell failed.
-    """
-    import json as _json
-
-    from repro.scenarios import expand_suite, run_cell, suite_names
-
-    suites = [args.suite] if args.suite else list(suite_names())
-    cells = []
-    for s in suites:
-        cells.extend(expand_suite(s, wave=args.wave, seed=args.seed))
-
-    if args.matrix_command == "expand":
-        rows = [c.to_row() for c in cells]
-        if args.json:
-            text = _json.dumps(rows, sort_keys=True, indent=2)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text + "\n")
-                print(f"wrote {len(rows)} cells to {args.out}", file=out)
-            else:
-                print(text, file=out)
-        else:
-            print(f"{'cell_id':26s} {'executor':16s} axes", file=out)
-            for c in cells:
-                print(f"{c.cell_id:26s} {c.executor:16s} {c.label()}", file=out)
-            print(
-                f"{len(rows)} cells ({args.wave} wave, "
-                f"suites: {', '.join(suites)}, seed {args.seed})",
-                file=out,
-            )
-        return 0
-
-    rows = []
-    counts = {"ok": 0, "skip": 0, "fail": 0}
-    for c in cells:
-        row = run_cell(c, scale=args.scale, seed=args.seed)
-        rows.append(row)
-        counts[row["status"]] = counts.get(row["status"], 0) + 1
-        detail = row.get("error") or row.get("reason") or row.get("verdict", "")
-        print(
-            f"[{row['status']:4s}] {c.cell_id:26s} {c.label()}"
-            + (f"  ({detail})" if detail else ""),
-            file=out,
-        )
-    if args.out:
-        artifact = {
-            "wave": args.wave,
-            "seed": args.seed,
-            "scale": args.scale,
-            "suites": suites,
-            "counts": counts,
-            "cells": rows,
-        }
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(artifact, sort_keys=True, indent=2) + "\n")
-        print(f"wrote per-cell report to {args.out}", file=out)
-    print(
-        f"{len(rows)} cells: {counts['ok']} ok, "
-        f"{counts['skip']} skipped, {counts['fail']} failed",
-        file=out,
-    )
-    return 1 if counts["fail"] else 0
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1227,31 +1147,9 @@ def build_parser() -> argparse.ArgumentParser:
     pfs.add_argument("--json", action="store_true",
                      help="print the raw /fleetz payload")
 
-    from repro.scenarios.specs import axis_values, suite_names
-
-    pm = sub.add_parser(
-        "matrix", help="declarative scenario matrix: expand or run cells"
-    )
-    msub = pm.add_subparsers(dest="matrix_command", required=True)
-    for name, hlp in (
-        ("expand", "print the deduplicated cell rows a wave expands to"),
-        ("run", "execute every cell through its executor; gate per cell"),
-    ):
-        pmx = msub.add_parser(name, help=hlp)
-        pmx.add_argument("--suite", choices=suite_names(), default=None,
-                         help="one suite (default: all)")
-        pmx.add_argument("--wave", choices=("smoke", "full"), default="smoke",
-                         help="smoke = seed-deterministic subset of full")
-        pmx.add_argument("--seed", type=int, default=0,
-                         help="expansion seed (wave sampling)")
-        pmx.add_argument("--out", default=None, metavar="PATH",
-                         help="write the JSON rows/report to PATH")
-        if name == "expand":
-            pmx.add_argument("--json", action="store_true",
-                             help="emit cells as JSON (byte-stable)")
-        else:
-            pmx.add_argument("--scale", type=int, default=64,
-                             help="suite-matrix generator scale")
+    from repro.distributed.runtime import _BACKENDS, RUNTIME_MODES
+    from repro.faults import NAMED_PLANS
+    from repro.matrices import SUITE_KEYS
 
     pc = sub.add_parser(
         "chaos", help="replay a fault plan against the runtime; report recovery"
@@ -1260,15 +1158,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--plan", default="smoke",
         help="named fault plan "
-             f"({'/'.join(axis_values('fault-plan'))}) "
+             f"({'/'.join(sorted(NAMED_PLANS))}) "
              "or an integer seed for a generated plan",
     )
-    pc.add_argument("--backend", choices=axis_values("backend"),
+    pc.add_argument("--backend", choices=_BACKENDS,
                     default="threads", help="distributed runtime backend")
-    pc.add_argument("--mode", choices=axis_values("mode"), default="vector",
+    pc.add_argument("--mode", choices=RUNTIME_MODES, default="vector",
                     help="runtime schedule (task overlaps local kernel)")
     pc.add_argument(
-        "--matrix", choices=axis_values("suite-matrix"),
+        "--matrix", choices=SUITE_KEYS,
         default="sAMG",
     )
     pc.add_argument("--nodes", type=int, default=4, help="ranks in the drill")
@@ -1295,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--format", default="pJDS",
                     help="storage format (case-insensitive, e.g. pjds)")
     po.add_argument(
-        "--matrix", choices=axis_values("suite-matrix"),
+        "--matrix", choices=SUITE_KEYS,
         default="sAMG",
     )
     po.add_argument("--nodes", type=int, default=4)
@@ -1351,7 +1249,6 @@ _COMMANDS = {
     "serve": cmd_serve,
     "fleet": cmd_fleet,
     "chaos": cmd_chaos,
-    "matrix": cmd_matrix,
 }
 
 

@@ -1,10 +1,9 @@
 """Shared test helpers (uniquely named to avoid conftest shadowing).
 
-The matrix generators and format rosters live in
-:mod:`repro.scenarios.fixtures` — the same module the scenario specs
-and bench scripts draw from — so there is exactly one definition of
-"a random test matrix" in the repo.  This module only adds the pytest
-fixture wrappers.
+The one definition of "a random test matrix" in the repo: the format
+rosters, the matrix generators, the named matrix classes the parity
+grid in ``test_ops.py`` sweeps, and the pytest fixtures built on them,
+plus the ``no_leaks`` resource check.
 """
 
 from __future__ import annotations
@@ -19,18 +18,11 @@ import numpy as np
 import pytest
 
 from repro.formats import COOMatrix, convert
-from repro.scenarios.fixtures import (
-    empty_coo,
-    random_coo,
-    single_dense_row_coo,
-)
-from repro.scenarios.fixtures import ALL_FORMATS as _ALL
-from repro.scenarios.fixtures import GPU_FORMATS as _GPU
-from repro.scenarios.fixtures import PERMUTING_FORMATS as _PERM
 
 __all__ = [
     "ALL_FORMATS",
     "GPU_FORMATS",
+    "MATRIX_CLASSES",
     "PERMUTING_FORMATS",
     "empty_coo",
     "no_leaks",
@@ -39,11 +31,92 @@ __all__ = [
 ]
 
 #: every registered format that implements spmv (COO included)
-ALL_FORMATS = list(_ALL)
+ALL_FORMATS = [
+    "COO",
+    "CRS",
+    "ELLPACK",
+    "ELLPACK-R",
+    "JDS",
+    "pJDS",
+    "SELL-C-sigma",
+    "CMRS",
+    "ARG-CSR",
+]
 #: formats with a GPU kernel trace
-GPU_FORMATS = list(_GPU)
+GPU_FORMATS = [
+    "ELLPACK",
+    "ELLPACK-R",
+    "JDS",
+    "pJDS",
+    "SELL-C-sigma",
+    "CMRS",
+    "ARG-CSR",
+]
 #: formats that permute rows
-PERMUTING_FORMATS = list(_PERM)
+PERMUTING_FORMATS = ["JDS", "pJDS", "SELL-C-sigma"]
+
+
+def random_coo(
+    n: int = 60,
+    m: int | None = None,
+    *,
+    seed: int = 0,
+    max_row: int = 12,
+    min_row: int = 0,
+    dtype=np.float64,
+    empty_row_fraction: float = 0.1,
+) -> COOMatrix:
+    """Random rectangular COO with a skewed row-length distribution."""
+    m = n if m is None else m
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if rng.random() < empty_row_fraction and min_row == 0:
+            continue
+        k = int(rng.integers(max(min_row, 1), max_row + 1))
+        k = min(k, m)
+        c = rng.choice(m, size=k, replace=False)
+        rows.extend([i] * k)
+        cols.extend(c.tolist())
+        vals.extend(rng.normal(size=k).tolist())
+    return COOMatrix(
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(vals, dtype=dtype),
+        (n, m),
+        sum_duplicates=False,
+    )
+
+
+def single_dense_row_coo(n: int = 20) -> COOMatrix:
+    """One fully dense row amid empties — the pJDS worst case."""
+    rng = np.random.default_rng(11)
+    rows = np.full(n, 3, dtype=np.int64)
+    cols = np.arange(n, dtype=np.int64)
+    vals = rng.normal(size=n)
+    # a couple of scattered extras so conversion paths see >1 row
+    rows = np.concatenate([rows, [0, n - 1]])
+    cols = np.concatenate([cols, [1, 2]])
+    vals = np.concatenate([vals, [0.5, -0.25]])
+    return COOMatrix(rows, cols, vals, (n, n))
+
+
+def empty_coo() -> COOMatrix:
+    """The 0x0 degenerate matrix."""
+    z = np.empty(0, dtype=np.int64)
+    return COOMatrix(z, z, np.empty(0), (0, 0))
+
+
+#: structural shapes every format's kernels must get right: random
+#: square with empty rows, rectangular, one dense row, 0x0, and a
+#: matrix with 40 % empty rows (class name -> COO builder)
+MATRIX_CLASSES = {
+    "random-square": lambda: random_coo(60, seed=3),
+    "rectangular": lambda: random_coo(40, 70, seed=5),
+    "single-dense-row": single_dense_row_coo,
+    "empty": empty_coo,
+    "empty-rows": lambda: random_coo(50, seed=31, empty_row_fraction=0.4),
+}
 
 
 @pytest.fixture(scope="session")

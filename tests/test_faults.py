@@ -204,27 +204,59 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# the chaos matrix: backend x mode x fault plan, from the scenario specs
+# the chaos matrix: backend x mode x fault plan
 # ---------------------------------------------------------------------------
 
-from repro.scenarios import expand_suite, run_cell  # noqa: E402
+#: (fault plan, expected verdict, target of a ``one:<kind>`` drill,
+#: backends).  "recover" means the retried run gives the fault-free
+#: bits; "exhaust" means the retry budget dies with a typed
+#: RetryExhausted, which is what ``stubborn`` is for.  A process drill
+#: is an order of magnitude slower, so that backend runs the composite
+#: smoke plan plus one crash and one dropped halo edge.
+CHAOS_DRILLS = [
+    ("crashes", "recover", None, ("threads",)),
+    ("exchange", "recover", None, ("threads",)),
+    ("smoke", "recover", None, ("threads", "processes")),
+    ("stubborn", "exhaust", None, ("threads",)),
+    ("one:rank_crash", "recover", {"rank": 1}, ("threads", "processes")),
+    ("one:kernel_exception", "recover", {"rank": 0}, ("threads",)),
+    ("one:slow_worker", "recover", {"rank": 2}, ("threads",)),
+    ("one:halo_drop", "recover", {"rank": 0, "dst": 1}, ("threads", "processes")),
+    ("one:halo_delay", "recover", {"rank": 1, "dst": 0}, ("threads",)),
+]
 
-#: the declarative chaos matrix — named composite plans (smoke,
-#: exchange, crashes, stubborn) plus the ``one:<kind>`` single-event
-#: drills of the old hand-rolled grid, expanded from the same specs
-#: `repro matrix run --suite chaos` executes in CI
-CHAOS_CELLS = expand_suite("chaos", wave="full")
+CHAOS_CELLS = [
+    pytest.param(
+        backend, mode, plan, expect, target,
+        id=f"backend={backend}/fault-plan={plan}/mode={mode}",
+    )
+    for plan, expect, target, backends in CHAOS_DRILLS
+    for backend in backends
+    for mode in MODES
+]
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize(
-        "cell", [pytest.param(c, id=c.label()) for c in CHAOS_CELLS]
-    )
-    def test_cell(self, cell):
-        """Every cell recovers bitwise — or exhausts, if that is the
-        plan's documented expectation (``stubborn``)."""
-        row = run_cell(cell)
-        assert row["status"] == "ok", row.get("error")
+    @pytest.mark.parametrize("backend, mode, plan_name, expect, target", CHAOS_CELLS)
+    def test_cell(self, backend, mode, plan_name, expect, target):
+        """Every drill recovers bitwise, or exhausts its retries when
+        that is the plan's documented verdict (``stubborn``)."""
+        _, plan = _setup(nparts=4)
+        x = np.random.default_rng(3).normal(size=plan.ncols)
+        y_ref = distributed_spmv(plan, x, mode=mode)
+        if plan_name.startswith("one:"):
+            faults = _one_event_plan(plan_name[len("one:"):], **target)
+        else:
+            faults = FaultPlan.named(plan_name, nranks=4, delay_s=0.01)
+        run = dict(
+            backend=backend, mode=mode, faults=faults.injector(), retry=RETRY,
+            timeout=4.0 if backend == "processes" else 2.0,
+        )
+        if expect == "exhaust":
+            with pytest.raises(RetryExhausted):
+                distributed_spmv(plan, x, **run)
+        else:
+            assert np.array_equal(distributed_spmv(plan, x, **run), y_ref)
 
     def test_mode_contracts(self):
         """Vector mode (the unsplit kernel) is bitwise serial on both

@@ -184,6 +184,31 @@ class TestShardedParity:
             router.register("A", csr)
             assert np.array_equal(router.spmv("A", x), y_ref)
 
+    @pytest.mark.parametrize(
+        "shards, replicas, plan",
+        [(1, 1, None), (2, 2, "fleet")],
+        ids=["shards=1/replicas=1/plan=none", "shards=2/replicas=2/plan=fleet"],
+    )
+    def test_router_drill_bitwise(self, shards, replicas, plan):
+        """A one-shard fleet, and a replicated pair under the ``fleet``
+        plan (the last shard killed, shard 0's worker slowed), answer
+        with the unsharded bits."""
+        csr = small_csr()
+        x = np.random.default_rng(0).standard_normal(csr.ncols)
+        ref = bind(csr, tune=False, variant=VARIANT).spmv(x)
+        with Fleet(shards, mode="inproc", workers=1) as fleet:
+            router = FleetRouter(fleet, replicas=replicas)
+            router.register("A", csr, blocks=2)
+            if plan is not None:
+                router.faults = FaultPlan.named(
+                    plan, nranks=shards, workers=1, delay_s=0.01
+                ).injector()
+            y = router.spmv("A", x, timeout=30.0)
+            if plan is not None:
+                assert router.faults.injected
+                assert router.health()["status"] == "degraded"
+        assert np.array_equal(y, ref)
+
     def test_cg_solve_identical_iterates(self):
         # CG over the routed operator must walk the exact same iterate
         # sequence as the single-server solve: bitwise x, same count

@@ -14,6 +14,7 @@ import pytest
 
 from _test_common import (
     ALL_FORMATS,
+    MATRIX_CLASSES,
     empty_coo,
     random_coo,
     single_dense_row_coo,
@@ -223,7 +224,7 @@ class TestKernelRegistry:
 # one spmv per format: every spmv path runs a registry kernel
 # ---------------------------------------------------------------------------
 
-from repro.matrices import generate  # noqa: E402
+from repro.matrices import SUITE_KEYS, generate  # noqa: E402
 
 #: sAMG at scale 256 (13,300 rows, rows of up to 70 entries): the NumPy
 #: ``reduceat`` bodies the formats used to carry sum long rows in
@@ -305,6 +306,23 @@ class TestOneSpmvPerFormat:
         assert out.strip() == "[]"
 
 
+class TestEverySuiteMatrix:
+    @pytest.mark.parametrize("key", SUITE_KEYS)
+    def test_every_variant_gives_the_unbound_bits(self, key):
+        """Every kernel of every format runs on each paper matrix
+        (UHBR's 1.1 M entries at scale 512 included) and gives the
+        unbound spmv's bits."""
+        coo = generate(key, scale=512, seed=0)
+        x = np.random.default_rng(0).standard_normal(coo.ncols)
+        for fmt in available_formats():
+            m = convert(coo, fmt)
+            y = m.spmv(x)
+            for v in variant_names_for(m):
+                _assert_bits(
+                    bind(m, tune=False, variant=v).spmv(x), y, f"{key}/{fmt}/{v}"
+                )
+
+
 class TestBatchWorkspace:
     @pytest.mark.parametrize("fmt", ["pJDS", "SELL-C-sigma", "COO"])
     def test_widths_1_to_16_hold_the_widest_blocks_only(self, fmt):
@@ -326,23 +344,59 @@ class TestBatchWorkspace:
 # satellite: the parity matrix (format x variant x {spmv, spmm, permuted})
 # ---------------------------------------------------------------------------
 
-from repro.scenarios import expand_suite, run_cell  # noqa: E402
+from repro.perfmodel.predict import variant_tier  # noqa: E402
 
-#: the declarative parity matrix: matrix-class x format x kernel-tier,
-#: expanded once at collection from the shared scenario specs (the same
-#: cells `repro matrix run --suite parity` executes in CI)
-PARITY_CELLS = expand_suite("parity", wave="full")
+#: the tier family a registry tag names in the grid ids
+_TIER_ID = {"numpy": "numpy", "scipy": "scipy", "cnative": "compiled"}
+
+
+def _kernels_by_tier(fmt: str) -> dict:
+    """``{tier: [spmv kernel names]}`` of one format, in registry rank
+    order; a tier with no kernel for the format has no entry."""
+    by_tier = {}
+    for spec in variants_for(FORMATS[fmt]):
+        tier = _TIER_ID[variant_tier(spec.tags)]
+        by_tier.setdefault(tier, []).append(spec.name)
+    return by_tier
+
+
+#: format x kernel tier x matrix class: every registered spmv kernel
+#: against the dense product on every structural shape
+PARITY_GRID = [
+    pytest.param(
+        fmt, names, cls, id=f"format={fmt}/kernel-tier={tier}/matrix-class={cls}"
+    )
+    for fmt in available_formats()
+    for tier, names in _kernels_by_tier(fmt).items()
+    for cls in MATRIX_CLASSES
+]
+#: the package's own spmv kernels, read before any test registers a
+#: throwaway kernel on a test-local class
+_REGISTERED_SPMV = {r["variant"] for r in registry_rows() if r["op"] == "spmv"}
 
 
 class TestParityMatrix:
-    @pytest.mark.parametrize(
-        "cell", [pytest.param(c, id=c.label()) for c in PARITY_CELLS]
-    )
-    def test_cell(self, cell):
-        row = run_cell(cell)
-        if row["status"] == "skip":
-            pytest.skip(row["reason"])
-        assert row["status"] == "ok", row.get("error")
+    @pytest.mark.parametrize("fmt, kernels, cls", PARITY_GRID)
+    def test_cell(self, fmt, kernels, cls):
+        coo = MATRIX_CLASSES[cls]()
+        m = convert(coo, fmt)
+        x = np.random.default_rng(17).standard_normal(coo.shape[1])
+        ref = dense_of(coo) @ x
+        for name in kernels:
+            y = bind(m, tune=False, variant=name).spmv(x)
+            np.testing.assert_allclose(
+                y, ref, rtol=1e-10, atol=1e-12, err_msg=f"{fmt}/{name}/{cls}"
+            )
+
+    def test_grid_covers_every_registered_spmv_kernel(self):
+        """Every spmv kernel in the registry has a parity case, and
+        every format meets every matrix class: a kernel registered on
+        a class no format resolves to fails here instead of going
+        unchecked."""
+        checked = {name for p in PARITY_GRID for name in p.values[1]}
+        assert checked == _REGISTERED_SPMV
+        pairs = {(p.values[0], p.values[2]) for p in PARITY_GRID}
+        assert pairs == {(f, c) for f in available_formats() for c in MATRIX_CLASSES}
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_spmv_noncontiguous_rhs(self, fmt):

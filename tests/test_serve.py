@@ -30,9 +30,11 @@ import pytest
 
 from repro import obs
 from repro.engine import bind
+from repro.faults import FaultPlan, RetryPolicy
 from repro.formats import CSRMatrix, convert
 from repro.matrices import poisson2d
 from repro.serve import (
+    POLICIES,
     Client,
     DeadlineExceeded,
     MatrixNotFound,
@@ -577,6 +579,40 @@ class TestLifecycle:
         s = server.stats()
         assert s["requests"]["ok"] == 60
         assert s["batches"] <= 60  # at least some coalescing headroom
+
+
+# ---------------------------------------------------------------------------
+# round trip: every policy, plain, under the serve fault plan, and traced
+# ---------------------------------------------------------------------------
+class TestPolicyRoundTrip:
+    @pytest.mark.parametrize("run", ["plain", "serve-plan", "traced"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bitwise(self, policy, run):
+        """Each policy answers bitwise, also while the ``serve`` plan
+        crashes both workers, fails a registry load and raises in a
+        kernel; a traced request leaves a ``serve.request`` span."""
+        csr = make_csr()
+        faults = None
+        if run == "serve-plan":
+            faults = FaultPlan.named("serve", workers=2).injector()
+        if run == "traced":
+            obs.enable()
+        reg = MatrixRegistry()
+        reg.register("A", matrix=csr, variant=VARIANT)
+        server = SpMVServer(reg, policy=policy, workers=2, faults=faults)
+        try:
+            client = Client(server, retry=RetryPolicy(max_attempts=4))
+            x = np.random.default_rng(0).standard_normal(csr.ncols)
+            y = client.spmv("A", x, timeout=30.0)
+        finally:
+            server.close()
+        assert np.array_equal(y, bind(csr, tune=False, variant=VARIANT).spmv(x))
+        if faults is not None:
+            assert faults.injected
+        if run == "traced":
+            from repro.obs.spans import get_tracer
+
+            assert "serve.request" in {s.name for s in get_tracer().finished()}
 
 
 # ---------------------------------------------------------------------------
