@@ -17,12 +17,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.formats import COOMatrix, convert
+from repro.formats import COOMatrix, available_formats, convert
+from repro.formats.conversions import FORMATS
+from repro.ops import variants_for
+from repro.perfmodel.predict import variant_tier
 
 __all__ = [
     "ALL_FORMATS",
     "GPU_FORMATS",
     "MATRIX_CLASSES",
+    "PARITY_GRID",
     "PERMUTING_FORMATS",
     "empty_coo",
     "no_leaks",
@@ -117,6 +121,31 @@ MATRIX_CLASSES = {
     "empty": empty_coo,
     "empty-rows": lambda: random_coo(50, seed=31, empty_row_fraction=0.4),
 }
+
+#: the tier family a registry tag names in the grid ids
+_TIER_ID = {"numpy": "numpy", "scipy": "scipy", "cnative": "compiled"}
+
+
+def _kernels_by_tier(fmt: str) -> dict:
+    """``{tier: [spmv kernel names]}`` of one format, in registry rank
+    order; a tier with no kernel for the format has no entry."""
+    by_tier = {}
+    for spec in variants_for(FORMATS[fmt]):
+        tier = _TIER_ID[variant_tier(spec.tags)]
+        by_tier.setdefault(tier, []).append(spec.name)
+    return by_tier
+
+
+#: format x kernel tier x matrix class: every registered spmv kernel
+#: against the dense product on every structural shape
+PARITY_GRID = [
+    pytest.param(
+        fmt, names, cls, id=f"format={fmt}/kernel-tier={tier}/matrix-class={cls}"
+    )
+    for fmt in available_formats()
+    for tier, names in _kernels_by_tier(fmt).items()
+    for cls in MATRIX_CLASSES
+]
 
 
 @pytest.fixture(scope="session")

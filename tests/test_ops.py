@@ -15,6 +15,7 @@ import pytest
 from _test_common import (
     ALL_FORMATS,
     MATRIX_CLASSES,
+    PARITY_GRID,
     empty_coo,
     random_coo,
     single_dense_row_coo,
@@ -344,32 +345,6 @@ class TestBatchWorkspace:
 # satellite: the parity matrix (format x variant x {spmv, spmm, permuted})
 # ---------------------------------------------------------------------------
 
-from repro.perfmodel.predict import variant_tier  # noqa: E402
-
-#: the tier family a registry tag names in the grid ids
-_TIER_ID = {"numpy": "numpy", "scipy": "scipy", "cnative": "compiled"}
-
-
-def _kernels_by_tier(fmt: str) -> dict:
-    """``{tier: [spmv kernel names]}`` of one format, in registry rank
-    order; a tier with no kernel for the format has no entry."""
-    by_tier = {}
-    for spec in variants_for(FORMATS[fmt]):
-        tier = _TIER_ID[variant_tier(spec.tags)]
-        by_tier.setdefault(tier, []).append(spec.name)
-    return by_tier
-
-
-#: format x kernel tier x matrix class: every registered spmv kernel
-#: against the dense product on every structural shape
-PARITY_GRID = [
-    pytest.param(
-        fmt, names, cls, id=f"format={fmt}/kernel-tier={tier}/matrix-class={cls}"
-    )
-    for fmt in available_formats()
-    for tier, names in _kernels_by_tier(fmt).items()
-    for cls in MATRIX_CLASSES
-]
 #: the package's own spmv kernels, read before any test registers a
 #: throwaway kernel on a test-local class
 _REGISTERED_SPMV = {r["variant"] for r in registry_rows() if r["op"] == "spmv"}

@@ -1,242 +1,46 @@
-"""The scenario-matrix engine: combinator invariants and suite wiring.
+"""Coverage floors of the parity grid (``PARITY_GRID``).
 
-Property tests (hypothesis) pin the expansion guarantees documented in
-:mod:`repro.scenarios.matrix` — deduplication, seed determinism,
-axis-order independence, subset monotonicity — on arbitrary combinator
-trees; the suite-level tests pin the migration contract (the declarative
-parity/chaos matrices cover at least the hand-rolled grids they
-replaced) and the CLI's byte-identical JSON expansion.
+The grid is one explicit case per (format, kernel tier, matrix class)
+in which the format has a kernel of that tier; these floors fail if a
+format, a tier or a matrix class silently drops out of it.
 """
 
-import io
-import json
+from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.cli import main as cli_main
-from repro.scenarios import (
-    Base,
-    Filter,
-    Product,
-    ScenarioCell,
-    Subset,
-    Sum,
-    axis_values,
-    canonical_key,
-    expand_suite,
-    run_cell,
-    suite_names,
-)
-
-# ---------------------------------------------------------------------------
-# hypothesis strategies: arbitrary small combinator trees
-# ---------------------------------------------------------------------------
-
-_AXIS_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon")
+from _test_common import MATRIX_CLASSES, PARITY_GRID
 
 
-@st.composite
-def base_specs(draw, name=None):
-    name = name or draw(st.sampled_from(_AXIS_NAMES))
-    values = tuple(
-        draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
-    )
-    return Base(name, values)
+def _axes(param) -> dict:
+    """The ``format`` / ``kernel-tier`` / ``matrix-class`` of a case,
+    read back from its id."""
+    return dict(part.split("=", 1) for part in param.id.split("/"))
 
-
-@st.composite
-def product_specs(draw):
-    """A Product over distinct axes (Products must not rebind an axis)."""
-    names = draw(
-        st.lists(
-            st.sampled_from(_AXIS_NAMES), min_size=1, max_size=3, unique=True
-        )
-    )
-    bases = [draw(base_specs(name=n)) for n in names]
-    return bases[0] if len(bases) == 1 else Product(*bases)
-
-
-@st.composite
-def specs(draw):
-    """Sum-of-products, optionally filtered and/or subset-sampled."""
-    parts = draw(st.lists(product_specs(), min_size=1, max_size=3))
-    spec = parts[0] if len(parts) == 1 else Sum(*parts)
-    if draw(st.booleans()):
-        spec = Filter(lambda c: sum(c.values()) % 3 != 0, spec)
-    if draw(st.booleans()):
-        spec = Subset(spec, draw(st.integers(0, 8)))
-    return spec
-
-
-# ---------------------------------------------------------------------------
-# combinator properties
-# ---------------------------------------------------------------------------
-
-class TestExpansionProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(spec=specs(), seed=st.integers(0, 2**31))
-    def test_seed_deterministic(self, spec, seed):
-        """Same (spec, seed) -> the same tuple, every time."""
-        assert spec.expand(seed) == spec.expand(seed)
-
-    @settings(max_examples=60, deadline=None)
-    @given(spec=specs(), seed=st.integers(0, 2**31))
-    def test_duplicate_free(self, spec, seed):
-        """The frozenset property: no combo appears twice."""
-        combos = spec.expand(seed)
-        keys = [canonical_key(c) for c in combos]
-        assert len(keys) == len(frozenset(keys))
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_axis_order_irrelevant(self, data):
-        """Reordering Product children never changes the expansion."""
-        names = data.draw(
-            st.lists(
-                st.sampled_from(_AXIS_NAMES),
-                min_size=2,
-                max_size=4,
-                unique=True,
-            )
-        )
-        bases = [data.draw(base_specs(name=n)) for n in names]
-        perm = data.draw(st.permutations(bases))
-        assert Product(*bases).expand(0) == Product(*perm).expand(0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_sum_order_irrelevant(self, data):
-        parts = data.draw(st.lists(product_specs(), min_size=2, max_size=3))
-        perm = data.draw(st.permutations(parts))
-        assert Sum(*parts).expand(0) == Sum(*perm).expand(0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_subset_monotone(self, data):
-        """Subset output is a subset of the child's; strict when k < n."""
-        child = data.draw(product_specs())
-        seed = data.draw(st.integers(0, 2**31))
-        full = child.expand(seed)
-        k = data.draw(st.integers(0, len(full) + 2))
-        sample = Subset(child, k).expand(seed)
-        full_keys = {canonical_key(c) for c in full}
-        assert {canonical_key(c) for c in sample} <= full_keys
-        assert len(sample) == min(k, len(full))
-
-    def test_product_rebind_raises(self):
-        spec = Product(Base("a", (1,)), Base("a", (2,)))
-        with pytest.raises(ValueError, match="rebinds"):
-            spec.expand(0)
-
-    def test_empty_axis_raises(self):
-        with pytest.raises(ValueError, match="no values"):
-            Base("a", ())
-
-
-# ---------------------------------------------------------------------------
-# suite wiring: waves, migration floors, cell identity
-# ---------------------------------------------------------------------------
 
 class TestSuites:
-    @pytest.mark.parametrize("name", suite_names())
-    def test_smoke_strict_subset_of_full(self, name):
-        full = expand_suite(name, wave="full")
-        smoke = expand_suite(name, wave="smoke")
-        full_axes = {c.axes for c in full}
-        assert 0 < len(smoke) < len(full)
-        assert {c.axes for c in smoke} < full_axes
-
-    @pytest.mark.parametrize("name", suite_names())
-    def test_expansion_deterministic(self, name):
-        for wave in ("full", "smoke"):
-            a = expand_suite(name, wave=wave, seed=7)
-            b = expand_suite(name, wave=wave, seed=7)
-            assert a == b
-
-    @pytest.mark.parametrize("name", suite_names())
-    def test_cell_ids_unique(self, name):
-        cells = expand_suite(name, wave="full")
-        ids = [c.cell_id for c in cells]
-        assert len(ids) == len(set(ids))
-
     def test_migration_parity_covers_old_grid(self):
         """The old hand-rolled parity matrix parametrised 21 cases."""
-        assert len(expand_suite("parity", wave="full")) >= 21
+        assert len(PARITY_GRID) >= 21
 
     def test_migration_parity_floor_with_new_formats(self):
-        """The CMRS / ARG-CSR registrations grew the parity matrix to
-        11 formats x 5 matrix classes x 3 kernel tiers = 165 cells;
-        the floor pins it so a format can never silently fall out."""
-        assert len(expand_suite("parity", wave="full")) >= 165
+        """The CMRS / ARG-CSR registrations grew the parity space to
+        11 formats x 5 matrix classes x 3 kernel tiers = 165 cells.
+        COO and BELLPACK have numpy kernels only, so 20 of those cells
+        have no kernel and the grid runs the other 145; the floors pin
+        both so a format can never silently fall out."""
+        formats = {_axes(p)["format"] for p in PARITY_GRID}
+        tiers = {_axes(p)["kernel-tier"] for p in PARITY_GRID}
+        assert len(formats) * len(tiers) * len(MATRIX_CLASSES) >= 165
+        assert len(PARITY_GRID) >= 145
 
     def test_parity_covers_new_formats_across_all_tiers(self):
-        """Satellite audit: every (new format, kernel tier) pair gets a
-        parity cell for every matrix class the suite expands."""
-        cells = expand_suite("parity", wave="full")
+        """Every (new format, kernel tier) pair gets a parity case for
+        every matrix class."""
         seen = {}
-        classes = set()
-        for c in cells:
-            axes = c.axes_dict
-            classes.add(axes["matrix-class"])
+        for p in PARITY_GRID:
+            axes = _axes(p)
             seen.setdefault(
                 (axes["format"], axes["kernel-tier"]), set()
             ).add(axes["matrix-class"])
         for fmt in ("CMRS", "ARG-CSR"):
             for tier in ("numpy", "scipy", "compiled"):
-                assert seen.get((fmt, tier)) == classes, (fmt, tier)
-
-    def test_migration_chaos_covers_old_grid(self):
-        """The old chaos grids parametrised 14 fault drills."""
-        assert len(expand_suite("chaos", wave="full")) >= 14
-
-    def test_unknown_suite_and_axis_raise(self):
-        with pytest.raises(KeyError, match="unknown scenario suite"):
-            expand_suite("nope")
-        with pytest.raises(KeyError, match="unknown scenario axis"):
-            axis_values("nope")
-        with pytest.raises(ValueError, match="unknown wave"):
-            expand_suite("parity", wave="nope")
-
-    def test_cell_id_is_process_stable(self):
-        """Ids hash canonical axes, not Python's salted hash()."""
-        cell = ScenarioCell.build(
-            "parity", "parity-check", {"format": "CRS", "kernel-tier": "numpy"}
-        )
-        flipped = ScenarioCell.build(
-            "parity", "parity-check", {"kernel-tier": "numpy", "format": "CRS"}
-        )
-        assert cell.cell_id == flipped.cell_id
-        assert cell.cell_id.startswith("parity-")
-
-    def test_run_cell_unknown_executor(self):
-        cell = ScenarioCell.build("x", "no-such-executor", {"a": 1})
-        with pytest.raises(KeyError, match="unknown executor"):
-            run_cell(cell)
-
-
-# ---------------------------------------------------------------------------
-# CLI: byte-identical JSON expansion
-# ---------------------------------------------------------------------------
-
-class TestMatrixCLI:
-    def _expand(self, *argv):
-        out = io.StringIO()
-        rc = cli_main(["matrix", "expand", *argv], out)
-        assert rc == 0
-        return out.getvalue()
-
-    def test_expand_json_byte_identical(self):
-        a = self._expand("--wave", "full", "--json", "--seed", "3")
-        b = self._expand("--wave", "full", "--json", "--seed", "3")
-        assert a == b
-
-    def test_expand_json_rows_well_formed(self):
-        rows = json.loads(self._expand("--suite", "fleet", "--json"))
-        assert rows
-        for row in rows:
-            assert row["suite"] == "fleet"
-            assert row["executor"] == "fleet-drill"
-            assert row["wave"] == "smoke"
-            assert row["cell_id"].startswith("fleet-")
-            assert set(row) >= {"axes", "env", "config"}
+                assert seen.get((fmt, tier)) == set(MATRIX_CLASSES), (fmt, tier)
