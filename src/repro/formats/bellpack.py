@@ -41,6 +41,8 @@ class BELLPACKMatrix(SparseMatrixFormat):
         blocks_per_row: np.ndarray,  # true block count per block-row
         shape: tuple[int, int],
         nnz: int,
+        *,
+        explicit_zeros: np.ndarray | None = None,
     ):
         if block_val.ndim != 4:
             raise ValueError("block_val must be 4-D (width, nbr, br, bc)")
@@ -56,6 +58,11 @@ class BELLPACKMatrix(SparseMatrixFormat):
         self._val = np.ascontiguousarray(block_val)
         self._col = stored_indices(block_col, shape[1], "block_col")
         self._blocks = np.ascontiguousarray(blocks_per_row, dtype=INDEX_DTYPE)
+        # flat positions in block_val of entries whose value is zero:
+        # entries of the matrix, where other zeros in a block are fill
+        self._zeros = np.asarray(
+            () if explicit_zeros is None else explicit_zeros, dtype=INDEX_DTYPE
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -133,40 +140,58 @@ class BELLPACKMatrix(SparseMatrixFormat):
             entry_block[order] = block_ids
             r_in = coo.rows - brow * br
             c_in = coo.cols - bcol * bc
-            val[
-                slot_of_block[entry_block],
-                brow,
-                r_in,
-                c_in,
-            ] = coo.values
+            at = (slot_of_block[entry_block], brow, r_in, c_in)
+            val[at] = coo.values
+            zero = coo.values == 0
+            zeros = np.ravel_multi_index(tuple(a[zero] for a in at), val.shape)
+        else:
+            zeros = None
         return cls(
-            val[: max(width, 1)],
+            val,
             col,
             counts.astype(INDEX_DTYPE),
             coo.shape,
             coo.nnz,
+            explicit_zeros=zeros,
         )
 
     # ------------------------------------------------------------------
-    def to_coo(self) -> COOMatrix:
-        # every non-zero of a stored block (slot j < blocks_per_row[b]),
-        # in slot, block-row, then row-major order inside the block;
-        # explicit zeros and slots past a block-row's count are skipped,
-        # and entries of edge blocks past nrows/ncols are clipped
+    def _entries(self) -> np.ndarray:
+        """Mask over the stored values that are entries of the matrix.
+
+        An entry is a non-zero, or a zero the matrix was built with, in
+        a live slot (``j < blocks_per_row[b]``) and inside the matrix:
+        other zeros are fill, and edge blocks reach past nrows/ncols.
+        Whole blocks and block rows are masked at once; a broadcast
+        over the small block axes would cost more than the compare.
+        """
         br, bc = self.block_shape
-        live = np.arange(self.width)[:, None] < self._blocks[None, :]
-        nz = self._val != 0
-        nz &= live[:, :, None, None]
-        # flat positions in C order, split like np.nonzero(nz) but faster
-        jb, rc = np.divmod(np.flatnonzero(nz), br * bc)
+        mask = self._val != 0
+        mask.flat[self._zeros] = True
+        dead = (np.arange(self.width)[:, None] >= self._blocks).ravel()
+        if dead.any():
+            mask.reshape(dead.size, br * bc)[dead] = False
+        b0, r0 = divmod(self.nrows, br)
+        if b0 < self.nblockrows:
+            mask[:, b0, r0:] = False
+            mask[:, b0 + 1:] = False
+        first_col = self._col.astype(INDEX_DTYPE) * bc
+        j, b = np.nonzero(first_col + bc > self.ncols)
+        if j.size:
+            inside = np.arange(bc) < (self.ncols - first_col[j, b])[:, None]
+            mask[j, b] &= inside[:, None, :]
+        return mask
+
+    def to_coo(self) -> COOMatrix:
+        # every entry in slot, block-row, then row-major order inside
+        # the block: flat positions in C order, split like np.nonzero
+        br, bc = self.block_shape
+        jb, rc = np.divmod(np.flatnonzero(self._entries()), br * bc)
         j, b = np.divmod(jb, self.nblockrows)
         r, c = np.divmod(rc, bc)
         rows = b * br + r
         cols = self._col[j, b].astype(INDEX_DTYPE) * bc + c
         vals = self._val[j, b, r, c]
-        keep = (rows < self.nrows) & (cols < self.ncols)
-        if not keep.all():
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
         return COOMatrix(rows, cols, vals, self.shape, sum_duplicates=False)
 
     def memory_breakdown(self) -> Mapping[str, int]:
@@ -179,4 +204,8 @@ class BELLPACKMatrix(SparseMatrixFormat):
         }
 
     def row_lengths(self) -> np.ndarray:
-        return self.to_coo().row_lengths()
+        # what to_coo lists, counted per row without listing it: the
+        # outermost (slot) axis first, into int32 since width bounds it
+        per_slot = self._entries().view(np.uint8).sum(axis=0, dtype=np.int32)
+        counts = per_slot.sum(axis=2, dtype=INDEX_DTYPE)
+        return counts.reshape(-1)[: self.nrows]

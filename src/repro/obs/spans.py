@@ -240,9 +240,11 @@ class Tracer:
         different threads (or in forked processes).  A context with a
         trace id but no span id starts children as roots *of that
         trace* (the front-end handed out the id before any span
-        existed).
+        existed).  A context with neither id *detaches*: spans opened
+        under it are roots of fresh traces, whatever span this thread
+        had open.
         """
-        if not _metrics.enabled() or (ctx.span_id is None and ctx.trace_id is None):
+        if not _metrics.enabled():
             yield
             return
         stack = self._stack()

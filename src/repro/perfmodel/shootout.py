@@ -37,14 +37,14 @@ from repro.perfmodel.balance import code_balance_dp
 from repro.perfmodel.predict import predict_spmv, variant_tier
 from repro.utils.timing import Stopwatch, gflops
 
-__all__ = ["FORMAT_KWARGS", "shootout", "table", "time_cell"]
+__all__ = ["FORMAT_KWARGS", "shootout", "table"]
 
 #: the one construction override of the grid (all other formats use
 #: their ``from_coo`` defaults)
 FORMAT_KWARGS = {"SELL-C-sigma": {"sigma": 256}}
 
 
-def time_cell(matrix, spec, x: np.ndarray, reps: int) -> Stopwatch:
+def _time_cell(matrix, spec, x: np.ndarray, reps: int) -> Stopwatch:
     """Time ``reps`` spmv laps of one roster variant after one warm-up.
 
     The warm-up call also builds the variant's workspace buffers, so
@@ -79,7 +79,7 @@ def _row(key, fmt, coo, x, dev, scale, reps) -> dict:
     m = convert(coo, fmt, **FORMAT_KWARGS.get(fmt, {}))
     best: dict[str, tuple[str, Stopwatch]] = {}
     for spec in variants_for(m):
-        sw = time_cell(m, spec, x, reps)
+        sw = _time_cell(m, spec, x, reps)
         tier = variant_tier(spec.tags)
         if tier not in best or sw.median < best[tier][1].median:
             best[tier] = (spec.name, sw)

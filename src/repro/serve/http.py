@@ -2,9 +2,9 @@
 
 A thin shim over :class:`~repro.serve.client.Client` built on
 ``http.server.ThreadingHTTPServer`` — one OS thread per connection,
-which is exactly what the micro-batcher wants: concurrent handler
-threads all block in ``server.spmv(...)`` and their vectors coalesce
-into shared ``spmm`` batches.
+each blocking in ``server.spmv(...)``: a handler that finds a worker
+idle runs its request itself, and the vectors of handlers that find
+every worker busy coalesce into shared ``spmm`` batches.
 
 The vectors are the bulk of every ``/v1`` body, and coding them with
 the stdlib ``json`` module costs several kernel calls (the HTTP analogue

@@ -11,6 +11,18 @@ per-request futures.  Batching is work-conserving (no window): a free
 worker takes everything queued for the oldest-headed matrix, up to
 ``max_batch``, so batches fill only while every worker is busy.
 
+**Caller runs.**  A blocking :meth:`SpMVServer.spmv` that finds a
+worker parked and nothing queued skips the queue: the calling thread
+borrows the parked worker's index and runs the one-request batch
+itself, on that worker's clone and through the same fault site, stats
+and spans, while the worker stays asleep.  A queued request costs two
+thread wake-ups (worker, then caller) that each wait for the GIL on a
+small host; an inline one costs none.  A borrowed worker takes no
+queued batch until its caller hands it back, and the caller wakes it
+then if work queued meanwhile.  :meth:`SpMVServer.submit` always
+queues, and so does every request that finds the pool busy, the
+server unstarted, degraded or closing.
+
 Admission control in front of the batcher keeps overload from turning
 into unbounded queueing: the pending-request count is capped at
 ``max_queue`` with three backpressure policies —
@@ -62,6 +74,9 @@ __all__ = ["SpMVServer", "POLICIES"]
 POLICIES = ("block", "reject", "shed-oldest")
 
 _STATUSES = ("ok", "rejected", "shed", "expired", "error", "cancelled")
+
+# attached around an inline batch: its span starts a trace of its own
+_DETACHED = obs.SpanContext(None)
 
 
 class _Request:
@@ -140,8 +155,13 @@ class SpMVServer:
         self.faults = faults
 
         self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self._ready = threading.Condition(self._lock)  # the degraded loop
         self._not_full = threading.Condition(self._lock)
+        # one wake-up per worker, so a submit wakes exactly one parked
+        # worker and a borrowed worker is never woken by anyone else
+        self._wakeups = [threading.Condition(self._lock) for _ in range(workers)]
+        self._parked: list[int] = []  # idle workers nobody has claimed
+        self._borrowed: set[int] = set()  # parked workers lent to spmv()
         self._pending: "OrderedDict[str, deque[_Request]]" = OrderedDict()
         self._depth = 0
         self._closing = False
@@ -158,6 +178,7 @@ class SpMVServer:
         # own (obs-independent) accounting so /statz works with obs off
         self._status_counts = dict.fromkeys(_STATUSES, 0)
         self._batches = 0
+        self._inline_batches = 0  # run by spmv() callers on a borrowed index
         self._spmm_calls = 0
         self._batched_vectors = 0
         self._latency = Summary(window=4096)
@@ -190,12 +211,17 @@ class SpMVServer:
         return self
 
     def close(self, *, drain: bool = True, timeout: float | None = 10.0) -> None:
-        """Stop accepting requests; drain (default) or fail the queue."""
+        """Stop accepting requests; drain (default) or fail the queue.
+
+        No new inline batch starts once closing; a worker lent to an
+        inline batch exits only after its caller hands it back, so the
+        joins below wait for inline batches too.
+        """
         with self._lock:
             self._closing = True
             if not drain:
                 self._fail_all_pending_locked(ServerClosed("server closed"))
-            self._ready.notify_all()
+            self._wake_all_locked()
             self._not_full.notify_all()
         started = self._started
         for t in self._threads:
@@ -244,6 +270,43 @@ class SpMVServer:
         ``admission_timeout_s`` bounds the wait under the ``block``
         policy (``None`` = wait until space or close).
         """
+        req = self._request(matrix, x, deadline_ms)
+        with self._lock:
+            self._admit_locked(req, admission_timeout_s)
+            self._enqueue_locked(req)
+        return req.future
+
+    def spmv(self, matrix: str, x, *, deadline_ms: float | None = None,
+             timeout: float | None = None) -> np.ndarray:
+        """Synchronous ``y = A @ x``: run it on this thread, or queue it.
+
+        When a live worker is parked and nothing is queued, the calling
+        thread borrows that worker's index and runs the one-request
+        batch itself, on the worker's clone and through the same fault
+        site, stats and spans; the parked worker is not woken.  That
+        saves the two thread hand-offs of a queued request.  Otherwise
+        (busy pool, queued work, unstarted, degraded or closing server)
+        the request is queued as by :meth:`submit`.  ``timeout`` bounds
+        only the wait for a queued request: an inline batch runs to
+        completion.
+        """
+        req = self._request(matrix, x, deadline_ms)
+        with self._lock:
+            idx = self._borrow_locked(req)
+            if idx is None:
+                self._admit_locked(req, None)
+                self._enqueue_locked(req)
+        if idx is None:
+            return req.future.result(timeout)
+        try:
+            # the batch span stays a trace root, as on a worker thread
+            with obs.attach_context(_DETACHED):
+                self._execute(idx, matrix, [req])
+        finally:
+            self._hand_back(idx)
+        return req.future.result()
+
+    def _request(self, matrix: str, x, deadline_ms: float | None) -> _Request:
         if not self.registry.has(matrix):
             raise MatrixNotFound(matrix, self.registry.names())
         x = np.asarray(x)
@@ -260,25 +323,44 @@ class SpMVServer:
             ctx = obs.capture_context()
             if ctx.trace_id is None:
                 ctx = obs.SpanContext(ctx.span_id, obs.new_trace_id())
-        req = _Request(
+        return _Request(
             matrix,
             x,
             now,
             None if deadline_ms is None else now + deadline_ms / 1e3,
             ctx,
         )
-        with self._lock:
-            self._admit_locked(req, admission_timeout_s)
-            self._pending.setdefault(matrix, deque()).append(req)
-            self._depth += 1
-            self._publish_depth_locked()
-            self._ready.notify()
-        return req.future
 
-    def spmv(self, matrix: str, x, *, deadline_ms: float | None = None,
-             timeout: float | None = None) -> np.ndarray:
-        """Synchronous convenience: submit and wait for the result."""
-        return self.submit(matrix, x, deadline_ms=deadline_ms).result(timeout)
+    def _enqueue_locked(self, req: _Request) -> None:
+        self._pending.setdefault(req.matrix, deque()).append(req)
+        self._depth += 1
+        self._publish_depth_locked()
+        self._wake_locked()
+
+    def _borrow_locked(self, req: _Request) -> int | None:
+        """Lend ``req``'s caller a parked worker's index, if it may run now.
+
+        Only with nothing queued (an inline batch must not overtake
+        queued work) and a deadline that has not already passed.
+        """
+        if not self._parked or self._depth or self._closing:
+            return None
+        if req.t_deadline is not None and self._clock() >= req.t_deadline:
+            return None
+        idx = self._parked.pop()
+        self._borrowed.add(idx)
+        return idx
+
+    def _hand_back(self, idx: int) -> None:
+        """Return a borrowed worker: wake it if work queued meanwhile
+        (or the server is closing), else park it again, still asleep."""
+        with self._lock:
+            self._inline_batches += 1
+            self._borrowed.discard(idx)
+            if self._depth or self._closing:
+                self._wakeups[idx].notify()
+            else:
+                self._parked.append(idx)
 
     def _admit_locked(
         self, req: _Request, admission_timeout_s: float | None
@@ -362,18 +444,36 @@ class SpMVServer:
         self._publish_depth_locked()
         self._not_full.notify_all()
 
-    def _take_batch(self, limit: int) -> tuple[str, list[_Request]] | None:
+    def _wake_locked(self) -> None:
+        """Wake one parked worker (or the degraded loop) for queued work."""
+        if self._parked:
+            self._wakeups[self._parked.pop()].notify()
+        else:
+            self._ready.notify()
+
+    def _wake_all_locked(self) -> None:
+        """Wake every parked worker and the degraded loop; a borrowed
+        worker is woken when its caller hands it back."""
+        while self._parked:
+            self._wakeups[self._parked.pop()].notify()
+        self._ready.notify_all()
+
+    def _take_batch(
+        self, limit: int, idx: int | None = None
+    ) -> tuple[str, list[_Request]] | None:
         """Block until work is queued (or the server drains); pop a batch.
 
         The batch is up to ``limit`` requests of the matrix whose head
         is oldest; nothing waits for batch-mates.  Expired requests are
         completed with :class:`DeadlineExceeded` here, never executed.
+        Worker ``idx`` parks while idle, where :meth:`spmv` may borrow
+        it; the degraded loop (``idx=None``) waits unparked.
         """
         with self._lock:
             while True:
                 self._expire_locked(self._clock())
                 if self._closing and self._depth == 0:
-                    self._ready.notify_all()  # wake sibling workers to exit
+                    self._wake_all_locked()  # wake sibling workers to exit
                     return None
                 best = self._oldest_queue_locked()
                 if best is not None:
@@ -382,9 +482,15 @@ class SpMVServer:
                     self._publish_depth_locked()
                     self._not_full.notify_all()
                     if self._depth:
-                        self._ready.notify()  # more work is queued
+                        self._wake_locked()  # more work is queued
                     return reqs[0].matrix, reqs
-                self._ready.wait()
+                if idx is None:
+                    self._ready.wait()
+                    continue
+                self._parked.append(idx)
+                wakeup = self._wakeups[idx]
+                while idx in self._parked or idx in self._borrowed:
+                    wakeup.wait()
 
     # ------------------------------------------------------------------
     # execution
@@ -395,7 +501,7 @@ class SpMVServer:
                 if self.faults is not None:
                     # slow_worker sleeps here; worker_crash raises
                     self.faults.worker_fault(idx)
-                batch = self._take_batch(self.max_batch)
+                batch = self._take_batch(self.max_batch, idx)
                 if batch is None:
                     break
                 name, reqs = batch
@@ -737,6 +843,7 @@ class SpMVServer:
                 "closing": self._closing,
                 "requests": dict(self._status_counts),
                 "batches": batches,
+                "inline_batches": self._inline_batches,
                 "spmm_calls": self._spmm_calls,
                 "batched_vectors": self._batched_vectors,
                 "mean_batch_size": (

@@ -34,18 +34,8 @@ __all__ = [
     "single_dense_row_coo",
 ]
 
-#: every registered format that implements spmv (COO included)
-ALL_FORMATS = [
-    "COO",
-    "CRS",
-    "ELLPACK",
-    "ELLPACK-R",
-    "JDS",
-    "pJDS",
-    "SELL-C-sigma",
-    "CMRS",
-    "ARG-CSR",
-]
+#: every registered format (COO included); each implements spmv
+ALL_FORMATS = available_formats()
 #: formats with a GPU kernel trace
 GPU_FORMATS = [
     "ELLPACK",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.formats import BELLPACKMatrix, COOMatrix, convert
-from repro.matrices import block_sparse, generate
+from repro.matrices import SUITE_KEYS, block_sparse, generate
 
 from _test_common import random_coo
 
@@ -114,6 +114,17 @@ class TestToCOO:
         assert got.rows.max() < 17 and got.cols.max() < 23
         assert np.all(got.values != 0)
 
+    def test_explicit_zeros_stay_entries(self):
+        """Zeros the matrix was built with are entries, not fill: they
+        survive the round trip and count in row_lengths and nnz."""
+        from repro.formats import verify_format
+
+        coo = COOMatrix([0, 0, 2, 4], [0, 3, 1, 4], [0.0, 1.5, -0.0, 2.0], (5, 5))
+        m = BELLPACKMatrix.from_coo(coo, block_rows=2)
+        _assert_same_coo(m.to_coo(), coo)
+        assert np.array_equal(m.row_lengths(), coo.row_lengths())
+        verify_format(m)
+
     def test_empty(self):
         m = BELLPACKMatrix.from_coo(COOMatrix([], [], [], (6, 6)), block_rows=3)
         _assert_same_coo(m.to_coo(), _to_coo_per_block(m))
@@ -148,6 +159,31 @@ class TestFootprint:
     def test_row_lengths(self, blocky):
         m = BELLPACKMatrix.from_coo(blocky, block_rows=4)
         assert np.array_equal(m.row_lengths(), blocky.row_lengths())
+
+    @pytest.mark.parametrize("key", SUITE_KEYS)
+    def test_row_lengths_match_coo_on_suite(self, key):
+        m = convert(generate(key, scale=512, seed=0), "BELLPACK")
+        got, want = m.row_lengths(), m.to_coo().row_lengths()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_row_lengths_empty(self):
+        m = BELLPACKMatrix.from_coo(COOMatrix([], [], [], (7, 6)), block_rows=3)
+        got = m.row_lengths()
+        assert got.shape == (7,) and not got.any()
+        assert got.dtype == m.to_coo().row_lengths().dtype
+
+    def test_row_lengths_skip_zeros_padding_and_edges(self):
+        """Hand-set values that to_coo drops are not counted either."""
+        coo = random_coo(17, 23, seed=214, max_row=5)
+        m = BELLPACKMatrix.from_coo(coo, block_rows=4, block_cols=3)
+        val = m._val.copy()
+        val[0, -1, -1, :] = 7.0  # rows 17..19 of the last block-row
+        val[0, 0, 0, :] = 0.0  # explicit zeros in a stored block
+        val[:, :, :, -1] += 5.0  # column 23 of the edge block-column
+        short = int(np.argmin(m.blocks_per_row))
+        val[-1, short] = 3.0  # a padding slot
+        edge = BELLPACKMatrix(val, m._col, m.blocks_per_row, m.shape, m.nnz)
+        assert np.array_equal(edge.row_lengths(), edge.to_coo().row_lengths())
 
 
 class TestValidation:

@@ -48,6 +48,7 @@ from repro.ops import (
     variant_names_for,
     variants_for,
 )
+from repro.ops.registry import _REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +155,27 @@ class TestKernelRegistry:
         class _Sub(_Base):
             pass
 
-        @register_kernel(_Base, "spmv", name="base_kernel")
-        def _base(m, ws, x, y, permuted=False):
-            pass
+        try:
 
-        assert variant_names_for(_Sub) == ["base_kernel"]
+            @register_kernel(_Base, "spmv", name="base_kernel")
+            def _base(m, ws, x, y, permuted=False):
+                pass
 
-        @register_kernel(_Sub, "spmv", name="sub_kernel")
-        def _sub(m, ws, x, y, permuted=False):
-            pass
+            assert variant_names_for(_Sub) == ["base_kernel"]
 
-        # own table shadows the inherited one entirely
-        assert variant_names_for(_Sub) == ["sub_kernel"]
-        assert variant_names_for(_Base) == ["base_kernel"]
+            @register_kernel(_Sub, "spmv", name="sub_kernel")
+            def _sub(m, ws, x, y, permuted=False):
+                pass
+
+            # own table shadows the inherited one entirely
+            assert variant_names_for(_Sub) == ["sub_kernel"]
+            assert variant_names_for(_Base) == ["base_kernel"]
+        finally:
+            # later registry_rows() calls must list only real kernels
+            _REGISTRY.pop((_Base, "spmv"), None)
+            _REGISTRY.pop((_Sub, "spmv"), None)
+        names = {r["variant"] for r in registry_rows()}
+        assert not names & {"base_kernel", "sub_kernel"}
 
     def test_unregistered_format_has_no_kernels(self):
         """A format nobody registered gets empty rosters, and its

@@ -582,6 +582,204 @@ class TestLifecycle:
 
 
 # ---------------------------------------------------------------------------
+# caller runs: a blocking spmv borrows a parked worker instead of queueing
+# ---------------------------------------------------------------------------
+def wait_parked(server, n, timeout=5.0):
+    """Wait until ``n`` workers are parked (idle, borrowable)."""
+    deadline = time.monotonic() + timeout
+    while len(server._parked) < n:
+        assert time.monotonic() < deadline, "workers never parked"
+        time.sleep(0.001)
+
+
+def gate_spmm(monkeypatch):
+    """Hold every ``BoundMatrix.spmm`` until released; record who ran it."""
+    from repro.engine.bound import BoundMatrix
+
+    entered, release = threading.Event(), threading.Event()
+    calls = []
+    real_spmm = BoundMatrix.spmm
+
+    def gated_spmm(self, X, *args, **kwargs):
+        calls.append((threading.current_thread(), self, X.shape[1]))
+        entered.set()
+        assert release.wait(10)
+        return real_spmm(self, X, *args, **kwargs)
+
+    monkeypatch.setattr(BoundMatrix, "spmm", gated_spmm)
+    return entered, release, calls
+
+
+class TestCallerRuns:
+    def test_idle_spmv_runs_on_calling_thread_with_worker_clone(
+        self, monkeypatch
+    ):
+        entered, release, calls = gate_spmm(monkeypatch)
+        release.set()
+        csr = make_csr()
+        reg = MatrixRegistry()
+        reg.register("A", matrix=csr, variant=VARIANT)
+        x = vectors(csr.ncols, 1, seed=5)[0]
+        with SpMVServer(reg, workers=1) as server:
+            wait_parked(server, 1)
+            y = server.spmv("A", x, timeout=10)
+            with reg.acquire("A") as lease:
+                clone0 = lease.clone_for(0)
+            assert server.queue_depth == 0
+            assert server._parked == [0]  # handed back, still asleep
+        ((thread, bound, width),) = calls
+        assert thread is threading.current_thread()
+        assert bound is clone0
+        assert width == 1
+        np.testing.assert_array_equal(
+            y, bind(csr, tune=False, variant=VARIANT).spmv(x)
+        )
+        stats = server.stats()
+        assert stats["requests"]["ok"] == 1
+        assert stats["batches"] == stats["inline_batches"] == 1
+
+    def test_submit_while_worker_borrowed_completes_on_hand_back(
+        self, monkeypatch
+    ):
+        entered, release, calls = gate_spmm(monkeypatch)
+        csr = make_csr()
+        reg = MatrixRegistry()
+        reg.register("A", matrix=csr, variant=VARIANT)
+        xs = vectors(csr.ncols, 2, seed=6)
+        serial = bind(csr, tune=False, variant=VARIANT)
+        with SpMVServer(reg, workers=1) as server:
+            wait_parked(server, 1)
+            inline = {}
+            caller = threading.Thread(
+                target=lambda: inline.setdefault(
+                    "y", server.spmv("A", xs[0], timeout=10)
+                ),
+                daemon=True,
+            )
+            caller.start()
+            assert entered.wait(10)  # the caller holds worker 0
+            fut = server.submit("A", xs[1])
+            time.sleep(0.05)
+            assert not fut.done() and server.queue_depth == 1
+            release.set()
+            y1 = fut.result(timeout=10)
+            caller.join(10)
+        assert [c[0] for c in calls][0] is caller
+        assert calls[1][0].name == "serve-worker-0"
+        np.testing.assert_array_equal(inline["y"], serial.spmv(xs[0]))
+        np.testing.assert_array_equal(y1, serial.spmv(xs[1]))
+        assert server.stats()["inline_batches"] == 1
+
+    def test_close_waits_for_inline_batch(self, monkeypatch):
+        entered, release, calls = gate_spmm(monkeypatch)
+        reg = make_registry()
+        server = SpMVServer(reg, workers=1)
+        wait_parked(server, 1)
+        inline = {}
+        caller = threading.Thread(
+            target=lambda: inline.setdefault(
+                "y", server.spmv("A", np.ones(60), timeout=10)
+            ),
+            daemon=True,
+        )
+        caller.start()
+        assert entered.wait(10)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        time.sleep(0.05)
+        assert closer.is_alive()  # close() waits for the borrowed worker
+        with pytest.raises(ServerClosed):
+            server.spmv("A", np.ones(60))  # and refuses new work
+        release.set()
+        closer.join(10)
+        assert not closer.is_alive()
+        caller.join(10)
+        assert inline["y"].shape == (60,)
+        assert server.live_workers == 0
+        assert server.stats()["requests"]["ok"] == 1
+
+    def test_spmv_queues_when_nothing_is_parked(self):
+        reg = make_registry()
+        server = SpMVServer(reg, workers=1, autostart=False)
+        fut_thread = {}
+
+        def call():
+            fut_thread["y"] = server.spmv("A", np.ones(60), timeout=10)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        deadline = time.monotonic() + 5
+        while server.queue_depth == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        server.start()
+        t.join(10)
+        server.close()
+        assert fut_thread["y"].shape == (60,)
+        assert server.stats()["inline_batches"] == 0
+
+    def test_stress_mixed_inline_and_queued(self):
+        """More callers and workers than cores, fast thread switching:
+        every request completes once and bitwise, none is lost."""
+        import sys
+
+        csr = make_csr(n=70, seed=22)
+        reg = MatrixRegistry()
+        reg.register("A", matrix=csr, variant=VARIANT)
+        serial = bind(csr, tune=False, variant=VARIANT)
+        errors = []
+        per_thread = 40
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SpMVServer(reg, max_batch=4, workers=3) as server:
+
+                def call(seed):
+                    rng = np.random.default_rng(seed)
+                    for i in range(per_thread):
+                        x = rng.standard_normal(70)
+                        if i % 3:
+                            y = server.spmv("A", x, timeout=30)
+                        else:
+                            y = server.submit("A", x).result(timeout=30)
+                        if not np.array_equal(y, serial.spmv(x)):
+                            errors.append(seed)
+
+                threads = [
+                    threading.Thread(target=call, args=(s,), daemon=True)
+                    for s in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors
+        stats = server.stats()
+        assert stats["requests"]["ok"] == 6 * per_thread
+        assert stats["batched_vectors"] == 6 * per_thread
+        assert stats["inline_batches"] <= stats["batches"]
+        assert server.live_workers == 0 and not server._borrowed
+
+    def test_inline_batch_span_is_a_linked_trace_root(self):
+        obs.enable()
+        reg = make_registry()
+        with SpMVServer(reg, workers=1) as server:
+            wait_parked(server, 1)
+            with obs.span("front") as front:
+                server.spmv("A", np.ones(60), timeout=10)
+        tracer = obs.get_tracer()
+        (batch,) = tracer.find("serve.batch")
+        (req,) = tracer.find("serve.request")
+        assert batch.parent_id is None and batch.trace_id != front.trace_id
+        assert req.parent_id == front.span_id
+        assert batch.links == ((front.trace_id, req.span_id),)
+        assert batch.thread == threading.current_thread().name
+
+
+# ---------------------------------------------------------------------------
 # round trip: every policy, plain, under the serve fault plan, and traced
 # ---------------------------------------------------------------------------
 class TestPolicyRoundTrip:

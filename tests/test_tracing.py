@@ -128,6 +128,16 @@ class TestSpanContext:
         assert task.parent_id == driver.span_id
         assert task.trace_id == driver.trace_id
 
+    def test_attach_empty_context_detaches(self, enabled):
+        with obs.span("front") as front:
+            with obs.attach_context(obs.SpanContext(None)):
+                with obs.span("detached") as sp:
+                    pass
+            with obs.span("child") as child:
+                pass
+        assert sp.parent_id is None and sp.trace_id != front.trace_id
+        assert child.parent_id == front.span_id
+
 
 # ---------------------------------------------------------------------------
 # adoption (the cross-process ingest path)

@@ -15,7 +15,7 @@ from _test_common import ALL_FORMATS, random_coo
 
 
 class TestHealthyFormats:
-    @pytest.mark.parametrize("fmt", ALL_FORMATS + ["ELLR-T", "BELLPACK"])
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_all_formats_pass(self, fmt):
         coo = random_coo(45, seed=231)
         verify_format(convert(coo, fmt))
