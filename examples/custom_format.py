@@ -3,9 +3,10 @@
 
 Implements "DIA-lite" — a diagonal format storing each populated
 off-diagonal as one dense stripe — against the `SparseMatrixFormat`
-ABC, registers it with the conversion machinery, validates it with
-`verify_format`, and uses it in the CG solver.  Everything downstream
-(solvers, MatrixMarket I/O, analysis) works immediately.
+ABC, registers it with the conversion machinery and its spmv kernel
+with the kernel registry, validates it with `verify_format`, and uses
+it in the CG solver.  Everything downstream (`fmt.spmv`, `bind`,
+solvers, MatrixMarket I/O, analysis) works immediately.
 
 Run:  python examples/custom_format.py
 """
@@ -16,6 +17,7 @@ from repro.formats import register_format, verify_format
 from repro.formats.base import SparseMatrixFormat, index_nbytes
 from repro.formats.coo import COOMatrix
 from repro.matrices import off_diagonal_sparse
+from repro.ops import register_kernel
 from repro.solvers import conjugate_gradient
 
 
@@ -38,18 +40,6 @@ class DIALiteMatrix(SparseMatrixFormat):
         slot = np.searchsorted(offs, coo.cols - coo.rows)
         stripes[slot, coo.rows] = coo.values
         return cls(offs, stripes, coo.shape, coo.nnz)
-
-    def spmv(self, x, out=None):
-        x = self.check_rhs(x)
-        y = self.alloc_result(out)
-        acc = np.zeros(self.nrows, dtype=np.float64)
-        for d, stripe in zip(self._offsets, self._stripes):
-            lo = max(0, -d)
-            hi = min(self.nrows, self.ncols - d)
-            if hi > lo:
-                acc[lo:hi] += stripe[lo:hi].astype(np.float64) * x[lo + d : hi + d]
-        y[:] = acc.astype(self.dtype)
-        return y
 
     def to_coo(self):
         rows_, cols_, vals_ = [], [], []
@@ -74,8 +64,22 @@ class DIALiteMatrix(SparseMatrixFormat):
         return self.to_coo().row_lengths()
 
 
+def dia_lite_spmv(m, ws, x, y, permuted=False):
+    """The spmv kernel: ``y = A @ x`` on validated vectors, in place."""
+    acc = np.zeros(m.nrows, dtype=np.float64)
+    for d, stripe in zip(m._offsets, m._stripes):
+        lo = max(0, -d)
+        hi = min(m.nrows, m.ncols - d)
+        if hi > lo:
+            acc[lo:hi] += stripe[lo:hi].astype(np.float64) * x[lo + d : hi + d]
+    y[:] = acc
+
+
 def main() -> None:
     register_format(DIALiteMatrix)
+    # the format's first kernel is what fmt.spmv, bind() and the
+    # solvers run
+    register_kernel(DIALiteMatrix, name="dia_lite")(dia_lite_spmv)
 
     # an SPD diagonal-structured matrix: 2I + symmetric off-diagonals
     n = 400

@@ -397,9 +397,9 @@ def _serve_fleet(args, out) -> int:
     """Fleet branch of ``repro serve``: N shards behind the router.
 
     Matrices are materialised up front (row blocks have to be cut and
-    shipped to shards), served as CRS with the deterministic
-    ``csr_scipy`` kernel so sharded answers stay bitwise-equal to a
-    single server's.  ``--slo`` additionally runs the fleet SLO
+    shipped to shards) and served as CRS; shards bind their blocks
+    untuned, to the format's deterministic rank-0 kernels, so sharded
+    answers stay bitwise-equal to a single server's.  ``--slo`` additionally runs the fleet SLO
     monitor (``/sloz`` and the ``slo`` section of ``/statz``).  Each
     shard keeps its ``--workers`` threads from start to shutdown.
     """

@@ -74,6 +74,7 @@ from repro.faults.inject import FaultError, InjectedFault
 from repro.faults.retry import RetryExhausted
 from repro.formats.coo import row_major_order
 from repro.formats.csr import CSRMatrix
+from repro.ops.protocol import LinearOperator
 from repro.ops.registry import kernels_for
 from repro.utils.workers import _Slot, mp_context
 
@@ -479,11 +480,14 @@ def _first_failure(failures: dict) -> Exception:
 # the pool (driver side)
 # ---------------------------------------------------------------------------
 
-class RankPool:
+class RankPool(LinearOperator):
     """One persistent worker per rank of ``comm_plan``.
 
     Workers start on the first :meth:`run` and serve every later call;
     a failed round stops them, and the next round starts fresh ones.
+    The pool is a :class:`~repro.ops.protocol.LinearOperator`: each
+    ``apply`` is one fault-free :meth:`run`, so the solvers iterate on
+    it unchanged and a process-backed solve forks once.
     ``backend="threads"`` keeps everything in-process;
     ``backend="processes"`` runs one OS process per rank, so every halo
     byte really crosses an address-space boundary — the closest a
@@ -516,7 +520,7 @@ class RankPool:
         self.mode = mode
         self.timeout = timeout
         self.ranks = [_Rank(p, mode) for p in comm_plan.ranks]
-        self.dtype = comm_plan.ranks[0].local_matrix.dtype
+        self._dtype = comm_plan.ranks[0].local_matrix.dtype
         self.n = comm_plan.ncols
         self._workers = None
         self._round = 0
@@ -525,6 +529,13 @@ class RankPool:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._dtype
+
+    def apply(self, x, out=None):
+        return self.run(x, out=out)
 
     def _start(self) -> None:
         # load the kernel registry that every rank's block.spmv resolves

@@ -100,6 +100,45 @@ class ScalingSeries:
         return "\n".join(lines)
 
 
+def _sweep(
+    matrix_for,
+    node_counts: list[int],
+    device: DeviceSpec,
+    network: NetworkModel,
+    cost: KernelCost | None,
+    modes: tuple[str, ...],
+    workload_scale: int,
+    matrix_name: str,
+) -> ScalingSeries:
+    """Per node count: partition by nnz → plan → stats → every mode.
+
+    ``matrix_for(nodes)`` gives the matrix simulated at that count.
+    """
+    cost = cost or KernelCost()
+    points: list[ScalingPoint] = []
+    for nodes in node_counts:
+        matrix = matrix_for(nodes)
+        csr = matrix if isinstance(matrix, CSRMatrix) else CSRMatrix.from_coo(
+            matrix.to_coo()
+        )
+        part = partition_rows(csr.nrows, nodes, row_weights=csr.row_lengths())
+        plan = build_plan(csr, part, with_matrices=False)
+        stats = stats_from_plan(
+            plan, itemsize=cost.itemsize, workload_scale=workload_scale
+        )
+        for mode in modes:
+            result: ModeResult = simulate_mode(mode, stats, device, network, cost)
+            points.append(
+                ScalingPoint(
+                    nodes=nodes,
+                    mode=mode,
+                    gflops=result.gflops,
+                    iteration_seconds=result.iteration_seconds,
+                )
+            )
+    return ScalingSeries(matrix_name=matrix_name, points=points)
+
+
 def strong_scaling(
     matrix: SparseMatrixFormat,
     node_counts: list[int],
@@ -119,25 +158,10 @@ def strong_scaling(
     csr = matrix if isinstance(matrix, CSRMatrix) else CSRMatrix.from_coo(
         matrix.to_coo()
     )
-    cost = cost or KernelCost()
-    points: list[ScalingPoint] = []
-    for nodes in node_counts:
-        part = partition_rows(csr.nrows, nodes, row_weights=csr.row_lengths())
-        plan = build_plan(csr, part, with_matrices=False)
-        stats = stats_from_plan(
-            plan, itemsize=cost.itemsize, workload_scale=workload_scale
-        )
-        for mode in modes:
-            result: ModeResult = simulate_mode(mode, stats, device, network, cost)
-            points.append(
-                ScalingPoint(
-                    nodes=nodes,
-                    mode=mode,
-                    gflops=result.gflops,
-                    iteration_seconds=result.iteration_seconds,
-                )
-            )
-    return ScalingSeries(matrix_name=matrix_name, points=points)
+    return _sweep(
+        lambda nodes: csr, node_counts, device, network, cost, modes,
+        workload_scale, matrix_name,
+    )
 
 
 def weak_scaling(
@@ -159,29 +183,10 @@ def weak_scaling(
     proportionally with the node count (e.g. the suite generators with
     ``scale`` divided accordingly).
     """
-    cost = cost or KernelCost()
-    points: list[ScalingPoint] = []
-    for nodes in node_counts:
-        matrix = matrix_factory(nodes)
-        csr = matrix if isinstance(matrix, CSRMatrix) else CSRMatrix.from_coo(
-            matrix.to_coo()
-        )
-        part = partition_rows(csr.nrows, nodes, row_weights=csr.row_lengths())
-        plan = build_plan(csr, part, with_matrices=False)
-        stats = stats_from_plan(
-            plan, itemsize=cost.itemsize, workload_scale=workload_scale
-        )
-        for mode in modes:
-            result = simulate_mode(mode, stats, device, network, cost)
-            points.append(
-                ScalingPoint(
-                    nodes=nodes,
-                    mode=mode,
-                    gflops=result.gflops,
-                    iteration_seconds=result.iteration_seconds,
-                )
-            )
-    return ScalingSeries(matrix_name=matrix_name, points=points)
+    return _sweep(
+        matrix_factory, node_counts, device, network, cost, modes,
+        workload_scale, matrix_name,
+    )
 
 
 def single_gpu_effective_gflops(

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 from repro.gpu.device import DeviceSpec, Precision
 from repro.gpu.executor import KernelReport
+from repro.perfmodel.pcie_model import copy_seconds
 
 __all__ = ["transfer_seconds", "TransferReport", "spmv_with_transfers"]
 
 
 def transfer_seconds(nbytes: int, device: DeviceSpec) -> float:
     """One host<->device copy of ``nbytes`` over PCIe."""
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-    if nbytes == 0:
-        return 0.0
-    return device.pcie_latency_s + nbytes / device.pcie_bytes_per_s
+    return copy_seconds(nbytes, device.pcie_bytes_per_s, device.pcie_latency_s)
 
 
 @dataclass(frozen=True)

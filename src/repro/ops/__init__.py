@@ -1,7 +1,7 @@
 """repro.ops — unified operator protocol and central kernel registry.
 
 One import point for the two cross-cutting abstractions of the
-package (the ISSUE-4 refactor):
+package:
 
 * the **kernel registry** — every (format, op) kernel table lives in
   :mod:`repro.ops.registry`; formats register implementations with
@@ -10,19 +10,16 @@ package (the ISSUE-4 refactor):
   :func:`kernels_for` / :func:`get_kernel`;
 * the **LinearOperator protocol** — :mod:`repro.ops.protocol` defines
   the minimal ``apply``/``apply_block``/``shape``/``dtype`` surface
-  the solvers code against, with adapters for raw formats, the tuned
-  engine, and (in :mod:`repro.ops.adapters`) the distributed runtime
-  and the serving backend.
+  the solvers code against.  A raw format or an engine-bound matrix
+  becomes a :class:`BoundOperator` (a raw format binds untuned); the
+  distributed :class:`~repro.distributed.runtime.RankPool`, the
+  serving client's ``ServeOperator`` and the fleet's
+  ``RoutedOperator`` are operators themselves.
 """
 
-from repro.ops.adapters import (
-    DistributedOperator,
-    ServeOperator,
-)
 from repro.ops.protocol import (
     BoundOperator,
     CountingOperator,
-    FormatOperator,
     LinearOperator,
     PermutedOperator,
     apply_repeated,
@@ -66,16 +63,12 @@ __all__ = [
     "backend_status",
     # protocol
     "LinearOperator",
-    "FormatOperator",
     "BoundOperator",
     "PermutedOperator",
     "CountingOperator",
     "as_linear_operator",
     "solver_operator",
     "apply_repeated",
-    # backend adapters
-    "DistributedOperator",
-    "ServeOperator",
 ]
 
 

@@ -4,29 +4,28 @@ Every consumer of spMVM in this package — the five Krylov/Chebyshev
 solvers, the benchmarks, the serving layer, and the distributed
 runtime — ultimately needs the same tiny surface: *apply the matrix to
 a vector (or a block of vectors), tell me your shape and dtype*.
-Historically each consumer grew its own wrapper (``as_operator`` in
-``repro.solvers.permuted``, ``make_spmv_operator`` closures in two
-modules, hand-rolled ``spmv_count += 1`` accounting in every solver).
-This module is the single replacement:
 
 :class:`LinearOperator`
     The protocol base class: ``apply(x, out=None)``,
     ``apply_block(X, out=None)``, ``apply_permuted(x_perm)``,
     ``shape``/``dtype``/``diagonal()``.
-:class:`FormatOperator` / :class:`BoundOperator`
-    Adapters over a raw :class:`~repro.formats.base.SparseMatrixFormat`
-    and an engine-bound :class:`~repro.engine.bound.BoundMatrix`.
+:class:`BoundOperator`
+    The adapter over an engine-bound
+    :class:`~repro.engine.bound.BoundMatrix`; a raw
+    :class:`~repro.formats.base.SparseMatrixFormat` is adapted as the
+    ``BoundOperator`` of its untuned binding.
 :class:`PermutedOperator`
     The Sect. II-A stored-basis workflow operator the solvers iterate
     on (permute once in, iterate, permute once out).
 :class:`CountingOperator`
     Composable wrapper that counts spmv-equivalents (one per ``apply``,
     ``k`` per ``(n, k)`` ``apply_block``) and publishes the total to
-    :mod:`repro.obs` — the one implementation of the accounting every
-    solver used to hand-roll.
+    :mod:`repro.obs`.
 
-Cross-backend adapters (shared-memory pool, distributed runtime,
-serving client) live in :mod:`repro.ops.adapters`.
+The other backends are operators of their own:
+:class:`~repro.distributed.runtime.RankPool` (the distributed
+runtime), the serving client's ``ServeOperator`` and the fleet's
+``RoutedOperator``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.core.sorting import Permutation
 
 __all__ = [
     "LinearOperator",
-    "FormatOperator",
     "BoundOperator",
     "PermutedOperator",
     "CountingOperator",
@@ -109,42 +107,6 @@ class LinearOperator:
         return self.apply(x)
 
 
-class FormatOperator(LinearOperator):
-    """Adapter over a raw sparse format instance (untuned kernels)."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.matrix.dtype
-
-    def apply(self, x, out=None):
-        return self.matrix.spmv(x, out=out)
-
-    def apply_block(self, X, out=None):
-        return self.matrix.spmm(X, out=out)
-
-    def apply_permuted(self, x_perm):
-        fn = getattr(self.matrix, "spmv_permuted", None)
-        if fn is None:
-            raise TypeError(
-                f"{type(self.matrix).__name__} has no permuted-basis kernel"
-            )
-        return fn(x_perm)
-
-    def diagonal(self):
-        return self.matrix.diagonal()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        m = self.matrix
-        return f"<FormatOperator {m.name} {m.nrows}x{m.ncols}>"
-
-
 class BoundOperator(LinearOperator):
     """Adapter over an engine-bound matrix (tuned kernel + workspace)."""
 
@@ -188,10 +150,8 @@ class PermutedOperator(LinearOperator):
     the multi-vector analogue (stored-basis SpMM); when no batched
     closure is supplied it degrades to a per-column loop.
 
-    The historical ``repro.solvers.permuted.PermutedOperator``
-    constructor signature is preserved; the ``diagonal``/``base``
-    keywords are new (the original-order diagonal feeds the Jacobi
-    preconditioner, ``base`` keeps the underlying adapter reachable).
+    ``diagonal`` (the original-order diagonal) feeds the Jacobi
+    preconditioner; ``base`` keeps the underlying operator reachable.
     """
 
     def __init__(
@@ -341,34 +301,32 @@ class CountingOperator(LinearOperator):
 # ---------------------------------------------------------------------------
 
 
-def as_linear_operator(
-    obj, *, engine: bool = False, tune: bool = True
-) -> LinearOperator:
+def as_linear_operator(obj) -> LinearOperator:
     """Coerce anything spMVM-shaped to a :class:`LinearOperator`.
 
     Accepts an existing operator (returned unchanged), an engine
-    :class:`~repro.engine.bound.BoundMatrix`, or a raw format instance
-    (bound through the autotuner first when ``engine=True``).
+    :class:`~repro.engine.bound.BoundMatrix`, or a raw format instance,
+    which is bound untuned (``bind(m, tune=False)``: the format's
+    rank-0 kernel, the one its unbound ``spmv`` runs).  A caller who
+    wants tuned kernels passes ``bind(m)``.  The operator owns the
+    bound handle and its workspace, so, like a ``BoundMatrix``, it must
+    not be shared across threads.
     """
     if isinstance(obj, LinearOperator):
         return obj
     from repro.engine.bound import BoundMatrix, bind
     from repro.formats.base import SparseMatrixFormat
 
+    if isinstance(obj, SparseMatrixFormat):
+        obj = bind(obj, tune=False)
     if isinstance(obj, BoundMatrix):
         return BoundOperator(obj)
-    if isinstance(obj, SparseMatrixFormat):
-        if engine:
-            return BoundOperator(bind(obj, tune=tune))
-        return FormatOperator(obj)
     raise TypeError(
         f"cannot adapt {type(obj).__name__} to a LinearOperator"
     )
 
 
-def solver_operator(
-    matrix, *, engine: bool = False, tune: bool = True
-) -> PermutedOperator:
+def solver_operator(matrix) -> PermutedOperator:
     """Wrap any square operator source for the permuted-basis workflow.
 
     This is the one entry point all five solvers use: raw formats,
@@ -377,15 +335,15 @@ def solver_operator(
     come out as a :class:`PermutedOperator` — jagged formats iterate in
     their stored basis, everything else behind an identity permutation.
     """
-    base = as_linear_operator(matrix, engine=engine, tune=tune)
+    base = as_linear_operator(matrix)
     if base.nrows != base.ncols:
         raise ValueError("solvers require a square matrix")
     if isinstance(base, PermutedOperator):
         return base
-    from repro.core.jds import JaggedDiagonalsBase
-    from repro.ops.spmm_kernels import spmm_permuted
-
     if isinstance(base, BoundOperator):
+        from repro.core.jds import JaggedDiagonalsBase
+        from repro.ops.spmm_kernels import spmm_permuted
+
         bound = base.bound
         m = bound.matrix
         if bound.variant.supports_permuted and isinstance(m, JaggedDiagonalsBase):
@@ -405,27 +363,8 @@ def solver_operator(
             diagonal=m.diagonal,
             base=base,
         )
-    if isinstance(base, FormatOperator):
-        m = base.matrix
-        if isinstance(m, JaggedDiagonalsBase):
-            return PermutedOperator(
-                m.spmv_permuted,
-                m.permutation,
-                m.dtype,
-                apply_block=lambda X: spmm_permuted(m, X),
-                diagonal=m.diagonal,
-                base=base,
-            )
-        return PermutedOperator(
-            lambda x: m.spmv(x),
-            Permutation.identity(m.nrows),
-            m.dtype,
-            apply_block=lambda X: m.spmm(X),
-            diagonal=m.diagonal,
-            base=base,
-        )
-    # generic operator (distributed / serve adapters):
-    # identity basis, diagonal only if the adapter overrides it
+    # generic operator (rank pool / serve / fleet):
+    # identity basis, diagonal only if the operator overrides it
     diag = (
         base.diagonal
         if type(base).diagonal is not LinearOperator.diagonal

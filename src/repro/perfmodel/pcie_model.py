@@ -5,6 +5,13 @@ Wall-clock split of one double-precision spMVM with host transfers:
     T_MVM = (8 N / B_GPU) * (Nnzr * (alpha + 3/2) + 2)        (Eq. 2)
     T_PCI = 16 N / B_PCI
 
+``T_PCI`` is two copies of ``8 N`` bytes, each taking
+``latency + nbytes / B_PCI`` (:func:`copy_seconds`); the paper's form is
+its zero-latency case, and the simulated device's
+:func:`repro.gpu.pcie.transfer_seconds` is the same formula with the
+device's latency, so a fitted (latency, bandwidth) pair lands in one
+place.
+
 and the derived admissibility bounds on the average row length:
 
 * more than 50 % PCIe penalty (T_MVM <= T_PCI) when
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 __all__ = [
     "t_mvm",
     "t_pci",
+    "copy_seconds",
     "nnzr_upper_bound_50pct",
     "nnzr_lower_bound_10pct",
     "PCIeAnalysis",
@@ -48,10 +56,19 @@ def t_mvm(n: int, nnzr: float, alpha: float, bw_gpu_bytes: float) -> float:
     return 8.0 * n / bw_gpu_bytes * (nnzr * (alpha + 1.5) + 2.0)
 
 
+def copy_seconds(nbytes: int, bw_bytes: float, latency_s: float = 0.0) -> float:
+    """One host<->device copy: ``latency + nbytes / B`` (0 for no bytes)."""
+    if nbytes < 0:
+        raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+    if nbytes == 0:
+        return 0.0
+    return latency_s + nbytes / bw_bytes
+
+
 def t_pci(n: int, bw_pci_bytes: float) -> float:
     """Eq. (2), second part: RHS upload + LHS download (DP)."""
     _check(n, 1.0, bw_pci_bytes)
-    return 16.0 * n / bw_pci_bytes
+    return 2.0 * copy_seconds(8 * n, bw_pci_bytes)
 
 
 def nnzr_upper_bound_50pct(bw_ratio: float, alpha: float) -> float:

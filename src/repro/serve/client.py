@@ -11,7 +11,13 @@ SpMVs, so there is nothing to coalesce across requests — instead each
 solve leases the matrix (pinning it against eviction for the whole
 run) and iterates through the allocation-free
 :class:`~repro.ops.BoundOperator` the solvers wrap every bound
-matrix in.
+matrix in.  :func:`solve_on` and :func:`eigsh_on` are the one solve
+body this client and the fleet router share: each takes the operator
+to iterate on (here a leased clone, there a routed operator).
+
+:class:`ServeOperator` views a registered matrix as a
+:class:`~repro.ops.LinearOperator` whose every ``apply`` is a client
+``spmv`` through the scheduler (:meth:`Client.operator` builds it).
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import obs
+from repro.ops.protocol import LinearOperator
 from repro.serve.scheduler import SpMVServer
 
-__all__ = ["Client", "RETRYABLE"]
+__all__ = ["Client", "ServeOperator", "RETRYABLE", "solve_on", "eigsh_on"]
 
 
 def _retryable() -> tuple:
@@ -44,6 +51,119 @@ def _retryable() -> tuple:
 
 
 RETRYABLE = _retryable()
+
+
+def _record_solve(t0: float, matrix: str, method: str) -> float:
+    """Seconds since ``t0``, also fed to the ``serve_solve*`` metrics."""
+    dt = time.perf_counter() - t0
+    if obs.enabled():
+        obs.observe_summary("serve_solve_seconds", dt, matrix=matrix)
+        obs.inc("serve_solves_total", 1, matrix=matrix, method=method)
+    return dt
+
+
+def solve_on(
+    op,
+    b,
+    *,
+    matrix: str,
+    method: str,
+    tol: float,
+    max_iter: int | None,
+) -> dict:
+    """CG on ``op`` (a leased clone, a routed operator).
+
+    Returns the JSON-friendly result dict of ``solve``.
+    """
+    if method != "cg":
+        raise ValueError(f"unknown solve method {method!r}; use 'cg'")
+    from repro.solvers import conjugate_gradient
+
+    t0 = time.perf_counter()
+    res = conjugate_gradient(op, np.asarray(b), tol=tol, max_iter=max_iter)
+    return {
+        "x": res.x,
+        "iterations": res.iterations,
+        "residual_norm": float(res.residual_norm),
+        "converged": bool(res.converged),
+        "spmv_count": res.spmv_count,
+        "seconds": _record_solve(t0, matrix, method),
+    }
+
+
+def eigsh_on(
+    op,
+    *,
+    matrix: str,
+    num_eigenvalues: int,
+    tol: float,
+    max_iter: int,
+    seed: int,
+) -> dict:
+    """Lanczos on ``op``; the result dict of ``eigsh``."""
+    from repro.solvers import lanczos
+
+    t0 = time.perf_counter()
+    res = lanczos(
+        op,
+        num_eigenvalues=num_eigenvalues,
+        tol=tol,
+        max_iter=max_iter,
+        seed=seed,
+    )
+    return {
+        "eigenvalues": res.eigenvalues,
+        "iterations": res.iterations,
+        "residual_norms": res.residual_norms,
+        "spmv_count": res.spmv_count,
+        "seconds": _record_solve(t0, matrix, "lanczos"),
+    }
+
+
+class ServeOperator(LinearOperator):
+    """A matrix registered with a serving client, viewed as an operator.
+
+    The shape/dtype are pinned once at construction (via a short
+    registry lease); every subsequent ``apply`` is an ordinary client
+    ``spmv`` call through the admission-controlled, micro-batching
+    scheduler.
+    """
+
+    def __init__(
+        self,
+        client: "Client",
+        name: str,
+        *,
+        deadline_ms: float | None = None,
+        timeout: float | None = None,
+    ):
+        self.client = client
+        self.name = name
+        self.deadline_ms = deadline_ms
+        self.timeout = timeout
+        with client.server.registry.acquire(name) as lease:
+            self._shape = lease.bound.shape
+            self._dtype = np.dtype(lease.bound.dtype)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._dtype
+
+    def apply(self, x, out=None):
+        y = self.client.spmv(
+            self.name, x, deadline_ms=self.deadline_ms, timeout=self.timeout
+        )
+        if out is not None:
+            out[:] = y
+            return out
+        return y
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<ServeOperator {self.name!r} {self._shape[0]}x{self._shape[1]}>"
 
 
 class Client:
@@ -235,6 +355,12 @@ class Client:
                     )
 
     # -- solvers -----------------------------------------------------------
+    @contextmanager
+    def _leased_clone(self, matrix: str):
+        """A worker-private clone, the matrix pinned against eviction."""
+        with self.server.registry.acquire(matrix) as lease:
+            yield lease.clone_for(("solve", threading.get_ident()))
+
     def solve(
         self,
         matrix: str,
@@ -249,30 +375,12 @@ class Client:
         Returns a JSON-friendly dict (``x`` as a list through the HTTP
         shim stays an ndarray here).
         """
-        if method != "cg":
-            raise ValueError(f"unknown solve method {method!r}; use 'cg'")
-        from repro.solvers import conjugate_gradient
-
-        b = np.asarray(b)
-        t0 = time.perf_counter()
         with self._front_span("serve.solve", matrix=matrix, method=method):
-            with self.server.registry.acquire(matrix) as lease:
-                bound = lease.clone_for(("solve", threading.get_ident()))
-                res = conjugate_gradient(
-                    bound, b, tol=tol, max_iter=max_iter
+            with self._leased_clone(matrix) as bound:
+                return solve_on(
+                    bound, b, matrix=matrix, method=method, tol=tol,
+                    max_iter=max_iter,
                 )
-        dt = time.perf_counter() - t0
-        if obs.enabled():
-            obs.observe_summary("serve_solve_seconds", dt, matrix=matrix)
-            obs.inc("serve_solves_total", 1, matrix=matrix, method=method)
-        return {
-            "x": res.x,
-            "iterations": res.iterations,
-            "residual_norm": float(res.residual_norm),
-            "converged": bool(res.converged),
-            "spmv_count": res.spmv_count,
-            "seconds": dt,
-        }
 
     def eigsh(
         self,
@@ -284,30 +392,12 @@ class Client:
         seed: int = 0,
     ) -> dict:
         """Smallest eigenvalues via Lanczos on a leased matrix clone."""
-        from repro.solvers import lanczos
-
-        t0 = time.perf_counter()
         with self._front_span("serve.solve", matrix=matrix, method="lanczos"):
-            with self.server.registry.acquire(matrix) as lease:
-                bound = lease.clone_for(("solve", threading.get_ident()))
-                res = lanczos(
-                    bound,
-                    num_eigenvalues=num_eigenvalues,
-                    tol=tol,
-                    max_iter=max_iter,
-                    seed=seed,
+            with self._leased_clone(matrix) as bound:
+                return eigsh_on(
+                    bound, matrix=matrix, num_eigenvalues=num_eigenvalues,
+                    tol=tol, max_iter=max_iter, seed=seed,
                 )
-        dt = time.perf_counter() - t0
-        if obs.enabled():
-            obs.observe_summary("serve_solve_seconds", dt, matrix=matrix)
-            obs.inc("serve_solves_total", 1, matrix=matrix, method="lanczos")
-        return {
-            "eigenvalues": res.eigenvalues,
-            "iterations": res.iterations,
-            "residual_norms": res.residual_norms,
-            "spmv_count": res.spmv_count,
-            "seconds": dt,
-        }
 
     # -- operator protocol -------------------------------------------------
     def operator(
@@ -316,7 +406,7 @@ class Client:
         *,
         deadline_ms: float | None = None,
         timeout: float | None = None,
-    ):
+    ) -> ServeOperator:
         """View a registered matrix as a :class:`repro.ops.LinearOperator`.
 
         Every ``apply`` of the returned operator goes through the
@@ -325,8 +415,6 @@ class Client:
         written against the operator protocol (including the package's
         own solvers) runs against the served matrix unchanged.
         """
-        from repro.ops.adapters import ServeOperator
-
         return ServeOperator(
             self, matrix, deadline_ms=deadline_ms, timeout=timeout
         )

@@ -101,7 +101,6 @@ class ShardConfig:
     max_batch: int = 16
     max_queue: int = 512
     policy: str = "block"
-    tune: bool = False
     #: serve-layer fault schedule for this shard (already filtered to
     #: it — see :func:`plan_for_shard`)
     faults: object | None = field(default=None, compare=False)
@@ -147,7 +146,9 @@ class _ShardCore:
         if config.faults is not None:
             injector = config.faults.injector()
         self.faults = injector
-        self.registry = MatrixRegistry(tune=config.tune, faults=injector)
+        # untuned: every block binds the rank-0 CRS kernel, so replicas
+        # and the single-server answer agree bitwise
+        self.registry = MatrixRegistry(tune=False, faults=injector)
         self.server = SpMVServer(
             self.registry,
             max_batch=config.max_batch,
@@ -157,16 +158,8 @@ class _ShardCore:
             faults=injector,
         )
 
-    def register_block(
-        self,
-        key: str,
-        block: int,
-        matrix: CSRMatrix,
-        variant: str | None,
-    ) -> None:
-        self.registry.register(
-            block_name(key, block), matrix=matrix, variant=variant, tune=False
-        )
+    def register_block(self, key: str, block: int, matrix: CSRMatrix) -> None:
+        self.registry.register(block_name(key, block), matrix=matrix)
 
     def submit(self, key: str, block: int, x, deadline_ms):
         return self.server.submit(
@@ -215,9 +208,9 @@ class InprocShard:
         if self._dead:
             raise ShardDown(self.shard_id, self._death_reason)
 
-    def register_block(self, key, block, matrix, variant=None) -> None:
+    def register_block(self, key, block, matrix) -> None:
         self._check()
-        self._core.register_block(key, block, matrix, variant)
+        self._core.register_block(key, block, matrix)
 
     def submit(self, key, block, x, deadline_ms=None) -> "Future[np.ndarray]":
         self._check()
@@ -388,11 +381,11 @@ def _shard_main(conn, config: ShardConfig) -> None:
                     finally:
                         os.close(fd)
                 elif op == "register":
-                    key, block, slot_id, layout, shape, variant = msg[2:]
+                    key, block, slot_id, layout, shape = msg[2:]
                     with slots.pop(slot_id) as mm:
                         indptr, indices, data = _copy_out(mm, layout)
                     matrix = CSRMatrix(indptr, indices, data, shape)
-                    core.register_block(key, block, matrix, variant)
+                    core.register_block(key, block, matrix)
                     reply(rid, True, None)
                 elif op == "stats":
                     reply(rid, True, core.stats())
@@ -576,7 +569,7 @@ class ProcessShard:
         )
 
     # -- shard API ---------------------------------------------------------
-    def register_block(self, key, block, matrix, variant=None) -> None:
+    def register_block(self, key, block, matrix) -> None:
         """Ship a :class:`CSRMatrix` block through a one-off slot."""
         arrays = (matrix.indptr, matrix.indices, matrix.data)
         buf = self._slots.new(sum(a.nbytes for a in arrays))
@@ -585,7 +578,7 @@ class ProcessShard:
             self._ship(buf)
             self._call(
                 "register", key, block, buf.id, layout, tuple(matrix.shape),
-                variant, timeout=120.0,
+                timeout=120.0,
             )
         finally:
             buf.close()
@@ -657,7 +650,6 @@ class Fleet:
         max_batch: int = 16,
         max_queue: int = 512,
         policy: str = "block",
-        tune: bool = False,
         faults=None,
     ):
         if nshards < 1:
@@ -673,7 +665,6 @@ class Fleet:
                 max_batch=max_batch,
                 max_queue=max_queue,
                 policy=policy,
-                tune=tune,
                 faults=plan_for_shard(faults, i),
             )
             if mode == "inproc":

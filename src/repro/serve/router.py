@@ -64,6 +64,8 @@ from repro.distributed.partition import RowPartition, partition_rows
 from repro.formats.base import STORED_INDEX_DTYPE
 from repro.formats.csr import CSRMatrix
 from repro.ops.protocol import LinearOperator
+from repro.ops.registry import variants_for
+from repro.serve.client import eigsh_on, solve_on
 from repro.serve.errors import FleetDegraded, MatrixNotFound, ShardDown
 from repro.serve.fleet import Fleet
 
@@ -155,7 +157,6 @@ class Placement:
     replicas: tuple
     shape: tuple
     dtype: np.dtype
-    variant: str | None
     #: per block: the sorted global columns its rows read (the shards
     #: store the block with these renumbered 0..len-1)
     cols: tuple = field(compare=False)
@@ -164,6 +165,11 @@ class Placement:
     def nblocks(self) -> int:
         return self.partition.nparts
 
+    @property
+    def variant(self) -> str:
+        """The spmv variant every shard binds: the untuned rank-0 CRS kernel."""
+        return variants_for(CSRMatrix)[0].name
+
     def block_range(self, block: int) -> tuple[int, int]:
         return self.partition.row_range(block)
 
@@ -171,7 +177,6 @@ class Placement:
         return {
             "key": self.key,
             "shape": list(self.shape),
-            "variant": self.variant,
             "replication": len(self.replicas[0]) if self.replicas else 0,
             "blocks": [
                 {
@@ -306,7 +311,6 @@ class FleetRouter:
         seed: int = 0,
         hedge_delay_ms: float | None = None,
         allow_partial: bool = True,
-        default_variant: str | None = "csr_scipy",
         faults=None,
     ):
         if replicas < 1 or replicas > fleet.nshards:
@@ -322,7 +326,6 @@ class FleetRouter:
         #: None disables hedging (failover still walks the chain)
         self.hedge_delay_ms = hedge_delay_ms
         self.allow_partial = allow_partial
-        self.default_variant = default_variant
         if faults is not None and not hasattr(faults, "take_one"):
             faults = faults.injector()
         self.faults = faults
@@ -345,7 +348,6 @@ class FleetRouter:
         loader=None,
         blocks: int | None = None,
         replicas: int | None = None,
-        variant: str | None = None,
     ) -> Placement:
         """Partition a matrix into row blocks and push them to shards.
 
@@ -365,7 +367,6 @@ class FleetRouter:
         nblocks = blocks or self.default_blocks or self.fleet.nshards
         nblocks = max(1, min(nblocks, csr.nrows))
         nreplicas = self.replicas if replicas is None else replicas
-        variant = self.default_variant if variant is None else variant
         partition = partition_rows(
             csr.nrows, nblocks,
             row_weights=csr.row_lengths().astype(np.float64),
@@ -376,16 +377,13 @@ class FleetRouter:
             block_csr, block_cols = compact_columns(csr, lo, hi)
             cols.append(block_cols)
             for sid in assignment[b]:
-                self.fleet.shard(sid).register_block(
-                    name, b, block_csr, variant
-                )
+                self.fleet.shard(sid).register_block(name, b, block_csr)
         placement = Placement(
             key=name,
             partition=partition,
             replicas=assignment,
             shape=tuple(csr.shape),
             dtype=np.dtype(csr.dtype),
-            variant=variant,
             cols=tuple(cols),
         )
         with self._lock:
@@ -699,28 +697,11 @@ class FleetRouter:
         max_iter: int | None = None,
     ) -> dict:
         """CG over the routed operator — bitwise the single-server solve."""
-        if method != "cg":
-            raise ValueError(f"unknown solve method {method!r}; use 'cg'")
-        from repro.solvers import conjugate_gradient
-
-        b = np.asarray(b)
-        t0 = time.perf_counter()
         with obs.span("fleet.solve", matrix=matrix, method=method):
-            res = conjugate_gradient(
-                self.operator(matrix), b, tol=tol, max_iter=max_iter
+            return solve_on(
+                self.operator(matrix), b, matrix=matrix, method=method,
+                tol=tol, max_iter=max_iter,
             )
-        dt = time.perf_counter() - t0
-        if obs.enabled():
-            obs.observe_summary("serve_solve_seconds", dt, matrix=matrix)
-            obs.inc("serve_solves_total", 1, matrix=matrix, method=method)
-        return {
-            "x": res.x,
-            "iterations": res.iterations,
-            "residual_norm": float(res.residual_norm),
-            "converged": bool(res.converged),
-            "spmv_count": res.spmv_count,
-            "seconds": dt,
-        }
 
     def eigsh(
         self,
@@ -732,28 +713,12 @@ class FleetRouter:
         seed: int = 0,
     ) -> dict:
         """Lanczos over the routed operator."""
-        from repro.solvers import lanczos
-
-        t0 = time.perf_counter()
         with obs.span("fleet.solve", matrix=matrix, method="lanczos"):
-            res = lanczos(
-                self.operator(matrix),
-                num_eigenvalues=num_eigenvalues,
-                tol=tol,
-                max_iter=max_iter,
+            return eigsh_on(
+                self.operator(matrix), matrix=matrix,
+                num_eigenvalues=num_eigenvalues, tol=tol, max_iter=max_iter,
                 seed=seed,
             )
-        dt = time.perf_counter() - t0
-        if obs.enabled():
-            obs.observe_summary("serve_solve_seconds", dt, matrix=matrix)
-            obs.inc("serve_solves_total", 1, matrix=matrix, method="lanczos")
-        return {
-            "eigenvalues": res.eigenvalues,
-            "iterations": res.iterations,
-            "residual_norms": res.residual_norms,
-            "spmv_count": res.spmv_count,
-            "seconds": dt,
-        }
 
     # -- introspection / lifecycle ----------------------------------------
     def _shard_rows(self) -> list[dict]:

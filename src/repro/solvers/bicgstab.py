@@ -53,16 +53,14 @@ def bicgstab(
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int | None = None,
-    engine: bool = False,
 ) -> BiCGSTABResult:
     """Solve the (possibly nonsymmetric) system ``A x = b``.
 
     Relative convergence criterion ``||r|| <= tol * ||b||``; raises
     ``numpy.linalg.LinAlgError`` on the method's classical breakdowns
-    (``rho`` or ``omega`` collapsing to zero).  ``engine=True`` runs
-    the iteration through the autotuned :mod:`repro.engine` kernels.
+    (``rho`` or ``omega`` collapsing to zero).
     """
-    op = CountingOperator(solver_operator(matrix, engine=engine))
+    op = CountingOperator(solver_operator(matrix))
     n = op.size
     b = check_dense_vector(b, n, dtype=op.dtype, name="b")
     if tol <= 0:

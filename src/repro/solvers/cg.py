@@ -54,7 +54,6 @@ def conjugate_gradient(
     tol: float = 1e-8,
     max_iter: int | None = None,
     preconditioner: str | np.ndarray | None = None,
-    engine: bool = False,
 ) -> CGResult:
     """Solve ``A x = b`` for symmetric positive-definite ``A``.
 
@@ -64,10 +63,9 @@ def conjugate_gradient(
 
     ``preconditioner`` may be ``None``, the string ``"jacobi"``
     (M = diag(A)) or an explicit array of M^{-1} diagonal entries in
-    the *original* row ordering.  ``engine=True`` runs the iteration
-    through the autotuned :mod:`repro.engine` kernels.
+    the *original* row ordering.
     """
-    op = CountingOperator(solver_operator(matrix, engine=engine))
+    op = CountingOperator(solver_operator(matrix))
     n = op.size
     b = check_dense_vector(b, n, dtype=op.dtype, name="b")
     if max_iter is None:

@@ -60,7 +60,6 @@ def kpm_spectral_density(
     seed: int = 0,
     bounds: tuple[float, float] | None = None,
     bound_padding: float = 0.05,
-    engine: bool = False,
 ) -> KPMResult:
     """Estimate the density of states of a symmetric matrix.
 
@@ -78,9 +77,6 @@ def kpm_spectral_density(
         Relative safety margin applied to the bounds (KPM diverges if
         an eigenvalue leaves [-1, 1] after scaling; iterative bound
         estimates err low, so the default keeps 5 % headroom).
-    engine : bool
-        Apply through the autotuned zero-allocation
-        :mod:`repro.engine` kernels instead of the plain format ones.
 
     The Chebyshev recurrence runs **batched**: all ``R`` probe vectors
     advance together as one ``(n, R)`` block per moment through the
@@ -88,7 +84,7 @@ def kpm_spectral_density(
     once per moment instead of once per (moment, vector) pair — the
     code-balance win block Krylov methods get on real hardware.
     """
-    op = CountingOperator(solver_operator(matrix, engine=engine))
+    op = CountingOperator(solver_operator(matrix))
     n = op.size
     M = check_positive_int(num_moments, "num_moments")
     R = check_positive_int(num_vectors, "num_vectors")

@@ -46,7 +46,6 @@ def lanczos(
     tol: float = 1e-8,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    engine: bool = False,
 ) -> LanczosResult:
     """Compute the smallest ``num_eigenvalues`` of a symmetric matrix.
 
@@ -56,10 +55,8 @@ def lanczos(
     reorthogonalisation ``V.T @ (V @ w)`` is a pair of gemvs, not
     BLAS-1 work, so unlike the CG/BiCGSTAB/power vector steps it stays
     on NumPy's BLAS rather than :mod:`repro.solvers.vector`.
-    ``engine=True`` runs the iteration through the autotuned
-    :mod:`repro.engine` kernels.
     """
-    op = CountingOperator(solver_operator(matrix, engine=engine))
+    op = CountingOperator(solver_operator(matrix))
     n = op.size
     k = check_positive_int(num_eigenvalues, "num_eigenvalues")
     max_iter = min(check_positive_int(max_iter, "max_iter"), n)

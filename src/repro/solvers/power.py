@@ -38,15 +38,12 @@ def power_iteration(
     max_iter: int = 5000,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    engine: bool = False,
 ) -> PowerResult:
     """Estimate the dominant eigenvalue (largest |lambda|).
 
     Convergence: relative Rayleigh-quotient change below ``tol``.
-    ``engine=True`` runs the iteration through the autotuned
-    :mod:`repro.engine` kernels.
     """
-    op = CountingOperator(solver_operator(matrix, engine=engine))
+    op = CountingOperator(solver_operator(matrix))
     n = op.size
     max_iter = check_positive_int(max_iter, "max_iter")
     if tol <= 0:

@@ -429,7 +429,7 @@ class TestSolverIntegration:
         p = convert(spd_coo, "pJDS")
         b = np.random.default_rng(0).standard_normal(spd_coo.nrows)
         r_plain = conjugate_gradient(p, b)
-        r_engine = conjugate_gradient(p, b, engine=True)
+        r_engine = conjugate_gradient(bind(p), b)
         assert r_engine.converged
         assert np.allclose(r_plain.x, r_engine.x, atol=1e-6)
 
@@ -438,7 +438,7 @@ class TestSolverIntegration:
 
         p = convert(spd_coo, "pJDS")
         r = kpm_spectral_density(
-            p, num_moments=16, num_vectors=3, bounds=(0.0, 8.0), engine=True
+            bind(p), num_moments=16, num_vectors=3, bounds=(0.0, 8.0)
         )
         assert r.spmv_count == 3 * 15
 

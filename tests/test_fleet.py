@@ -22,7 +22,6 @@ from repro.formats import COOMatrix, convert
 from repro.matrices import generate, poisson2d
 from repro.obs.slo import SLOMonitor, default_fleet_slos
 from repro.kernels.compiled import backend_status
-from repro.ops import variant_names_for
 from repro.serve import (
     Client,
     Fleet,
@@ -330,13 +329,10 @@ class TestProcessShards:
             assert np.array_equal(router.spmv("A", x, timeout=60), y_ref)
             assert router.health()["status"] == "degraded"
 
-    @pytest.mark.parametrize("variant", ["csr_scipy", "csr_cc"])
-    def test_shard_batches_run_the_rank0_spmm(self, variant):
-        """Whatever spmv variant a shard pins, its batches run the
+    def test_shard_batches_run_the_rank0_spmm(self):
+        """Shards bind their blocks untuned: their batches run the
         format's rank-0 spmm kernel and stay bitwise."""
         csr = small_csr()
-        if variant not in variant_names_for(csr):
-            pytest.skip(f"{variant} is not registered here")
         rng = np.random.default_rng(3)
         X = rng.standard_normal((csr.ncols, 4))
         with reference_client(csr) as ref:
@@ -346,7 +342,7 @@ class TestProcessShards:
         with reg.acquire("ref") as lease:
             Y_ref = lease.clone_for("t").spmm(X)
         with Fleet(2, mode="process", workers=1) as fleet:
-            router = FleetRouter(fleet, default_variant=variant)
+            router = FleetRouter(fleet)
             router.register("A", csr)
             assert np.array_equal(router.spmv("A", X[:, 0], timeout=60), y_ref)
             Y = router.spmm("A", X)
@@ -360,7 +356,7 @@ class TestProcessShards:
         rows = [r for s in shards for r in s["registry"]["resident"]]
         assert len(rows) == 2
         for row in rows:
-            assert row["variant"] == variant
+            assert row["variant"] == VARIANT
             assert row["spmm_variant"] == rank0
 
     def test_shards_fork_from_a_loaded_registry(self):
@@ -534,7 +530,7 @@ class TestDegradedAnswers:
     def test_submitting_to_killed_shard_raises_shard_down(self):
         csr = small_csr()
         with Fleet(2, mode="inproc", workers=1) as fleet:
-            fleet.shard(0).register_block("A", 0, csr, VARIANT)
+            fleet.shard(0).register_block("A", 0, csr)
             fleet.kill(0)
             with pytest.raises(ShardDown):
                 fleet.shard(0).submit("A", 0, np.ones(csr.ncols))

@@ -31,8 +31,8 @@ from repro.formats import (
 from repro.formats.base import SparseMatrixFormat
 from repro.formats.conversions import FORMATS
 from repro.ops import (
+    BoundOperator,
     CountingOperator,
-    FormatOperator,
     KernelSpec,
     LinearOperator,
     PermutedOperator,
@@ -263,8 +263,8 @@ class TestOneSpmvPerFormat:
         y = m.spmv(x)
         for v in variant_names_for(m):
             _assert_bits(bind(m, variant=v).spmv(x), y, f"{fmt}/{v}")
-        op = FormatOperator(m)
-        _assert_bits(op.apply(x), y, f"{fmt}/FormatOperator.apply")
+        op = as_linear_operator(m)
+        _assert_bits(op.apply(x), y, f"{fmt}/as_linear_operator.apply")
         for Y, what in ((m.spmm(X), "spmm"), (op.apply_block(X), "apply_block")):
             for j in range(X.shape[1]):
                 _assert_bits(
@@ -1013,19 +1013,13 @@ class TestLinearOperatorProtocol:
     def test_as_linear_operator_passthrough_and_adapt(self):
         m = convert(random_coo(20, seed=4), "CRS")
         op = as_linear_operator(m)
-        assert isinstance(op, FormatOperator)
+        assert isinstance(op, BoundOperator)
         assert as_linear_operator(op) is op
         bound = bind(m, tune=False)
         bop = as_linear_operator(bound)
         assert bop.shape == m.shape and bop.dtype == m.dtype
         with pytest.raises(TypeError, match="cannot adapt"):
             as_linear_operator(object())
-
-    def test_engine_flag_binds(self):
-        m = convert(random_coo(20, seed=4), "CRS")
-        op = as_linear_operator(m, engine=True, tune=False)
-        x = np.ones(20)
-        np.testing.assert_allclose(op.apply(x), m.spmv(x))
 
     def test_apply_permuted_raises_for_flat_formats(self):
         m = convert(random_coo(16, seed=5), "CRS")
@@ -1141,13 +1135,13 @@ class TestLinearOperatorProtocol:
 @pytest.mark.usefixtures("no_leaks")
 class TestBackendAdapters:
     def test_distributed_operator_processes(self):
-        from repro.ops import DistributedOperator
+        from repro.distributed import RankPool
 
         coo = random_coo(64, seed=31)
         m = convert(coo, "CRS")
         A = dense_of(coo)
         x = np.random.default_rng(2).standard_normal(64)
-        with DistributedOperator(_balanced_plan(m, 2), backend="processes") as op:
+        with RankPool(_balanced_plan(m, 2), backend="processes") as op:
             # vector mode is bitwise-identical to the serial kernel
             np.testing.assert_array_equal(op.apply(x), m.spmv(x))
             np.testing.assert_allclose(op.apply(x), A @ x)
@@ -1159,15 +1153,14 @@ class TestBackendAdapters:
         np.testing.assert_allclose(sop, A @ x)
 
     def test_distributed_operator(self):
-        from repro.distributed import build_plan, partition_rows
-        from repro.ops import DistributedOperator
+        from repro.distributed import RankPool, build_plan, partition_rows
 
         coo = random_coo(60, seed=32)
         m = convert(coo, "CRS")
         A = dense_of(coo)
         x = np.random.default_rng(3).standard_normal(60)
         plan = build_plan(m, partition_rows(60, 3))
-        with DistributedOperator(plan) as op:
+        with RankPool(plan) as op:
             assert op.shape == (60, 60)
             y1 = op.apply(x)
             np.testing.assert_allclose(y1, A @ x)
@@ -1204,9 +1197,9 @@ def _balanced_plan(m, nparts):
 
 def solver_operator_from_backend(m, A, x):
     """solver_operator over a generic backend adapter (identity basis)."""
-    from repro.ops import DistributedOperator
+    from repro.distributed import RankPool
 
-    with DistributedOperator(_balanced_plan(m, 2), backend="processes") as dop:
+    with RankPool(_balanced_plan(m, 2), backend="processes") as dop:
         op = solver_operator(dop)
         assert op.permutation.is_identity
         return op.leave(op.apply(op.enter(x)))

@@ -15,7 +15,6 @@ from repro.distributed import (
 )
 from repro.faults import FaultEvent, FaultPlan, InjectedFault
 from repro.formats import CSRMatrix, convert
-from repro.ops import DistributedOperator
 
 from _test_common import random_coo
 
@@ -108,7 +107,7 @@ class TestPersistentPool:
     def test_vector_mode_bitwise_matches_serial(self, backend, csr, x, nworkers):
         y_serial = csr.spmv(x)
         plan = _balanced_plan(csr, nworkers)
-        with DistributedOperator(plan, backend=backend, mode="vector") as op:
+        with RankPool(plan, backend=backend, mode="vector") as op:
             y1 = op.apply(x)
             y2 = op.apply(x)
         assert np.array_equal(y1, y_serial)  # bitwise, any rank count
@@ -116,18 +115,18 @@ class TestPersistentPool:
 
     def test_task_mode_matches_to_rounding(self, backend, csr, x):
         plan = _balanced_plan(csr, 3)
-        with DistributedOperator(plan, backend=backend, mode="task") as op:
+        with RankPool(plan, backend=backend, mode="task") as op:
             y = op.apply(x)
         assert np.allclose(y, csr.spmv(x), atol=1e-12)
 
     def test_accepts_any_format(self, backend, csr, x):
         m = convert(csr.to_coo(), "pJDS")
         plan = _balanced_plan(CSRMatrix.from_coo(m.to_coo()), 2)
-        with DistributedOperator(plan, backend=backend) as op:
+        with RankPool(plan, backend=backend) as op:
             assert np.array_equal(op.apply(x), csr.spmv(x))
 
     def test_out_parameter_and_validation(self, backend, csr, x):
-        with DistributedOperator(_balanced_plan(csr, 2), backend=backend) as op:
+        with RankPool(_balanced_plan(csr, 2), backend=backend) as op:
             out = np.empty(csr.nrows)
             y = op.apply(x, out=out)
             assert y is out
@@ -138,17 +137,17 @@ class TestPersistentPool:
 
     def test_invalid_mode(self, backend, csr):
         with pytest.raises(ValueError, match="mode"):
-            DistributedOperator(_balanced_plan(csr, 2), backend=backend, mode="warp")
+            RankPool(_balanced_plan(csr, 2), backend=backend, mode="warp")
 
     def test_recovers_after_failed_round(self, backend, csr, x):
         """A crashed round (no retry) restarts the workers; the next
         apply on the same operator is bitwise correct."""
         crash = FaultPlan((FaultEvent("rank_crash", 0.1, target={"rank": 1}),))
-        with DistributedOperator(
+        with RankPool(
             _balanced_plan(csr, 3), backend=backend, timeout=2.0
         ) as op:
             with pytest.raises(InjectedFault, match="rank_crash"):
-                op.pool.run(x, faults=crash.injector())
+                op.run(x, faults=crash.injector())
             assert np.array_equal(op.apply(x), csr.spmv(x))
             # the crashed round's children are gone, the new ones serve
             assert len(mp.active_children()) == (3 if backend == "processes" else 0)
@@ -193,7 +192,7 @@ def test_process_pool_forks_once():
     """20 applies on one process-backed operator: same children, same bits."""
     csr, plan = _setup(nparts=3)
     x = np.random.default_rng(8).normal(size=csr.nrows)
-    with DistributedOperator(plan, backend="processes") as op:
+    with RankPool(plan, backend="processes") as op:
         y0 = op.apply(x)
         pids = {p.pid for p in mp.active_children()}
         assert len(pids) == 3

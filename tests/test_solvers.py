@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.sorting import Permutation
-from repro.formats import COOMatrix, convert
+from repro.engine import bind
+from repro.formats import COOMatrix, available_formats, convert
 from repro.kernels import compiled
 from repro.matrices import poisson2d
+from repro.ops import solver_operator
 from repro.solvers import (
     PermutedOperator,
-    as_operator,
     bicgstab,
     conjugate_gradient,
+    kpm_spectral_density,
     lanczos,
     power_iteration,
     vector,
@@ -36,7 +38,7 @@ def spd_dense(spd):
 class TestOperator:
     def test_pjds_operator_zero_copy_basis(self, spd):
         p = convert(spd, "pJDS", block_rows=8)
-        op = as_operator(p)
+        op = solver_operator(p)
         assert op.size == spd.nrows
         x = np.random.default_rng(0).normal(size=spd.nrows)
         xp = op.enter(x)
@@ -44,7 +46,7 @@ class TestOperator:
 
     def test_csr_operator_identity_permutation(self, spd):
         m = convert(spd, "CRS")
-        op = as_operator(m)
+        op = solver_operator(m)
         assert op.permutation.is_identity
         x = np.random.default_rng(1).normal(size=spd.nrows)
         assert np.allclose(op.apply(x), m.spmv(x))
@@ -52,10 +54,10 @@ class TestOperator:
     def test_rectangular_rejected(self):
         m = convert(random_coo(8, 12, seed=191), "CRS")
         with pytest.raises(ValueError, match="square"):
-            as_operator(m)
+            solver_operator(m)
 
     def test_callable(self, spd):
-        op = as_operator(convert(spd, "pJDS"))
+        op = solver_operator(convert(spd, "pJDS"))
         x = np.ones(spd.nrows)
         assert np.array_equal(op(op.enter(x)), op.apply(op.enter(x)))
 
@@ -200,6 +202,42 @@ class TestPower:
             power_iteration(convert(spd, "pJDS"), tol=0.0)
         with pytest.raises(ValueError):
             power_iteration(convert(spd, "pJDS"), max_iter=0)
+
+
+def _solver_outputs(m, b):
+    """Every result field the five solvers return, as arrays."""
+    cg = conjugate_gradient(m, b, tol=1e-10)
+    bi = bicgstab(m, b, tol=1e-10)
+    lz = lanczos(m, num_eigenvalues=2, max_iter=40)
+    kpm = kpm_spectral_density(m, num_moments=16, num_vectors=2, num_points=32)
+    pw = power_iteration(m, tol=1e-8, max_iter=300)
+    return {
+        "cg.x": cg.x,
+        "cg.iterations": cg.iterations,
+        "bicgstab.x": bi.x,
+        "bicgstab.iterations": bi.iterations,
+        "lanczos.eigenvalues": lz.eigenvalues,
+        "lanczos.eigenvectors": lz.eigenvectors,
+        "lanczos.iterations": lz.iterations,
+        "kpm.moments": kpm.moments,
+        "kpm.density": kpm.density,
+        "kpm.spmv_count": kpm.spmv_count,
+        "power.eigenvalue": pw.eigenvalue,
+        "power.eigenvector": pw.eigenvector,
+        "power.iterations": pw.iterations,
+    }
+
+
+@pytest.mark.parametrize("fmt", available_formats())
+def test_raw_format_solves_as_its_untuned_binding(spd, fmt):
+    """A raw format and ``bind(m, tune=False)`` give every solver the
+    same bits: solutions, eigenpairs, moments and iteration counts."""
+    m = convert(spd, fmt)
+    b = np.random.default_rng(23).normal(size=spd.nrows)
+    raw = _solver_outputs(m, b)
+    bound = _solver_outputs(bind(m, tune=False), b)
+    for key, want in raw.items():
+        np.testing.assert_array_equal(bound[key], want, err_msg=f"{fmt} {key}")
 
 
 needs_cnative = pytest.mark.skipif(
