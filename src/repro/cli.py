@@ -401,7 +401,9 @@ def _serve_fleet(args, out) -> int:
     untuned, to the format's deterministic rank-0 kernels, so sharded
     answers stay bitwise-equal to a single server's.  ``--slo`` additionally runs the fleet SLO
     monitor (``/sloz`` and the ``slo`` section of ``/statz``).  Each
-    shard keeps its ``--workers`` threads from start to shutdown.
+    shard keeps its ``--workers`` threads from start to shutdown.  A
+    set-up failure closes the shards (and the monitor) before it
+    propagates; once serving, ``run_http_server`` closes them.
     """
     from repro.formats import convert
     from repro.matrices import generate
@@ -416,48 +418,54 @@ def _serve_fleet(args, out) -> int:
         policy=args.policy,
     )
     hedge_ms = args.hedge_ms if args.replicas > 1 else None
-    router = FleetRouter(
-        fleet,
-        replicas=args.replicas,
-        blocks=args.blocks,
-        seed=args.seed,
-        hedge_delay_ms=hedge_ms,
-    )
-    for spec in args.matrix or ["sAMG"]:
-        name, _, key = spec.partition("=")
-        router.register(
-            name, convert(generate(key or name, scale=args.scale,
-                                   seed=args.seed), "CRS")
-        )
-    for path in args.mtx:
-        from pathlib import Path
-
-        from repro.matrices import read_matrix_market
-
-        router.register(
-            Path(path).stem, convert(read_matrix_market(path), "CRS")
-        )
     monitor = None
-    if args.slo:
-        from repro.obs.slo import SLOMonitor, default_fleet_slos
-
-        monitor = SLOMonitor(
-            default_fleet_slos(p99_latency_s=args.slo_p99_ms / 1e3)
+    try:
+        router = FleetRouter(
+            fleet,
+            replicas=args.replicas,
+            blocks=args.blocks,
+            seed=args.seed,
+            hedge_delay_ms=hedge_ms,
         )
-        monitor.start()
+        for spec in args.matrix or ["sAMG"]:
+            name, _, key = spec.partition("=")
+            router.register(
+                name, convert(generate(key or name, scale=args.scale,
+                                       seed=args.seed), "CRS")
+            )
+        for path in args.mtx:
+            from pathlib import Path
+
+            from repro.matrices import read_matrix_market
+
+            router.register(
+                Path(path).stem, convert(read_matrix_market(path), "CRS")
+            )
+        if args.slo:
+            from repro.obs.slo import SLOMonitor, default_fleet_slos
+
+            monitor = SLOMonitor(
+                default_fleet_slos(p99_latency_s=args.slo_p99_ms / 1e3)
+            )
+            monitor.start()
+            print(
+                f"fleet SLO monitor on "
+                f"(p99 < {args.slo_p99_ms:g} ms): GET /sloz",
+                file=out,
+            )
         print(
-            f"fleet SLO monitor on "
-            f"(p99 < {args.slo_p99_ms:g} ms): GET /sloz",
+            f"fleet: {args.fleet} {args.fleet_mode} shard(s), "
+            f"replicas={args.replicas}, "
+            f"blocks={args.blocks or args.fleet}/matrix, "
+            f"hedge={'off' if hedge_ms is None else f'{hedge_ms:g}ms'} "
+            f"— GET /fleetz",
             file=out,
         )
-    print(
-        f"fleet: {args.fleet} {args.fleet_mode} shard(s), "
-        f"replicas={args.replicas}, "
-        f"blocks={args.blocks or args.fleet}/matrix, "
-        f"hedge={'off' if hedge_ms is None else f'{hedge_ms:g}ms'} "
-        f"— GET /fleetz",
-        file=out,
-    )
+    except BaseException:
+        if monitor is not None:
+            monitor.stop()
+        fleet.close()
+        raise
     return run_http_server(router, args.host, args.port, out=out, slo=monitor)
 
 
@@ -999,6 +1007,19 @@ def cmd_chaos(args, out) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(lo: int):
+    """An argparse ``type``: an int no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1117,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "adds GET /sloz and the slo section of /statz)")
     pv.add_argument("--slo-p99-ms", type=float, default=500.0,
                     help="p99 latency objective for the default serve SLOs")
-    pv.add_argument("--fleet", type=int, default=0, metavar="N",
+    pv.add_argument("--fleet", type=_int_at_least(0), default=0, metavar="N",
                     help="run N server shards behind the scatter/gather "
                          "router instead of one in-process server")
     pv.add_argument("--replicas", type=int, default=1, metavar="R",
@@ -1127,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="process",
                     help="shard transport: separate OS processes or "
                          "threads in this process")
-    pv.add_argument("--blocks", type=int, default=None,
+    pv.add_argument("--blocks", type=_int_at_least(1), default=None,
                     help="row blocks per matrix (fleet mode; default: "
                          "one per shard)")
     pv.add_argument("--hedge-ms", type=float, default=20.0,
@@ -1254,5 +1275,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.fleet and not 1 <= args.replicas <= args.fleet:
+        parser.error(
+            f"--replicas must be in [1, {args.fleet}] with --fleet "
+            f"{args.fleet}, got {args.replicas}"
+        )
     return _COMMANDS[args.command](args, out or sys.stdout)

@@ -94,10 +94,6 @@ class CommPlan:
     def total_comm_elements(self) -> int:
         return sum(r.halo_size for r in self.ranks)
 
-    def max_rank_seconds_hint(self) -> int:
-        """Largest per-rank non-zero count (load-balance indicator)."""
-        return max(r.nnz_local + r.nnz_nonlocal for r in self.ranks)
-
 
 def build_plan(
     matrix: CSRMatrix,

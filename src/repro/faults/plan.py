@@ -172,9 +172,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    def for_layer(self, layer: str) -> tuple:
-        return tuple(ev for ev in self.events if ev.layer == layer)
-
     def kinds(self) -> dict:
         """Event count per kind (for reports and tests)."""
         out: dict[str, int] = {}

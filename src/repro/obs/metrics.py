@@ -115,9 +115,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Log-bucketed histogram: bucket ``k`` counts ``v <= growth**k``.

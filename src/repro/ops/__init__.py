@@ -12,9 +12,8 @@ package:
   the minimal ``apply``/``apply_block``/``shape``/``dtype`` surface
   the solvers code against.  A raw format or an engine-bound matrix
   becomes a :class:`BoundOperator` (a raw format binds untuned); the
-  distributed :class:`~repro.distributed.runtime.RankPool`, the
-  serving client's ``ServeOperator`` and the fleet's
-  ``RoutedOperator`` are operators themselves.
+  distributed :class:`~repro.distributed.runtime.RankPool` and the
+  serve fleet's ``RoutedOperator`` are operators themselves.
 """
 
 from repro.ops.protocol import (

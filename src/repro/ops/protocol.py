@@ -24,8 +24,7 @@ a vector (or a block of vectors), tell me your shape and dtype*.
 
 The other backends are operators of their own:
 :class:`~repro.distributed.runtime.RankPool` (the distributed
-runtime), the serving client's ``ServeOperator`` and the fleet's
-``RoutedOperator``.
+runtime) and the serve fleet's ``RoutedOperator``.
 """
 
 from __future__ import annotations

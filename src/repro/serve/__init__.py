@@ -19,9 +19,9 @@ long-lived process that can take heavy concurrent traffic:
   ``eigsh``, ``stats``).
 * :mod:`repro.serve.fleet` / :mod:`repro.serve.router` — the sharded
   fleet: N shard hosts (processes or threads) each owning nnz-balanced
-  row blocks of the registered matrices, and a consistent-hash
-  :class:`FleetRouter` doing scatter/gather spmv with replica failover
-  and hedging (``repro serve --fleet N``).
+  row blocks of the registered matrices, placed by a seeded rendezvous
+  order, and a :class:`FleetRouter` doing scatter/gather spmv with
+  replica failover and hedging (``repro serve --fleet N``).
 * :mod:`repro.serve.http` — JSON endpoint (``repro serve --port N``,
   vectors through ``orjson``): ``/v1/spmv``, ``/v1/solve``,
   ``/healthz``, ``/statz``, ``/fleetz``.
@@ -47,7 +47,7 @@ from repro.serve.errors import (
 from repro.serve.fleet import Fleet, ShardConfig
 from repro.serve.http import make_http_server, run_http_server
 from repro.serve.registry import MatrixLease, MatrixRegistry, MatrixSpec
-from repro.serve.router import FleetRouter, HashRing, Placement, RoutedOperator
+from repro.serve.router import FleetRouter, Placement, RoutedOperator
 from repro.serve.scheduler import POLICIES, SpMVServer
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "Fleet",
     "FleetDegraded",
     "FleetRouter",
-    "HashRing",
     "MatrixLease",
     "MatrixNotFound",
     "MatrixRegistry",

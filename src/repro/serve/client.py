@@ -14,26 +14,20 @@ run) and iterates through the allocation-free
 matrix in.  :func:`solve_on` and :func:`eigsh_on` are the one solve
 body this client and the fleet router share: each takes the operator
 to iterate on (here a leased clone, there a routed operator).
-
-:class:`ServeOperator` views a registered matrix as a
-:class:`~repro.ops.LinearOperator` whose every ``apply`` is a client
-``spmv`` through the scheduler (:meth:`Client.operator` builds it).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro import obs
-from repro.ops.protocol import LinearOperator
 from repro.serve.scheduler import SpMVServer
 
-__all__ = ["Client", "ServeOperator", "RETRYABLE", "solve_on", "eigsh_on"]
+__all__ = ["Client", "RETRYABLE", "solve_on", "eigsh_on"]
 
 
 def _retryable() -> tuple:
@@ -120,52 +114,6 @@ def eigsh_on(
     }
 
 
-class ServeOperator(LinearOperator):
-    """A matrix registered with a serving client, viewed as an operator.
-
-    The shape/dtype are pinned once at construction (via a short
-    registry lease); every subsequent ``apply`` is an ordinary client
-    ``spmv`` call through the admission-controlled, micro-batching
-    scheduler.
-    """
-
-    def __init__(
-        self,
-        client: "Client",
-        name: str,
-        *,
-        deadline_ms: float | None = None,
-        timeout: float | None = None,
-    ):
-        self.client = client
-        self.name = name
-        self.deadline_ms = deadline_ms
-        self.timeout = timeout
-        with client.server.registry.acquire(name) as lease:
-            self._shape = lease.bound.shape
-            self._dtype = np.dtype(lease.bound.dtype)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
-    def apply(self, x, out=None):
-        y = self.client.spmv(
-            self.name, x, deadline_ms=self.deadline_ms, timeout=self.timeout
-        )
-        if out is not None:
-            out[:] = y
-            return out
-        return y
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ServeOperator {self.name!r} {self._shape[0]}x{self._shape[1]}>"
-
-
 class Client:
     """Typed convenience wrapper around one :class:`SpMVServer`.
 
@@ -183,11 +131,6 @@ class Client:
         #: client (best-effort under concurrency; a convenience for
         #: ``repro obs trace`` and tests, not a correctness surface)
         self.last_trace_id: str | None = None
-        self._hedge_lock = threading.Lock()
-        #: outcome accounting for abandoned hedge submissions — a
-        #: losing hedge must never surface its late error through the
-        #: winning call (see :meth:`spmv_hedged`)
-        self.hedge_outcomes = {"cancelled": 0, "late_ok": 0, "late_error": 0}
 
     @contextmanager
     def _front_span(self, name: str, **attrs):
@@ -244,116 +187,6 @@ class Client:
                 on_retry=_on_retry,
             )
 
-    def spmv_async(self, matrix: str, x, *, deadline_ms: float | None = None):
-        """Fire-and-collect variant; returns a ``concurrent.futures.Future``."""
-        return self.server.submit(matrix, x, deadline_ms=deadline_ms)
-
-    def spmv_hedged(
-        self,
-        matrix: str,
-        x,
-        *,
-        hedges: int = 1,
-        hedge_delay_ms: float = 0.0,
-        deadline_ms: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Tail-latency hedging: race up to ``1 + hedges`` submissions.
-
-        The primary request is submitted immediately; each hedge after
-        ``hedge_delay_ms`` *if no earlier submission has completed*.
-        The first successful result wins.  Only when **every**
-        submission failed does the last error propagate — a lone slow
-        or faulted request never decides the call.
-
-        Losing submissions are *discarded* the moment a winner returns:
-        still-queued ones are cancelled (the scheduler drops them before
-        they reach a worker), already-running ones get their eventual
-        result or error consumed by a callback.  A hedge that loses the
-        race can therefore never surface its late error through a call
-        that already succeeded — see :attr:`hedge_outcomes`.
-        """
-        if hedges < 0:
-            raise ValueError(f"hedges must be >= 0, got {hedges}")
-        with self._front_span("client.spmv_hedged", matrix=matrix, hedges=hedges):
-            return self._spmv_hedged(
-                matrix, x, hedges, hedge_delay_ms, deadline_ms, timeout
-            )
-
-    def _discard_losers(self, losers, matrix: str) -> None:
-        """Cancel or absorb every abandoned hedge submission."""
-        for f in losers:
-            if f.cancel():
-                with self._hedge_lock:
-                    self.hedge_outcomes["cancelled"] += 1
-                if obs.enabled():
-                    obs.inc(
-                        "serve_client_hedge_cancelled_total", 1, matrix=matrix
-                    )
-            else:
-                f.add_done_callback(
-                    lambda fut: self._absorb_loser(fut, matrix)
-                )
-
-    def _absorb_loser(self, fut, matrix: str) -> None:
-        """Consume a losing hedge's outcome so it never propagates."""
-        if fut.cancelled():
-            return
-        exc = fut.exception()
-        key = "late_ok" if exc is None else "late_error"
-        with self._hedge_lock:
-            self.hedge_outcomes[key] += 1
-        if obs.enabled():
-            obs.inc(
-                "serve_client_hedge_losses_total",
-                1,
-                matrix=matrix,
-                outcome=key,
-                error="" if exc is None else type(exc).__name__,
-            )
-
-    def _spmv_hedged(
-        self, matrix, x, hedges, hedge_delay_ms, deadline_ms, timeout
-    ) -> np.ndarray:
-        futures = [self.server.submit(matrix, x, deadline_ms=deadline_ms)]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        errors: list[Exception] = []
-
-        def _remaining() -> float | None:
-            if deadline is None:
-                return None
-            return max(deadline - time.monotonic(), 0.0)
-
-        launched = 1
-        while True:
-            step = hedge_delay_ms / 1e3 if launched <= hedges else _remaining()
-            done, pending = wait(futures, timeout=step, return_when=FIRST_COMPLETED)
-            for f in done:
-                exc = f.exception()
-                if exc is None:
-                    if obs.enabled() and launched > 1:
-                        obs.inc("serve_client_hedges_total", launched - 1, matrix=matrix)
-                    futures.remove(f)
-                    self._discard_losers(futures, matrix)
-                    return f.result()
-                errors.append(exc)
-                futures.remove(f)
-            if not futures and launched > hedges:
-                raise errors[-1]
-            if launched <= hedges:
-                futures.append(
-                    self.server.submit(matrix, x, deadline_ms=deadline_ms)
-                )
-                launched += 1
-            elif not done:
-                rem = _remaining()
-                if rem is not None and rem <= 0:
-                    self._discard_losers(futures, matrix)
-                    raise TimeoutError(
-                        f"spmv_hedged({matrix!r}) timed out with "
-                        f"{len(futures)} submission(s) in flight"
-                    )
-
     # -- solvers -----------------------------------------------------------
     @contextmanager
     def _leased_clone(self, matrix: str):
@@ -398,26 +231,6 @@ class Client:
                     bound, matrix=matrix, num_eigenvalues=num_eigenvalues,
                     tol=tol, max_iter=max_iter, seed=seed,
                 )
-
-    # -- operator protocol -------------------------------------------------
-    def operator(
-        self,
-        matrix: str,
-        *,
-        deadline_ms: float | None = None,
-        timeout: float | None = None,
-    ) -> ServeOperator:
-        """View a registered matrix as a :class:`repro.ops.LinearOperator`.
-
-        Every ``apply`` of the returned operator goes through the
-        micro-batching scheduler, so solver iterations from concurrent
-        clients coalesce exactly like HTTP traffic — and any code
-        written against the operator protocol (including the package's
-        own solvers) runs against the served matrix unchanged.
-        """
-        return ServeOperator(
-            self, matrix, deadline_ms=deadline_ms, timeout=timeout
-        )
 
     # -- introspection / lifecycle -----------------------------------------
     def names(self) -> list[str]:

@@ -16,7 +16,7 @@ Two shard transports share one core (:class:`_ShardCore`):
   its own OS process (``repro serve --fleet N``).  Commands travel over
   a duplex :mod:`multiprocessing` socketpair and a reader thread on the
   parent side resolves submission futures.  Vectors never go through
-  the pipe: every spmv/spmm borrows a shared-memory *slot* (an
+  the pipe: every spmv borrows a shared-memory *slot* (an
   ``os.memfd_create`` file mapped by both processes, its fd passed to
   the shard once with ``send_handle``), the parent writes x into it,
   the shard writes its rows of y back into the same slot, and the
@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import mmap
 import os
 import signal
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from multiprocessing.reduction import recv_handle, send_handle
 
@@ -166,11 +165,6 @@ class _ShardCore:
             block_name(key, block), x, deadline_ms=deadline_ms
         )
 
-    def spmm(self, key: str, block: int, X) -> np.ndarray:
-        with self.registry.acquire(block_name(key, block)) as lease:
-            bound = lease.clone_for("spmm")
-            return bound.spmm(np.asarray(X))
-
     def stats(self) -> dict:
         s = self.server.stats()
         s["shard"] = self.config.shard_id
@@ -194,9 +188,6 @@ class InprocShard:
         self.shard_id = config.shard_id
         self.config = config
         self._core = _ShardCore(config)
-        self._aux = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix=f"shard{config.shard_id}-aux"
-        )
         self._dead = False
         self._death_reason = ""
 
@@ -216,10 +207,6 @@ class InprocShard:
         self._check()
         return self._core.submit(key, block, x, deadline_ms)
 
-    def spmm(self, key, block, X) -> "Future[np.ndarray]":
-        self._check()
-        return self._aux.submit(self._core.spmm, key, block, X)
-
     def stats(self) -> dict:
         self._check()
         return self._core.stats()
@@ -230,7 +217,6 @@ class InprocShard:
             return
         self._dead = True
         self._death_reason = reason
-        self._aux.shutdown(wait=False, cancel_futures=True)
         self._core.close(drain=False)
 
     def close(self) -> None:
@@ -238,7 +224,6 @@ class InprocShard:
             return
         self._dead = True
         self._death_reason = "closed"
-        self._aux.shutdown(wait=True)
         self._core.close(drain=True)
 
 
@@ -322,9 +307,6 @@ def _shard_main(conn, config: ShardConfig) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     core = _ShardCore(config)
     send_lock = threading.Lock()
-    aux = ThreadPoolExecutor(
-        max_workers=2, thread_name_prefix=f"shard{config.shard_id}-aux"
-    )
     slots: dict[int, mmap.mmap] = {}
 
     def reply(rid, ok, payload) -> None:
@@ -333,17 +315,6 @@ def _shard_main(conn, config: ShardConfig) -> None:
                 conn.send((rid, ok, payload))
             except (BrokenPipeError, OSError):  # parent gone: nothing to do
                 pass
-
-    def answer(rid, mm, dtype, shape, y) -> None:
-        """Write a block product into its slot; the reply carries no array."""
-        np.ndarray(shape, dtype=dtype, buffer=mm)[...] = y
-        reply(rid, True, None)
-
-    def run_spmm(rid, mm, key, block, X, dtype, out_shape) -> None:
-        try:
-            answer(rid, mm, dtype, out_shape, core.spmm(key, block, X))
-        except Exception as exc:  # noqa: BLE001 - shipped to the parent
-            reply(rid, False, _encode_exc(exc))
 
     try:
         while True:
@@ -356,20 +327,17 @@ def _shard_main(conn, config: ShardConfig) -> None:
                 reply(rid, True, None)
                 break
             try:
-                if op in ("spmv", "spmm"):
-                    key, block, slot_id, dtype, in_shape, out_shape, deadline_ms = msg[2:]
+                if op == "spmv":
+                    key, block, slot_id, dtype, ncols, nrows, deadline_ms = msg[2:]
                     mm = slots[slot_id]
-                    x = np.ndarray(in_shape, dtype=dtype, buffer=mm)
-                    if op == "spmm":
-                        aux.submit(
-                            run_spmm, rid, mm, key, block, x, dtype, out_shape
-                        )
-                        continue
+                    x = np.ndarray(ncols, dtype=dtype, buffer=mm)
 
-                    def _done(f, rid=rid, mm=mm, dtype=dtype, shape=out_shape):
+                    def _done(f, rid=rid, mm=mm, dtype=dtype, nrows=nrows):
                         exc = f.exception()
                         if exc is None:
-                            answer(rid, mm, dtype, shape, f.result())
+                            # y goes into the slot; the reply carries no array
+                            np.ndarray(nrows, dtype=dtype, buffer=mm)[...] = f.result()
+                            reply(rid, True, None)
                         else:
                             reply(rid, False, _encode_exc(exc))
 
@@ -396,7 +364,6 @@ def _shard_main(conn, config: ShardConfig) -> None:
             except Exception as exc:  # noqa: BLE001 - shipped to the parent
                 reply(rid, False, _encode_exc(exc))
     finally:
-        aux.shutdown(wait=False, cancel_futures=True)
         try:
             core.close(drain=False)
         except Exception:  # pragma: no cover - best-effort teardown
@@ -406,7 +373,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
 class ProcessShard:
     """A shard hosted in its own OS process behind a duplex pipe.
 
-    x and y of every spmv/spmm, and each registered block, move through
+    x and y of every spmv, and each registered block, move through
     shared-memory slots (see the module docstring); the pipe carries
     commands, shapes and errors.
     """
@@ -539,7 +506,8 @@ class ProcessShard:
     def _call(self, op: str, *args, timeout: float = 30.0):
         return self._send(op, *args).result(timeout)
 
-    def _product(self, op: str, key, block, x, deadline_ms=None) -> Future:
+    # -- shard API ---------------------------------------------------------
+    def submit(self, key, block, x, deadline_ms=None) -> "Future[np.ndarray]":
         """Write x into a slot and ask the shard for its rows of y."""
         if self._dead:
             raise ShardDown(self.shard_id, self._death_reason)
@@ -547,15 +515,12 @@ class ProcessShard:
         if shape is None:
             raise MatrixNotFound(block_name(key, block))
         x = np.asarray(x)
-        if x.ndim != (1 if op == "spmv" else 2) or x.shape[0] != shape[1]:
+        if x.ndim != 1 or x.shape[0] != shape[1]:
             raise ValueError(
-                f"{op} on {block_name(key, block)} needs {shape[1]} rows "
-                f"of x, got shape {x.shape}"
+                f"spmv on {block_name(key, block)} needs x of shape "
+                f"({shape[1]},), got {x.shape}"
             )
-        out_shape = (shape[0], *x.shape[1:])
-        slot = self._slots.take(
-            max(x.nbytes, math.prod(out_shape) * x.itemsize)
-        )
+        slot = self._slots.take(max(x.shape[0], shape[0]) * x.itemsize)
         try:
             if slot.fd is not None:
                 self._ship(slot)
@@ -564,11 +529,10 @@ class ProcessShard:
             self._slots.give(slot)
             raise
         return self._send(
-            op, key, block, slot.id, x.dtype.str, x.shape, out_shape,
-            deadline_ms, slot=slot, out=(x.dtype, out_shape),
+            "spmv", key, block, slot.id, x.dtype.str, shape[1], shape[0],
+            deadline_ms, slot=slot, out=(x.dtype, (shape[0],)),
         )
 
-    # -- shard API ---------------------------------------------------------
     def register_block(self, key, block, matrix) -> None:
         """Ship a :class:`CSRMatrix` block through a one-off slot."""
         arrays = (matrix.indptr, matrix.indices, matrix.data)
@@ -583,12 +547,6 @@ class ProcessShard:
         finally:
             buf.close()
         self._shapes[(key, block)] = tuple(matrix.shape)
-
-    def submit(self, key, block, x, deadline_ms=None) -> "Future[np.ndarray]":
-        return self._product("spmv", key, block, x, deadline_ms)
-
-    def spmm(self, key, block, X) -> "Future[np.ndarray]":
-        return self._product("spmm", key, block, X)
 
     def stats(self) -> dict:
         return self._call("stats", timeout=30.0)

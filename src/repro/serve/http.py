@@ -321,8 +321,18 @@ def run_http_server(
     *,
     slo=None,
 ):
-    """Blocking serve loop (the ``repro serve`` CLI entry point)."""
-    httpd = make_http_server(client, host, port, slo=slo)
+    """Blocking serve loop (the ``repro serve`` CLI entry point).
+
+    Owns ``client`` and ``slo`` from the call on: both are closed when
+    the loop ends, and when the listening socket cannot be opened.
+    """
+    try:
+        httpd = make_http_server(client, host, port, slo=slo)
+    except BaseException:
+        if slo is not None:
+            slo.stop()
+        client.close()
+        raise
     if out is not None:
         print(
             f"repro serve listening on http://{host}:{httpd.server_address[1]} "

@@ -1,24 +1,23 @@
 """Front-end router of the serve fleet: placement, scatter/gather, hedging.
 
 The :class:`FleetRouter` is the fleet's single client-facing surface —
-it exposes the same API as the in-process
-:class:`~repro.serve.client.Client` (``spmv`` / ``spmm`` / ``solve`` /
-``eigsh`` / ``stats`` / ``health`` / ``names`` / ``close``), so the
-HTTP front-end and the CLI serve either one unchanged.
+``spmv`` / ``solve`` / ``eigsh`` / ``stats`` / ``health`` / ``names`` /
+``close``, the calls the HTTP front-end and the CLI make on the
+in-process :class:`~repro.serve.client.Client` — so they serve either
+one unchanged.
 
 **Placement.**  A registered matrix is split into contiguous row
 blocks by the same nnz-balanced
 :func:`~repro.distributed.partition.partition_rows` plans the
 distributed runtime uses (Sect. III of the paper: one device per row
-block).  Which shards own which blocks comes from a seeded
-consistent-hash ring (:class:`HashRing`): the matrix key hashes to a
-preference order over shards, block ``b``'s primary is the ``b``-th
-entry of that order (round-robin over it when there are more blocks
-than shards), and its replicas chain along the next entries
-(*chained declustering* — a dead shard's load spreads over its
-neighbours instead of doubling one survivor).  Ring placement makes
-assignment deterministic per seed and **stable**: adding or removing
-a shard moves only the keys whose ring interval changed.
+block).  Which shards own which blocks comes from a seeded rendezvous
+order (:func:`rendezvous_order`): the shard ids sorted by a hash of
+``(seed, key, shard)``.  Block ``b``'s primary is the ``b``-th entry of
+that order (round-robin over it when there are more blocks than
+shards), and its replicas chain along the next entries (*chained
+declustering* — a dead shard's load spreads over its neighbours
+instead of doubling one survivor).  Assignment is deterministic per
+seed.
 
 **Column compaction.**  As in the paper's Sect. III, where a rank
 receives only the elements of x its rows touch, each block is stored on
@@ -33,12 +32,12 @@ live replica of that block and concatenates the row-block results in
 plan order — bitwise-equal to the single-server answer, because a CRS
 row's reduction never crosses a block boundary.  Failures walk the
 replica chain (*failover*); after ``hedge_delay_ms`` without an answer a
-backup request races the slow replica (*hedging* — the fleet
-generalisation of ``Client.spmv_hedged``, and the same discard
-discipline: a losing replica's late error can never surface through a
-call that already has an answer).  When every replica of some block is
-gone the router either zero-fills those rows (``allow_partial=True``,
-``status="partial"``) or raises
+backup request races the slow replica (*hedging*).  A losing replica
+is discarded: cancelled while it is still queued on its shard, its
+late result or error swallowed once it runs, so it can never surface
+through a call that already has an answer.  When every replica of some
+block is gone the router either zero-fills those rows
+(``allow_partial=True``, ``status="partial"``) or raises
 :class:`~repro.serve.errors.FleetDegraded`.
 
 ``solve``/``eigsh`` run the package's own iterative solvers over a
@@ -50,7 +49,6 @@ parity of solutions.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import queue
 import threading
@@ -69,78 +67,7 @@ from repro.serve.client import eigsh_on, solve_on
 from repro.serve.errors import FleetDegraded, MatrixNotFound, ShardDown
 from repro.serve.fleet import Fleet
 
-__all__ = ["HashRing", "Placement", "FleetRouter", "RoutedOperator"]
-
-
-# ---------------------------------------------------------------------------
-# consistent hashing
-# ---------------------------------------------------------------------------
-
-class HashRing:
-    """Seeded consistent-hash ring with virtual nodes.
-
-    Each shard owns ``vnodes`` points on a 64-bit ring (blake2b of
-    ``"{seed}/{shard}#{vnode}"``); a key hashes to a ring position and
-    :meth:`preference` walks clockwise collecting *distinct* shards —
-    the key's deterministic failover order.  Removing a shard deletes
-    only its own points, so keys whose successor didn't change keep
-    their placement (the bounded-movement property the placement tests
-    pin down).
-    """
-
-    def __init__(self, shard_ids=(), *, vnodes: int = 64, seed: int = 0):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
-        self.seed = seed
-        self._points: list[tuple[int, int]] = []  # (hash, shard_id), sorted
-        self._shards: set[int] = set()
-        for sid in shard_ids:
-            self.add(sid)
-
-    def _hash(self, token: str) -> int:
-        digest = hashlib.blake2b(
-            f"{self.seed}/{token}".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big")
-
-    def add(self, shard_id: int) -> None:
-        if shard_id in self._shards:
-            raise ValueError(f"shard {shard_id} already on the ring")
-        self._shards.add(shard_id)
-        for v in range(self.vnodes):
-            self._points.append((self._hash(f"{shard_id}#{v}"), shard_id))
-        self._points.sort()
-
-    def remove(self, shard_id: int) -> None:
-        if shard_id not in self._shards:
-            raise ValueError(f"shard {shard_id} not on the ring")
-        self._shards.discard(shard_id)
-        self._points = [p for p in self._points if p[1] != shard_id]
-
-    def shards(self) -> list[int]:
-        return sorted(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def preference(self, key: str) -> list[int]:
-        """All shards in this key's deterministic failover order."""
-        if not self._points:
-            raise ValueError("ring is empty")
-        start = bisect.bisect_left(self._points, (self._hash(key), -1))
-        order: list[int] = []
-        seen: set[int] = set()
-        n = len(self._points)
-        for i in range(n):
-            sid = self._points[(start + i) % n][1]
-            if sid not in seen:
-                seen.add(sid)
-                order.append(sid)
-        return order
-
-    def owner(self, key: str) -> int:
-        return self.preference(key)[0]
+__all__ = ["Placement", "FleetRouter", "RoutedOperator", "rendezvous_order"]
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +139,29 @@ def compact_columns(csr: CSRMatrix, lo: int, hi: int) -> tuple:
     return block, cols
 
 
-def place_blocks(ring: HashRing, key: str, nblocks: int, replicas: int) -> tuple:
-    """Replica sets for each row block of ``key`` (primary first).
+def rendezvous_order(key: str, shard_ids, seed: int = 0) -> list[int]:
+    """``shard_ids`` in ``key``'s deterministic preference order.
 
-    The key's ring preference order seeds everything: block ``b``'s
-    primary is entry ``b mod S`` and its replicas the next ``R-1``
-    entries (all distinct because the preference order is).
+    Rendezvous hashing: the shards sorted by blake2b of
+    ``"{seed}/{key}/{shard}"``.  A shard's hash for a key does not
+    depend on the other shards, so adding one moves only the keys it
+    now heads and removing one moves only the keys it headed.
     """
-    order = ring.preference(key)
+    return sorted(
+        shard_ids,
+        key=lambda sid: hashlib.blake2b(
+            f"{seed}/{key}/{sid}".encode(), digest_size=8
+        ).digest(),
+    )
+
+
+def place_blocks(order, nblocks: int, replicas: int) -> tuple:
+    """Replica sets for each row block (primary first).
+
+    ``order`` is the key's shard preference order: block ``b``'s
+    primary is entry ``b mod S`` and its replicas the next ``R-1``
+    entries (all distinct because the order's entries are).
+    """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if replicas > len(order):
@@ -266,13 +208,6 @@ class RoutedOperator(LinearOperator):
             return out
         return y
 
-    def apply_block(self, X, out=None):
-        Y = self.router.spmm(self.key, X)
-        if out is not None:
-            out[:] = Y
-            return out
-        return Y
-
 
 # ---------------------------------------------------------------------------
 # per-request gather state
@@ -307,7 +242,6 @@ class FleetRouter:
         *,
         replicas: int = 1,
         blocks: int | None = None,
-        vnodes: int = 64,
         seed: int = 0,
         hedge_delay_ms: float | None = None,
         allow_partial: bool = True,
@@ -317,12 +251,12 @@ class FleetRouter:
             raise ValueError(
                 f"replicas must be in [1, {fleet.nshards}], got {replicas}"
             )
+        _check_blocks(blocks)
         self.fleet = fleet
         self.replicas = replicas
         self.default_blocks = blocks
-        self.ring = HashRing(
-            [s.shard_id for s in fleet.shards], vnodes=vnodes, seed=seed
-        )
+        #: seeds the rendezvous order of every registered key
+        self.seed = seed
         #: None disables hedging (failover still walks the chain)
         self.hedge_delay_ms = hedge_delay_ms
         self.allow_partial = allow_partial
@@ -335,7 +269,7 @@ class FleetRouter:
         self._status = {"ok": 0, "degraded": 0, "partial": 0, "error": 0}
         self._hedges = 0
         self._failovers = 0
-        #: spmv/spmm requests, bytes of x sent to shards, bytes of y received
+        #: spmv requests, bytes of x sent to shards, bytes of y received
         self._transport = {"requests": 0, "x_bytes": 0, "y_bytes": 0}
         self._latency = obs.Summary(window=4096)
 
@@ -355,6 +289,7 @@ class FleetRouter:
         get more copies); ``blocks`` the block count (default: one per
         shard).  Idempotent re-registration replaces the placement.
         """
+        _check_blocks(blocks)
         if matrix is None:
             if loader is None:
                 raise ValueError("register needs a matrix or a loader")
@@ -371,7 +306,10 @@ class FleetRouter:
             csr.nrows, nblocks,
             row_weights=csr.row_lengths().astype(np.float64),
         )
-        assignment = place_blocks(self.ring, name, nblocks, nreplicas)
+        order = rendezvous_order(
+            name, [s.shard_id for s in self.fleet.shards], self.seed
+        )
+        assignment = place_blocks(order, nblocks, nreplicas)
         cols = []
         for b, (lo, hi) in enumerate(partition):
             block_csr, block_cols = compact_columns(csr, lo, hi)
@@ -569,9 +507,7 @@ class FleetRouter:
                 exc = fut.exception()
                 if exc is None:
                     st.result = fut.result()
-                    if st.futures:
-                        # a hedge lost the race: same discard
-                        # discipline as Client.spmv_hedged
+                    if st.futures:  # a hedge lost the race
                         self._discard([st], pl.key)
                     continue
                 st.errors.append(exc)
@@ -603,10 +539,13 @@ class FleetRouter:
         with self._lock:
             self._hedges += hedges
             self._failovers += failovers
-        self._count_transport(
-            sum(st.sends * st.x.nbytes for st in states),
-            sum(st.result.nbytes for st in states if st.result is not None),
-        )
+            self._transport["requests"] += 1
+            self._transport["x_bytes"] += sum(
+                st.sends * st.x.nbytes for st in states
+            )
+            self._transport["y_bytes"] += sum(
+                st.result.nbytes for st in states if st.result is not None
+            )
         if obs.enabled():
             if hedges:
                 obs.inc("fleet_hedges_total", hedges, matrix=pl.key)
@@ -631,57 +570,6 @@ class FleetRouter:
                         )
                 else:
                     fut.add_done_callback(_absorb)
-
-    # -- spmm --------------------------------------------------------------
-    def spmm(self, matrix: str, X) -> np.ndarray:
-        """Sharded ``Y = A @ X`` (failover, no hedging)."""
-        pl = self.placement(matrix)
-        X = np.ascontiguousarray(np.asarray(X, dtype=pl.dtype))
-        if X.ndim != 2 or X.shape[0] != pl.shape[1]:
-            raise ValueError(
-                f"X must have shape ({pl.shape[1]}, k), got {X.shape}"
-            )
-        self._fire_shard_faults()
-        x_bytes = y_bytes = 0
-        with obs.span("fleet.spmm", matrix=matrix, k=X.shape[1]):
-            Y = np.zeros((pl.shape[0], X.shape[1]), dtype=pl.dtype)
-            missing: list[int] = []
-            for b in range(pl.nblocks):
-                block_y, sent = self._spmm_block(pl, b, X[pl.cols[b]])
-                x_bytes += sent
-                if block_y is None:
-                    missing.append(b)
-                    continue
-                lo, hi = pl.block_range(b)
-                Y[lo:hi] = block_y
-                y_bytes += block_y.nbytes
-        self._count_transport(x_bytes, y_bytes)
-        if missing and not self.allow_partial:
-            raise FleetDegraded(matrix, missing)
-        return Y
-
-    def _spmm_block(self, pl, block: int, Xb) -> tuple:
-        """The block's rows of ``A @ X`` (None when no replica answers)
-        and the bytes of ``Xb`` sent on the way."""
-        sent = 0
-        for sid in pl.replicas[block]:
-            if not self._shard_usable(sid):
-                continue
-            try:
-                fut = self.fleet.shard(sid).spmm(pl.key, block, Xb)
-                sent += Xb.nbytes
-                return fut.result(), sent
-            except ShardDown as exc:
-                self._mark_down(sid, str(exc))
-            except Exception:  # noqa: BLE001 - walk the chain
-                continue
-        return None, sent
-
-    def _count_transport(self, x_bytes: int, y_bytes: int) -> None:
-        with self._lock:
-            self._transport["requests"] += 1
-            self._transport["x_bytes"] += x_bytes
-            self._transport["y_bytes"] += y_bytes
 
     # -- solvers over the routed operator ---------------------------------
     def operator(self, matrix: str) -> RoutedOperator:
@@ -768,7 +656,7 @@ class FleetRouter:
             "requests": requests,
             "hedges": hedges,
             "failovers": failovers,
-            # x written to shards (slots) and y read back, per spmv/spmm
+            # x written to shards (slots) and y read back, per spmv
             "transport_kb_per_req": {
                 "x": transport["x_bytes"] / per_req,
                 "y": transport["y_bytes"] / per_req,
@@ -803,6 +691,11 @@ class FleetRouter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _check_blocks(blocks) -> None:
+    if blocks is not None and blocks < 1:
+        raise ValueError(f"blocks must be >= 1, got {blocks}")
 
 
 def _absorb(fut) -> None:

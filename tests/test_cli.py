@@ -462,6 +462,49 @@ class TestFleetCLI:
         assert args.fleet_mode == "process"
         assert args.hedge_ms == 5.0
 
+    @pytest.mark.parametrize("blocks", ["0", "-3"])
+    def test_serve_rejects_fewer_than_one_block(self, blocks):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--fleet", "2", "--blocks", blocks])
+
+    def test_serve_rejects_a_negative_fleet(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--fleet", "-3"])
+        assert "--fleet: must be >= 0, got -3" in capsys.readouterr().err
+
+    @pytest.mark.usefixtures("no_leaks")
+    @pytest.mark.parametrize("replicas", ["0", "3"])
+    def test_serve_rejects_replicas_outside_the_fleet(self, replicas, capsys):
+        # refused while parsing: no shard is started
+        with pytest.raises(SystemExit):
+            main(["serve", "--fleet", "2", "--replicas", replicas])
+        assert "--replicas must be in [1, 2]" in capsys.readouterr().err
+
+    @pytest.mark.usefixtures("no_leaks")
+    def test_serve_fleet_set_up_failure_closes_the_shards(self, tmp_path):
+        # the shards are up when the missing file is read
+        with pytest.raises(FileNotFoundError):
+            main(
+                ["serve", "--fleet", "2", "--scale", "512", "--workers", "1",
+                 "--port", "0", "--mtx", str(tmp_path / "missing.mtx")],
+                out=io.StringIO(),
+            )
+
+    @pytest.mark.usefixtures("no_leaks")
+    def test_serve_fleet_port_in_use_closes_the_shards(self):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                main(
+                    ["serve", "--fleet", "2", "--fleet-mode", "inproc",
+                     "--scale", "512", "--workers", "1",
+                     "--port", str(taken.getsockname()[1])],
+                    out=io.StringIO(),
+                )
+
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet"])

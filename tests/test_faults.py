@@ -518,7 +518,7 @@ class TestServeChaos:
         finally:
             srv.close()
 
-    def test_hedged_request_survives_kernel_fault(self):
+    def test_retried_request_survives_kernel_fault(self):
         from repro.serve import Client
 
         inj = FaultPlan(
@@ -527,10 +527,12 @@ class TestServeChaos:
         csr, srv = self._server(faults=inj, workers=1)
         try:
             x = np.random.default_rng(0).normal(size=csr.ncols)
-            y = Client(srv).spmv_hedged(
-                "A", x, hedges=2, hedge_delay_ms=1.0, timeout=5.0
-            )
+            y = Client(srv, retry=RETRY).spmv("A", x, timeout=5.0)
             np.testing.assert_allclose(y, csr.spmv(x), rtol=1e-12)
+            # the first attempt took the fault; the retry answered
+            assert inj.injected_by_kind() == {"kernel_exception": 1}
+            requests = srv.stats()["requests"]
+            assert requests["error"] == 1 and requests["ok"] == 1
         finally:
             srv.close()
 

@@ -27,7 +27,6 @@ from repro.serve import (
     Fleet,
     FleetDegraded,
     FleetRouter,
-    HashRing,
     MatrixRegistry,
     ShardDown,
     SpMVServer,
@@ -37,7 +36,8 @@ from repro.serve.fleet import (
     block_name,
     plan_for_shard,
 )
-from repro.serve.router import place_blocks
+from repro.serve import router as router_mod
+from repro.serve.router import place_blocks, rendezvous_order
 from repro.utils.workers import mp_context
 
 pytestmark = pytest.mark.usefixtures("no_leaks")
@@ -76,36 +76,39 @@ def _clean_obs():
 
 
 # ---------------------------------------------------------------------------
-# consistent-hash placement
+# rendezvous placement
 # ---------------------------------------------------------------------------
 class TestHashRing:
+    """The placement order: shard ids ranked by a seeded rendezvous
+    hash.  Adding or removing a shard is ranking the changed id set."""
+
     KEYS = [f"key-{i}" for i in range(300)]
+    SHARDS = [0, 1, 2, 3]
+
+    @staticmethod
+    def owner(key, shards, seed=0):
+        return rendezvous_order(key, shards, seed)[0]
 
     def test_deterministic_given_seed(self):
-        a = HashRing([0, 1, 2, 3], seed=7)
-        b = HashRing([0, 1, 2, 3], seed=7)
-        assert [a.preference(k) for k in self.KEYS] == [
-            b.preference(k) for k in self.KEYS
-        ]
+        a = [rendezvous_order(k, self.SHARDS, seed=7) for k in self.KEYS]
+        b = [rendezvous_order(k, self.SHARDS, seed=7) for k in self.KEYS]
+        assert a == b
 
     def test_seed_changes_layout(self):
-        a = HashRing([0, 1, 2, 3], seed=0)
-        b = HashRing([0, 1, 2, 3], seed=1)
-        assert [a.owner(k) for k in self.KEYS] != [b.owner(k) for k in self.KEYS]
+        a = [self.owner(k, self.SHARDS, seed=0) for k in self.KEYS]
+        b = [self.owner(k, self.SHARDS, seed=1) for k in self.KEYS]
+        assert a != b
 
     def test_preference_covers_all_shards_distinctly(self):
-        ring = HashRing([0, 1, 2, 3])
         for key in self.KEYS[:50]:
-            pref = ring.preference(key)
+            pref = rendezvous_order(key, self.SHARDS)
             assert sorted(pref) == [0, 1, 2, 3]
 
     def test_add_moves_only_keys_to_new_shard(self):
-        ring = HashRing([0, 1, 2, 3])
-        before = {k: ring.owner(k) for k in self.KEYS}
-        ring.add(4)
+        before = {k: self.owner(k, self.SHARDS) for k in self.KEYS}
         moved = 0
         for k in self.KEYS:
-            after = ring.owner(k)
+            after = self.owner(k, self.SHARDS + [4])
             if after != before[k]:
                 moved += 1
                 # stability: a key only ever moves to the new shard
@@ -114,18 +117,17 @@ class TestHashRing:
         assert 0 < moved <= len(self.KEYS) * 0.45
 
     def test_remove_moves_only_keys_of_removed_shard(self):
-        ring = HashRing([0, 1, 2, 3])
-        before = {k: ring.owner(k) for k in self.KEYS}
-        ring.remove(2)
+        before = {k: self.owner(k, self.SHARDS) for k in self.KEYS}
         for k in self.KEYS:
+            after = self.owner(k, [0, 1, 3])
             if before[k] != 2:
-                assert ring.owner(k) == before[k]
+                assert after == before[k]
             else:
-                assert ring.owner(k) != 2
+                assert after != 2
 
     def test_place_blocks_honors_replication_factor(self):
-        ring = HashRing([0, 1, 2, 3])
-        assignment = place_blocks(ring, "A", nblocks=6, replicas=2)
+        order = rendezvous_order("A", self.SHARDS)
+        assignment = place_blocks(order, nblocks=6, replicas=2)
         assert len(assignment) == 6
         for replicas in assignment:
             assert len(replicas) == 2
@@ -133,8 +135,8 @@ class TestHashRing:
 
     def test_replicas_use_chained_declustering(self):
         # consecutive blocks should not all pile onto one replica pair
-        ring = HashRing([0, 1, 2, 3])
-        assignment = place_blocks(ring, "A", nblocks=4, replicas=2)
+        order = rendezvous_order("A", self.SHARDS)
+        assignment = place_blocks(order, nblocks=4, replicas=2)
         primaries = {r[0] for r in assignment}
         assert len(primaries) > 1
 
@@ -169,7 +171,7 @@ class TestShardedParity:
         with Fleet(3, mode="inproc", workers=1) as fleet:
             router = FleetRouter(fleet)
             router.register("A", csr, blocks=blocks)
-            Y = router.spmm("A", X)
+            Y = router.operator("A").apply_block(X)
         assert np.array_equal(Y, Y_ref)
 
     def test_suite_matrix_parity(self):
@@ -231,7 +233,18 @@ class TestShardedParity:
             with pytest.raises(ValueError):
                 router.spmv("A", np.ones(csr.ncols + 1))
             with pytest.raises(ValueError):
-                router.spmm("A", np.ones((3, csr.ncols)))
+                router.operator("A").apply_block(np.ones((3, csr.ncols)))
+
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_rejects_fewer_than_one_block(self, blocks):
+        csr = small_csr()
+        with Fleet(2, mode="inproc", workers=1) as fleet:
+            with pytest.raises(ValueError, match="blocks must be >= 1"):
+                FleetRouter(fleet, blocks=blocks)
+            router = FleetRouter(fleet)
+            with pytest.raises(ValueError, match="blocks must be >= 1"):
+                router.register("A", csr, blocks=blocks)
+            assert router.names() == []
 
     def test_placement_partitions_by_nnz(self):
         csr = small_csr()
@@ -345,7 +358,7 @@ class TestProcessShards:
             router = FleetRouter(fleet)
             router.register("A", csr)
             assert np.array_equal(router.spmv("A", X[:, 0], timeout=60), y_ref)
-            Y = router.spmm("A", X)
+            Y = router.operator("A").apply_block(X)
             shards = router.stats()["shards"]
         assert np.array_equal(Y, Y_ref)
         spmv = bind(csr, tune=False, variant=VARIANT)
@@ -404,11 +417,13 @@ class TestProcessShards:
             assert csr.row_lengths()[10:20].sum() == 0
             assert all(len(c) < csr.ncols for c in pl.cols)
             assert np.array_equal(router.spmv("A", x, timeout=60), ref.spmv(x))
-            assert np.array_equal(router.spmm("A", X), ref.spmm(X))
+            Y = router.operator("A").apply_block(X)
+            assert np.array_equal(Y, ref.spmm(X))
             kb = router.stats()["transport_kb_per_req"]
-        sent = sum(len(c) for c in pl.cols) * 8 * (1 + 3) / 2 / 1024
-        assert kb["x"] == pytest.approx(sent)
-        assert kb["y"] == pytest.approx(30 * 8 * (1 + 3) / 2 / 1024)
+        # four spmv requests (x, then one per column of X), each sending
+        # every block's columns and receiving all 30 rows
+        assert kb["x"] == pytest.approx(sum(len(c) for c in pl.cols) * 8 / 1024)
+        assert kb["y"] == pytest.approx(30 * 8 / 1024)
 
     def test_every_request_hedged_stays_bitwise(self):
         # hedge delay 0: each block also goes to its replica at once,
@@ -576,87 +591,47 @@ class TestHedging:
             # clean fleet still answers exactly
             assert np.array_equal(router.spmv("A", x, timeout=30), y_ref)
 
-    def test_client_hedge_cancels_queued_loser(self):
-        # fault-injected slow replica: the worker consumes a slow_worker
-        # event at startup, so the primary sits queued long enough for
-        # the hedge to launch; the winner returns and the loser must be
-        # cancelled, never surfacing a late result or error
+    def test_router_absorbs_late_loser_error(self, monkeypatch):
+        # a losing hedge whose error lands *after* the win must be
+        # swallowed by the discard callback, not raised at the next
+        # interaction with the router
         csr = small_csr()
-        plan = FaultPlan(
-            (FaultEvent("slow_worker", 0.1, layer="serve", delay_s=0.3),),
-            name="slow-replica",
-        )
-        reg = MatrixRegistry(tune=False)
-        reg.register("A", matrix=csr, variant=VARIANT)
-        server = SpMVServer(
-            reg, workers=1, max_batch=1,
-            faults=plan.injector(),
-        )
-        client = Client(server)
-        try:
-            y_ref = csr.spmv(np.ones(csr.ncols))
-            y = client.spmv_hedged(
-                "A", np.ones(csr.ncols), hedges=1, hedge_delay_ms=10.0,
-                timeout=30.0,
-            )
-            assert np.allclose(y, y_ref)
-            # the loser is either cancelled while queued or absorbed if
-            # a worker claimed it first — but always exactly one loser,
-            # always accounted, and never a surfaced late error
-            deadline = time.monotonic() + 5
-            while (
-                sum(client.hedge_outcomes.values()) == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            outcomes = dict(client.hedge_outcomes)
-            assert sum(outcomes.values()) == 1, outcomes
-            assert outcomes["cancelled"] + outcomes["late_ok"] == 1, outcomes
-            assert outcomes["late_error"] == 0, outcomes
-            # the server stays healthy for ordinary traffic afterwards
-            assert np.allclose(client.spmv("A", np.ones(csr.ncols)), y_ref)
-        finally:
-            client.close()
+        x = np.ones(csr.ncols)
+        absorbed: list = []
+        real_absorb = router_mod._absorb
 
-    def test_client_absorbs_late_loser_error(self):
-        # regression: a losing hedge whose error lands *after* the win
-        # must be swallowed by the discard callback, not raised at the
-        # next interaction with the client
-        csr = small_csr()
-        reg = MatrixRegistry(tune=False)
-        reg.register("A", matrix=csr, variant=VARIANT)
-        server = SpMVServer(reg, workers=1, max_batch=1)
-        stuck: list[Future] = []
-        real_submit = server.submit
+        def absorb(fut):
+            real_absorb(fut)
+            absorbed.append(fut.exception())
 
-        def submit(name, x, **kwargs):
-            if not stuck:
-                fut = Future()
-                fut.set_running_or_notify_cancel()  # uncancellable
-                stuck.append(fut)
-                return fut
-            return real_submit(name, x, **kwargs)
+        monkeypatch.setattr(router_mod, "_absorb", absorb)
+        with Fleet(2, mode="inproc", workers=1, max_batch=1) as fleet:
+            router = FleetRouter(fleet, replicas=2, hedge_delay_ms=1.0)
+            pl = router.register("A", csr, blocks=1)
+            primary = fleet.shard(pl.replicas[0][0])
+            stuck: list[Future] = []
+            real_submit = primary.submit
 
-        server.submit = submit
-        client = Client(server)
-        try:
-            y = client.spmv_hedged(
-                "A", np.ones(csr.ncols), hedges=1, hedge_delay_ms=1.0,
-                timeout=30.0,
-            )
-            assert np.allclose(y, csr.spmv(np.ones(csr.ncols)))
-            assert client.hedge_outcomes["late_error"] == 0
+            def submit(key, block, xb, deadline_ms=None):
+                if not stuck:
+                    fut = Future()
+                    fut.set_running_or_notify_cancel()  # uncancellable
+                    stuck.append(fut)
+                    return fut
+                return real_submit(key, block, xb, deadline_ms)
+
+            primary.submit = submit
+            y, report = router.spmv_detail("A", x, timeout=30.0)
+            assert np.array_equal(y, bind(csr, variant=VARIANT).spmv(x))
+            assert report["hedges"] == 1 and report["status"] == "ok"
+            assert absorbed == []
             stuck[0].set_exception(RuntimeError("late replica failure"))
-            deadline = time.monotonic() + 5
-            while (
-                client.hedge_outcomes["late_error"] == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            assert client.hedge_outcomes["late_error"] == 1
-        finally:
-            server.submit = real_submit
-            client.close()
+            assert len(absorbed) == 1
+            assert isinstance(absorbed[0], RuntimeError)
+            # the late error reached no caller: the next request is clean
+            y2, report2 = router.spmv_detail("A", x, timeout=30.0)
+            assert np.array_equal(y2, y) and report2["status"] == "ok"
+            assert router.stats()["requests"]["error"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1168,20 +1168,21 @@ class TestBackendAdapters:
             np.testing.assert_array_equal(y1, op.apply(x))
 
     def test_serve_operator(self):
-        from repro.serve import Client, MatrixRegistry, SpMVServer
+        """A matrix served by the fleet, viewed as the router's operator."""
+        from repro.serve import Fleet, FleetRouter
 
         coo = random_coo(40, seed=33)
         m = convert(coo, "CRS")
         A = dense_of(coo)
         x = np.random.default_rng(4).standard_normal(40)
-        reg = MatrixRegistry()
-        reg.register("A", matrix=m, tune=False)
         serial = bind(m, tune=False)
-        with SpMVServer(reg, max_batch=4, workers=1) as srv:
-            op = Client(srv).operator("A")
+        with Fleet(2, mode="inproc", max_batch=4, workers=1) as fleet:
+            router = FleetRouter(fleet)
+            router.register("A", m)
+            op = router.operator("A")
             assert op.shape == (40, 40) and op.dtype == m.dtype
-            # batched execution is bitwise-identical to the pinned
-            # serial variant
+            # scatter/gather over shard batches is bitwise-identical to
+            # the pinned serial variant
             np.testing.assert_array_equal(op.apply(x), serial.spmv(x))
             np.testing.assert_allclose(op.apply(x), A @ x)
             sop = solver_operator(op)

@@ -525,6 +525,29 @@ class TestLifecycle:
         for f, x in zip(futures, xs):
             np.testing.assert_array_equal(f.result(timeout=1), serial.spmv(x))
 
+    def test_cancelled_queued_request_never_executes(self):
+        """A queued future cancelled before a worker takes it is dropped
+        (the fleet router discards a queued hedge loser this way)."""
+        csr = make_csr()
+        reg = MatrixRegistry()
+        reg.register("A", matrix=csr, variant=VARIANT)
+        server = SpMVServer(reg, max_batch=4, workers=1, autostart=False)
+        xs = vectors(60, 2, seed=9)
+        doomed = server.submit("A", xs[0])
+        assert doomed.cancel()
+        alive = server.submit("A", xs[1])
+        server.start()
+        y = alive.result(timeout=10)
+        server.close()
+        np.testing.assert_array_equal(
+            y, bind(csr, tune=False, variant=VARIANT).spmv(xs[1])
+        )
+        stats = server.stats()
+        assert stats["requests"]["cancelled"] == 1
+        assert stats["requests"]["ok"] == 1
+        assert stats["batched_vectors"] == 1  # never stacked into a batch
+        assert stats["queue_depth"] == 0
+
     def test_close_without_drain_fails_pending(self):
         reg = make_registry()
         server = SpMVServer(reg, autostart=False)
@@ -828,10 +851,6 @@ class TestClient:
     def test_spmv_roundtrip(self, client):
         y = client.spmv("poisson", np.ones(49))
         np.testing.assert_allclose(y, poisson2d(7).spmv(np.ones(49)))
-
-    def test_spmv_async(self, client):
-        f = client.spmv_async("poisson", np.ones(49))
-        assert f.result(timeout=10).shape == (49,)
 
     def test_solve_cg(self, client):
         rng = np.random.default_rng(5)
