@@ -344,11 +344,12 @@ def cmd_ops(args, out) -> int:
 
     if args.matrix is None:
         rows = registry_rows()
-        print(f"{'format':14s} {'op':5s} {'variant':18s} "
+        w = max(len("format"), *(len(r["format"]) for r in rows))
+        print(f"{'format':{w}s} {'op':5s} {'variant':18s} "
               f"{'rank':>4s} {'perm':>5s} tags", file=out)
         for r in rows:
             print(
-                f"{r['format']:14s} {r['op']:5s} {r['variant']:18s} "
+                f"{r['format']:{w}s} {r['op']:5s} {r['variant']:18s} "
                 f"{r['rank']:4d} {'yes' if r['supports_permuted'] else '-':>5s} "
                 f"{','.join(r['tags']) or '-'}",
                 file=out,

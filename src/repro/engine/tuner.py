@@ -2,17 +2,12 @@
 
 For each bound matrix the tuner times the candidate kernel variants of
 its format from the :mod:`repro.ops` registry on the live data and
-picks the fastest.  The candidates are the format's ``compiled``-tagged
-kernels (the ``*_scipy`` delegates and the cnative ``*_cc`` kernels)
-when it has any: its NumPy kernel fuses no gather with the row sum and
-lost every shootout cell that had a compiled sibling, by 3.4x to 46x,
-so racing it only lengthened every cold ``bind()``.  Formats with no
-compiled kernel (COO, BELLPACK) race their NumPy kernels.  A lone
-candidate is not raced: it wins untimed.  The NumPy
-kernels stay registered as the bitwise references of the cnative tier
-and stay selectable by name.  Decisions are
-cached under a *matrix fingerprint* — shape, nnz, dtype and a
-row-length histogram digest — in
+picks the fastest.  Every candidate is compiled (a scipy kernel or a
+cnative ``*_cc`` kernel) and gives the format's one answer, bitwise
+CRS's, so the choice is on speed alone.  A lone candidate (COO,
+BELLPACK, or any format with the cnative tier off) is not raced: it
+wins untimed.  Decisions are cached under a *matrix fingerprint* —
+shape, nnz, dtype and a row-length histogram digest — in
 :class:`repro.matrices.cache.TunerCache`, so binding a structurally
 identical matrix later (another solver run, another process) skips the
 timing phase: the decision is deterministic once cached.
@@ -34,7 +29,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.workspace import Workspace
-from repro.ops.registry import COMPILED_TAG, KernelVariant, variants_for
+from repro.ops.registry import STORED_CSR_TAG, KernelVariant, variants_for
 from repro.ops.spmv_kernels import stored_csr_views
 from repro.formats.base import SparseMatrixFormat
 
@@ -69,13 +64,9 @@ def default_tuner_cache():
 
 
 def tune_candidates(matrix: SparseMatrixFormat) -> list[KernelVariant]:
-    """The spmv variants :func:`autotune` races for ``matrix``.
-
-    The format's ``compiled``-tagged kernels, in registry order, when it
-    has any; otherwise its whole roster.
-    """
-    roster = variants_for(matrix)
-    return [v for v in roster if COMPILED_TAG in v.tags] or roster
+    """The spmv variants :func:`autotune` races for ``matrix``: its
+    whole roster, in registry order."""
+    return variants_for(matrix)
 
 
 def fingerprint(matrix: SparseMatrixFormat) -> str:
@@ -102,8 +93,8 @@ def fingerprint(matrix: SparseMatrixFormat) -> str:
     roster = ",".join(v.name for v in tune_candidates(matrix))
     vdigest = hashlib.sha1(roster.encode()).hexdigest()[:8]
     # ... and the available kernel-tier set (scipy/cnative presence and
-    # version): a cache warmed without a compiled backend must not pin
-    # a slow NumPy variant after the backend becomes available, and
+    # version): a cache warmed without the cnative tier must not pin a
+    # scipy variant after the tier becomes available, and
     # recorded timings from one tier set are not comparable to another's
     from repro.kernels import compiled as _ctier
 
@@ -171,7 +162,7 @@ def _race(matrix, candidates, fp, reps, seed):
                 )
     best = min(timings, key=timings.get)
     tier = next(v.tags for v in candidates if v.name == best)
-    if "scipy" not in tier:  # only the *_scipy spmv kernels sweep a view
+    if STORED_CSR_TAG not in tier:  # only the delegates sweep a CSR view
         for key in set(views) - kept:
             del views[key]
     return best, timings, tier
@@ -191,8 +182,8 @@ def autotune(
     immediately (``cache_hit=True``, no timings).  Otherwise each
     candidate of :func:`tune_candidates` runs ``reps`` times on a seeded
     random RHS and the fastest wins; a lone candidate (COO, BELLPACK,
-    or any format whose only compiled kernel is its scipy delegate when
-    the cnative tier is off) wins untimed, with empty ``timings``.  The
+    or any format when the cnative tier is off) wins untimed, with
+    empty ``timings``.  The
     decision is persisted either way.
 
     Determinism: for a given fingerprint the decision is stable once
@@ -200,7 +191,7 @@ def autotune(
 
     Nothing a losing candidate built outlives the tuning: each candidate
     runs in a workspace of its own, and the stored-CSR views that the
-    ``*_scipy`` candidates built are dropped unless one of them wins
+    ``stored-csr`` candidates built are dropped unless one of them wins
     (the next batch rebuilds a view it needs).
     """
     candidates = tune_candidates(matrix)

@@ -143,18 +143,6 @@ class COOMatrix(SparseMatrixFormat):
     # ------------------------------------------------------------------
     # SparseMatrixFormat interface
     # ------------------------------------------------------------------
-    def _row_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(run start offsets, row index per run) of the sorted rows."""
-        cached = getattr(self, "_row_runs_cache", None)
-        if cached is None:
-            new_run = np.empty(self._rows.size, dtype=bool)
-            new_run[0] = True
-            np.not_equal(self._rows[1:], self._rows[:-1], out=new_run[1:])
-            starts = np.flatnonzero(new_run)
-            cached = (starts, self._rows[starts])
-            self._row_runs_cache = cached
-        return cached
-
     def to_coo(self) -> "COOMatrix":
         return self
 

@@ -1,16 +1,14 @@
 """Optional compiled kernel tier, registered behind the central registry.
 
 The paper's Sect. III point is that an spMVM kernel should run at the
-memory-bandwidth limit; every pure-NumPy kernel falls short of that
-because it must materialise the gathered product (``x[col] * val``)
-through main memory at least once.  This module adds *fused*
-single-pass kernels for the CSR, ELLPACK/-R, JDS/pJDS, SELL-C-sigma,
-CMRS and ARG-CSR hot loops (spmv and batched spmm), registered through
-:func:`repro.ops.registry.register_kernel` as ordinary variants — so
-:class:`~repro.engine.bound.BoundMatrix`, every backend (distributed
-/ serve) and all five solvers pick them up with zero
-call-site changes, and the autotuner simply ranks the spmv kernels
-against the NumPy ones per matrix.  Its spmm kernels are the shared
+memory-bandwidth limit.  This module adds *fused* single-pass kernels
+that stream the format's own arrays for the CSR, ELLPACK/-R, JDS/pJDS,
+SELL-C-sigma, CMRS and ARG-CSR hot loops (spmv and batched spmm),
+registered through :func:`repro.ops.registry.register_kernel` as
+ordinary variants — so :class:`~repro.engine.bound.BoundMatrix`, every
+backend (distributed / serve) and all five solvers pick them up with
+zero call-site changes, and the autotuner simply ranks the spmv kernels
+against the scipy ones per matrix.  Its spmm kernels are the shared
 stored-CSR batch body (:func:`repro.ops.spmm_kernels.stored_spmm`)
 handed the C ``csr_spmm`` sweep; they rank first in their lists, so
 every batch runs them when the tier is built.
@@ -24,12 +22,10 @@ claims chunks beside one worker per CPU in the process's affinity mask
 minus one; ``OMP_NUM_THREADS`` does not apply.  A chunk always holds
 whole rows, so results are bitwise the same at any thread count.
 
-Every spmv kernel preserves the per-row accumulation order (ascending
-entry order, zero-initialised accumulator) of one NumPy kernel, so at
-float64 they agree *bitwise* with those references (``csr_bincount``,
-``ell_sweep``, ``jds_sweep``, ``sell_chunks``, ``cmrs_bincount``,
-``argcsr_sweep``); every spmm column is bitwise the format's
-``*_scipy`` spmv — ``tests/test_ops.py`` pins both.
+Every spmv kernel sums each row in ascending column order from a zero
+accumulator, as CRS does, so for finite ``x`` it agrees *bitwise* with
+the CRS matrix's ``csr_scipy`` at float64 and float32; every spmm
+column is bitwise the format's spmv — ``tests/test_ops.py`` pins both.
 
 The same library carries kernels that are bound rather than
 registered, each beside a NumPy body that is its bitwise reference and
@@ -87,9 +83,8 @@ from repro.formats.argcsr import ARGCSRMatrix
 from repro.formats.cmrs import CMRSMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
-from repro.ops.registry import CNATIVE_TAG, COMPILED_TAG, register_kernel
+from repro.ops.registry import CNATIVE_TAG, register_kernel
 from repro.ops.spmm_kernels import stored_spmm
-from repro.ops.spmv_kernels import _jds_cols
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.workspace import Workspace
@@ -117,13 +112,13 @@ def _disabled() -> set[str]:
 # indices (and CMRS's row_in_strip) are int32, as every format stores
 # them; offsets and row arrays are int64.  The CSR body is generated
 # twice, for the int64 row pointer of a CRS matrix and the int32 one of
-# the stored-CSR views.  Accumulation is
-# a zero-initialised scalar walked in ascending entry order — the same
-# order as the NumPy sweep kernels, which is what makes the float64
-# parity bitwise.  Every kernel splits its work into fixed chunks (row
-# blocks, entry ranges, SELL chunk runs or vector blocks) and hands
-# them to one process-wide pool (``pool_run`` below); a chunk always
-# holds whole rows, so chunking never changes any per-row order.
+# the stored-CSR views.  Accumulation is a zero-initialised scalar
+# walked in ascending entry order — the same order as CRS's csr_scipy,
+# which is what makes the parity bitwise.  Every kernel splits its
+# work into fixed chunks (row blocks, entry ranges, SELL chunk runs or
+# vector blocks) and hands them to one process-wide pool (``pool_run``
+# below); a chunk always holds whole rows, so chunking never changes
+# any per-row order.
 #
 # The pool: the calling thread claims chunks from a shared counter
 # alongside ``CPUs in the affinity mask - 1`` detached workers, so it
@@ -400,8 +395,8 @@ static void csr_spmv_chunk_{I}_{F}(void *p, i64 c) {{
 /* Register tiles of 4, 2 and 1 columns: each tile walks the row's
    entries with its sums t0..t3 in registers, so Y is stored once per
    row instead of loaded and stored per entry.  Every column is still
-   summed in stored-entry order from 0 (bitwise equal to the NumPy
-   sweep); the 4- and 2-column walks take two entries per step, which
+   summed in stored-entry order from 0 (bitwise equal to the format's
+   spmv); the 4- and 2-column walks take two entries per step, which
    halves their loop overhead without reordering any sum. */
 static void csr_spmm_chunk_{I}_{F}(void *p, i64 c) {{
     const csr_job_{I}_{F} *a = p;
@@ -566,7 +561,7 @@ void jds_spmv_{F}(i64 nrows, i64 width, const i64 *col_start,
    rows [s*hs, (s+1)*hs) exclusively, so a chunk is a run of whole
    strips (about CHUNK_WORK entries, found by binary search on sptr) and
    each row accumulates ascending through its entries (bitwise vs
-   cmrs_bincount at float64). */
+   CRS at float64 and float32). */
 typedef struct {{
     i64 nrows, nstrips, hs, nchunks;
     const i64 *sptr;
@@ -618,8 +613,8 @@ void cmrs_spmv_{F}(i64 nrows, i64 nstrips, i64 hs, const i64 *sptr,
 }}
 
 /* ARG-CSR: one row-major (n_g, width) rectangle per length group; each
-   row sweeps its full padded width (padding is 0 * x[0]), the same
-   column order as argcsr_sweep — bitwise at float64.  The groups form
+   row sweeps its full padded width (padding is 0 * x[0]) in ascending
+   column order — bitwise CRS for finite x.  The groups form
    one job: a chunk is a range of stored rows holding about CHUNK_WORK
    slots, and may span groups. */
 typedef struct {{
@@ -1105,7 +1100,11 @@ if _CNATIVE is not None:
         if m.total_slots == 0:
             y.fill(0.0)
             return
-        col_idx = _jds_cols(m, ws, permuted)
+        col_idx = (
+            ws.const("jds_colperm", lambda: m._permuted_col_idx())  # noqa: SLF001
+            if permuted
+            else ws.const("col_idx", lambda: m.col_idx)
+        )
         val = ws.const("val", lambda: m.val)
         cs = ws.const("col_start", lambda: m.col_start)
         xb = _contig_vec(ws, "cc_x", x, m.dtype)
@@ -1193,7 +1192,7 @@ if _CNATIVE is not None:
 
 def _register_all() -> None:
     if _CNATIVE is not None:
-        tags = (COMPILED_TAG, CNATIVE_TAG)
+        tags = (CNATIVE_TAG,)
         register_kernel(CSRMatrix, "spmv", name="csr_cc", tags=tags)(
             _cc_csr_spmv
         )
@@ -1241,7 +1240,7 @@ def kernel_tiers() -> tuple[str, ...]:
     must not survive the tier appearing — the roster it was ranked
     against is no longer the roster that exists.
     """
-    tiers = ["numpy", f"scipy-{scipy.__version__}"]
+    tiers = [f"scipy-{scipy.__version__}"]
     if _CNATIVE is not None:
         tiers.append(f"cnative-{_CNATIVE.tag}")
     return tuple(tiers)

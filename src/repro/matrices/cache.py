@@ -106,7 +106,7 @@ class TunerCache:
     Entries map a matrix fingerprint (see
     :func:`repro.engine.tuner.fingerprint`) to a decision record::
 
-        {"variant": "csr_bincount", "timings": {...}, "format": "CRS"}
+        {"variant": "csr_cc", "timings": {...}, "format": "CRS"}
 
     The store is an in-memory dict optionally mirrored to
     ``<cache_dir>/tuner_cache.json``.  Disk I/O is best-effort: a

@@ -12,8 +12,8 @@ one tuned decision flows everywhere.
 
 Kernels are declared with the :func:`register_kernel` decorator::
 
-    @register_kernel(CSRMatrix, "spmv", name="csr_bincount", tags=("numpy",))
-    def _csr_bincount(m, ws, x, y, permuted=False): ...
+    @register_kernel(COOMatrix, "spmv", name="coo_scipy", tags=("scipy",))
+    def _coo_scipy(m, ws, x, y, permuted=False): ...
 
 Resolution walks the matrix class's MRO, so subclasses (ELLPACK-R,
 ELLR-T, pJDS, ...) inherit their base format's kernels unless they
@@ -52,7 +52,7 @@ __all__ = [
     "KernelVariant",
     "OPS",
     "CNATIVE_TAG",
-    "COMPILED_TAG",
+    "STORED_CSR_TAG",
     "register_kernel",
     "kernels_for",
     "kernel_names_for",
@@ -67,16 +67,16 @@ __all__ = [
 OPS = ("spmv", "spmm")
 
 #: tag of the compiled C tier (:mod:`repro.kernels.compiled`).  Its
-#: spmv kernels rank after the NumPy/scipy ones (the autotuner ranks
-#: spmv per matrix) and its spmm kernels rank first (nothing tunes
-#: spmm; the compiled one gives the same bits in less time), whatever
-#: module registers first
+#: spmv kernels rank after the scipy ones (the autotuner ranks spmv
+#: per matrix) and its spmm kernels rank first (nothing tunes spmm;
+#: the compiled one gives the same bits in less time), whatever module
+#: registers first
 CNATIVE_TAG = "cnative"
 
-#: tag of every kernel that runs compiled code: the scipy delegates and
-#: the cnative tier.  The autotuner races only these when a format has
-#: any (:func:`repro.engine.tuner.tune_candidates`)
-COMPILED_TAG = "compiled"
+#: tag of the scipy delegates that sweep a format's stored-order CSR
+#: view (:func:`repro.ops.spmv_kernels.stored_csr_triplet`) rather
+#: than its own arrays: the format shootout's row-order baseline
+STORED_CSR_TAG = "stored-csr"
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class KernelSpec:
     #: supports the permuted-basis (stored-order in, stored-order out)
     #: solver path of jagged formats
     supports_permuted: bool = False
-    #: free-form labels ("numpy", "scipy", "compiled", ...) surfaced
+    #: free-form labels ("scipy", "stored-csr", "cnative") surfaced
     #: by ``repro ops list`` and usable for roster filtering
     tags: tuple[str, ...] = ()
 
@@ -113,8 +113,7 @@ def register_kernel(
 
     Kernels join the candidate list in registration order, so the
     first one registered is the best-guess default taken when tuning
-    is off (:mod:`repro.ops.spmv_kernels` registers its scipy
-    delegates ahead of its NumPy kernels).  Kernels tagged
+    is off.  Kernels tagged
     :data:`CNATIVE_TAG` are kept behind every other spmv kernel and
     ahead of every other spmm kernel, whichever module registers
     first.  Registering the same name twice for one (format, op) pair
@@ -219,10 +218,15 @@ def registry_rows() -> list[dict]:
     _ensure_loaded()
 
     def _fmt_name(cls: type) -> str:
-        # abstract bases (JaggedDiagonalsBase.name == "abstract") read
-        # better under their class name
+        # an abstract base (JaggedDiagonalsBase.name == "abstract")
+        # reads as the formats it serves, e.g. "JDS/pJDS"
         n = getattr(cls, "name", cls.__name__)
-        return cls.__name__ if n == "abstract" else n
+        if n != "abstract":
+            return n
+        from repro.formats import FORMATS, available_formats
+
+        served = [f for f in available_formats() if issubclass(FORMATS[f], cls)]
+        return "/".join(served) or cls.__name__
 
     rows = []
     with _LOCK:

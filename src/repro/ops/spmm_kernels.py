@@ -14,9 +14,10 @@ one body, :func:`stored_spmm`, handed a compiled CSR sweep: scipy's
 ``csr_matvecs`` for the kernels registered here and for
 :func:`spmm_permuted`, the C ``csr_spmm`` for the compiled tier
 (:mod:`repro.kernels.compiled`).  Both sum each column in stored-entry
-order from zero, so at float64 every column is bitwise the format's
-``*_scipy`` spmv.  COO has no CSR view and keeps its own gather +
-``reduceat`` kernel.
+order from zero, so every column is bitwise the format's spmv.  COO
+and BELLPACK have no CSR view and register no batch kernel: their
+batches loop over columns of their spmv
+(:meth:`~repro.formats.base.SparseMatrixFormat.spmm_percolumn`).
 
 Dispatch is registry-driven: each kernel is declared with
 :func:`repro.ops.registry.register_kernel` (``op="spmm"``, name
@@ -38,11 +39,10 @@ from repro.core.sell import SELLMatrix
 from repro.formats.argcsr import ARGCSRMatrix
 from repro.formats.base import SparseMatrixFormat
 from repro.formats.cmrs import CMRSMatrix
-from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ellpack import ELLPACKMatrix
 from repro.ops.registry import (
-    COMPILED_TAG,
+    STORED_CSR_TAG,
     KernelSpec,
     kernels_for,
     register_kernel,
@@ -157,23 +157,8 @@ for _cls, _name in (
     (ARGCSRMatrix, "spmm_argcsr"),
 ):
     register_kernel(
-        _cls, "spmm", name=_name, tags=("scipy", COMPILED_TAG)
+        _cls, "spmm", name=_name, tags=("scipy", STORED_CSR_TAG)
     )(_spmm_scipy)
-
-
-@register_kernel(COOMatrix, "spmm", name="spmm_coo", tags=("numpy",))
-def _spmm_coo(m: COOMatrix, X, out, ws):
-    if m.nnz == 0:
-        out[:] = 0.0
-        return out
-    k = X.shape[1]
-    prod = _block(ws, "spmm_prod", m.nnz, k, m.dtype)
-    np.take(X, m.cols, axis=0, out=prod, mode="clip")
-    prod *= m.values[:, None]
-    starts, urows = m._row_runs()  # noqa: SLF001
-    out[:] = 0.0
-    out[urows] = np.add.reduceat(prod, starts, axis=0)
-    return out
 
 
 # ---------------------------------------------------------------------------

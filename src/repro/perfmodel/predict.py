@@ -14,7 +14,6 @@ Per-variant traffic model (double precision, per spmv call)::
     bytes = S * (v + i + alpha * v)      entry value + index + RHS gather
           + nrows * 2 * v                LHS read-modify-write (Eq. 1's
                                          16/Nnzr per flop, un-amortised)
-          + S * extra                    variant-specific spill traffic
           + aux                          format metadata streams
 
 ``aux`` is the format's declared per-spmv metadata traffic
@@ -22,30 +21,22 @@ Per-variant traffic model (double precision, per spmv call)::
 strip pointer plus a one-byte row counter per entry, ARG-CSR its group
 descriptors and per-row id/length streams — the terms that feed the
 ``B = 6 + 4*alpha + 8/Nnzr`` code balance beyond value+index traffic.
-The unpadded scipy delegates sweep a plain CSR view instead of the
+The ``stored-csr`` delegates sweep a plain CSR view instead of the
 native layout, so ``aux`` does not apply to them.
 
-where ``S`` is the number of *stored slots the variant actually
-sweeps* (nnz for CSR and the unpadded scipy delegates, the padded
-rectangle/slot count for ELLPACK / JDS / SELL), ``v`` the value
-itemsize, ``i`` the column-index itemsize (4: every format stores
-int32 columns) and ``alpha`` in
-``[1/Nnzr, 1]`` the RHS reuse parameter of Eq. 1 (default: the
-cache-friendly ``1/Nnzr`` lower bound, appropriate for a host whose
-LLC holds the RHS).
-
-``extra`` is what separates the tiers.  A fused compiled kernel
-(scipy / cnative) touches each stored entry exactly once:
-``extra = 0``.  Every pure-NumPy kernel must materialise the gathered
-product ``x[col] * val`` — one write plus one read per slot
-(``extra = 2v``).
+``S`` is the number of *stored slots the variant actually sweeps*
+(:func:`_swept_slots`), ``v`` the value itemsize, ``i`` the
+column-index itemsize (4: every format stores int32 columns) and
+``alpha`` in ``[1/Nnzr, 1]`` the RHS reuse parameter of Eq. 1
+(default: the cache-friendly ``1/Nnzr`` lower bound, appropriate for a
+host whose LLC holds the RHS).  Every kernel is compiled and fused: it
+touches each swept slot exactly once.
 
 Predicted time divides bytes by *effective* bandwidth: the measured
 host copy bandwidth (:func:`repro.obs.profile.measure_host_bandwidth`,
 the same reference the attribution profiler uses) times a per-tier
-efficiency factor that accounts for non-traffic overheads (NumPy
-per-call dispatch, per-column Python loops).  The factors are
-calibration constants, not measurements.
+efficiency factor that accounts for non-traffic overheads.  The
+factors are calibration constants, not measurements.
 """
 
 from __future__ import annotations
@@ -54,7 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.jds import JaggedDiagonalsBase
+from repro.core.sell import SELLMatrix
 from repro.formats.base import INDEX_STORAGE_BYTES
+from repro.formats.bellpack import BELLPACKMatrix
+from repro.formats.ellpack import ELLPACKMatrix
+from repro.ops.registry import STORED_CSR_TAG
 
 __all__ = [
     "VariantPrediction",
@@ -69,19 +65,12 @@ __all__ = [
 TIER_EFFICIENCY = {
     "cnative": 0.90,
     "scipy": 0.85,
-    "numpy": 0.45,
 }
-
-#: tags (in priority order) that decide a variant's tier
-_TIER_TAGS = ("cnative", "scipy")
 
 
 def variant_tier(tags: tuple[str, ...]) -> str:
     """Map a kernel's registry tags onto a :data:`TIER_EFFICIENCY` key."""
-    for t in _TIER_TAGS:
-        if t in tags:
-            return t
-    return "numpy"
+    return "cnative" if "cnative" in tags else "scipy"
 
 
 @dataclass(frozen=True)
@@ -116,23 +105,22 @@ class VariantPrediction:
 def _swept_slots(matrix, tags: tuple[str, ...]) -> int:
     """Stored slots one spmv sweep of this variant touches.
 
-    The scipy delegates sweep unpadded CSR views (nnz entries) even
-    for padded formats; every other kernel walks the format's native
-    layout, padding included.
+    A ``stored-csr`` delegate sweeps the format's CSR view: the padded
+    stored rows of JDS, pJDS and SELL-C-sigma, the true entries of
+    every other format.  ELLPACK's cnative kernel sweeps the rectangle's
+    first ``nrows`` rows and BELLPACK's kernel the tiles of its live
+    blocks; every other kernel sweeps the format's stored slots.
     """
-    if "scipy" in tags:
+    if STORED_CSR_TAG in tags:
+        if isinstance(matrix, (JaggedDiagonalsBase, SELLMatrix)):
+            return matrix.total_slots
         return matrix.nnz
-    slots = getattr(matrix, "total_slots", None)  # JDS / pJDS / SELL
-    if slots is not None:
-        return int(slots)
-    width = getattr(matrix, "width", None)  # ELLPACK rectangle
-    if width is not None and hasattr(matrix, "padded_rows"):
-        return int(width) * int(matrix.padded_rows)
-    return matrix.nnz  # CSR / COO
-
-
-def _extra_bytes_per_slot(tier: str, value_bytes: int) -> float:
-    return 2.0 * value_bytes if tier == "numpy" else 0.0
+    if isinstance(matrix, ELLPACKMatrix):
+        return matrix.width * matrix.nrows
+    if isinstance(matrix, BELLPACKMatrix):
+        br, bc = matrix.block_shape
+        return int(matrix.blocks_per_row.sum()) * br * bc
+    return int(getattr(matrix, "total_slots", matrix.nnz))
 
 
 def _reference_bandwidth() -> float:
@@ -171,15 +159,14 @@ def predict_spmv(
         slots = max(_swept_slots(matrix, spec.tags), 1)
         # every kernel streams 4-byte column indices (INDEX_STORAGE_BYTES)
         base = slots * (v + INDEX_STORAGE_BYTES + alpha * v) + nrows * 2 * v
-        extra = slots * _extra_bytes_per_slot(tier, v)
         # format metadata streams (strip counters, group descriptors);
-        # the scipy delegates sweep an unpadded CSR view instead
+        # the stored-csr delegates sweep a plain CSR view instead
         aux = (
             0
-            if "scipy" in spec.tags
+            if STORED_CSR_TAG in spec.tags
             else int(getattr(matrix, "spmv_aux_traffic_bytes", 0))
         )
-        total = int(base + extra + aux)
+        total = int(base + aux)
         eff = bw * TIER_EFFICIENCY[tier]
         secs = total / (eff * 1e9)
         preds.append(

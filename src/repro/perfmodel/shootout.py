@@ -7,12 +7,16 @@ benches and the CI gates read its rows.  For every suite matrix and
 every registered format each row carries:
 
 * **native** — the fastest roster variant that streams the format's
-  own arrays (``*_cc`` when the compiled tier is built, else the NumPy
-  kernel; never a ``*_scipy`` delegate): median and IQR over ``reps``
-  laps, and useful GF/s at ``2 * nnz`` flops (padding earns nothing);
-* **baselines** — ``row_order``, the format's ``*_scipy`` delegate (CSR
-  in this format's row order), and the matrix's ``csr_scipy`` time
-  (taken from its CRS row, so ``None`` when CRS is not in ``formats``);
+  own arrays (``*_cc`` when the compiled tier is built; COO's
+  ``coo_scipy`` and BELLPACK's ``bell_scipy`` always), and the
+  ``stored-csr`` delegate only where the format has no other kernel
+  (``native_tier`` names the tier that ran): median and IQR over
+  ``reps`` laps, and useful GF/s at ``2 * nnz`` flops (padding earns
+  nothing);
+* **baselines** — ``row_order``, the format's ``stored-csr`` delegate
+  (CSR in this format's row order), and the matrix's ``csr_scipy``
+  time (taken from its CRS row, so ``None`` when CRS is not in
+  ``formats``);
 * **device model** — GF/s, storage MiB and effective alpha from
   :func:`repro.gpu.simulate_spmv` on the scaled C2070 (DP, ECC on);
   ``None`` where the device has no kernel for the format (COO);
@@ -34,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.balance import code_balance_dp
-from repro.perfmodel.predict import predict_spmv, variant_tier
+from repro.ops.registry import STORED_CSR_TAG
+from repro.perfmodel.predict import predict_spmv
 from repro.utils.timing import Stopwatch, gflops
 
 __all__ = ["FORMAT_KWARGS", "shootout", "table"]
@@ -77,17 +82,15 @@ def _row(key, fmt, coo, x, dev, scale, reps) -> dict:
     from repro.ops import variants_for
 
     m = convert(coo, fmt, **FORMAT_KWARGS.get(fmt, {}))
-    best: dict[str, tuple[str, Stopwatch]] = {}
-    for spec in variants_for(m):
-        sw = _time_cell(m, spec, x, reps)
-        tier = variant_tier(spec.tags)
-        if tier not in best or sw.median < best[tier][1].median:
-            best[tier] = (spec.name, sw)
-    native, sw = min(
-        (v for t, v in best.items() if t != "scipy"), key=lambda v: v[1].median
+    timed = {s.name: (s, _time_cell(m, s, x, reps)) for s in variants_for(m)}
+    row_order = next(
+        (n for n, (s, _) in timed.items() if STORED_CSR_TAG in s.tags), None
     )
+    own = [n for n in timed if n != row_order] or [row_order]
+    native = min(own, key=lambda n: timed[n][1].median)
+    sw = timed[native][1]
     t = sw.median
-    row_order, row_sw = best.get("scipy", (None, None))
+    row_sw = timed[row_order][1] if row_order else None
     try:
         rep = simulate_spmv(m, dev, "DP")
     except TypeError:  # no device kernel for this format
@@ -108,12 +111,10 @@ def _row(key, fmt, coo, x, dev, scale, reps) -> dict:
         "nrows": m.nrows,
         "stored_over_nnz": m.stored_elements / max(m.nnz, 1),
         "native": native,
-        "native_tier": variant_tier(pred.tags),
+        "native_tier": pred.tier,
         "native_s": t,
         "native_iqr_s": sw.iqr,
         "useful_gflops": gflops(m.nnz, t),
-        "numpy_s": best["numpy"][1].median if "numpy" in best else None,
-        "cnative_s": best["cnative"][1].median if "cnative" in best else None,
         "row_order": row_order,
         "row_order_s": row_sw.median if row_sw else None,
         "csr_scipy_s": None,

@@ -113,7 +113,7 @@ MATRIX_CLASSES = {
 }
 
 #: the tier family a registry tag names in the grid ids
-_TIER_ID = {"numpy": "numpy", "scipy": "scipy", "cnative": "compiled"}
+_TIER_ID = {"scipy": "scipy", "cnative": "compiled"}
 
 
 def _kernels_by_tier(fmt: str) -> dict:

@@ -199,9 +199,9 @@ class TestEngineTune:
             "engine", "tune", "sAMG", "--format", "coo",
             "--scale", "512", "--no-cache", "--explain",
         )
-        assert "candidates  : ['coo_reduceat']" in text
+        assert "candidates  : ['coo_scipy']" in text
         assert "<- chosen" not in text
-        assert "coo_reduceat is the only candidate: chosen without timing" in text
+        assert "coo_scipy is the only candidate: chosen without timing" in text
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -358,12 +358,19 @@ class TestOpsList:
         text = run_cli("ops", "list")
         assert "kernels registered" in text
         for expected in (
-            "csr_bincount", "spmm_csr", "jds_scipy", "sell_chunks",
-            "bell_einsum",
+            "csr_scipy", "spmm_csr", "jds_scipy", "sell_scipy",
+            "bell_scipy", "coo_scipy",
         ):
             assert expected in text, expected
         # header + the note on what rank 0 means
         assert "variant" in text and "rank 0 is what the unbound" in text
+        # the jagged formats' shared kernels list under their names, and
+        # every row's op column starts where the header's does
+        assert "JDS/pJDS" in text and "JaggedDiagonalsBase" not in text
+        lines = text.splitlines()
+        start = lines[0].index(" op ") + 1
+        rows = [ln for ln in lines[1:] if ln.split()[1:2] in (["spmv"], ["spmm"])]
+        assert rows and all(ln[start:start + 4] in ("spmv", "spmm") for ln in rows)
 
     def test_matrix_roster_and_tuning(self, tmp_path):
         from repro.matrices import poisson2d, write_matrix_market

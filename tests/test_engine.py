@@ -15,7 +15,6 @@ from repro.engine import (
     variants_for,
 )
 from repro.ops import stored_csr_triplet
-from repro.ops.registry import COMPILED_TAG
 from repro.formats import convert
 from repro.matrices.cache import TunerCache
 
@@ -25,6 +24,13 @@ from _test_common import ALL_FORMATS, PERMUTING_FORMATS, random_coo
 @pytest.fixture(scope="module")
 def coo():
     return random_coo(90, seed=11, max_row=16)
+
+
+@pytest.fixture(scope="module")
+def samg():
+    from repro.matrices import generate
+
+    return generate("sAMG", scale=512, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -153,25 +159,24 @@ class TestTuner:
 
     @pytest.mark.parametrize("fmt", ["CRS", "pJDS", "ELLPACK-R"])
     def test_races_only_compiled_kernels(self, fmt, coo):
-        """Formats with compiled kernels race exactly those; their NumPy
-        kernels stay registered and bindable by name."""
+        """Every registered kernel is compiled (scipy or cnative), so
+        the whole roster races."""
         m = convert(coo, fmt)
-        compiled = [v.name for v in variants_for(m) if COMPILED_TAG in v.tags]
-        numpy_ = [v.name for v in variants_for(m) if "numpy" in v.tags]
-        assert compiled and numpy_
-        assert [v.name for v in tune_candidates(m)] == compiled
+        roster = [v.name for v in variants_for(m)]
+        assert all(
+            {"scipy", "cnative"} & set(v.tags) for v in variants_for(m)
+        ), roster
+        assert [v.name for v in tune_candidates(m)] == roster
         r = autotune(m, reps=1, cache=TunerCache(persist=False))
         # with the cnative tier off the scipy delegate is alone: untimed
-        assert list(r.timings) == (compiled if len(compiled) > 1 else [])
-        assert r.variant in compiled
-        for name in numpy_:
-            assert bind(m, variant=name).variant_name == name
+        assert list(r.timings) == (roster if len(roster) > 1 else [])
+        assert r.variant in roster
 
     @pytest.mark.parametrize(
-        "fmt,variant", [("COO", "coo_reduceat"), ("BELLPACK", "bell_einsum")]
+        "fmt,variant", [("COO", "coo_scipy"), ("BELLPACK", "bell_scipy")]
     )
-    def test_numpy_only_formats_race_their_numpy_kernel(self, fmt, variant, coo):
-        """Their NumPy kernel is the lone candidate: chosen untimed, and
+    def test_lone_kernel_formats_choose_it_untimed(self, fmt, variant, coo):
+        """Their scipy kernel is the lone candidate: chosen untimed, and
         the decision is cached under the usual fingerprint."""
         m = convert(coo, fmt)
         assert [v.name for v in tune_candidates(m)] == [variant]
@@ -191,42 +196,33 @@ class TestTuner:
             tuner, "_time_variant", lambda *a, **k: calls.append(a) or 1.0
         )
         r = autotune(convert(coo, "COO"), cache=TunerCache(persist=False))
-        assert r.variant == "coo_reduceat" and calls == []
+        assert r.variant == "coo_scipy" and calls == []
         crs = convert(coo, "CRS")
         autotune(crs, cache=TunerCache(persist=False))
         raced = len(tune_candidates(crs))
         assert len(calls) == (raced if raced > 1 else 0)
 
-    def test_entry_under_the_full_roster_digest_reraces(self, coo):
-        """A decision cached when every roster kernel was raced (here one
-        that pins the NumPy kernel) is not replayed: the fingerprint
-        digests the raced roster, so the matrix re-races once."""
+    def test_entry_under_an_older_roster_digest_reraces(self, coo):
+        """A decision cached under an older roster (here one that still
+        held a since-deleted kernel, which it pinned) is not replayed:
+        the fingerprint digests the raced roster, so the matrix re-races
+        once."""
         import hashlib
 
         m = convert(coo, "CRS")
         fp = fingerprint(m)
-        full = ",".join(v.name for v in variants_for(m))
+        old = ",".join([v.name for v in variants_for(m)] + ["deleted_kernel"])
         old_fp = fp.replace(
             fp.split(":vs", 1)[1].split(":", 1)[0],
-            hashlib.sha1(full.encode()).hexdigest()[:8],
+            hashlib.sha1(old.encode()).hexdigest()[:8],
         )
         assert old_fp != fp
         cache = TunerCache(persist=False)
-        cache.put(old_fp, {"variant": "csr_bincount", "timings": {}})
+        cache.put(old_fp, {"variant": "deleted_kernel", "timings": {}})
         r = autotune(m, reps=1, cache=cache)
         assert not r.cache_hit and r.fingerprint == fp
-        assert r.variant != "csr_bincount"
+        assert r.variant != "deleted_kernel"
         assert autotune(m, reps=1, cache=cache).cache_hit
-
-    def test_cached_unraced_variant_reraces(self, coo):
-        """A cache entry naming a registered kernel outside the raced
-        roster is stale, like one naming a deleted kernel."""
-        m = convert(coo, "CRS")
-        cache = TunerCache(persist=False)
-        cache.put(fingerprint(m), {"variant": "csr_bincount"})
-        r = autotune(m, reps=1, cache=cache)
-        assert not r.cache_hit
-        assert r.variant in {v.name for v in tune_candidates(m)}
 
     def test_bind_uses_tuned_variant(self, coo):
         m = convert(coo, "pJDS")
@@ -250,7 +246,7 @@ class TestModelGuidedTuning:
         fp_before = fingerprint(m)
         monkeypatch.setattr(
             compiled, "kernel_tiers",
-            lambda: ("numpy", "scipy-x", "cnative-cc-0000ffff"),
+            lambda: ("scipy-x", "cnative-cc-0000ffff"),
         )
         fp_after = fingerprint(m)
         assert fp_before != fp_after
@@ -265,11 +261,37 @@ class TestModelGuidedTuning:
         r1 = autotune(m, reps=1, cache=cache)
         assert autotune(m, reps=1, cache=cache).cache_hit
         monkeypatch.setattr(
-            compiled, "kernel_tiers", lambda: ("numpy", "cnative-cc-0000ffff")
+            compiled, "kernel_tiers", lambda: ("scipy-x",)
         )
         r2 = autotune(m, reps=1, cache=cache)
         assert not r2.cache_hit  # new tier set -> retune, not replay
         assert r2.fingerprint != r1.fingerprint
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_predicted_slots_are_the_swept_arrays(self, fmt, samg):
+        """Eq. 1's slot count for every kernel is the length of the
+        arrays that kernel sweeps, padding and fill included."""
+        from repro.ops.spmv_kernels import _bsr_view
+        from repro.perfmodel.predict import predict_spmv
+
+        swept = {
+            "coo_scipy": lambda m: m.values.size,
+            "bell_scipy": lambda m: _bsr_view(m)[2].size,
+            "csr_cc": lambda m: m.data.size,
+            # the rectangle's first nrows rows, not the padded ones
+            "ell_cc": lambda m: m.val[:, : m.nrows].size,
+            "jds_cc": lambda m: m.val.size,
+            "sell_cc": lambda m: m.val.size,
+            "cmrs_cc": lambda m: m.val.size,
+            "argcsr_cc": lambda m: m.val.size,
+        }
+        m = convert(samg, fmt)
+        for p in predict_spmv(m, bandwidth_gbs=20.0):
+            if "stored-csr" in p.tags:
+                want = stored_csr_triplet(m)[1].size
+            else:
+                want = swept[p.name](m)
+            assert p.slots == want, (fmt, p.name)
 
     def test_predictions_are_positive_and_ordered(self, coo):
         from repro.perfmodel.predict import predict_spmv

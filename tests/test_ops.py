@@ -104,21 +104,20 @@ class TestFormatRegistry:
 # tentpole: kernel registry behaviour
 # ---------------------------------------------------------------------------
 
-#: the full spmv roster per format, in rank order: the scipy delegate,
-#: the NumPy kernel (the cnative kernel's bitwise reference), the
-#: cnative kernel
+#: the full spmv roster per format, in rank order: the scipy kernel,
+#: then the cnative kernel
 _SPMV_ROSTERS = {
-    "COO": ["coo_reduceat"],
-    "CRS": ["csr_scipy", "csr_bincount", "csr_cc"],
-    "ELLPACK": ["ell_scipy", "ell_sweep", "ell_cc"],
-    "ELLPACK-R": ["ell_scipy", "ell_sweep", "ell_cc"],
-    "ELLR-T": ["ell_scipy", "ell_sweep", "ell_cc"],
-    "JDS": ["jds_scipy", "jds_sweep", "jds_cc"],
-    "pJDS": ["jds_scipy", "jds_sweep", "jds_cc"],
-    "SELL-C-sigma": ["sell_scipy", "sell_chunks", "sell_cc"],
-    "CMRS": ["cmrs_scipy", "cmrs_bincount", "cmrs_cc"],
-    "ARG-CSR": ["argcsr_scipy", "argcsr_sweep", "argcsr_cc"],
-    "BELLPACK": ["bell_einsum"],
+    "COO": ["coo_scipy"],
+    "CRS": ["csr_scipy", "csr_cc"],
+    "ELLPACK": ["ell_scipy", "ell_cc"],
+    "ELLPACK-R": ["ell_scipy", "ell_cc"],
+    "ELLR-T": ["ell_scipy", "ell_cc"],
+    "JDS": ["jds_scipy", "jds_cc"],
+    "pJDS": ["jds_scipy", "jds_cc"],
+    "SELL-C-sigma": ["sell_scipy", "sell_cc"],
+    "CMRS": ["cmrs_scipy", "cmrs_cc"],
+    "ARG-CSR": ["argcsr_scipy", "argcsr_cc"],
+    "BELLPACK": ["bell_scipy"],
 }
 
 
@@ -137,16 +136,16 @@ class TestKernelRegistry:
             raise AssertionError("never called")
 
         with pytest.raises(ValueError, match="already registered"):
-            register_kernel(CSRMatrix, "spmv", name="csr_bincount")(clash)
+            register_kernel(CSRMatrix, "spmv", name="csr_scipy")(clash)
         # registry unchanged by the failed attempt
         roster = variant_names_for(CSRMatrix)
-        assert roster.count("csr_bincount") == 1
+        assert roster.count("csr_scipy") == 1
 
     def test_reregistering_same_function_is_idempotent(self):
-        spec = get_variant(CSRMatrix, "csr_bincount")
-        out = register_kernel(CSRMatrix, "spmv", name="csr_bincount")(spec.run)
+        spec = get_variant(CSRMatrix, "csr_scipy")
+        out = register_kernel(CSRMatrix, "spmv", name="csr_scipy")(spec.run)
         assert out is spec.run
-        assert variant_names_for(CSRMatrix).count("csr_bincount") == 1
+        assert variant_names_for(CSRMatrix).count("csr_scipy") == 1
 
     def test_subclass_inherits_and_can_override(self):
         class _Base:
@@ -362,15 +361,24 @@ _REGISTERED_SPMV = {r["variant"] for r in registry_rows() if r["op"] == "spmv"}
 class TestParityMatrix:
     @pytest.mark.parametrize("fmt, kernels, cls", PARITY_GRID)
     def test_cell(self, fmt, kernels, cls):
-        coo = MATRIX_CLASSES[cls]()
-        m = convert(coo, fmt)
-        x = np.random.default_rng(17).standard_normal(coo.shape[1])
-        ref = dense_of(coo) @ x
-        for name in kernels:
-            y = bind(m, tune=False, variant=name).spmv(x)
-            np.testing.assert_allclose(
-                y, ref, rtol=1e-10, atol=1e-12, err_msg=f"{fmt}/{name}/{cls}"
+        """Each kernel matches the dense product and returns the CRS
+        matrix's bits, at float64 and at float32 (one answer)."""
+        coo64 = MATRIX_CLASSES[cls]()
+        x64 = np.random.default_rng(17).standard_normal(coo64.shape[1])
+        for dtype, rtol, atol in ((np.float64, 1e-10, 1e-12), (np.float32, 1e-5, 1e-5)):
+            coo = COOMatrix(
+                coo64.rows, coo64.cols, coo64.values.astype(dtype), coo64.shape,
+                sum_duplicates=False,
             )
+            x = x64.astype(dtype)
+            ref = dense_of(coo) @ x
+            crs = convert(coo, "CRS").spmv(x)
+            m = convert(coo, fmt)
+            for name in kernels:
+                y = bind(m, tune=False, variant=name).spmv(x)
+                where = f"{fmt}/{name}/{cls}/{np.dtype(dtype).name}"
+                np.testing.assert_allclose(y, ref, rtol=rtol, atol=atol, err_msg=where)
+                np.testing.assert_array_equal(y, crs, err_msg=where)
 
     def test_grid_covers_every_registered_spmv_kernel(self):
         """Every spmv kernel in the registry has a parity case, and
@@ -497,16 +505,16 @@ from repro.kernels import compiled as compiled_mod  # noqa: E402
 _REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
 _CNATIVE_OK = compiled_mod.backend_status()["cnative"]["available"]
 
-#: compiled variant -> the NumPy variant whose accumulation order it
-#: reproduces exactly (sequential ascending per-row sums from zero), so
-#: float64 agreement is *bitwise*, not just allclose
-_BITWISE_PAIRS = {
-    "CRS": ("csr_cc", "csr_bincount"),
-    "ELLPACK-R": ("ell_cc", "ell_sweep"),
-    "pJDS": ("jds_cc", "jds_sweep"),
-    "SELL-C-sigma": ("sell_cc", "sell_chunks"),
-    "CMRS": ("cmrs_cc", "cmrs_bincount"),
-    "ARG-CSR": ("argcsr_cc", "argcsr_sweep"),
+#: format -> its cnative spmv, which sums each row in ascending column
+#: order from zero as CRS's ``csr_scipy`` does, so agreement with the
+#: CRS matrix is *bitwise*, not just allclose
+_CNATIVE_SPMV = {
+    "CRS": "csr_cc",
+    "ELLPACK-R": "ell_cc",
+    "pJDS": "jds_cc",
+    "SELL-C-sigma": "sell_cc",
+    "CMRS": "cmrs_cc",
+    "ARG-CSR": "argcsr_cc",
 }
 
 #: format -> its scipy-delegate spmv, whose bits every spmm column has
@@ -568,7 +576,7 @@ class TestCompiledTier:
         for rec in status.values():
             assert "available" in rec
         tiers = compiled_mod.kernel_tiers()
-        assert tiers[0] == "numpy"
+        assert tiers[0].startswith("scipy-")
 
     def test_guarded_import_registers_nothing_when_disabled(self):
         """With every backend disabled the module must import cleanly,
@@ -594,16 +602,15 @@ class TestCompiledTier:
             capture_output=True, text=True, check=True,
         )
         got = json.loads(out.stdout)
-        # this module's own registrations (the scipy delegates also
-        # carry the "compiled" tag but are not guarded by the env knob)
+        # this module's own registrations (the scipy kernels are not
+        # guarded by the env knob)
         compiled_names = {
             r["variant"] for r in registry_rows()
             if "cnative" in r["tags"]
         }
         assert compiled_names or not _CNATIVE_OK
         assert not (set(got["roster"]) & compiled_names)
-        assert got["tiers"][0] == "numpy"
-        assert all(t.startswith(("numpy", "scipy")) for t in got["tiers"])
+        assert [t.split("-")[0] for t in got["tiers"]] == ["scipy"]
         assert not got["status"]["cnative"]["available"]
         # ... and the registry CLI still answers
         cli = subprocess.run(
@@ -616,11 +623,11 @@ class TestCompiledTier:
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
     @pytest.mark.parametrize(
-        "fmt", sorted(_BITWISE_PAIRS),
-        ids=[f"{f}-cnative" for f in sorted(_BITWISE_PAIRS)],
+        "fmt", sorted(_CNATIVE_SPMV),
+        ids=[f"{f}-cnative" for f in sorted(_CNATIVE_SPMV)],
     )
-    def test_spmv_bitwise_vs_numpy(self, fmt):
-        name, ref_name = _BITWISE_PAIRS[fmt]
+    def test_spmv_bitwise_vs_csr_scipy(self, fmt):
+        name = _CNATIVE_SPMV[fmt]
         for case, coo in _compiled_case_matrices().items():
             m = convert(coo, fmt)
             assert name in variant_names_for(m), f"{name} not in roster"
@@ -629,16 +636,16 @@ class TestCompiledTier:
             # y is a prefix of a larger buffer: nothing past it is written
             buf = np.full(m.nrows + 8, 7.0)
             got = bind(m, tune=False, variant=name).spmv(x, out=buf[: m.nrows])
-            ref = bind(m, tune=False, variant=ref_name).spmv(x)
+            ref = bind(convert(coo, "CRS"), tune=False, variant="csr_scipy").spmv(x)
             np.testing.assert_array_equal(
                 got, ref, err_msg=f"{fmt}/{name}/{case} not bitwise"
             )
             assert np.all(buf[m.nrows:] == 7.0), f"{fmt}/{name}/{case} wrote past y"
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
-    @pytest.mark.parametrize("fmt", sorted(_BITWISE_PAIRS))
+    @pytest.mark.parametrize("fmt", sorted(_CNATIVE_SPMV))
     def test_spmv_compiled_noncontiguous_and_empty(self, fmt):
-        name = _BITWISE_PAIRS[fmt][0]
+        name = _CNATIVE_SPMV[fmt]
         # non-contiguous RHS: the glue must densify without changing bits
         coo = random_coo(30, seed=9)
         m = convert(coo, fmt)
@@ -664,7 +671,7 @@ class TestCompiledTier:
         spec = get_variant(m, "jds_cc")
         assert spec.supports_permuted
         got = bind(m, tune=False, variant="jds_cc").spmv_permuted(x_perm).copy()
-        ref = bind(m, tune=False, variant="jds_sweep").spmv_permuted(x_perm)
+        ref = bind(m, tune=False, variant="jds_scipy").spmv_permuted(x_perm)
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.skipif(not _CNATIVE_OK, reason="no cnative backend")
@@ -728,7 +735,7 @@ class TestCompiledTier:
                 bound = bind(m, tune=False, variant=variant)
                 assert bound.spmm_variant_name == want, variant
                 outs[variant] = bound.spmm(X)
-            ref = outs[_BITWISE_PAIRS[fmt][1]]
+            ref = outs[_SCIPY_SPMV[fmt]]
             for variant, got in outs.items():
                 np.testing.assert_array_equal(
                     got, ref, err_msg=f"{fmt}/{variant}/n={m.nrows}"
@@ -764,6 +771,21 @@ class TestCompiledTier:
                 self._assert_columns_are_scipy_spmv(
                     m, X, Y, f"{fmt}/{variant}/{order}"
                 )
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_spmm_columns_are_the_spmv(self, fmt):
+        """Every format's batch, fused or the per-column default (COO,
+        BELLPACK), gives each column the bits of its spmv, which are
+        the CRS matrix's bits."""
+        coo = random_coo(500, seed=26, empty_row_fraction=0.2)
+        m = convert(coo, fmt)
+        crs = convert(coo, "CRS")
+        X = np.random.default_rng(26).standard_normal((m.ncols, 3))
+        for Y in (m.spmm(X), bind(m, tune=False).spmm(X)):
+            for j in range(X.shape[1]):
+                xj = np.ascontiguousarray(X[:, j])
+                np.testing.assert_array_equal(Y[:, j], m.spmv(xj), err_msg=fmt)
+                np.testing.assert_array_equal(Y[:, j], crs.spmv(xj), err_msg=fmt)
 
     @pytest.mark.parametrize("fmt", sorted(_SPMM_PAIRS))
     def test_spmm_fortran_out_is_bitwise(self, fmt):
@@ -888,7 +910,7 @@ class TestCompiledTier:
         rows = registry_rows()
         for r in rows:
             if r["variant"].endswith("_cc") or "_cc" in r["variant"]:
-                assert "compiled" in r["tags"] and "cnative" in r["tags"], r
+                assert r["tags"] == ["cnative"], r
 
 
 # ---------------------------------------------------------------------------
