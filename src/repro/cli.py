@@ -16,8 +16,8 @@ Examples
         --metrics-out metrics.prom        # instrumented run + artifacts
     python -m repro serve --port 8080 --matrix sAMG --max-batch 32
                                           # micro-batching HTTP server
-    python -m repro serve --fleet 4 --replicas 2 --slo
-                                          # sharded fleet + SLO monitor
+    python -m repro serve --fleet 4 --replicas 2
+                                          # sharded, replicated fleet
     python -m repro fleet status --url http://127.0.0.1:8000
 
 Heavy experiments accept ``--scale`` (matrix shrink factor relative to
@@ -400,11 +400,10 @@ def _serve_fleet(args, out) -> int:
     Matrices are materialised up front (row blocks have to be cut and
     shipped to shards) and served as CRS; shards bind their blocks
     untuned, to the format's deterministic rank-0 kernels, so sharded
-    answers stay bitwise-equal to a single server's.  ``--slo`` additionally runs the fleet SLO
-    monitor (``/sloz`` and the ``slo`` section of ``/statz``).  Each
-    shard keeps its ``--workers`` threads from start to shutdown.  A
-    set-up failure closes the shards (and the monitor) before it
-    propagates; once serving, ``run_http_server`` closes them.
+    answers stay bitwise-equal to a single server's.  Each shard keeps
+    its ``--workers`` threads from start to shutdown.  A set-up failure
+    closes the shards before it propagates; once serving,
+    ``run_http_server`` closes them.
     """
     from repro.formats import convert
     from repro.matrices import generate
@@ -419,7 +418,6 @@ def _serve_fleet(args, out) -> int:
         policy=args.policy,
     )
     hedge_ms = args.hedge_ms if args.replicas > 1 else None
-    monitor = None
     try:
         router = FleetRouter(
             fleet,
@@ -442,18 +440,6 @@ def _serve_fleet(args, out) -> int:
             router.register(
                 Path(path).stem, convert(read_matrix_market(path), "CRS")
             )
-        if args.slo:
-            from repro.obs.slo import SLOMonitor, default_fleet_slos
-
-            monitor = SLOMonitor(
-                default_fleet_slos(p99_latency_s=args.slo_p99_ms / 1e3)
-            )
-            monitor.start()
-            print(
-                f"fleet SLO monitor on "
-                f"(p99 < {args.slo_p99_ms:g} ms): GET /sloz",
-                file=out,
-            )
         print(
             f"fleet: {args.fleet} {args.fleet_mode} shard(s), "
             f"replicas={args.replicas}, "
@@ -463,11 +449,9 @@ def _serve_fleet(args, out) -> int:
             file=out,
         )
     except BaseException:
-        if monitor is not None:
-            monitor.stop()
         fleet.close()
         raise
-    return run_http_server(router, args.host, args.port, out=out, slo=monitor)
+    return run_http_server(router, args.host, args.port, out=out)
 
 
 def cmd_serve(args, out) -> int:
@@ -484,7 +468,7 @@ def cmd_serve(args, out) -> int:
     from repro import obs
     from repro.serve import Client, MatrixRegistry, SpMVServer, run_http_server
 
-    if args.obs or args.slo:
+    if args.obs:
         obs.enable()
     if args.fleet:
         return _serve_fleet(args, out)
@@ -513,25 +497,13 @@ def cmd_serve(args, out) -> int:
         policy=args.policy,
         workers=args.workers,
     )
-    slo = None
-    if args.slo:
-        from repro.obs.slo import SLOMonitor, default_serve_slos
-
-        slo = SLOMonitor(
-            default_serve_slos(p99_latency_s=args.slo_p99_ms / 1e3)
-        )
-        slo.start()
-        print(
-            f"SLO monitor on (p99 < {args.slo_p99_ms:g} ms): GET /sloz",
-            file=out,
-        )
     print(
         f"serving {registry.names()} as {args.format} "
         f"(max_batch={args.max_batch}, "
         f"policy={args.policy}, {args.workers} workers)",
         file=out,
     )
-    return run_http_server(Client(server), args.host, args.port, out=out, slo=slo)
+    return run_http_server(Client(server), args.host, args.port, out=out)
 
 
 def cmd_fleet(args, out) -> int:
@@ -1134,11 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="registry byte budget (LRU-evicts idle matrices)")
     pv.add_argument("--obs", action="store_true",
                     help="enable repro.obs (spans + /statz?format=prometheus)")
-    pv.add_argument("--slo", action="store_true",
-                    help="run the SLO burn-rate monitor (implies --obs; "
-                         "adds GET /sloz and the slo section of /statz)")
-    pv.add_argument("--slo-p99-ms", type=float, default=500.0,
-                    help="p99 latency objective for the default serve SLOs")
     pv.add_argument("--fleet", type=_int_at_least(0), default=0, metavar="N",
                     help="run N server shards behind the scatter/gather "
                          "router instead of one in-process server")

@@ -22,7 +22,7 @@ Typical use::
     obs.disable()
 """
 
-from repro.obs import profile, slo
+from repro.obs import profile
 from repro.obs.export import (
     chrome_trace,
     parse_prometheus_text,
@@ -119,9 +119,8 @@ __all__ = [
     "render_trace",
     "list_traces",
     "find_trace_id",
-    # profiler / SLO submodules
+    # profiler submodule
     "profile",
-    "slo",
     # export
     "chrome_trace",
     "write_chrome_trace",

@@ -39,9 +39,6 @@ Endpoints
 ``POST /v1/solve``
     Body ``{"matrix": name, "b": [...], "method"?: "cg"|"lanczos",
     "tol"?: float, "max_iter"?: int, "num_eigenvalues"?: int}``.
-``GET /sloz``
-    Burn-rate state of the attached :class:`~repro.obs.slo.SLOMonitor`
-    (404 when the server runs without one).
 ``GET /fleetz``
     Fleet topology: per-shard liveness/queue depth and block placement
     per matrix (404 when the backend is a single server, not a
@@ -66,7 +63,7 @@ from __future__ import annotations
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlparse
+from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 import orjson
@@ -123,10 +120,6 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def client(self) -> Client:
         return self.server.serve_client  # type: ignore[attr-defined]
-
-    @property
-    def slo_monitor(self):
-        return getattr(self.server, "slo_monitor", None)
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, fmt, *args):  # noqa: D102 - stdlib signature
@@ -193,26 +186,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self._send_json(200, health)
         elif path.path == "/statz":
-            if "format=prometheus" in (path.query or ""):
+            if parse_qs(path.query).get("format") == ["prometheus"]:
                 self._send_body(
                     200, "text/plain; version=0.0.4",
                     obs.prometheus_text().encode(),
                 )
             else:
-                stats = self.client.stats()
-                mon = self.slo_monitor
-                if mon is not None:
-                    stats["slo"] = mon.state()
-                self._send_json(200, stats)
-        elif path.path == "/sloz":
-            mon = self.slo_monitor
-            if mon is None:
-                self._send_json(
-                    404,
-                    {"error": "no SLO monitor attached; start with --slo"},
-                )
-            else:
-                self._send_json(200, mon.state())
+                self._send_json(200, self.client.stats())
         elif path.path == "/fleetz":
             stats = self.client.stats()
             if not stats.get("fleet"):
@@ -296,19 +276,11 @@ def make_http_server(
     client: Client,
     host: str = "127.0.0.1",
     port: int = 8000,
-    *,
-    slo=None,
 ) -> ThreadingHTTPServer:
-    """Build (but do not run) the HTTP front-end; ``port=0`` auto-picks.
-
-    ``slo`` (a :class:`~repro.obs.slo.SLOMonitor`) wires ``/sloz`` and
-    the ``slo`` section of ``/statz``; the caller owns its lifecycle
-    (``start``/``stop``).
-    """
+    """Build (but do not run) the HTTP front-end; ``port=0`` auto-picks."""
     httpd = ThreadingHTTPServer((host, port), _Handler)
     httpd.daemon_threads = True
     httpd.serve_client = client  # type: ignore[attr-defined]
-    httpd.slo_monitor = slo  # type: ignore[attr-defined]
     httpd.started_at = time.monotonic()  # type: ignore[attr-defined]
     return httpd
 
@@ -318,19 +290,15 @@ def run_http_server(
     host: str = "127.0.0.1",
     port: int = 8000,
     out=None,
-    *,
-    slo=None,
 ):
     """Blocking serve loop (the ``repro serve`` CLI entry point).
 
-    Owns ``client`` and ``slo`` from the call on: both are closed when
-    the loop ends, and when the listening socket cannot be opened.
+    Owns ``client`` from the call on: it is closed when the loop ends,
+    and when the listening socket cannot be opened.
     """
     try:
-        httpd = make_http_server(client, host, port, slo=slo)
+        httpd = make_http_server(client, host, port)
     except BaseException:
-        if slo is not None:
-            slo.stop()
         client.close()
         raise
     if out is not None:
@@ -346,7 +314,5 @@ def run_http_server(
     finally:
         httpd.shutdown()
         httpd.server_close()
-        if slo is not None:
-            slo.stop()
         client.close()
     return 0

@@ -169,9 +169,9 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-#: name prefixes of the threads the rank pool, the serve scheduler, the
-#: fleet shards and the SLO monitor start
-_OWN_THREADS = ("rank-", "serve-", "shard", "slo-monitor")
+#: name prefixes of the threads the rank pool, the serve scheduler and
+#: the fleet shards start
+_OWN_THREADS = ("rank-", "serve-", "shard")
 
 
 def _live_resources() -> dict:
@@ -205,8 +205,8 @@ def _grown(before: dict, after: dict) -> dict:
 
 @pytest.fixture
 def no_leaks():
-    """Fail a test that leaves rank, serve, shard or SLO-monitor threads,
-    children, fds, shm or memfd mappings behind.
+    """Fail a test that leaves rank, serve or shard threads, children,
+    fds, shm or memfd mappings behind.
 
     Resources get up to 3 s to settle (daemon threads drain their last
     wait, children are reaped) before an increase counts.

@@ -441,9 +441,10 @@ class TestObsTraceAndTop:
         assert "GF/s" in text
         assert "model bandwidth: 10.0 GB/s" in text
 
-    def test_serve_slo_flags(self):
-        args = build_parser().parse_args(["serve", "--slo", "--slo-p99-ms", "250"])
-        assert args.slo and args.slo_p99_ms == 250.0
+    def test_serve_has_no_slo_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--slo"])
+        assert exc.value.code == 2
 
     def test_chaos_trace_out(self, tmp_path):
         import json as _json
@@ -598,50 +599,33 @@ class TestFleetCLI:
             assert fleetz["fleet"] is True and fleetz["nshards"] == 2
 
     @pytest.mark.usefixtures("no_leaks")
-    def test_serve_fleet_slo_serves_the_monitor(self, monkeypatch):
-        """``--fleet --slo`` runs the fleet SLO monitor behind ``/sloz``
-        and ``/statz``, ``/fleetz`` and ``fleet status`` show only the
-        topology, and shutting the HTTP server down stops the monitor
-        and every shard."""
+    def test_serve_fleet_serves_the_topology(self, monkeypatch):
+        """``/fleetz`` and ``fleet status`` show only the topology, and
+        shutting the HTTP server down stops every shard."""
         import json
         import urllib.request
 
-        from repro import obs
+        with serving(
+            monkeypatch, "--fleet", "2", "--fleet-mode", "inproc"
+        ) as (port, out):
+            assert "fleet: 2 inproc shard(s)" in out.getvalue()
+            url = f"http://127.0.0.1:{port}/fleetz"
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                fleetz = json.loads(resp.read())
+            assert set(fleetz) == {
+                "fleet", "mode", "nshards", "replicas", "requests", "hedges",
+                "failovers", "transport_kb_per_req", "latency_ms", "down",
+                "shards", "placements",
+            }
 
-        try:
-            with serving(
-                monkeypatch, "--fleet", "2", "--fleet-mode", "inproc", "--slo"
-            ) as (port, out):
-                assert "fleet SLO monitor on" in out.getvalue()
-
-                def get(path):
-                    url = f"http://127.0.0.1:{port}{path}"
-                    with urllib.request.urlopen(url, timeout=30) as resp:
-                        return resp.status, json.loads(resp.read())
-
-                status, sloz = get("/sloz")
-                assert status == 200
-                assert {s["name"] for s in sloz["slos"]} == {
-                    "fleet-latency-p99", "fleet-error-rate",
-                }
-                assert "slo" in get("/statz")[1]
-                assert set(get("/fleetz")[1]) == {
-                    "fleet", "mode", "nshards", "replicas", "requests", "hedges",
-                    "failovers", "transport_kb_per_req", "latency_ms", "down",
-                    "shards", "placements",
-                }
-
-                status_out = io.StringIO()
-                assert main(
-                    ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
-                    out=status_out,
-                ) == 0
-                sections = [
-                    line.split(":")[0]
-                    for line in status_out.getvalue().splitlines()
-                    if not line.startswith(" ")
-                ]
-                assert sections == ["fleet", "shards", "placement"]
-        finally:
-            obs.disable()
-            obs.reset_all()
+            status_out = io.StringIO()
+            assert main(
+                ["fleet", "status", "--url", f"http://127.0.0.1:{port}"],
+                out=status_out,
+            ) == 0
+            sections = [
+                line.split(":")[0]
+                for line in status_out.getvalue().splitlines()
+                if not line.startswith(" ")
+            ]
+            assert sections == ["fleet", "shards", "placement"]

@@ -1,19 +1,12 @@
-"""Tests for the attribution profiler and the SLO burn-rate monitor.
+"""Tests for the attribution profiler and the Prometheus exposition.
 
 Profiler: Eq.-1 model arithmetic, sample aggregation, the engine
 integration (BoundMatrix feeds samples through the generation-keyed
 hot-path cache), table rendering and metric publication.
 
-SLO: spec validation, the three observation kinds (latency p99 over
-Summary children, error-rate from counter deltas, queue-depth gauges),
-the dual-window firing rule with a fake clock, the silence-is-health
-NaN contract, and the alert event stream.
-
 Prometheus: label-value and HELP escaping plus the Summary
 ``_sum``/``_count`` exposition the exporter must emit.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -26,7 +19,6 @@ from repro.obs.profile import (
     model_bytes_per_flop,
     render_table,
 )
-from repro.obs.slo import SLOMonitor, SLOSpec, default_serve_slos
 from repro.perfmodel.balance import code_balance_dp
 
 from _test_common import random_coo
@@ -177,134 +169,6 @@ class TestEngineIntegration:
         text = obs.prometheus_text()
         assert 'profile_achieved_gbs{format="CRS"' in text
         assert "profile_kernel_calls" in text
-
-
-# ---------------------------------------------------------------------------
-# SLO monitor
-# ---------------------------------------------------------------------------
-
-
-class TestSLOSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            SLOSpec("x", "latency_p50", 0.1, "m")
-        with pytest.raises(ValueError, match="budget"):
-            SLOSpec("x", "latency_p99", 0.1, "m", budget=0.0)
-        with pytest.raises(ValueError, match="window"):
-            SLOSpec("x", "latency_p99", 0.1, "m", window_s=1.0,
-                    fast_window_s=2.0)
-
-    def test_default_serve_slos(self):
-        specs = default_serve_slos(p99_latency_s=0.25)
-        assert [s.kind for s in specs] == [
-            "latency_p99", "error_rate", "queue_depth",
-        ]
-        assert specs[0].objective == 0.25
-        assert specs[0].metric == "serve_request_seconds"
-
-
-def _clock(t):
-    return lambda: t[0]
-
-
-class TestSLOMonitor:
-    def test_latency_p99_fires_and_resolves(self, enabled):
-        t = [0.0]
-        spec = SLOSpec("lat", "latency_p99", 0.1, "serve_request_seconds",
-                       budget=0.5, window_s=8.0, fast_window_s=2.0)
-        mon = SLOMonitor([spec], clock=_clock(t))
-        for _ in range(50):
-            obs.observe_summary("serve_request_seconds", 0.01, matrix="A")
-        for _ in range(3):
-            t[0] += 1.0
-            state = mon.tick()
-        assert state["firing"] == [] and mon.firing() == []
-
-        for _ in range(2000):
-            obs.observe_summary("serve_request_seconds", 0.5, matrix="A")
-        for _ in range(4):
-            t[0] += 1.0
-            state = mon.tick()
-        assert state["firing"] == ["lat"]
-        events = mon.events()
-        assert events and events[-1]["state"] == "firing"
-        assert events[-1]["slo"] == "lat"
-        # alert transitions are themselves metrics
-        assert 'slo_alerts_total{slo="lat",state="firing"}' in (
-            obs.prometheus_text()
-        )
-
-        # flood healthy and let the violating samples age out
-        for _ in range(5000):
-            obs.observe_summary("serve_request_seconds", 0.01, matrix="A")
-        for _ in range(12):
-            t[0] += 1.0
-            mon.tick()
-        assert mon.firing() == []
-        assert mon.events()[-1]["state"] == "resolved"
-
-    def test_error_rate_uses_deltas_not_lifetime(self, enabled):
-        t = [0.0]
-        spec = SLOSpec("err", "error_rate", 0.2, "serve_requests_total",
-                       budget=0.4, window_s=8.0, fast_window_s=1.0)
-        mon = SLOMonitor([spec], clock=_clock(t))
-        obs.inc("serve_requests_total", 98, status="ok")
-        obs.inc("serve_requests_total", 2, status="error")
-        mon.tick()  # first tick only establishes the baseline
-        assert math.isnan(mon.state()["slos"][0]["value"] or math.nan) or \
-            mon.state()["slos"][0]["value"] is None
-
-        obs.inc("serve_requests_total", 1, status="ok")
-        obs.inc("serve_requests_total", 9, status="error")
-        t[0] += 1.0
-        state = mon.tick()
-        # lifetime error rate is ~10%; the delta is 90% — deltas win
-        assert state["slos"][0]["value"] == pytest.approx(0.9)
-        assert state["firing"] == ["err"]
-
-    def test_idle_is_healthy(self, enabled):
-        t = [0.0]
-        spec = SLOSpec("err", "error_rate", 0.2, "serve_requests_total",
-                       budget=0.1, window_s=8.0, fast_window_s=1.0)
-        mon = SLOMonitor([spec], clock=_clock(t))
-        for _ in range(10):
-            t[0] += 1.0
-            state = mon.tick()
-        # metric never published: every sample NaN, nothing fires
-        assert state["firing"] == []
-        assert state["slos"][0]["value"] is None
-        assert state["slos"][0]["samples"] > 0
-
-    def test_queue_depth_worst_gauge(self, enabled):
-        t = [0.0]
-        spec = SLOSpec("q", "queue_depth", 64, "serve_queue_depth",
-                       budget=0.5, window_s=4.0, fast_window_s=1.0)
-        mon = SLOMonitor([spec], clock=_clock(t))
-        obs.set_gauge("serve_queue_depth", 100)
-        for _ in range(3):
-            t[0] += 1.0
-            state = mon.tick()
-        assert state["slos"][0]["value"] == 100.0
-        assert state["firing"] == ["q"]
-
-    def test_add_rejects_duplicates(self):
-        mon = SLOMonitor(default_serve_slos())
-        with pytest.raises(ValueError, match="already registered"):
-            mon.add(default_serve_slos()[0])
-
-    def test_background_thread_ticks(self, enabled):
-        mon = SLOMonitor(default_serve_slos())
-        mon.start(interval_s=0.01)
-        try:
-            import time as _time
-
-            deadline = _time.monotonic() + 5.0
-            while mon.ticks < 3 and _time.monotonic() < deadline:
-                _time.sleep(0.01)
-        finally:
-            mon.stop()
-        assert mon.ticks >= 3
-        assert mon.state()["ticks"] >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -997,13 +997,14 @@ class TestHTTP:
     def test_keep_alive_replies_do_not_wait_for_delayed_acks(self, endpoint):
         """Head and body go out in one send: a small reply written in two
         waits for the client's delayed ACK (about 40 ms on Linux) before
-        its body leaves, so 11 replies on one connection would take
+        its body leaves, so 12 replies on one connection would take
         about half a second."""
         url = urlparse(endpoint)
         conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
         try:
             t0 = time.perf_counter()
-            for path, status in [("/healthz", 200)] * 10 + [("/nope", 404)]:
+            unknown = [("/nope", 404), ("/sloz", 404)]
+            for path, status in [("/healthz", 200)] * 10 + unknown:
                 conn.request("GET", path)
                 resp = conn.getresponse()
                 assert resp.status == status
@@ -1011,7 +1012,7 @@ class TestHTTP:
             elapsed = time.perf_counter() - t0
         finally:
             conn.close()
-        assert elapsed < 0.1, f"11 keep-alive replies took {elapsed * 1e3:.0f} ms"
+        assert elapsed < 0.1, f"12 keep-alive replies took {elapsed * 1e3:.0f} ms"
 
     def test_statz(self, endpoint):
         self._post(endpoint, "/v1/spmv", {"matrix": "A", "x": [0.0] * 60})
@@ -1029,6 +1030,12 @@ class TestHTTP:
         assert status == 200
         assert "serve_requests_total" in text
         assert 'quantile="0.5"' in text  # the Summary exposition
+        # only an exact format=prometheus asks for the text exposition
+        for query in ("format=prometheusX", "xformat=prometheus",
+                      "format=json&x=format=prometheus"):
+            status, raw = self._get(endpoint, f"/statz?{query}")
+            assert status == 200
+            assert json.loads(raw)["requests"]["ok"] >= 1
 
     def test_unknown_endpoint_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as exc:

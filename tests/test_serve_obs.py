@@ -1,11 +1,10 @@
-"""Serve-layer observability: HTTP trace propagation, /sloz, degraded mode.
+"""Serve-layer observability: HTTP trace propagation, degraded mode.
 
 Exercises the request-scoped tracing contract at the serving boundary
 (X-Trace-Id honored and echoed, ``trace_id`` stamped into every JSON
-payload including errors, front-end → request → linked batch tree),
-the SLO monitor's HTTP surface (``/sloz`` and the ``slo`` section of
-``/statz``), and the degraded-mode instrumentation satellite (counter,
-``degraded`` label on the latency summary, span attribution).
+payload including errors, front-end → request → linked batch tree) and
+the degraded-mode instrumentation (counter, ``degraded`` label on the
+latency summary, span attribution).
 """
 
 import json
@@ -22,7 +21,6 @@ from repro.faults import FaultPlan
 from repro.faults.plan import FaultEvent
 from repro.formats import CSRMatrix, convert
 from repro.matrices import poisson2d
-from repro.obs.slo import SLOMonitor, default_serve_slos
 from repro.serve import Client, MatrixRegistry, SpMVServer, make_http_server
 from repro.serve import http as serve_http
 
@@ -54,11 +52,6 @@ def _post(base, path, payload, headers=None):
         return resp.status, dict(resp.headers), json.loads(resp.read())
 
 
-def _get_json(base, path):
-    with urllib.request.urlopen(base + path, timeout=30) as resp:
-        return resp.status, json.loads(resp.read())
-
-
 def _front_end_roots(trace_id, timeout=5.0):
     """``build_trace(trace_id)`` once the handler's root span has ended.
 
@@ -77,14 +70,13 @@ def _front_end_roots(trace_id, timeout=5.0):
 
 @pytest.fixture()
 def traced_endpoint():
-    """HTTP endpoint with obs enabled and an (unticked) SLO monitor."""
+    """HTTP endpoint with obs enabled."""
     obs.enable()
     reg = MatrixRegistry(tune=False)
     reg.register("A", matrix=make_csr(), variant=VARIANT)
     reg.register("poisson", matrix=convert(poisson2d(6), "CRS"))
     server = SpMVServer(reg, workers=1)
-    mon = SLOMonitor(default_serve_slos())
-    httpd = make_http_server(Client(server), port=0, slo=mon)
+    httpd = make_http_server(Client(server), port=0)
     t = threading.Thread(target=httpd.serve_forever, daemon=True)
     t.start()
     base = f"http://127.0.0.1:{httpd.server_address[1]}"
@@ -97,7 +89,7 @@ def traced_endpoint():
 
 @pytest.fixture()
 def bare_endpoint():
-    """No SLO monitor attached, obs off — the pre-tracing behavior."""
+    """Obs off — the pre-tracing behavior."""
     reg = MatrixRegistry(tune=False)
     reg.register("A", matrix=make_csr(), variant=VARIANT)
     server = SpMVServer(reg, workers=1)
@@ -188,31 +180,6 @@ class TestHTTPTracing:
         assert calls == []
 
 
-@pytest.mark.usefixtures("no_leaks")
-class TestSLOEndpoint:
-    def test_sloz_reports_monitor_state(self, traced_endpoint):
-        status, body = _get_json(traced_endpoint, "/sloz")
-        assert status == 200
-        assert {s["name"] for s in body["slos"]} == {
-            "latency-p99", "error-rate", "queue-depth",
-        }
-        assert body["firing"] == []
-
-    def test_statz_gains_slo_section(self, traced_endpoint):
-        status, body = _get_json(traced_endpoint, "/statz")
-        assert status == 200
-        assert "slo" in body and "slos" in body["slo"]
-
-    def test_sloz_404_without_monitor(self, bare_endpoint):
-        with pytest.raises(urllib.error.HTTPError) as exc:
-            _get_json(bare_endpoint, "/sloz")
-        assert exc.value.code == 404
-        body = json.loads(exc.value.read())
-        assert "--slo" in body["error"]
-        status, statz = _get_json(bare_endpoint, "/statz")
-        assert status == 200 and "slo" not in statz
-
-
 class TestDegradedInstrumentation:
     def test_degraded_requests_are_counted_and_labeled(self):
         obs.enable()
@@ -267,23 +234,3 @@ class TestDegradedInstrumentation:
         finally:
             server.close()
 
-
-class TestSLOAgainstLiveServer:
-    def test_monitor_sees_served_traffic(self):
-        obs.enable()
-        reg = MatrixRegistry(tune=False)
-        reg.register("A", matrix=make_csr(), variant=VARIANT)
-        server = SpMVServer(reg, workers=1)
-        t = [0.0]
-        mon = SLOMonitor(default_serve_slos(), clock=lambda: t[0])
-        try:
-            for _ in range(8):
-                server.spmv("A", np.ones(60), timeout=10)
-            mon.tick()
-            t[0] += 1.0
-            state = mon.tick()
-            lat = [s for s in state["slos"] if s["kind"] == "latency_p99"][0]
-            assert lat["value"] is not None and lat["value"] > 0
-            assert state["firing"] == []  # healthy traffic
-        finally:
-            server.close()
